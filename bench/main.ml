@@ -251,257 +251,279 @@ let timed f =
   f ();
   Wcet.Clock.now_s () -. started
 
-(* Minimal JSON emission; every string we print is a known identifier, so
-   escaping only needs the basics. *)
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* A run (or section) is "warm" when any result came from the persistent
    disk cache rather than an in-process solve; the three counters
    partition lookups, so cold solves are exactly [misses]. *)
 let cache_mode_of (stats : Sel4_rt.Analysis_cache.stats) =
   if stats.Sel4_rt.Analysis_cache.disk_hits > 0 then "warm" else "cold"
 
+module Json = Obs.Json
+
+let seconds v = Json.Fixed (6, v)
+
 let cache_stats_json (stats : Sel4_rt.Analysis_cache.stats) =
-  Printf.sprintf
-    "{\"mode\": \"%s\", \"hits\": %d, \"disk_hits\": %d, \"misses\": %d, \
-     \"hit_rate\": %.6f, \"prefix_hits\": %d, \"prefix_misses\": %d}"
-    (cache_mode_of stats) stats.Sel4_rt.Analysis_cache.hits
-    stats.Sel4_rt.Analysis_cache.disk_hits stats.Sel4_rt.Analysis_cache.misses
-    (Sel4_rt.Analysis_cache.hit_rate stats)
-    stats.Sel4_rt.Analysis_cache.prefix_hits
-    stats.Sel4_rt.Analysis_cache.prefix_misses
+  let open Json in
+  Obj
+    [
+      ("mode", Str (cache_mode_of stats));
+      ("hits", int stats.Sel4_rt.Analysis_cache.hits);
+      ("disk_hits", int stats.Sel4_rt.Analysis_cache.disk_hits);
+      ("misses", int stats.Sel4_rt.Analysis_cache.misses);
+      ("hit_rate", Fixed (6, Sel4_rt.Analysis_cache.hit_rate stats));
+      ("prefix_hits", int stats.Sel4_rt.Analysis_cache.prefix_hits);
+      ("prefix_misses", int stats.Sel4_rt.Analysis_cache.prefix_misses);
+    ]
 
 let provenance_json (p : Sel4_rt.Workloads.provenance) =
-  Printf.sprintf
-    "{\"workload\": \"%s\", \"worst_seed\": %d, \"section\": \"%s\", \
-     \"section_cycles\": %d, \"cycles_to_preempt\": %s, \"stall_cycles\": %d, \
-     \"compute_cycles\": %d}"
-    (json_escape p.Sel4_rt.Workloads.workload)
-    p.Sel4_rt.Workloads.worst_seed
-    (json_escape p.Sel4_rt.Workloads.section)
-    p.Sel4_rt.Workloads.section_cycles
-    (match p.Sel4_rt.Workloads.cycles_to_preempt with
-    | Some c -> string_of_int c
-    | None -> "null")
-    p.Sel4_rt.Workloads.stall_cycles p.Sel4_rt.Workloads.compute_cycles
+  let open Json in
+  Obj
+    [
+      ("workload", Str p.Sel4_rt.Workloads.workload);
+      ("worst_seed", int p.Sel4_rt.Workloads.worst_seed);
+      ("section", Str p.Sel4_rt.Workloads.section);
+      ("section_cycles", int p.Sel4_rt.Workloads.section_cycles);
+      ("cycles_to_preempt", option int p.Sel4_rt.Workloads.cycles_to_preempt);
+      ("stall_cycles", int p.Sel4_rt.Workloads.stall_cycles);
+      ("compute_cycles", int p.Sel4_rt.Workloads.compute_cycles);
+    ]
 
 let table2_cell_json (c : Sel4_rt.Experiments.table2_cell) =
-  Printf.sprintf "{\"computed\": %d, \"observed\": %d, \"provenance\": %s}"
-    c.Sel4_rt.Experiments.computed c.Sel4_rt.Experiments.observed
-    (provenance_json c.Sel4_rt.Experiments.prov)
+  let open Json in
+  Obj
+    [
+      ("computed", int c.Sel4_rt.Experiments.computed);
+      ("observed", int c.Sel4_rt.Experiments.observed);
+      ("provenance", provenance_json c.Sel4_rt.Experiments.prov);
+    ]
+
+(* The explorer's schedule counters summed over its scenarios: in the
+   bench report and in the ledger. *)
+let explore_totals (r : Explore.report) =
+  let sum g =
+    Json.int (List.fold_left (fun a s -> a + g s) 0 r.Explore.x_scens)
+  in
+  [
+    ("explored", sum (fun s -> s.Explore.e_explored));
+    ("pruned", sum (fun s -> s.Explore.e_pruned));
+    ("deduped", sum (fun s -> s.Explore.e_deduped));
+    ("digest_classes", sum (fun s -> s.Explore.e_digest_classes));
+    ("failures", sum (fun s -> List.length s.Explore.e_failures));
+  ]
 
 let write_json ~path ~elapsed_s ~section_times ~engine_wall_s
     ~serial_fresh_wall_s ~(stats : Sel4_rt.Analysis_cache.stats) ~domains
     ~requested_domains ~recommended_domains ~warning ~analysis_rows
     ~constraint_rows ~table2_rows ~inject_rep ~race_rep ~explore_rep ~sim_rep
     ~sim_forensics ~smp_rep =
-  let buf = Buffer.create 2048 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let f v = Printf.sprintf "%.6f" v in
-  addf "{\n  \"sections\": [\n";
-  List.iteri
-    (fun i (name, wall, sstats) ->
-      addf "    {\"name\": \"%s\", \"wall_s\": %s, \"cache\": %s}%s\n"
-        (json_escape name) (f wall)
-        (cache_stats_json sstats)
-        (if i < List.length section_times - 1 then "," else ""))
-    section_times;
-  addf "  ],\n";
-  addf "  \"engine_wall_s\": %s,\n" (f engine_wall_s);
-  addf "  \"serial_fresh_wall_s\": %s,\n" (f serial_fresh_wall_s);
-  (* Omitted (not zeroed) on single-domain runs: see
-     Serve.Envelope.speedup_field. *)
-  (match
-     Serve.Envelope.speedup_field ~domains ~engine_wall_s ~serial_fresh_wall_s
-   with
-  | Some v -> addf "  \"speedup\": %s,\n" v
-  | None -> ());
-  addf "  \"domains\": %d,\n" domains;
-  addf "  \"requested_domains\": %s,\n"
-    (match requested_domains with Some n -> string_of_int n | None -> "null");
-  addf "  \"recommended_domains\": %d,\n" recommended_domains;
-  addf "  \"warning\": %s,\n"
-    (match warning with
-    | Some w -> Printf.sprintf "\"%s\"" (json_escape w)
-    | None -> "null");
-  addf "  \"cache_mode\": \"%s\",\n" (cache_mode_of stats);
-  addf "  \"cache\": %s,\n" (cache_stats_json stats);
-  addf "  \"metrics\": %s,\n"
-    (Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
-  (match table2_rows with
-  | [] -> ()
-  | rows ->
-      addf "  \"table2\": [\n";
-      List.iteri
-        (fun i (r : Sel4_rt.Experiments.table2_row) ->
-          addf "    {\"entry\": \"%s\", \"l2_off\": %s, \"l2_on\": %s}%s\n"
-            (json_escape
-               (Sel4_rt.Kernel_model.entry_name r.Sel4_rt.Experiments.t2_entry))
-            (table2_cell_json r.Sel4_rt.Experiments.after_l2_off)
-            (table2_cell_json r.Sel4_rt.Experiments.after_l2_on)
-            (if i < List.length rows - 1 then "," else ""))
-        rows;
-      addf "  ],\n");
-  (match inject_rep with
-  | None -> ()
-  | Some (r : Inject.report) ->
-      addf
-        "  \"inject\": {\"seed\": %d, \"smoke\": %b, \"campaigns\": %d, \
-         \"runs\": %d, \"points_covered\": %d, \"max_restarts\": %d, \
-         \"failures\": %d, \"ops\": [\n"
-        r.Inject.r_seed r.Inject.r_smoke
-        (List.length r.Inject.r_ops)
-        r.Inject.r_total_runs
-        (List.fold_left (fun a o -> a + o.Inject.o_points) 0 r.Inject.r_ops)
-        (List.fold_left (fun a o -> max a o.Inject.o_max_restarts) 0 r.Inject.r_ops)
-        (List.fold_left
-           (fun a o -> a + List.length o.Inject.o_failures)
-           0 r.Inject.r_ops);
-      List.iteri
-        (fun i (o : Inject.op_report) ->
-          addf
-            "    {\"op\": \"%s\", \"points\": %d, \"runs\": %d, \
-             \"max_restarts\": %d, \"failures\": %d}%s\n"
-            (json_escape (Inject.op_name o.Inject.o_op))
-            o.Inject.o_points o.Inject.o_runs o.Inject.o_max_restarts
-            (List.length o.Inject.o_failures)
-            (if i < List.length r.Inject.r_ops - 1 then "," else ""))
-        r.Inject.r_ops;
-      addf "  ]},\n");
-  (match explore_rep with
-  | None -> ()
-  | Some (r : Explore.report) ->
-      let sum g = List.fold_left (fun a s -> a + g s) 0 r.Explore.x_scens in
-      addf
-        "  \"explore\": {\"smoke\": %b, \"depth\": %d, \"runs\": %d, \
-         \"universe\": %d, \"explored\": %d, \"pruned\": %d, \"deduped\": \
-         %d, \"digest_classes\": %d, \"failures\": %d, \
-         \"audit_violations\": %s, \"ops\": [\n"
-        r.Explore.x_smoke r.Explore.x_depth r.Explore.x_total_runs
-        (sum (fun s -> s.Explore.e_universe))
-        (sum (fun s -> s.Explore.e_explored))
-        (sum (fun s -> s.Explore.e_pruned))
-        (sum (fun s -> s.Explore.e_deduped))
-        (sum (fun s -> s.Explore.e_digest_classes))
-        (sum (fun s -> List.length s.Explore.e_failures))
-        (match race_rep with
-        | None -> "null"
-        | Some (a : Race.audit_report) ->
-            string_of_int (List.length a.Race.ar_violations));
-      List.iteri
-        (fun i (s : Explore.scen_report) ->
-          addf
-            "    {\"op\": \"%s\", \"polls\": %d, \"universe\": %d, \
-             \"explored\": %d, \"pruned\": %d, \"deduped\": %d, \
-             \"digest_classes\": %d, \"failures\": %d}%s\n"
-            (json_escape s.Explore.e_scenario)
-            s.Explore.e_polls s.Explore.e_universe s.Explore.e_explored
-            s.Explore.e_pruned s.Explore.e_deduped s.Explore.e_digest_classes
-            (List.length s.Explore.e_failures)
-            (if i < List.length r.Explore.x_scens - 1 then "," else ""))
-        r.Explore.x_scens;
-      addf "  ]},\n");
-  (match sim_rep with
-  | None -> ()
-  | Some ((r : Sim.report), (th : Sim.throughput)) ->
-      addf "  \"sim\": %s,\n" (Sim.campaign_json r th));
-  (match smp_rep with
-  | None -> ()
-  | Some
-      ( (sh : Smp.Soak.report),
-        (sp : Smp.Soak.report),
-        (cmp : Smp.Soak.comparison) ) ->
-      (* Summary counters only; the full per-scenario per-core tables are
-         available from `sel4rt sim --cores N` (Smp.Soak.report_json). *)
-      let policy_obj (r : Smp.Soak.report) =
-        Printf.sprintf
-          "{\"policy\": \"%s\", \"cores\": %d, \"entries_per_core\": %d, \
-           \"deliveries\": %d, \"ipi_sent\": %d, \"ipi_delivered\": %d, \
-           \"ipi_cancelled\": %d, \"ipi_coalesced\": %d, \"violations\": %d, \
-           \"invariant_failures\": %d, \"ok\": %b}"
-          (Smp.Topology.policy_name r.Smp.Soak.rp_policy)
-          r.Smp.Soak.rp_cores r.Smp.Soak.rp_entries_per_core
-          r.Smp.Soak.rp_deliveries r.Smp.Soak.rp_ipi_sent
-          r.Smp.Soak.rp_ipi_delivered r.Smp.Soak.rp_ipi_cancelled
-          r.Smp.Soak.rp_ipi_coalesced r.Smp.Soak.rp_violations
-          r.Smp.Soak.rp_invariant_failures r.Smp.Soak.rp_ok
-      in
-      addf
-        "  \"smp\": {\"base_bound\": %d, \"shielded\": %s, \"spread\": %s, \
-         \"comparison\": %s},\n"
-        sh.Smp.Soak.rp_base_bound (policy_obj sh) (policy_obj sp)
-        (Smp.Soak.comparison_json cmp));
-  (match sim_forensics with
-  | None -> ()
-  | Some (f : Sim.forensics) ->
-      (* The worst-delivery flight recorder and the bound/observation gap
-         alignment; the tail entries carry window sizes, not the raw
-         event streams (those go to per-delivery Chrome trace files via
-         `sel4rt sim --forensics-out`). *)
-      addf "  \"forensics\": {\n    \"tail\": %s,\n"
-        (Obs.Tail_report.to_json f.Sim.fo_tail);
-      addf "    \"gaps\": %s,\n" (Obs.Gap_report.to_json f.Sim.fo_gaps);
-      addf "    \"profiles\": {\n";
-      List.iteri
-        (fun i (label, p) ->
-          addf "      \"%s\": %s%s\n" (json_escape label)
-            (Obs.Bound_profile.to_json p)
-            (if i < List.length f.Sim.fo_profiles - 1 then "," else ""))
-        f.Sim.fo_profiles;
-      addf "    }\n  },\n");
-  addf "  \"analysis\": [\n";
-  List.iteri
-    (fun i (r : Sel4_rt.Experiments.analysis_cost_row) ->
-      addf
-        "    {\"entry\": \"%s\", \"ilp_vars\": %d, \"ilp_constraints\": %d, \
-         \"bb_nodes\": %d, \"lp_solves\": %d, \"elapsed_s\": %s, \"wcet\": \
-         %d}%s\n"
-        (json_escape
-           (Sel4_rt.Kernel_model.entry_name r.Sel4_rt.Experiments.ac_entry))
-        r.Sel4_rt.Experiments.ilp_vars r.Sel4_rt.Experiments.ilp_constraints
-        r.Sel4_rt.Experiments.bb_nodes r.Sel4_rt.Experiments.lp_solves
-        (f r.Sel4_rt.Experiments.elapsed_s)
-        r.Sel4_rt.Experiments.constrained_wcet
-        (if i < List.length analysis_rows - 1 then "," else ""))
-    analysis_rows;
-  addf "  ],\n";
-  addf "  \"constraints\": [\n";
-  List.iteri
-    (fun i (r : Sel4_rt.Experiments.constraint_mode_row) ->
-      addf
-        "    {\"entry\": \"%s\", \"unconstrained\": %d, \"manual\": %d, \
-         \"derived\": %d, \"combined\": %d, \"wcet_delta\": %d, \
-         \"n_manual\": %d, \"n_derived\": %d, \"proved\": %d, \
-         \"refuted\": %d, \"unknown\": %d}%s\n"
-        (json_escape
-           (Sel4_rt.Kernel_model.entry_name r.Sel4_rt.Experiments.cm_entry))
-        r.Sel4_rt.Experiments.cm_unconstrained r.Sel4_rt.Experiments.cm_manual
-        r.Sel4_rt.Experiments.cm_derived r.Sel4_rt.Experiments.cm_combined
-        (r.Sel4_rt.Experiments.cm_unconstrained
-        - r.Sel4_rt.Experiments.cm_combined)
-        r.Sel4_rt.Experiments.cm_n_manual r.Sel4_rt.Experiments.cm_n_derived
-        r.Sel4_rt.Experiments.cm_proved r.Sel4_rt.Experiments.cm_refuted
-        r.Sel4_rt.Experiments.cm_unknown
-        (if i < List.length constraint_rows - 1 then "," else ""))
-    constraint_rows;
-  addf "  ]\n}";
-  (* The whole report rides in the unified envelope ([compact:false]:
-     the payload keeps its multi-line layout). *)
-  let doc =
-    Serve.Envelope.wrap ~compact:false ~status:Serve.Envelope.Ok ~elapsed_s
-      ~payload:(Buffer.contents buf) ()
+  let open Json in
+  (* An optional section: present only when its bench section ran. *)
+  let section name f = function None -> [] | Some x -> [ (name, f x) ] in
+  let sections =
+    list
+      (fun (name, wall, sstats) ->
+        Obj
+          [
+            ("name", Str name); ("wall_s", seconds wall);
+            ("cache", cache_stats_json sstats);
+          ])
+      section_times
+  in
+  let table2 =
+    match table2_rows with
+    | [] -> []
+    | rows ->
+        [
+          ( "table2",
+            list
+              (fun (r : Sel4_rt.Experiments.table2_row) ->
+                Obj
+                  [
+                    ( "entry",
+                      Str
+                        (Sel4_rt.Kernel_model.entry_name
+                           r.Sel4_rt.Experiments.t2_entry) );
+                    ( "l2_off",
+                      table2_cell_json r.Sel4_rt.Experiments.after_l2_off );
+                    ("l2_on", table2_cell_json r.Sel4_rt.Experiments.after_l2_on);
+                  ])
+              rows );
+        ]
+  in
+  let inject (r : Inject.report) =
+    let ops = r.Inject.r_ops in
+    let fold f = List.fold_left f 0 ops in
+    Obj
+      [
+        ("seed", int r.Inject.r_seed); ("smoke", Bool r.Inject.r_smoke);
+        ("campaigns", int (List.length ops));
+        ("runs", int r.Inject.r_total_runs);
+        ("points_covered", int (fold (fun a o -> a + o.Inject.o_points)));
+        ("max_restarts", int (fold (fun a o -> max a o.Inject.o_max_restarts)));
+        ( "failures",
+          int (fold (fun a o -> a + List.length o.Inject.o_failures)) );
+        ( "ops",
+          list
+            (fun (o : Inject.op_report) ->
+              Obj
+                [
+                  ("op", Str (Inject.op_name o.Inject.o_op));
+                  ("points", int o.Inject.o_points); ("runs", int o.Inject.o_runs);
+                  ("max_restarts", int o.Inject.o_max_restarts);
+                  ("failures", int (List.length o.Inject.o_failures));
+                ])
+            ops );
+      ]
+  in
+  let explore (r : Explore.report) =
+    let universe =
+      List.fold_left (fun a s -> a + s.Explore.e_universe) 0 r.Explore.x_scens
+    in
+    Obj
+      ([
+         ("smoke", Bool r.Explore.x_smoke); ("depth", int r.Explore.x_depth);
+         ("runs", int r.Explore.x_total_runs); ("universe", int universe);
+       ]
+      @ explore_totals r
+      @ [
+          ( "audit_violations",
+            option
+              (fun (a : Race.audit_report) ->
+                int (List.length a.Race.ar_violations))
+              race_rep );
+          ( "ops",
+            list
+              (fun (s : Explore.scen_report) ->
+                Obj
+                  [
+                    ("op", Str s.Explore.e_scenario);
+                    ("polls", int s.Explore.e_polls);
+                    ("universe", int s.Explore.e_universe);
+                    ("explored", int s.Explore.e_explored);
+                    ("pruned", int s.Explore.e_pruned);
+                    ("deduped", int s.Explore.e_deduped);
+                    ("digest_classes", int s.Explore.e_digest_classes);
+                    ("failures", int (List.length s.Explore.e_failures));
+                  ])
+              r.Explore.x_scens );
+        ])
+  in
+  (* Summary counters only; the full per-scenario per-core tables are
+     available from `sel4rt sim --cores N` (Smp.Soak.report_json). *)
+  let smp ((sh : Smp.Soak.report), (sp : Smp.Soak.report), cmp) =
+    let policy_obj (r : Smp.Soak.report) =
+      Obj
+        [
+          ("policy", Str (Smp.Topology.policy_name r.Smp.Soak.rp_policy));
+          ("cores", int r.Smp.Soak.rp_cores);
+          ("entries_per_core", int r.Smp.Soak.rp_entries_per_core);
+          ("deliveries", int r.Smp.Soak.rp_deliveries);
+          ("ipi_sent", int r.Smp.Soak.rp_ipi_sent);
+          ("ipi_delivered", int r.Smp.Soak.rp_ipi_delivered);
+          ("ipi_cancelled", int r.Smp.Soak.rp_ipi_cancelled);
+          ("ipi_coalesced", int r.Smp.Soak.rp_ipi_coalesced);
+          ("violations", int r.Smp.Soak.rp_violations);
+          ("invariant_failures", int r.Smp.Soak.rp_invariant_failures);
+          ("ok", Bool r.Smp.Soak.rp_ok);
+        ]
+    in
+    Obj
+      [
+        ("base_bound", int sh.Smp.Soak.rp_base_bound);
+        ("shielded", policy_obj sh); ("spread", policy_obj sp);
+        ("comparison", Smp.Soak.comparison_to_json cmp);
+      ]
+  in
+  (* The worst-delivery flight recorder and the bound/observation gap
+     alignment; the tail entries carry window sizes, not the raw event
+     streams (those go to per-delivery Chrome trace files via `sel4rt sim
+     --forensics-out`). *)
+  let forensics (f : Sim.forensics) =
+    Obj
+      [
+        ("tail", Obs.Tail_report.to_json f.Sim.fo_tail);
+        ("gaps", Obs.Gap_report.to_json f.Sim.fo_gaps);
+        ( "profiles",
+          Obj
+            (List.map
+               (fun (label, p) -> (label, Obs.Bound_profile.to_json p))
+               f.Sim.fo_profiles) );
+      ]
+  in
+  let analysis =
+    list
+      (fun (r : Sel4_rt.Experiments.analysis_cost_row) ->
+        Obj
+          [
+            ( "entry",
+              Str (Sel4_rt.Kernel_model.entry_name r.Sel4_rt.Experiments.ac_entry)
+            );
+            ("ilp_vars", int r.Sel4_rt.Experiments.ilp_vars);
+            ("ilp_constraints", int r.Sel4_rt.Experiments.ilp_constraints);
+            ("bb_nodes", int r.Sel4_rt.Experiments.bb_nodes);
+            ("lp_solves", int r.Sel4_rt.Experiments.lp_solves);
+            ("elapsed_s", seconds r.Sel4_rt.Experiments.elapsed_s);
+            ("wcet", int r.Sel4_rt.Experiments.constrained_wcet);
+          ])
+      analysis_rows
+  in
+  let constraints =
+    list
+      (fun (r : Sel4_rt.Experiments.constraint_mode_row) ->
+        Obj
+          [
+            ( "entry",
+              Str (Sel4_rt.Kernel_model.entry_name r.Sel4_rt.Experiments.cm_entry)
+            );
+            ("unconstrained", int r.Sel4_rt.Experiments.cm_unconstrained);
+            ("manual", int r.Sel4_rt.Experiments.cm_manual);
+            ("derived", int r.Sel4_rt.Experiments.cm_derived);
+            ("combined", int r.Sel4_rt.Experiments.cm_combined);
+            ( "wcet_delta",
+              int
+                (r.Sel4_rt.Experiments.cm_unconstrained
+                - r.Sel4_rt.Experiments.cm_combined) );
+            ("n_manual", int r.Sel4_rt.Experiments.cm_n_manual);
+            ("n_derived", int r.Sel4_rt.Experiments.cm_n_derived);
+            ("proved", int r.Sel4_rt.Experiments.cm_proved);
+            ("refuted", int r.Sel4_rt.Experiments.cm_refuted);
+            ("unknown", int r.Sel4_rt.Experiments.cm_unknown);
+          ])
+      constraint_rows
+  in
+  let payload =
+    Obj
+      ([
+         ("sections", sections); ("engine_wall_s", seconds engine_wall_s);
+         ("serial_fresh_wall_s", seconds serial_fresh_wall_s);
+       ]
+      (* Omitted (not zeroed) on single-domain runs: see
+         Serve.Envelope.speedup_field. *)
+      @ section "speedup" Fun.id
+          (Serve.Envelope.speedup_field ~domains ~engine_wall_s
+             ~serial_fresh_wall_s)
+      @ [
+          ("domains", int domains);
+          ("requested_domains", option int requested_domains);
+          ("recommended_domains", int recommended_domains);
+          ("warning", option (fun w -> Str w) warning);
+          ("cache_mode", Str (cache_mode_of stats));
+          ("cache", cache_stats_json stats);
+          ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
+        ]
+      @ table2
+      @ section "inject" inject inject_rep
+      @ section "explore" explore explore_rep
+      @ section "sim"
+          (fun (r, th) -> Sim.campaign_to_json r th)
+          sim_rep
+      @ section "smp" smp smp_rep
+      @ section "forensics" forensics sim_forensics
+      @ [ ("analysis", analysis); ("constraints", constraints) ])
   in
   let oc = open_out path in
-  output_string oc doc;
+  output_string oc
+    (to_string (Serve.Envelope.to_json ~status:Serve.Envelope.Ok ~elapsed_s payload)
+    ^ "\n");
   close_out oc
 
 (* --- perf ledger: one JSON line per `bench --json` run --- *)
@@ -535,72 +557,66 @@ let current_commit () =
    and fail on throughput regressions or silent bound drift. *)
 let append_history ~path ~engine_wall_s ~serial_fresh_wall_s
     ~(stats : Sel4_rt.Analysis_cache.stats) ~sim_rep ~explore_rep ~smp_rep =
-  let buf = Buffer.create 512 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "{\"commit\": \"%s\"" (json_escape (current_commit ()));
-  addf ", \"engine_wall_s\": %.6f" engine_wall_s;
-  addf ", \"serial_fresh_wall_s\": %.6f" serial_fresh_wall_s;
-  (* Cold and warm runs both land in the ledger, labelled: comparing
-     consecutive records only makes sense within one mode. *)
-  addf ", \"cache_mode\": \"%s\"" (cache_mode_of stats);
-  addf ", \"cache\": {\"hits\": %d, \"disk_hits\": %d, \"misses\": %d}"
-    stats.Sel4_rt.Analysis_cache.hits stats.Sel4_rt.Analysis_cache.disk_hits
-    stats.Sel4_rt.Analysis_cache.misses;
-  (match sim_rep with
-  | None ->
-      addf ", \"soak_entries_per_sec\": null, \"bounds\": {}"
-  | Some ((r : Sim.report), (th : Sim.throughput)) ->
-      addf ", \"soak_entries_per_sec\": %.1f" th.Sim.th_entries_per_sec;
-      addf ", \"soak_minor_words_per_entry\": %.2f"
-        th.Sim.th_minor_words_per_entry;
-      let bounds =
-        List.fold_left
-          (fun acc rr ->
-            if List.mem_assoc rr.Sim.rr_build acc then acc
-            else acc @ [ (rr.Sim.rr_build, rr.Sim.rr_bound) ])
-          [] r.Sim.rp_runs
-      in
-      addf ", \"bounds\": {";
-      List.iteri
-        (fun i (label, b) ->
-          addf "%s\"%s\": %d" (if i > 0 then ", " else "") (json_escape label) b)
-        bounds;
-      addf "}");
-  (match explore_rep with
-  | None -> addf ", \"explore\": null"
-  | Some (r : Explore.report) ->
-      let sum g = List.fold_left (fun a s -> a + g s) 0 r.Explore.x_scens in
-      addf
-        ", \"explore\": {\"explored\": %d, \"pruned\": %d, \"deduped\": %d, \
-         \"digest_classes\": %d, \"failures\": %d}"
-        (sum (fun s -> s.Explore.e_explored))
-        (sum (fun s -> s.Explore.e_pruned))
-        (sum (fun s -> s.Explore.e_deduped))
-        (sum (fun s -> s.Explore.e_digest_classes))
-        (sum (fun s -> List.length s.Explore.e_failures)));
-  (match smp_rep with
-  | None -> addf ", \"smp\": null"
-  | Some
-      ( (sh : Smp.Soak.report),
-        (sp : Smp.Soak.report),
-        (cmp : Smp.Soak.comparison) ) ->
-      addf
-        ", \"smp\": {\"ipi_sent\": %d, \"ipi_delivered\": %d, \
-         \"ipi_cancelled\": %d, \"ipi_coalesced\": %d, \"violations\": %d, \
-         \"shielded_p999\": %d, \"shielded_max\": %d, \"spread_p999\": %d, \
-         \"spread_max\": %d, \"shielded_tail_lower\": %b}"
-        (sh.Smp.Soak.rp_ipi_sent + sp.Smp.Soak.rp_ipi_sent)
-        (sh.Smp.Soak.rp_ipi_delivered + sp.Smp.Soak.rp_ipi_delivered)
-        (sh.Smp.Soak.rp_ipi_cancelled + sp.Smp.Soak.rp_ipi_cancelled)
-        (sh.Smp.Soak.rp_ipi_coalesced + sp.Smp.Soak.rp_ipi_coalesced)
-        (sh.Smp.Soak.rp_violations + sp.Smp.Soak.rp_violations)
-        cmp.Smp.Soak.cmp_shielded.Sim.ls_p999
-        cmp.Smp.Soak.cmp_shielded.Sim.ls_max
-        cmp.Smp.Soak.cmp_spread.Sim.ls_p999 cmp.Smp.Soak.cmp_spread.Sim.ls_max
-        cmp.Smp.Soak.cmp_tail_lower);
-  addf "}\n";
+  let open Json in
+  let soak =
+    match sim_rep with
+    | None -> [ ("soak_entries_per_sec", Null); ("bounds", Obj []) ]
+    | Some ((r : Sim.report), (th : Sim.throughput)) ->
+        let bounds =
+          List.fold_left
+            (fun acc rr ->
+              if List.mem_assoc rr.Sim.rr_build acc then acc
+              else acc @ [ (rr.Sim.rr_build, int rr.Sim.rr_bound) ])
+            [] r.Sim.rp_runs
+        in
+        [
+          ("soak_entries_per_sec", Fixed (1, th.Sim.th_entries_per_sec));
+          ( "soak_minor_words_per_entry",
+            Fixed (2, th.Sim.th_minor_words_per_entry) );
+          ("bounds", Obj bounds);
+        ]
+  in
+  let explore r = Obj (explore_totals r) in
+  let smp ((sh : Smp.Soak.report), (sp : Smp.Soak.report), cmp) =
+    let both f = int (f sh + f sp) in
+    Obj
+      [
+        ("ipi_sent", both (fun r -> r.Smp.Soak.rp_ipi_sent));
+        ("ipi_delivered", both (fun r -> r.Smp.Soak.rp_ipi_delivered));
+        ("ipi_cancelled", both (fun r -> r.Smp.Soak.rp_ipi_cancelled));
+        ("ipi_coalesced", both (fun r -> r.Smp.Soak.rp_ipi_coalesced));
+        ("violations", both (fun r -> r.Smp.Soak.rp_violations));
+        ("shielded_p999", int cmp.Smp.Soak.cmp_shielded.Sim.ls_p999);
+        ("shielded_max", int cmp.Smp.Soak.cmp_shielded.Sim.ls_max);
+        ("spread_p999", int cmp.Smp.Soak.cmp_spread.Sim.ls_p999);
+        ("spread_max", int cmp.Smp.Soak.cmp_spread.Sim.ls_max);
+        ("shielded_tail_lower", Bool cmp.Smp.Soak.cmp_tail_lower);
+      ]
+  in
+  let record =
+    Obj
+      ([
+         ("commit", Str (current_commit ()));
+         ("engine_wall_s", seconds engine_wall_s);
+         ("serial_fresh_wall_s", seconds serial_fresh_wall_s);
+         (* Cold and warm runs both land in the ledger, labelled: comparing
+            consecutive records only makes sense within one mode. *)
+         ("cache_mode", Str (cache_mode_of stats));
+         ( "cache",
+           Obj
+             [
+               ("hits", int stats.Sel4_rt.Analysis_cache.hits);
+               ("disk_hits", int stats.Sel4_rt.Analysis_cache.disk_hits);
+               ("misses", int stats.Sel4_rt.Analysis_cache.misses);
+             ] );
+       ]
+      @ soak
+      @ [
+          ("explore", option explore explore_rep); ("smp", option smp smp_rep);
+        ])
+  in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-  output_string oc (Buffer.contents buf);
+  output_string oc (to_string record ^ "\n");
   close_out oc
 
 let () =

@@ -488,8 +488,10 @@ let trace_cmd =
     let rendered =
       match format with
       | `Chrome ->
-          Obs.Trace.to_chrome_json ~cycles_per_us:config.Hw.Config.clock_mhz
-            buf
+          Obs.Json.to_string
+            (Obs.Trace.to_chrome_json ~cycles_per_us:config.Hw.Config.clock_mhz
+               buf)
+          ^ "\n"
       | `Text -> Fmt.str "%a" Obs.Trace.pp_timeline buf
     in
     match out with
@@ -771,8 +773,9 @@ let sim_cmd =
               close_out oc;
               Fmt.epr "wrote %s@." path
             in
-            write "sim_tail.json" (Obs.Tail_report.to_json f.Sim.fo_tail);
-            write "sim_gap.json" (Obs.Gap_report.to_json f.Sim.fo_gaps);
+            let write_json name v = write name (Obs.Json.to_string v ^ "\n") in
+            write_json "sim_tail.json" (Obs.Tail_report.to_json f.Sim.fo_tail);
+            write_json "sim_gap.json" (Obs.Gap_report.to_json f.Sim.fo_gaps);
             List.iter
               (fun (label, p) ->
                 write
@@ -780,7 +783,7 @@ let sim_cmd =
                   (Obs.Bound_profile.to_folded p))
               f.Sim.fo_profiles;
             List.iter
-              (fun (stem, json) -> write (stem ^ ".trace.json") json)
+              (fun (stem, json) -> write_json (stem ^ ".trace.json") json)
               (Obs.Tail_report.chrome_traces f.Sim.fo_tail))
           forensics_out;
         (report, th)

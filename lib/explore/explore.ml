@@ -519,49 +519,32 @@ let pp_report ppf r =
         s.e_failures)
     r.x_scens
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Shares the campaign envelope with [Inject.to_json]: [campaign], [ok],
    [total_runs], and an [ops] array with per-unit [failures]. *)
 let to_json r =
-  let b = Buffer.create 1024 in
-  let addf fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  addf "{\n  \"campaign\": \"explore\",\n  \"smoke\": %b,\n  \"depth\": %d,\n"
-    r.x_smoke r.x_depth;
-  addf "  \"ok\": %b,\n  \"total_runs\": %d,\n  \"ops\": [\n" (ok r)
-    r.x_total_runs;
-  List.iteri
-    (fun i s ->
-      addf
-        "    {\"name\": \"%s\", \"polls\": %d, \"universe\": %d, \
-         \"explored\": %d, \"pruned\": %d, \"deduped\": %d, \
-         \"digest_classes\": %d, \"failures\": ["
-        s.e_scenario s.e_polls s.e_universe s.e_explored s.e_pruned s.e_deduped
-        s.e_digest_classes;
-      List.iteri
-        (fun j f ->
-          addf "%s{\"variant\": \"%s\", \"schedule\": [%s], \"reason\": \"%s\"}"
-            (if j > 0 then ", " else "")
-            (json_escape f.x_variant)
-            (String.concat ", "
-               (List.map
-                  (fun (p, n) -> Fmt.str "[%d, \"%s\"]" p (json_escape n))
-                  f.x_schedule))
-            (json_escape f.x_reason))
-        s.e_failures;
-      addf "]}%s\n" (if i < List.length r.x_scens - 1 then "," else ""))
-    r.x_scens;
-  addf "  ]\n}\n";
-  Buffer.contents b
+  let open Obs.Json in
+  let failure f =
+    Obj
+      [
+        ("variant", Str f.x_variant);
+        ( "schedule",
+          list (fun (p, n) -> Arr [ int p; Str n ]) f.x_schedule );
+        ("reason", Str f.x_reason);
+      ]
+  in
+  let scen s =
+    Obj
+      [
+        ("name", Str s.e_scenario); ("polls", int s.e_polls);
+        ("universe", int s.e_universe); ("explored", int s.e_explored);
+        ("pruned", int s.e_pruned); ("deduped", int s.e_deduped);
+        ("digest_classes", int s.e_digest_classes);
+        ("failures", list failure s.e_failures);
+      ]
+  in
+  Obj
+    [
+      ("campaign", Str "explore"); ("smoke", Bool r.x_smoke);
+      ("depth", int r.x_depth); ("ok", Bool (ok r));
+      ("total_runs", int r.x_total_runs); ("ops", list scen r.x_scens);
+    ]

@@ -122,6 +122,6 @@ val run : ?smoke:bool -> ?depth:int -> Sel4_rt.Analysis_ctx.t -> report
 val ok : report -> bool
 val pp_report : report Fmt.t
 
-val to_json : report -> string
+val to_json : report -> Obs.Json.t
 (** Shares the campaign envelope with [Inject.to_json]: [campaign],
     [ok], [total_runs], and an [ops] array with per-unit [failures]. *)

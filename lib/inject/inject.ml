@@ -586,52 +586,29 @@ let pp_report ppf r =
 
 (* --- machine-readable report --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_ints l =
-  "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
-
 (* The envelope (campaign/ok/total_runs + per-unit failure arrays) is
    shared with {!Explore.to_json}, so CI tooling parses both the same
    way. *)
 let to_json r =
-  let b = Buffer.create 1024 in
-  let addf fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  addf "{\n";
-  addf "  \"campaign\": \"inject\",\n";
-  addf "  \"seed\": %d,\n" r.r_seed;
-  addf "  \"smoke\": %b,\n" r.r_smoke;
-  addf "  \"ok\": %b,\n" (ok r);
-  addf "  \"total_runs\": %d,\n" r.r_total_runs;
-  addf "  \"ops\": [\n";
-  List.iteri
-    (fun i o ->
-      addf "    {\"name\": \"%s\", \"points\": %d, \"runs\": %d, " (op_name o.o_op)
-        o.o_points o.o_runs;
-      addf "\"max_restarts\": %d, \"failures\": [" o.o_max_restarts;
-      List.iteri
-        (fun j f ->
-          addf "%s\n      {\"variant\": \"%s\", \"schedule\": %s, "
-            (if j > 0 then "," else "")
-            (json_escape f.f_variant) (json_ints f.f_schedule);
-          addf "\"min_schedule\": %s, \"reason\": \"%s\"}" (json_ints f.f_min_schedule)
-            (json_escape f.f_reason))
-        o.o_failures;
-      addf "%s]}%s\n"
-        (if o.o_failures = [] then "" else "\n    ")
-        (if i < List.length r.r_ops - 1 then "," else ""))
-    r.r_ops;
-  addf "  ]\n}\n";
-  Buffer.contents b
+  let open Obs.Json in
+  let failure f =
+    Obj
+      [
+        ("variant", Str f.f_variant); ("schedule", list int f.f_schedule);
+        ("min_schedule", list int f.f_min_schedule); ("reason", Str f.f_reason);
+      ]
+  in
+  let op o =
+    Obj
+      [
+        ("name", Str (op_name o.o_op)); ("points", int o.o_points);
+        ("runs", int o.o_runs); ("max_restarts", int o.o_max_restarts);
+        ("failures", list failure o.o_failures);
+      ]
+  in
+  Obj
+    [
+      ("campaign", Str "inject"); ("seed", int r.r_seed);
+      ("smoke", Bool r.r_smoke); ("ok", Bool (ok r));
+      ("total_runs", int r.r_total_runs); ("ops", list op r.r_ops);
+    ]

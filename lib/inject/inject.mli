@@ -76,7 +76,7 @@ val run_campaign :
 val ok : report -> bool
 val pp_report : report Fmt.t
 
-val to_json : report -> string
+val to_json : report -> Obs.Json.t
 (** Machine-readable campaign report.  The envelope — [campaign], [ok],
     [total_runs], and per-unit failure arrays — is shared with
     [Explore.to_json], so CI tooling parses both reports the same way. *)

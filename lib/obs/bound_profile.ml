@@ -103,56 +103,33 @@ let to_folded t =
     t.p_rows;
   Buffer.contents buf
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "{\n  \"entry\": \"%s\",\n  \"wcet_cycles\": %d,\n" (json_escape t.p_entry)
-    t.p_wcet;
-  addf "  \"exec_cycles\": %d,\n  \"stall_cycles\": %d,\n" (exec_total t)
-    (stall_total t);
-  addf "  \"pipeline_cycles\": %d,\n  \"exact\": %b,\n" (pipeline_total t)
-    (exact t);
-  addf "  \"blocks\": [\n";
-  List.iteri
-    (fun i r ->
-      addf
-        "    {\"func\": \"%s\", \"context\": \"%s\", \"label\": \"%s\", \
-         \"count\": %d, \"cycles_per_visit\": %d, \"total_cycles\": %d, \
-         \"exec\": %d, \"stall\": %d, \"pipeline\": %d, \"fetch_misses\": \
-         %d, \"data_misses\": %d}%s\n"
-        (json_escape r.r_func) (json_escape r.r_context) (json_escape r.r_label)
-        r.r_count r.r_cycles (r.r_count * r.r_cycles) r.r_exec r.r_stall
-        r.r_pipeline r.r_fetch_misses r.r_data_misses
-        (if i < List.length t.p_rows - 1 then "," else ""))
-    t.p_rows;
-  addf "  ],\n  \"edges\": [\n";
-  List.iteri
-    (fun i ((a, b), c) ->
-      addf "    {\"from\": \"%s\", \"to\": \"%s\", \"count\": %d}%s\n"
-        (json_escape a) (json_escape b) c
-        (if i < List.length t.p_edges - 1 then "," else ""))
-    t.p_edges;
-  addf "  ],\n  \"binding_constraints\": [\n";
-  List.iteri
-    (fun i (label, lhs) ->
-      addf "    {\"label\": \"%s\", \"lhs\": %d}%s\n" (json_escape label) lhs
-        (if i < List.length t.p_binding - 1 then "," else ""))
-    t.p_binding;
-  addf "  ]\n}\n";
-  Buffer.contents buf
+  let open Json in
+  let block r =
+    Obj
+      [
+        ("func", Str r.r_func); ("context", Str r.r_context);
+        ("label", Str r.r_label); ("count", int r.r_count);
+        ("cycles_per_visit", int r.r_cycles);
+        ("total_cycles", int (r.r_count * r.r_cycles));
+        ("exec", int r.r_exec); ("stall", int r.r_stall);
+        ("pipeline", int r.r_pipeline); ("fetch_misses", int r.r_fetch_misses);
+        ("data_misses", int r.r_data_misses);
+      ]
+  in
+  let edge ((a, b), c) =
+    Obj [ ("from", Str a); ("to", Str b); ("count", int c) ]
+  in
+  let binding (label, lhs) = Obj [ ("label", Str label); ("lhs", int lhs) ] in
+  Obj
+    [
+      ("entry", Str t.p_entry); ("wcet_cycles", int t.p_wcet);
+      ("exec_cycles", int (exec_total t));
+      ("stall_cycles", int (stall_total t));
+      ("pipeline_cycles", int (pipeline_total t)); ("exact", Bool (exact t));
+      ("blocks", list block t.p_rows); ("edges", list edge t.p_edges);
+      ("binding_constraints", list binding t.p_binding);
+    ]
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>WCET decomposition: %s = %d cycles@,@," t.p_entry t.p_wcet;

@@ -70,7 +70,7 @@ val to_folded : t -> string
     execution/stall/pipeline component, newline-terminated.  Feed
     directly to [flamegraph.pl] or speedscope. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 
 val pp : t Fmt.t
 (** Human-readable decomposition: rows grouped by function with

@@ -38,47 +38,28 @@ let make ~scenario ~build ~bound ~observed_max ~sections ~charged ~executed =
         0 funcs;
   }
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json reports =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "[\n";
-  let n = List.length reports in
-  List.iteri
-    (fun i g ->
-      addf
-        "  {\"scenario\": \"%s\", \"build\": \"%s\", \"bound\": %d, \
-         \"observed_max\": %d, \"headroom\": %d, \"unexecuted_cycles\": %d,\n"
-        (json_escape g.g_scenario) (json_escape g.g_build) g.g_bound
-        g.g_observed_max g.g_headroom g.g_unexecuted_cycles;
-      addf "   \"worst_sections\": {";
-      List.iteri
-        (fun j (s, c) ->
-          addf "%s\"%s\": %d" (if j > 0 then ", " else "") (json_escape s) c)
-        g.g_worst_sections;
-      addf "},\n   \"funcs\": [";
-      List.iteri
-        (fun j f ->
-          addf "%s{\"func\": \"%s\", \"bound_cycles\": %d, \"executed\": %b}"
-            (if j > 0 then ", " else "")
-            (json_escape f.g_func) f.g_bound_cycles f.g_executed)
-        g.g_funcs;
-      addf "]}%s\n" (if i < n - 1 then "," else ""))
-    reports;
-  addf "]\n";
-  Buffer.contents buf
+  let open Json in
+  let func f =
+    Obj
+      [
+        ("func", Str f.g_func); ("bound_cycles", int f.g_bound_cycles);
+        ("executed", Bool f.g_executed);
+      ]
+  in
+  list
+    (fun g ->
+      Obj
+        [
+          ("scenario", Str g.g_scenario); ("build", Str g.g_build);
+          ("bound", int g.g_bound); ("observed_max", int g.g_observed_max);
+          ("headroom", int g.g_headroom);
+          ("unexecuted_cycles", int g.g_unexecuted_cycles);
+          ( "worst_sections",
+            Obj (List.map (fun (s, c) -> (s, int c)) g.g_worst_sections) );
+          ("funcs", list func g.g_funcs);
+        ])
+    reports
 
 let pp ppf g =
   Fmt.pf ppf "@[<v>%s/%s: bound %d, observed max %d, headroom %d (%.1f%%)@,"

@@ -43,7 +43,7 @@ val make :
     observed worst window executed function [f] (the caller owns the
     kernel-section → function mapping). *)
 
-val to_json : t list -> string
+val to_json : t list -> Json.t
 (** JSON array of per-run gap reports. *)
 
 val pp : t Fmt.t

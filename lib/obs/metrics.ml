@@ -224,53 +224,31 @@ let reset () =
           h.exact <- Some (Hashtbl.create 8))
         histograms)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json s =
-  let buf = Buffer.create 2048 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let sep i = if i > 0 then addf ",\n" else addf "\n" in
-  addf "{\n  \"counters\": {";
-  List.iteri
-    (fun i (name, v) ->
-      sep i;
-      addf "    \"%s\": %d" (json_escape name) v)
-    s.s_counters;
-  addf "\n  },\n  \"gauges\": {";
-  List.iteri
-    (fun i (name, v) ->
-      sep i;
-      addf "    \"%s\": %.6f" (json_escape name) v)
-    s.s_gauges;
-  addf "\n  },\n  \"histograms\": {";
-  List.iteri
-    (fun i (name, h) ->
-      sep i;
-      addf
-        "    \"%s\": {\"count\": %d, \"sum\": %.9f, \"min\": %.9f, \
-         \"max\": %.9f, \"p50\": %.9f, \"p90\": %.9f, \"p99\": %.9f, \
-         \"p999\": %.9f, \"buckets\": ["
-        (json_escape name) h.hs_count h.hs_sum h.hs_min h.hs_max
-        (percentile h 0.5) (percentile h 0.9) (percentile h 0.99)
-        (percentile h 0.999);
-      List.iteri
-        (fun j (k, n) ->
-          if j > 0 then addf ", ";
-          addf "{\"le_pow2\": %d, \"count\": %d}" k n)
-        h.hs_buckets;
-      addf "]}")
-    s.s_histograms;
-  addf "\n  }\n}\n";
-  Buffer.contents buf
+  let open Json in
+  let named f l = Obj (List.map (fun (name, v) -> (name, f v)) l) in
+  let seconds v = Fixed (9, v) in
+  let histogram h =
+    Obj
+      [
+        ("count", int h.hs_count); ("sum", seconds h.hs_sum);
+        ("min", seconds h.hs_min); ("max", seconds h.hs_max);
+        ("p50", seconds (percentile h 0.5));
+        ("p90", seconds (percentile h 0.9));
+        ("p99", seconds (percentile h 0.99));
+        ("p999", seconds (percentile h 0.999));
+        ( "buckets",
+          list
+            (fun (k, n) -> Obj [ ("le_pow2", int k); ("count", int n) ])
+            h.hs_buckets );
+      ]
+  in
+  Obj
+    [
+      ("counters", named int s.s_counters);
+      ("gauges", named (fun v -> Fixed (6, v)) s.s_gauges);
+      ("histograms", named histogram s.s_histograms);
+    ]
 
 let pp ppf s =
   Fmt.pf ppf "counters:@,";

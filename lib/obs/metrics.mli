@@ -66,5 +66,5 @@ val snapshot : unit -> snapshot
 val reset : unit -> unit
 (** Zero every registered instrument (instruments stay registered). *)
 
-val to_json : snapshot -> string
+val to_json : snapshot -> Json.t
 val pp : Format.formatter -> snapshot -> unit

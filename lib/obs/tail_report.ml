@@ -31,44 +31,27 @@ let chrome_traces ?cycles_per_us t =
     (fun d -> (stem d, Trace.to_chrome_json ?cycles_per_us (Trace.of_events d.d_window)))
     t.t_deliveries
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json t =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "{\n  \"worst_n\": %d,\n  \"deliveries\": [\n" t.t_worst_n;
-  let n = List.length t.t_deliveries in
-  List.iteri
-    (fun i d ->
-      addf
-        "    {\"scenario\": \"%s\", \"build\": \"%s\", \"rank\": %d, \
-         \"line\": %d, \"latency\": %d, \"bound\": %d, \"shard\": %d, \
-         \"entry\": %d, \"asserted_at\": %d, \"delivered_at\": %d, \
-         \"section\": \"%s\",\n"
-        (json_escape d.d_scenario) (json_escape d.d_build) d.d_rank d.d_line
-        d.d_latency d.d_bound d.d_shard d.d_entry d.d_asserted_at
-        d.d_delivered_at (json_escape d.d_section);
-      addf "     \"sections\": {";
-      List.iteri
-        (fun j (s, c) ->
-          addf "%s\"%s\": %d" (if j > 0 then ", " else "") (json_escape s) c)
-        d.d_sections;
-      addf "},\n     \"window_events\": %d}%s\n" (List.length d.d_window)
-        (if i < n - 1 then "," else ""))
-    t.t_deliveries;
-  addf "  ]\n}\n";
-  Buffer.contents buf
+  let open Json in
+  let delivery d =
+    Obj
+      [
+        ("scenario", Str d.d_scenario); ("build", Str d.d_build);
+        ("rank", int d.d_rank); ("line", int d.d_line);
+        ("latency", int d.d_latency); ("bound", int d.d_bound);
+        ("shard", int d.d_shard); ("entry", int d.d_entry);
+        ("asserted_at", int d.d_asserted_at);
+        ("delivered_at", int d.d_delivered_at);
+        ("section", Str d.d_section);
+        ("sections", Obj (List.map (fun (s, c) -> (s, int c)) d.d_sections));
+        ("window_events", int (List.length d.d_window));
+      ]
+  in
+  Obj
+    [
+      ("worst_n", int t.t_worst_n);
+      ("deliveries", list delivery t.t_deliveries);
+    ]
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>worst-delivery flight recorder (worst %d per run):@,"

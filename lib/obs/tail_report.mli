@@ -30,10 +30,10 @@ type t = {
   t_deliveries : delivery list;  (** grouped by run, rank order within *)
 }
 
-val chrome_traces : ?cycles_per_us:float -> t -> (string * string) list
+val chrome_traces : ?cycles_per_us:float -> t -> (string * Json.t) list
 (** One Chrome trace_event JSON per captured delivery:
     [(file stem, json)]; stems are unique and filesystem-safe. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 
 val pp : t Fmt.t

@@ -137,80 +137,63 @@ let pp_timeline ppf t =
    is an instant event (ph i).  Timestamps are microseconds; the caller
    supplies the simulated clock rate in cycles per microsecond. *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_chrome_json ?(cycles_per_us = 1.0) t =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let ts cycles = float_of_int cycles /. cycles_per_us in
+  let open Json in
+  let ts cycles = Fixed (3, float_of_int cycles /. cycles_per_us) in
   (* One Perfetto thread lane per core.  Core 0 renders as tid 1 with no
-     extra metadata — byte-identical to the single-core output. *)
+     extra metadata, exactly as a single-core trace does. *)
   let tid = t.core + 1 in
-  addf "{\"traceEvents\": [\n";
-  addf
-    "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": %d, \
-     \"args\": {\"name\": \"sel4rt simulator\"}}" tid;
-  if t.core > 0 then
-    addf
-      ",\n  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": \
-       %d, \"args\": {\"name\": \"core %d\"}}"
-      tid t.core;
-  let common name ph at =
-    addf ",\n  {\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %.3f, \"pid\": 1, \
-          \"tid\": %d" (json_escape name) ph (ts at) tid
+  let meta name value =
+    Obj
+      [
+        ("name", Str name); ("ph", Str "M"); ("pid", int 1); ("tid", int tid);
+        ("args", Obj [ ("name", Str value) ]);
+      ]
   in
-  let args_close pairs stall =
-    addf ", \"args\": {";
-    List.iter (fun (k, v) -> addf "\"%s\": %s, " k v) pairs;
-    addf "\"stall_cycles\": %d}}" stall
+  let event name ph e args =
+    Obj
+      ([ ("name", Str name); ("ph", Str ph); ("ts", ts e.at); ("pid", int 1);
+         ("tid", int tid) ]
+      @ (if ph = "i" then [ ("s", Str "t") ] else [])
+      @ [ ("args", Obj (args @ [ ("stall_cycles", int e.stall) ])) ])
   in
-  List.iter
-    (fun e ->
-      match e.kind with
-      | Kernel_enter { event } ->
-          common ("kernel: " ^ event) "B" e.at;
-          args_close [ ("cycle", string_of_int e.at) ] e.stall
-      | Kernel_exit { outcome } ->
-          common ("kernel: " ^ outcome) "E" e.at;
-          args_close [ ("outcome", "\"" ^ json_escape outcome ^ "\"") ] e.stall
-      | kind ->
-          common (kind_name kind) "i" e.at;
-          addf ", \"s\": \"t\"";
-          let pairs =
-            match kind with
-            | Preempt_point { taken } ->
-                [ ("taken", if taken then "true" else "false") ]
-            | Sched_decision { tcb; priority } ->
-                [ ("tcb", string_of_int tcb); ("priority", string_of_int priority) ]
-            | Irq_assert { line } -> [ ("line", string_of_int line) ]
-            | Irq_armed { line; fire_at } ->
-                [ ("line", string_of_int line); ("fire_at", string_of_int fire_at) ]
-            | Irq_deliver { line; latency } ->
-                [ ("line", string_of_int line); ("latency", string_of_int latency) ]
-            | Ep_enqueue { ep; tcb } | Ep_dequeue { ep; tcb } ->
-                [ ("ep", string_of_int ep); ("tcb", string_of_int tcb) ]
-            | Untyped_clear { addr; bytes } ->
-                [ ("addr", string_of_int addr); ("bytes", string_of_int bytes) ]
-            | Vspace_unmap { addr } -> [ ("addr", string_of_int addr) ]
-            | Pin_evict { cache; addr } ->
-                [ ("cache", "\"" ^ json_escape cache ^ "\"");
-                  ("addr", string_of_int addr) ]
-            | Marker m -> [ ("marker", "\"" ^ json_escape m ^ "\"") ]
-            | Kernel_enter _ | Kernel_exit _ -> []
-          in
-          args_close (("cycle", string_of_int e.at) :: pairs) e.stall)
-    (events t);
-  addf "\n], \"displayTimeUnit\": \"ns\", \"otherData\": {\"dropped_events\": %d}}\n"
-    (dropped t);
-  Buffer.contents buf
+  let cycle e = ("cycle", int e.at) in
+  let to_event e =
+    match e.kind with
+    | Kernel_enter { event = ev } -> event ("kernel: " ^ ev) "B" e [ cycle e ]
+    | Kernel_exit { outcome } ->
+        event ("kernel: " ^ outcome) "E" e [ ("outcome", Str outcome) ]
+    | kind ->
+        let args =
+          match kind with
+          | Preempt_point { taken } -> [ ("taken", Bool taken) ]
+          | Sched_decision { tcb; priority } ->
+              [ ("tcb", int tcb); ("priority", int priority) ]
+          | Irq_assert { line } -> [ ("line", int line) ]
+          | Irq_armed { line; fire_at } ->
+              [ ("line", int line); ("fire_at", int fire_at) ]
+          | Irq_deliver { line; latency } ->
+              [ ("line", int line); ("latency", int latency) ]
+          | Ep_enqueue { ep; tcb } | Ep_dequeue { ep; tcb } ->
+              [ ("ep", int ep); ("tcb", int tcb) ]
+          | Untyped_clear { addr; bytes } ->
+              [ ("addr", int addr); ("bytes", int bytes) ]
+          | Vspace_unmap { addr } -> [ ("addr", int addr) ]
+          | Pin_evict { cache; addr } ->
+              [ ("cache", Str cache); ("addr", int addr) ]
+          | Marker m -> [ ("marker", Str m) ]
+          | Kernel_enter _ | Kernel_exit _ -> []
+        in
+        event (kind_name kind) "i" e (cycle e :: args)
+  in
+  let lanes =
+    meta "process_name" "sel4rt simulator"
+    :: (if t.core > 0 then [ meta "thread_name" (Fmt.str "core %d" t.core) ]
+        else [])
+  in
+  Obj
+    [
+      ("traceEvents", Arr (lanes @ List.map to_event (events t)));
+      ("displayTimeUnit", Str "ns");
+      ("otherData", Obj [ ("dropped_events", int (dropped t)) ]);
+    ]

@@ -66,10 +66,10 @@ val pp_event : event Fmt.t
 val pp_timeline : Format.formatter -> t -> unit
 (** Human-readable timeline: cycle, delta, cumulative stall, event. *)
 
-val to_chrome_json : ?cycles_per_us:float -> t -> string
+val to_chrome_json : ?cycles_per_us:float -> t -> Json.t
 (** Chrome [trace_event] JSON (loadable in Perfetto / chrome://tracing).
     Kernel entries become duration events, everything else instants;
-    timestamps are cycles converted at [cycles_per_us] (default 1.0).
-    Events render on thread lane [core + 1], so multicore captures lay
-    each core out as its own track; a core-0 ring renders byte-identically
-    to the pre-SMP output. *)
+    timestamps are cycles converted at [cycles_per_us] (default 1.0),
+    printed with 3 decimals.  Events render on thread lane [core + 1],
+    so multicore captures lay each core out as its own track; a core-0
+    ring carries no thread-name record, like a single-core trace. *)

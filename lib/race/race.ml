@@ -559,76 +559,54 @@ let pp_audit ppf a =
         (cls_name v.av_cls) v.av_addr)
     a.ar_violations
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_strings l =
-  "[" ^ String.concat ", " (List.map (fun s -> "\"" ^ json_escape s ^ "\"") l)
-  ^ "]"
-
 let to_json audit_report =
-  let b = Buffer.create 2048 in
-  let addf fmt = Fmt.kstr (Buffer.add_string b) fmt in
-  addf "{\n  \"sections\": [\n";
-  List.iteri
-    (fun i s ->
-      addf "    {\"name\": \"%s\", \"op\": %s, \"reads\": %s, \"writes\": %s}%s\n"
-        s.sec_name
-        (match s.sec_op with
-        | Some op -> "\"" ^ op ^ "\""
-        | None -> "null")
-        (json_strings
-           (List.filter_map
-              (fun a -> if a.a_write then None else Some (cls_name a.a_cls))
-              s.sec_fp))
-        (json_strings
-           (List.filter_map
-              (fun a -> if a.a_write then Some (cls_name a.a_cls) else None)
-              s.sec_fp))
-        (if i < List.length catalogue - 1 then "," else ""))
-    catalogue;
-  addf "  ],\n  \"matrix\": [\n";
-  let pairs = matrix () in
-  List.iteri
-    (fun i p ->
-      addf "    {\"left\": \"%s\", \"right\": \"%s\", \"classes\": %s, \"semantic\": %s}%s\n"
-        p.p_left p.p_right
-        (json_strings (List.map cls_name p.p_classes))
-        (json_strings (List.map cls_name p.p_semantic))
-        (if i < List.length pairs - 1 then "," else ""))
-    pairs;
-  addf "  ],\n  \"og\": [\n";
-  let og = og_report () in
-  List.iteri
-    (fun i row ->
-      addf
-        "    {\"op\": \"%s\", \"measure_reads\": %s, \"perturbers\": %s, \
-         \"safe\": %s}%s\n"
-        row.og_op
-        (json_strings (List.map cls_name row.og_reads))
-        (json_strings row.og_perturbers)
-        (json_strings row.og_safe)
-        (if i < List.length og - 1 then "," else ""))
-    og;
-  addf "  ],\n  \"audit\": {\"runs\": %d, \"entries\": %d, \"accesses\": %d, "
-    audit_report.ar_runs audit_report.ar_entries audit_report.ar_accesses;
-  addf "\"violations\": [";
-  List.iteri
-    (fun i v ->
-      addf "%s{\"section\": \"%s\", \"class\": \"%s\", \"write\": %b, \"addr\": %d}"
-        (if i > 0 then ", " else "")
-        v.av_section (cls_name v.av_cls) v.av_write v.av_addr)
-    audit_report.ar_violations;
-  addf "]}\n}\n";
-  Buffer.contents b
+  let open Obs.Json in
+  let classes l = list (fun c -> Str (cls_name c)) l in
+  let strings l = list (fun x -> Str x) l in
+  let section s =
+    let fp write =
+      classes
+        (List.filter_map
+           (fun a -> if a.a_write = write then Some a.a_cls else None)
+           s.sec_fp)
+    in
+    Obj
+      [
+        ("name", Str s.sec_name); ("op", option (fun op -> Str op) s.sec_op);
+        ("reads", fp false); ("writes", fp true);
+      ]
+  in
+  let pair p =
+    Obj
+      [
+        ("left", Str p.p_left); ("right", Str p.p_right);
+        ("classes", classes p.p_classes); ("semantic", classes p.p_semantic);
+      ]
+  in
+  let og_row row =
+    Obj
+      [
+        ("op", Str row.og_op); ("measure_reads", classes row.og_reads);
+        ("perturbers", strings row.og_perturbers); ("safe", strings row.og_safe);
+      ]
+  in
+  let violation v =
+    Obj
+      [
+        ("section", Str v.av_section); ("class", Str (cls_name v.av_cls));
+        ("write", Bool v.av_write); ("addr", int v.av_addr);
+      ]
+  in
+  Obj
+    [
+      ("sections", list section catalogue); ("matrix", list pair (matrix ()));
+      ("og", list og_row (og_report ()));
+      ( "audit",
+        Obj
+          [
+            ("runs", int audit_report.ar_runs);
+            ("entries", int audit_report.ar_entries);
+            ("accesses", int audit_report.ar_accesses);
+            ("violations", list violation audit_report.ar_violations);
+          ] );
+    ]

@@ -149,6 +149,6 @@ val pp_matrix : unit Fmt.t
 val pp_og : unit Fmt.t
 val pp_audit : audit_report Fmt.t
 
-val to_json : audit_report -> string
+val to_json : audit_report -> Obs.Json.t
 (** The full analysis — sections, matrix, Owicki-Gries rows and the audit
     result — as a JSON object. *)

@@ -9,41 +9,36 @@ let status_to_string = function
   | Fail -> "fail"
   | Error -> "error"
 
-let wrap ?id ?(compact = true) ~status ~elapsed_s ~payload () =
-  let status, payload =
-    if not compact then (status, payload)
-    else
-      match Json.parse payload with
-      | (exception _) | Error _ ->
-          (* Never emit a broken document: a payload that is not valid
-             JSON becomes an error envelope carrying the head of the
-             offending text. *)
-          let head =
-            if String.length payload > 120 then String.sub payload 0 120
-            else payload
-          in
-          ( Error,
-            Fmt.str "{\"error\":\"invalid payload JSON: %s\"}"
-              (Json.escape head) )
-      | Result.Ok v -> (status, Json.to_compact v)
-  in
-  let b = Buffer.create (String.length payload + 128) in
-  Buffer.add_string b (Fmt.str "{\"schema_version\": %d" schema_version);
-  (match id with
-  | Some id -> Buffer.add_string b (Fmt.str ", \"id\": \"%s\"" (Json.escape id))
-  | None -> ());
-  Buffer.add_string b
-    (Fmt.str ", \"status\": \"%s\", \"elapsed_s\": %.6f, \"payload\": "
-       (status_to_string status)
-       elapsed_s);
-  Buffer.add_string b payload;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+let to_json ?id ~status ~elapsed_s payload =
+  let open Json in
+  Obj
+    ((("schema_version", int schema_version)
+     :: (match id with Some id -> [ ("id", Str id) ] | None -> []))
+    @ [
+        ("status", Str (status_to_string status));
+        ("elapsed_s", Fixed (6, elapsed_s)); ("payload", payload);
+      ])
 
-let error ?id msg =
-  wrap ?id ~status:Error ~elapsed_s:0.0
-    ~payload:(Fmt.str "{\"error\":\"%s\"}" (Json.escape msg))
-    ()
+let line ?id ~status ~elapsed_s payload =
+  Json.to_compact (to_json ?id ~status ~elapsed_s payload) ^ "\n"
+
+let error_payload msg = Json.Obj [ ("error", Json.Str msg) ]
+
+let wrap ?id ~status ~elapsed_s ~payload () =
+  match Json.parse payload with
+  | Result.Ok v -> line ?id ~status ~elapsed_s v
+  | Result.Error _ ->
+      (* Never emit a broken document: a payload that is not valid JSON
+         becomes an error envelope carrying the head of the offending
+         text. *)
+      let head =
+        if String.length payload > 120 then String.sub payload 0 120
+        else payload
+      in
+      line ?id ~status:Error ~elapsed_s
+        (error_payload ("invalid payload JSON: " ^ head))
+
+let error ?id msg = line ?id ~status:Error ~elapsed_s:0.0 (error_payload msg)
 
 (* The bench report's "speedup" figure.  With a single domain the
    parallel engine and the serial baseline measure the same thing, and
@@ -55,6 +50,7 @@ let speedup_field ~domains ~engine_wall_s ~serial_fresh_wall_s =
   if domains <= 1 then None
   else
     Some
-      (Fmt.str "%.6f"
-         (if engine_wall_s > 0.0 then serial_fresh_wall_s /. engine_wall_s
-          else 0.0))
+      (Json.Fixed
+         ( 6,
+           if engine_wall_s > 0.0 then serial_fresh_wall_s /. engine_wall_s
+           else 0.0 ))

@@ -29,32 +29,38 @@ val schema_version : int
 val status_to_string : status -> string
 (** ["ok"], ["fail"], ["error"]. *)
 
+val to_json :
+  ?id:string -> status:status -> elapsed_s:float -> Json.t -> Json.t
+(** The envelope around a payload value ([elapsed_s] with 6 decimals).
+    Files render it with {!Json.to_string}. *)
+
+val line : ?id:string -> status:status -> elapsed_s:float -> Json.t -> string
+(** {!to_json} rendered by {!Json.to_compact} and newline-terminated: the
+    serve protocol's framing, one response per line. *)
+
 val wrap :
   ?id:string ->
-  ?compact:bool ->
   status:status ->
   elapsed_s:float ->
   payload:string ->
   unit ->
   string
-(** Wrap a payload (which must already be valid JSON) in the envelope.
-    With [compact:true] (default) the payload is re-emitted through
-    {!Json.to_compact} so the whole envelope is one line, terminated by a
-    newline — the serve protocol's framing; a payload that fails to parse
-    is embedded as an error payload instead, never emitted broken.  With
-    [compact:false] the payload text is embedded verbatim (multi-line
-    documents such as [BENCH_wcet.json] keep their human-readable
-    layout). *)
+(** {!line} for a payload held as JSON text.  The text is parsed first;
+    a payload that fails to parse is embedded as an error payload
+    instead, never emitted broken. *)
 
 val error : ?id:string -> string -> string
-(** [wrap] of an ["error"] envelope around [{"error": msg}]. *)
+(** {!line} of an ["error"] envelope around [{"error": msg}]. *)
+
+val error_payload : string -> Json.t
+(** [{"error": msg}]. *)
 
 val speedup_field :
   domains:int ->
   engine_wall_s:float ->
   serial_fresh_wall_s:float ->
-  string option
-(** The rendered value of the bench report's ["speedup"] field, or [None]
-    when [domains <= 1] — a single-domain run measures no parallelism, so
-    the field is omitted from [BENCH_wcet.json] (a warning is still
-    printed) instead of shipping a noise figure. *)
+  Json.t option
+(** The value of the bench report's ["speedup"] field (6 decimals), or
+    [None] when [domains <= 1] — a single-domain run measures no
+    parallelism, so the field is omitted from [BENCH_wcet.json] (a
+    warning is still printed) instead of shipping a noise figure. *)

@@ -1,224 +1,3 @@
-(* Minimal JSON parser and compact printer (see json.mli). *)
-
-type t =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of t list
-  | Obj of (string * t) list
-
-exception Parse_error of int * string
-
-let parse_exn s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Fmt.str "expected %C" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Fmt.str "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (if !pos >= n then fail "unterminated escape";
-           match s.[!pos] with
-           | '"' -> Buffer.add_char b '"'; advance ()
-           | '\\' -> Buffer.add_char b '\\'; advance ()
-           | '/' -> Buffer.add_char b '/'; advance ()
-           | 'b' -> Buffer.add_char b '\b'; advance ()
-           | 'f' -> Buffer.add_char b '\012'; advance ()
-           | 'n' -> Buffer.add_char b '\n'; advance ()
-           | 'r' -> Buffer.add_char b '\r'; advance ()
-           | 't' -> Buffer.add_char b '\t'; advance ()
-           | 'u' ->
-               advance ();
-               if !pos + 4 > n then fail "truncated \\u escape";
-               let hex = String.sub s !pos 4 in
-               let code =
-                 match int_of_string_opt ("0x" ^ hex) with
-                 | Some c -> c
-                 | None -> fail "bad \\u escape"
-               in
-               pos := !pos + 4;
-               (* Encode the code point as UTF-8; surrogate pairs are not
-                  recombined (the protocol carries ASCII identifiers). *)
-               if code < 0x80 then Buffer.add_char b (Char.chr code)
-               else if code < 0x800 then begin
-                 Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-                 Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-               end
-               else begin
-                 Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-                 Buffer.add_char b
-                   (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-                 Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-               end
-           | c -> fail (Fmt.str "bad escape \\%C" c));
-          go ()
-      | c -> Buffer.add_char b c; advance (); go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin advance (); Arr [] end
-        else begin
-          let items = ref [ parse_value () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            items := parse_value () :: !items;
-            skip_ws ()
-          done;
-          expect ']';
-          Arr (List.rev !items)
-        end
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin advance (); Obj [] end
-        else begin
-          let parse_member () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            (k, v)
-          in
-          let items = ref [ parse_member () ] in
-          skip_ws ();
-          while peek () = Some ',' do
-            advance ();
-            items := parse_member () :: !items;
-            skip_ws ()
-          done;
-          expect '}';
-          Obj (List.rev !items)
-        end
-    | Some ('0' .. '9' | '-') -> Num (parse_number ())
-    | Some c -> fail (Fmt.str "unexpected %C" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let parse s =
-  match parse_exn s with
-  | v -> Ok v
-  | exception Parse_error (pos, msg) ->
-      Error (Fmt.str "%s at offset %d" msg pos)
-
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let num_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Fmt.str "%.0f" f
-  else Fmt.str "%.17g" f
-
-let to_compact v =
-  let b = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string b "null"
-    | Bool x -> Buffer.add_string b (string_of_bool x)
-    | Num f -> Buffer.add_string b (num_to_string f)
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | Arr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char b ',';
-            go x)
-          items;
-        Buffer.add_char b ']'
-    | Obj members ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, x) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
-            go x)
-          members;
-        Buffer.add_char b '}'
-  in
-  go v;
-  Buffer.contents b
-
-let member k = function Obj m -> List.assoc_opt k m | _ -> None
-let to_string_opt = function Str s -> Some s | _ -> None
-let to_float_opt = function Num f -> Some f | _ -> None
-
-let to_int_opt = function
-  | Num f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
-
-let to_bool_opt = function Bool b -> Some b | _ -> None
-let to_list_opt = function Arr l -> Some l | _ -> None
+(* An alias kept for perfbench, which names [Serve.Json]; the value and
+   its printer live in [Obs.Json]. *)
+include Obs.Json

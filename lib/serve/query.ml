@@ -88,29 +88,39 @@ let ctx_of ~build ~l2 ~pin =
    [bb_nodes] are deterministic solver statistics, persisted with the
    result, so they survive the round trip unchanged. *)
 let analyse_payload ~target ~build ~l2 ~pin =
+  let open Json in
   let ctx = ctx_of ~build ~l2 ~pin in
   let config = config_of ~l2 ~pin in
-  let head =
-    Fmt.str "{\"target\":\"%s\",\"build\":\"%s\",\"l2\":%b,\"pin\":%b"
-      (target_name target) (build_name build) l2 pin
+  let bound wcet =
+    [
+      ("target", Str (target_name target)); ("build", Str (build_name build));
+      ("l2", Bool l2); ("pin", Bool pin); ("wcet_cycles", int wcet);
+      ("wcet_us", Fixed (3, Hw.Config.cycles_to_us config wcet));
+    ]
   in
   match target with
   | Kernel_entry ->
-      let bound = Sel4_rt.Response_time.interrupt_response_bound ctx in
-      Fmt.str "%s,\"wcet_cycles\":%d,\"wcet_us\":%.3f}" head bound
-        (Hw.Config.cycles_to_us config bound)
+      Obj (bound (Sel4_rt.Response_time.interrupt_response_bound ctx))
   | Entry e ->
       let r = Sel4_rt.Response_time.computed ctx e in
-      Fmt.str
-        "%s,\"wcet_cycles\":%d,\"wcet_us\":%.3f,\"ilp\":{\"vars\":%d,\"constraints\":%d,\"bb_nodes\":%d,\"lp_solves\":%d}}"
-        head r.Wcet.Ipet.wcet
-        (Hw.Config.cycles_to_us config r.Wcet.Ipet.wcet)
-        r.Wcet.Ipet.ilp_vars r.Wcet.Ipet.ilp_constraints r.Wcet.Ipet.bb_nodes
-        r.Wcet.Ipet.lp_solves
+      Obj
+        (bound r.Wcet.Ipet.wcet
+        @ [
+            ( "ilp",
+              Obj
+                [
+                  ("vars", int r.Wcet.Ipet.ilp_vars);
+                  ("constraints", int r.Wcet.Ipet.ilp_constraints);
+                  ("bb_nodes", int r.Wcet.Ipet.bb_nodes);
+                  ("lp_solves", int r.Wcet.Ipet.lp_solves);
+                ] );
+          ])
+
+let gate ok = if ok then Envelope.Ok else Envelope.Fail
 
 let run_exn = function
   | Analyse { target; build; l2; pin } ->
-      { status = Envelope.Ok; payload = analyse_payload ~target ~build ~l2 ~pin }
+      (Envelope.Ok, analyse_payload ~target ~build ~l2 ~pin)
   | Explain { target; build; l2; pin } ->
       let ctx = ctx_of ~build ~l2 ~pin in
       let profile =
@@ -118,81 +128,61 @@ let run_exn = function
         | Kernel_entry -> Sel4_rt.Response_time.interrupt_response_profile ctx
         | Entry e -> Sel4_rt.Response_time.profile ctx e
       in
-      let status =
-        if Obs.Bound_profile.exact profile then Envelope.Ok else Envelope.Fail
-      in
-      { status; payload = Obs.Bound_profile.to_json profile }
-  | Metrics ->
-      {
-        status = Envelope.Ok;
-        payload = Obs.Metrics.to_json (Obs.Metrics.snapshot ());
-      }
+      ( gate (Obs.Bound_profile.exact profile),
+        Obs.Bound_profile.to_json profile )
+  | Metrics -> (Envelope.Ok, Obs.Metrics.to_json (Obs.Metrics.snapshot ()))
   | Sim { smoke; seed; entries; scenarios } ->
       let only = match scenarios with [] -> None | l -> Some l in
       let report, _throughput =
         Sim.run_campaign_timed ~smoke ~seed ?entries ?only ()
       in
-      let status = if report.Sim.rp_ok then Envelope.Ok else Envelope.Fail in
-      (* [report_json], not [campaign_json]: the throughput splice is
-         wall-clock and would break response determinism. *)
-      { status; payload = Sim.report_json report }
+      (* [report_to_json], not [campaign_to_json]: the throughput member
+         is wall-clock and would break response determinism. *)
+      (gate report.Sim.rp_ok, Sim.report_to_json report)
   | Smp { smoke; seed; entries; cores; shielded; compare } ->
       if compare then begin
         let shielded_rep, spread_rep, cmp =
           Smp.Soak.run_compare ~seed ?entries ~smoke ~cores ()
         in
-        let ok =
-          shielded_rep.Smp.Soak.rp_ok && spread_rep.Smp.Soak.rp_ok
-          && cmp.Smp.Soak.cmp_tail_lower
-        in
-        {
-          status = (if ok then Envelope.Ok else Envelope.Fail);
-          payload = Smp.Soak.comparison_json cmp;
-        }
+        ( gate
+            (shielded_rep.Smp.Soak.rp_ok && spread_rep.Smp.Soak.rp_ok
+           && cmp.Smp.Soak.cmp_tail_lower),
+          Smp.Soak.comparison_to_json cmp )
       end
       else begin
         let policy =
           if shielded then Smp.Topology.Shielded else Smp.Topology.Spread
         in
         let report = Smp.Soak.run ~seed ?entries ~smoke ~cores ~policy () in
-        {
-          status =
-            (if report.Smp.Soak.rp_ok then Envelope.Ok else Envelope.Fail);
-          payload = Smp.Soak.report_json report;
-        }
+        (gate report.Smp.Soak.rp_ok, Smp.Soak.report_to_json report)
       end
   | Inject { smoke; seed; l2 } ->
       let config = config_of ~l2 ~pin:false in
       let ctx = Sel4_rt.Analysis_ctx.make ~config () in
       let report = Inject.run_campaign ~smoke ~seed ctx in
-      let status = if Inject.ok report then Envelope.Ok else Envelope.Fail in
-      { status; payload = Inject.to_json report }
+      (gate (Inject.ok report), Inject.to_json report)
   | Race { smoke } ->
       let report = Race.audit ~smoke Sel4_rt.Analysis_ctx.default in
-      let status =
-        if Race.audit_ok report then Envelope.Ok else Envelope.Fail
-      in
-      { status; payload = Race.to_json report }
+      (gate (Race.audit_ok report), Race.to_json report)
   | Explore { smoke; depth } ->
       let report = Explore.run ~smoke ?depth Sel4_rt.Analysis_ctx.default in
-      let status = if Explore.ok report then Envelope.Ok else Envelope.Fail in
-      { status; payload = Explore.to_json report }
+      (gate (Explore.ok report), Explore.to_json report)
 
-let run req =
+let run_json req =
   match run_exn req with
   | outcome -> outcome
   | exception e ->
-      {
-        status = Envelope.Error;
-        payload =
-          Fmt.str "{\"error\":\"%s\"}" (Json.escape (Printexc.to_string e));
-      }
+      (Envelope.Error, Envelope.error_payload (Printexc.to_string e))
+
+let run req =
+  let status, payload = run_json req in
+  { status; payload = Json.to_compact payload }
 
 let respond ?id req =
   let t0 = Unix.gettimeofday () in
-  let { status; payload } = run req in
+  let status, payload = run_json req in
   let elapsed_s = Unix.gettimeofday () -. t0 in
-  (Envelope.wrap ?id ~status ~elapsed_s ~payload (), status)
+  (Envelope.line ?id ~status ~elapsed_s payload, status)
 
 (* --- wire parsing --- *)
 
@@ -218,6 +208,12 @@ let of_json v =
       in
       let int_field name default =
         field name Json.to_int_opt "an integer" default
+      in
+      let entries_field () =
+        match opt_field "entries" Json.to_int_opt "an integer" with
+        | Result.Ok (Some n) when n < 1 ->
+            Result.Error "\"entries\" must be >= 1"
+        | r -> r
       in
       let parsed name of_string default =
         let* s = field name Json.to_string_opt "a string" default in
@@ -250,7 +246,7 @@ let of_json v =
         | "sim" ->
             let* smoke = bool_field "smoke" true in
             let* seed = int_field "seed" 42 in
-            let* entries = opt_field "entries" Json.to_int_opt "an integer" in
+            let* entries = entries_field () in
             let* scenarios =
               let* items =
                 field "scenarios" Json.to_list_opt "an array" []
@@ -269,7 +265,7 @@ let of_json v =
         | "smp" ->
             let* smoke = bool_field "smoke" true in
             let* seed = int_field "seed" 42 in
-            let* entries = opt_field "entries" Json.to_int_opt "an integer" in
+            let* entries = entries_field () in
             let* cores = int_field "cores" 4 in
             let* shielded = bool_field "shielded" false in
             let* compare = bool_field "compare" false in

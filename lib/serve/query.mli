@@ -59,20 +59,24 @@ type request =
 type outcome = { status : Envelope.status; payload : string }
 
 val run : request -> outcome
-(** Execute the request.  Never raises: an exception becomes an
-    [Error]-status outcome with an [{"error": ...}] payload.  [Fail]
+(** Execute the request; [payload] is the compact JSON text of the
+    payload value.  Never raises: an exception becomes an [Error]-status
+    outcome with an [{"error": ...}] payload.  [Fail]
     means the command ran but its gate failed (an oracle violation, a
     latency over bound, a non-exact decomposition). *)
 
 val respond : ?id:string -> request -> string * Envelope.status
 (** {!run} wrapped in the one-line envelope (trailing newline included),
-    with the wall-clock [elapsed_s] measured around the run.  The status
+    with the wall-clock [elapsed_s] measured around the run.  The
+    payload value is wrapped as built: it is printed once and never
+    parsed back.  The status
     is also returned so CLI clients can turn [Fail]/[Error] into a
     non-zero exit. *)
 
 val of_json : Json.t -> (string option * request, string) result
 (** Parse a wire request: [Ok (id, request)] or [Error message] for an
-    unknown query kind, a bad parameter, or a non-object. *)
+    unknown query kind, a bad parameter (including [entries] or [cores]
+    below 1), or a non-object. *)
 
 val target_name : target -> string
 val target_of_string : string -> (target, string) result

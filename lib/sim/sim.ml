@@ -1282,42 +1282,44 @@ let pp_report ppf r =
     r.rp_total_deliveries
     (if r.rp_ok then "OK (all latencies within the computed bound)" else "FAILED")
 
-let report_json r =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  addf "{\"seed\": %d, \"entries_per_run\": %d, \"total_entries\": %d, " r.rp_seed
-    r.rp_entries_per_run r.rp_total_entries;
-  addf "\"total_deliveries\": %d, \"ok\": %b, \"runs\": [" r.rp_total_deliveries
-    r.rp_ok;
-  List.iteri
-    (fun i rr ->
-      if i > 0 then addf ", ";
-      addf
-        "{\"scenario\": \"%s\", \"build\": \"%s\", \"pinned\": %b, \
-         \"entries\": %d, \"preempted\": %d, \"restarts\": %d, \"failed\": %d, \
-         \"deliveries\": %d, \"queued_deliveries\": %d, \"bound\": %d, \
-         \"irq_wcet\": %d, \"violations\": %d, \"invariant_failures\": %d, "
-        rr.rr_scenario rr.rr_build rr.rr_pinned rr.rr_entries rr.rr_preempted
-        rr.rr_restarts rr.rr_failed rr.rr_deliveries rr.rr_queued_deliveries
-        rr.rr_bound rr.rr_irq_wcet
-        (List.length rr.rr_violations)
-        (List.length rr.rr_invariant_failures);
-      let s = rr.rr_latency in
-      addf
-        "\"latency\": {\"count\": %d, \"min\": %d, \"p50\": %d, \"p90\": %d, \
-         \"p99\": %d, \"p999\": %d, \"max\": %d, \"margin_percent\": %.2f, \
-         \"buckets\": ["
-        s.ls_count s.ls_min s.ls_p50 s.ls_p90 s.ls_p99 s.ls_p999 s.ls_max
-        (margin_percent rr);
-      List.iteri
-        (fun j (k, c) ->
-          if j > 0 then addf ", ";
-          addf "{\"le_pow2\": %d, \"count\": %d}" k c)
-        s.ls_buckets;
-      addf "]}}")
-    r.rp_runs;
-  addf "]}";
-  Buffer.contents buf
+let report_fields r =
+  let open Obs.Json in
+  let latency rr =
+    let s = rr.rr_latency in
+    Obj
+      [
+        ("count", int s.ls_count); ("min", int s.ls_min); ("p50", int s.ls_p50);
+        ("p90", int s.ls_p90); ("p99", int s.ls_p99); ("p999", int s.ls_p999);
+        ("max", int s.ls_max); ("margin_percent", Fixed (2, margin_percent rr));
+        ( "buckets",
+          list
+            (fun (k, c) -> Obj [ ("le_pow2", int k); ("count", int c) ])
+            s.ls_buckets );
+      ]
+  in
+  let run rr =
+    Obj
+      [
+        ("scenario", Str rr.rr_scenario); ("build", Str rr.rr_build);
+        ("pinned", Bool rr.rr_pinned); ("entries", int rr.rr_entries);
+        ("preempted", int rr.rr_preempted); ("restarts", int rr.rr_restarts);
+        ("failed", int rr.rr_failed); ("deliveries", int rr.rr_deliveries);
+        ("queued_deliveries", int rr.rr_queued_deliveries);
+        ("bound", int rr.rr_bound); ("irq_wcet", int rr.rr_irq_wcet);
+        ("violations", int (List.length rr.rr_violations));
+        ("invariant_failures", int (List.length rr.rr_invariant_failures));
+        ("latency", latency rr);
+      ]
+  in
+  [
+    ("seed", int r.rp_seed); ("entries_per_run", int r.rp_entries_per_run);
+    ("total_entries", int r.rp_total_entries);
+    ("total_deliveries", int r.rp_total_deliveries); ("ok", Bool r.rp_ok);
+    ("runs", list run r.rp_runs);
+  ]
+
+let report_to_json r = Obs.Json.Obj (report_fields r)
+let report_json r = Obs.Json.to_string (report_to_json r)
 
 let pp_throughput ppf th =
   Fmt.pf ppf
@@ -1325,15 +1327,19 @@ let pp_throughput ppf th =
     th.th_wall_s th.th_entries_per_sec th.th_minor_words_per_entry
     th.th_peak_rss_kb
 
-(* [report_json] with a throughput object spliced in.  The throughput
+(* The report with a throughput member appended.  The throughput
    figures are wall-clock (not deterministic), so they stay out of
    [report_json] itself — the byte-identity contract covers only the
    simulated-time report. *)
-let campaign_json r th =
-  let base = report_json r in
-  let body = String.sub base 0 (String.length base - 1) in
-  Printf.sprintf
-    "%s, \"throughput\": {\"wall_s\": %.3f, \"entries_per_sec\": %.0f, \
-     \"minor_words_per_entry\": %.1f, \"peak_rss_kb\": %d}}"
-    body th.th_wall_s th.th_entries_per_sec th.th_minor_words_per_entry
-    th.th_peak_rss_kb
+let campaign_to_json r th =
+  let open Obs.Json in
+  let throughput =
+    Obj
+      [
+        ("wall_s", Fixed (3, th.th_wall_s));
+        ("entries_per_sec", Fixed (0, th.th_entries_per_sec));
+        ("minor_words_per_entry", Fixed (1, th.th_minor_words_per_entry));
+        ("peak_rss_kb", int th.th_peak_rss_kb);
+      ]
+  in
+  Obj (report_fields r @ [ ("throughput", throughput) ])

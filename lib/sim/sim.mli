@@ -253,12 +253,16 @@ val run_campaign_forensics :
 
 val pp_report : report Fmt.t
 
-val report_json : report -> string
+val report_to_json : report -> Obs.Json.t
 (** The report as a JSON object (the ["sim"] section of
-    [BENCH_wcet.json]). *)
+    [BENCH_wcet.json], the [sim] serve payload). *)
+
+val report_json : report -> string
+(** {!report_to_json} rendered by {!Obs.Json.to_string}: the bytes
+    pinned by [test/sim_smoke_report.golden.json]. *)
 
 val pp_throughput : throughput Fmt.t
 
-val campaign_json : report -> throughput -> string
-(** [report_json] with a ["throughput"] object spliced into the top-level
-    object (wall-clock figures, not covered by byte-identity). *)
+val campaign_to_json : report -> throughput -> Obs.Json.t
+(** {!report_to_json} with a ["throughput"] member appended (wall-clock
+    figures, not covered by byte-identity). *)

@@ -41,12 +41,14 @@ let per_core (topo : Topology.t) ~base ~core =
     b_total = base + send + recv + contention;
   }
 
-let to_json buf t =
-  Buffer.add_string buf
-    (Fmt.str
-       "{\"core\": %d, \"base\": %d, \"ipi_send\": %d, \"ipi_receive\": %d, \
-        \"contention\": %d, \"total\": %d}"
-       t.b_core t.b_base t.b_send t.b_recv t.b_contention t.b_total)
+let to_json t =
+  let open Obs.Json in
+  Obj
+    [
+      ("core", int t.b_core); ("base", int t.b_base); ("ipi_send", int t.b_send);
+      ("ipi_receive", int t.b_recv); ("contention", int t.b_contention);
+      ("total", int t.b_total);
+    ]
 
 let pp ppf t =
   Fmt.pf ppf "core %d: %d = %d base + %d send + %d recv + %d contention"

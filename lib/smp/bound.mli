@@ -43,5 +43,5 @@ val per_core : Topology.t -> base:int -> core:int -> t
 (** All remote terms are zero at [cores = 1] — the bound degenerates to
     the single-core one, byte-for-byte. *)
 
-val to_json : Buffer.t -> t -> unit
+val to_json : t -> Obs.Json.t
 val pp : t Fmt.t

@@ -386,88 +386,74 @@ let run_compare ?(seed = 42) ?entries ?(smoke = false) ~cores () =
 
 (* ---- rendering ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Fmt.str "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let stats_to_json (s : Sim.latency_stats) =
+  let open Obs.Json in
+  Obj
+    [
+      ("count", int s.Sim.ls_count); ("min", int s.Sim.ls_min);
+      ("p50", int s.Sim.ls_p50); ("p90", int s.Sim.ls_p90);
+      ("p99", int s.Sim.ls_p99); ("p999", int s.Sim.ls_p999);
+      ("max", int s.Sim.ls_max);
+    ]
 
-let stats_json buf (s : Sim.latency_stats) =
-  Buffer.add_string buf
-    (Fmt.str
-       "{\"count\": %d, \"min\": %d, \"p50\": %d, \"p90\": %d, \"p99\": %d, \
-        \"p999\": %d, \"max\": %d}"
-       s.Sim.ls_count s.Sim.ls_min s.Sim.ls_p50 s.Sim.ls_p90 s.Sim.ls_p99
-       s.Sim.ls_p999 s.Sim.ls_max)
+let report_to_json r =
+  let open Obs.Json in
+  let ipi ~sent ~coalesced ~delivered ~cancelled =
+    Obj
+      [
+        ("sent", int sent); ("coalesced", int coalesced);
+        ("delivered", int delivered); ("cancelled", int cancelled);
+      ]
+  in
+  let core cr =
+    Obj
+      [
+        ("core", int cr.cr_core); ("parked", Bool cr.cr_parked);
+        ("tenants", int cr.cr_tenants); ("lines", list int cr.cr_lines);
+        ("bound", Bound.to_json cr.cr_bound); ("entries", int cr.cr_entries);
+        ("deliveries", int cr.cr_deliveries); ("queued", int cr.cr_queued);
+        ("ipi_delivered", int cr.cr_ipi_delivered);
+        ("violations", int (List.length cr.cr_violations));
+        ("invariant_failures", int (List.length cr.cr_inv));
+        ("latency", stats_to_json cr.cr_latency);
+      ]
+  in
+  let scenario sr =
+    Obj
+      [
+        ("scenario", Str sr.sr_scenario);
+        ( "ipi",
+          ipi ~sent:sr.sr_ipi_sent ~coalesced:sr.sr_ipi_coalesced
+            ~delivered:sr.sr_ipi_delivered ~cancelled:sr.sr_ipi_cancelled );
+        ("fabric_error", option (fun m -> Str m) sr.sr_fabric_error);
+        ("cores", list core (Array.to_list sr.sr_cores));
+      ]
+  in
+  Obj
+    [
+      ("engine", Str "smp_soak"); ("seed", int r.rp_seed);
+      ("cores", int r.rp_cores);
+      ("policy", Str (Topology.policy_name r.rp_policy));
+      ("entries_per_core", int r.rp_entries_per_core);
+      ("base_bound", int r.rp_base_bound); ("irq_wcet", int r.rp_irq_wcet);
+      ( "ipi",
+        ipi ~sent:r.rp_ipi_sent ~coalesced:r.rp_ipi_coalesced
+          ~delivered:r.rp_ipi_delivered ~cancelled:r.rp_ipi_cancelled );
+      ("deliveries", int r.rp_deliveries); ("violations", int r.rp_violations);
+      ("invariant_failures", int r.rp_invariant_failures);
+      ("scenarios", list scenario r.rp_scenarios); ("ok", Bool r.rp_ok);
+    ]
 
-let report_json r =
-  let buf = Buffer.create 4096 in
-  let addf fmt = Fmt.kstr (Buffer.add_string buf) fmt in
-  addf
-    "{\"engine\": \"smp_soak\", \"seed\": %d, \"cores\": %d, \"policy\": \
-     \"%s\", \"entries_per_core\": %d, \"base_bound\": %d, \"irq_wcet\": %d,\n"
-    r.rp_seed r.rp_cores
-    (Topology.policy_name r.rp_policy)
-    r.rp_entries_per_core r.rp_base_bound r.rp_irq_wcet;
-  addf
-    " \"ipi\": {\"sent\": %d, \"coalesced\": %d, \"delivered\": %d, \
-     \"cancelled\": %d},\n"
-    r.rp_ipi_sent r.rp_ipi_coalesced r.rp_ipi_delivered r.rp_ipi_cancelled;
-  addf " \"deliveries\": %d, \"violations\": %d, \"invariant_failures\": %d,\n"
-    r.rp_deliveries r.rp_violations r.rp_invariant_failures;
-  addf " \"scenarios\": [\n";
-  List.iteri
-    (fun i sr ->
-      if i > 0 then addf ",\n";
-      addf "  {\"scenario\": \"%s\", \"ipi\": {\"sent\": %d, \"coalesced\": \
-            %d, \"delivered\": %d, \"cancelled\": %d}, \"fabric_error\": %s,\n"
-        (json_escape sr.sr_scenario) sr.sr_ipi_sent sr.sr_ipi_coalesced
-        sr.sr_ipi_delivered sr.sr_ipi_cancelled
-        (match sr.sr_fabric_error with
-        | None -> "null"
-        | Some m -> Fmt.str "\"%s\"" (json_escape m));
-      addf "   \"cores\": [\n";
-      Array.iteri
-        (fun j cr ->
-          if j > 0 then addf ",\n";
-          addf
-            "    {\"core\": %d, \"parked\": %b, \"tenants\": %d, \"lines\": \
-             [%s], \"bound\": "
-            cr.cr_core cr.cr_parked cr.cr_tenants
-            (String.concat ", " (List.map string_of_int cr.cr_lines));
-          Bound.to_json buf cr.cr_bound;
-          addf
-            ", \"entries\": %d, \"deliveries\": %d, \"queued\": %d, \
-             \"ipi_delivered\": %d, \"violations\": %d, \
-             \"invariant_failures\": %d, \"latency\": "
-            cr.cr_entries cr.cr_deliveries cr.cr_queued cr.cr_ipi_delivered
-            (List.length cr.cr_violations)
-            (List.length cr.cr_inv);
-          stats_json buf cr.cr_latency;
-          addf "}")
-        sr.sr_cores;
-      addf "\n   ]}")
-    r.rp_scenarios;
-  addf "\n ],\n \"ok\": %b}\n" r.rp_ok;
-  Buffer.contents buf
+let report_json r = Obs.Json.to_string (report_to_json r)
 
-let comparison_json cmp =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Fmt.str "{\"cores\": %d, \"shielded\": " cmp.cmp_cores);
-  stats_json buf cmp.cmp_shielded;
-  Buffer.add_string buf ", \"spread\": ";
-  stats_json buf cmp.cmp_spread;
-  Buffer.add_string buf
-    (Fmt.str ", \"shielded_tail_lower\": %b}" cmp.cmp_tail_lower);
-  Buffer.contents buf
+let comparison_to_json cmp =
+  let open Obs.Json in
+  Obj
+    [
+      ("cores", int cmp.cmp_cores); ("shielded", stats_to_json cmp.cmp_shielded);
+      ("spread", stats_to_json cmp.cmp_spread);
+      ("shielded_tail_lower", Bool cmp.cmp_tail_lower);
+    ]
 
 let pp_report ppf r =
   Fmt.pf ppf "SMP soak: %d core(s), policy %s, seed %d, %d entries/core@."

@@ -115,7 +115,11 @@ val run_compare :
   report * report * comparison
 (** [(shielded, spread, comparison)]. *)
 
+val report_to_json : report -> Obs.Json.t
+
 val report_json : report -> string
-val comparison_json : comparison -> string
+(** {!report_to_json} rendered by {!Obs.Json.to_string}. *)
+
+val comparison_to_json : comparison -> Obs.Json.t
 val pp_report : report Fmt.t
 val pp_comparison : comparison Fmt.t

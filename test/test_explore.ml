@@ -141,7 +141,7 @@ let contains s sub =
 
 let test_json_envelope () =
   let r = Explore.run ~smoke:true ctx in
-  let j = Explore.to_json r in
+  let j = Obs.Json.to_string (Explore.to_json r) in
   (* The envelope keys shared with Inject.to_json. *)
   check_bool "campaign key" true (contains j "\"campaign\": \"explore\"");
   check_bool "ok key" true (contains j "\"ok\": true");

@@ -14,7 +14,9 @@ let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 
-(* --- a minimal JSON syntax checker (no JSON library available) --- *)
+(* --- an independent minimal JSON parser, the check on Obs.Json's
+   printer: strict about raw control characters in strings, decoding
+   escapes (ASCII only) --- *)
 
 type json =
   | Null
@@ -56,18 +58,33 @@ let parse_json (s : string) : json =
       | Some '"' -> advance ()
       | Some '\\' ->
           advance ();
+          let simple c =
+            advance ();
+            Buffer.add_char b c
+          in
           (match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
+          | Some (('"' | '\\' | '/') as c) -> simple c
+          | Some 'b' -> simple '\b'
+          | Some 'f' -> simple '\012'
+          | Some 'n' -> simple '\n'
+          | Some 'r' -> simple '\r'
+          | Some 't' -> simple '\t'
           | Some 'u' ->
               advance ();
+              let hex = Buffer.create 4 in
               for _ = 1 to 4 do
                 match peek () with
-                | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
+                | Some (('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') as c) ->
+                    advance ();
+                    Buffer.add_char hex c
                 | _ -> fail "bad \\u escape"
-              done
+              done;
+              (* ASCII decodes exactly; anything wider is not needed here. *)
+              let code = int_of_string ("0x" ^ Buffer.contents hex) in
+              Buffer.add_char b (if code < 0x80 then Char.chr code else '?')
           | _ -> fail "bad escape");
-          Buffer.add_char b '?';
           go ()
+      | Some c when Char.code c < 0x20 -> fail "raw control character"
       | Some c ->
           advance ();
           Buffer.add_char b c;
@@ -367,7 +384,9 @@ let test_chrome_json () =
     W.run_traced ~buf ~seed:1 Sel4_rt.Analysis_ctx.default KM.Syscall
   in
   check_bool "trace non-empty" true (T.length buf > 0);
-  let json = T.to_chrome_json ~cycles_per_us:532.0 buf in
+  let json =
+    Obs.Json.to_string (T.to_chrome_json ~cycles_per_us:532.0 buf)
+  in
   let v = try parse_json json with Bad_json m -> Alcotest.fail m in
   match member "traceEvents" v with
   | Some (Arr evs) ->
@@ -415,12 +434,44 @@ let test_metrics_counters () =
 let test_metrics_json () =
   let c = M.counter "test.json_counter" in
   M.incr c;
-  let json = M.to_json (M.snapshot ()) in
+  let json = Obs.Json.to_string (M.to_json (M.snapshot ())) in
   let v = try parse_json json with Bad_json m -> Alcotest.fail m in
   match member "counters" v with
   | Some (Obj kvs) ->
       check_bool "counter present" true (List.mem_assoc "test.json_counter" kvs)
   | _ -> Alcotest.fail "no counters object"
+
+(* A name with every character class the escaper must handle goes
+   through both renderings and through a metrics counter of that name,
+   and parses back (with this file's parser and with Obs.Json's own) to
+   the same string. *)
+let test_json_escaping () =
+  let name = "q\"b\\s\nn\tt\001x" in
+  let v = Obs.Json.Obj [ (name, Obs.Json.Str name) ] in
+  List.iter
+    (fun (layout, text) ->
+      (match parse_json text with
+      | Obj [ (k, Str s) ] ->
+          check_string (layout ^ ": key") name k;
+          check_string (layout ^ ": value") name s
+      | _ -> Alcotest.failf "%s: unexpected shape %s" layout text
+      | exception Bad_json m -> Alcotest.failf "%s: %s in %s" layout m text);
+      match Obs.Json.parse text with
+      | Ok (Obs.Json.Obj [ (k, Obs.Json.Str s) ]) ->
+          check_string (layout ^ ": Obs.Json key") name k;
+          check_string (layout ^ ": Obs.Json value") name s
+      | _ -> Alcotest.failf "%s: Obs.Json does not read back %s" layout text)
+    [ ("compact", Obs.Json.to_compact v); ("one-line", Obs.Json.to_string v) ];
+  M.incr (M.counter name);
+  let json = Obs.Json.to_string (M.to_json (M.snapshot ())) in
+  match parse_json json with
+  | v -> (
+      match member "counters" v with
+      | Some (Obj kvs) ->
+          check_bool "escaped counter name reads back" true
+            (List.mem_assoc name kvs)
+      | _ -> Alcotest.fail "no counters object")
+  | exception Bad_json m -> Alcotest.failf "metrics json: %s" m
 
 let test_metrics_span_and_reset () =
   let h = M.histogram "test.span" in
@@ -614,7 +665,8 @@ let test_bound_profile_folded () =
 let test_bound_profile_json () =
   let p = profile_fixture () in
   let v =
-    try parse_json (BP.to_json p) with Bad_json m -> Alcotest.fail m
+    try parse_json (Obs.Json.to_string (BP.to_json p))
+    with Bad_json m -> Alcotest.fail m
   in
   (match member "wcet_cycles" v with
   | Some (Num n) -> check_int "wcet field" 680 (int_of_float n)
@@ -679,6 +731,7 @@ let () =
           Alcotest.test_case "counters and histograms" `Quick
             test_metrics_counters;
           Alcotest.test_case "json dump" `Quick test_metrics_json;
+          Alcotest.test_case "json escaping" `Quick test_json_escaping;
           Alcotest.test_case "span and reset" `Quick
             test_metrics_span_and_reset;
           Alcotest.test_case "percentiles" `Quick test_metrics_percentiles;

@@ -159,7 +159,7 @@ let contains s sub =
 
 let test_json_renders () =
   let a = Race.audit ~smoke:true ctx in
-  let j = Race.to_json a in
+  let j = Obs.Json.to_string (Race.to_json a) in
   check_bool "mentions sections" true (contains j "\"sections\"");
   check_bool "mentions og" true (contains j "\"og\"");
   check_bool "audit is clean in json" true (contains j "\"violations\": []")

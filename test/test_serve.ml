@@ -55,11 +55,25 @@ let test_json_roundtrip () =
     (J.to_compact v);
   check_string "reparse fixpoint" (J.to_compact v)
     (J.to_compact (parse_ok (J.to_compact v)));
+  check_string "one-line layout" {|{"a": [1, 2.5, "x\nA", true, null], "b": {}}|}
+    (J.to_string v);
+  check_string "fixed decimals and non-finite numbers"
+    {|[99.60,0.000001,null,null]|}
+    (J.to_compact
+       (J.Arr
+          [ J.Fixed (2, 99.6); J.Fixed (6, 1e-6); J.Num infinity; J.Fixed (2, nan) ]));
   check_int "int accessor" 1
     (Option.get (J.to_int_opt (List.nth (Option.get (J.to_list_opt (member_exn "a" v))) 0)))
 
 let test_json_malformed () =
-  let bad = [ {|{"a":|}; {|{"a":1} trailing|}; {|{bad: 1}|}; {|"\q"|}; "" ] in
+  let bad =
+    [
+      {|{"a":|}; {|{"a":1} trailing|}; {|{bad: 1}|}; {|"\q"|}; "";
+      (* not JSON, though a lenient reader would take it *)
+      "1e999"; "-1e400"; "01"; "[-01]"; "1."; ".5"; "+1"; "\"a\tb\"";
+      "\"a\001b\""; {|"\u1_23"|}; {|"\u12"|};
+    ]
+  in
   List.iter
     (fun s ->
       match J.parse s with
@@ -128,11 +142,13 @@ let test_envelope_speedup_field () =
   let field = E.speedup_field ~serial_fresh_wall_s:9.0 ~engine_wall_s:3.0 in
   check_bool "omitted at 1 domain" true (field ~domains:1 = None);
   check_bool "omitted at 0 domains" true (field ~domains:0 = None);
-  check_string "present at 2 domains" "3.000000"
-    (Option.get (field ~domains:2));
+  check_bool "present at 2 domains" true
+    (field ~domains:2 = Some (J.Fixed (6, 3.0)));
+  check_string "renders with 6 decimals" "3.000000"
+    (J.to_compact (Option.get (field ~domains:2)));
   check_bool "zero engine wall degrades to 0, not a crash" true
     (E.speedup_field ~domains:4 ~serial_fresh_wall_s:9.0 ~engine_wall_s:0.0
-    = Some "0.000000")
+    = Some (J.Fixed (6, 0.0)))
 
 (* --- Query wire parsing --- *)
 
@@ -170,6 +186,13 @@ let test_query_of_json () =
       {|{"query": "analyse", "l2": "yes"}|};
       {|{"query": "sim", "scenarios": [1]}|};
       {|[1,2]|};
+      (* integers a double cannot hold exactly are not integers *)
+      {|{"query": "sim", "seed": 1e19}|};
+      {|{"query": "sim", "seed": -1e19}|};
+      (* an empty campaign would report ok *)
+      {|{"query": "sim", "entries": 0}|};
+      {|{"query": "smp", "entries": -5}|};
+      {|{"query": "smp", "cores": 0}|};
     ]
 
 let test_query_respond_deterministic () =

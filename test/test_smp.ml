@@ -218,6 +218,34 @@ let test_shielded_tail_lower () =
   check_bool "shielded p99.9 and max strictly lower" true
     cmp.Smp.Soak.cmp_tail_lower
 
+(* The SMP engine's output pinned to bytes, as the single-core soak is
+   by sim_smoke_report.golden.json: the seed-42 smoke shielded and spread
+   reports on 4 cores plus their comparison.  The fixture is a dune dep,
+   so it sits next to the built test binary. *)
+let golden_fixture =
+  let name = "smp_smoke_report.golden.json" in
+  let beside_exe = Filename.concat (Filename.dirname Sys.executable_name) name in
+  if Sys.file_exists beside_exe then beside_exe else name
+
+let test_golden_smoke_report () =
+  let golden =
+    In_channel.with_open_bin golden_fixture In_channel.input_all
+  in
+  let shielded, spread, cmp =
+    Smp.Soak.run_compare ~seed:42 ~smoke:true ~cores:4 ()
+  in
+  let actual =
+    Obs.Json.to_string
+      (Obs.Json.Obj
+         [
+           ("shielded", Smp.Soak.report_to_json shielded);
+           ("spread", Smp.Soak.report_to_json spread);
+           ("comparison", Smp.Soak.comparison_to_json cmp);
+         ])
+  in
+  check_bool "seed-42 smoke 4-core reports match the committed golden bytes"
+    true (actual = golden)
+
 let () =
   Alcotest.run "smp"
     [
@@ -237,6 +265,7 @@ let () =
               test_smp_soak_invariants_clean;
             test_case "ipis flow" `Quick test_ipis_flow;
             test_case "shielded tail lower" `Slow test_shielded_tail_lower;
+            test_case "golden smoke report" `Slow test_golden_smoke_report;
           ] );
       ( "bound",
         Alcotest.[ test_case "per-core ordering" `Quick test_bound_ordering ] );
