@@ -6,7 +6,7 @@
      sel4rt response --build improved --l2
      sel4rt explain  [kernel_entry|syscall|...] --format folded
      sel4rt sim      --smoke --forensics --forensics-out DIR
-     sel4rt repro [section ...]        (same sections as bench/main.exe)
+     sel4rt repro [section ...]        (the paper's tables and figures)
      sel4rt serve    --stdio | --socket PATH
      sel4rt loops
      sel4rt pins
@@ -68,20 +68,6 @@ let runs_arg =
     value & opt int 25
     & info [ "runs" ] ~docv:"N" ~doc:"Polluted-cache measurement repetitions.")
 
-let config_of ~l2 ~pin =
-  let c = if l2 then Hw.Config.with_l2 else Hw.Config.default in
-  if pin then Hw.Config.with_pinning c else c
-
-let pins_of build ~pin =
-  if not pin then Sel4_rt.Response_time.no_pins
-  else begin
-    let s = Sel4_rt.Pinning.select build in
-    {
-      Sel4_rt.Response_time.code = s.Sel4_rt.Pinning.code_lines;
-      data = s.Sel4_rt.Pinning.data_lines;
-    }
-  end
-
 (* Shared by every JSON subcommand: print the one-line envelope and map
    a non-ok status onto a non-zero exit. *)
 let emit_envelope (line, status) =
@@ -122,9 +108,8 @@ let analyse_cmd =
 
 let wcet_cmd =
   let run entry build l2 pin path =
-    let config = config_of ~l2 ~pin in
-    let pins = pins_of build ~pin in
-    let ctx = Sel4_rt.Analysis_ctx.make ~config ~pins ~build () in
+    let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
+    let config = ctx.Sel4_rt.Analysis_ctx.config in
     let result = Sel4_rt.Response_time.computed ctx entry in
     Fmt.pr "%s, %a@." (Sel4_rt.Kernel_model.entry_name entry) Sel4.Build.pp build;
     Fmt.pr "hardware: %a@." Hw.Config.pp config;
@@ -148,12 +133,9 @@ let wcet_cmd =
 
 let observe_cmd =
   let run entry build l2 runs =
-    let config = config_of ~l2 ~pin:false in
-    let observed =
-      Sel4_rt.Response_time.observed ~runs
-        (Sel4_rt.Analysis_ctx.make ~config ~build ())
-        entry
-    in
+    let ctx = Sel4_rt.Pinning.context ~l2 build in
+    let config = ctx.Sel4_rt.Analysis_ctx.config in
+    let observed = Sel4_rt.Response_time.observed ~runs ctx entry in
     Fmt.pr "%s, %a, %d runs@." (Sel4_rt.Kernel_model.entry_name entry)
       Sel4.Build.pp build runs;
     Fmt.pr "observed worst case: %d cycles (%.1f us)@." observed
@@ -166,12 +148,9 @@ let observe_cmd =
 
 let response_cmd =
   let run build l2 pin =
-    let config = config_of ~l2 ~pin in
-    let pins = pins_of build ~pin in
-    let bound =
-      Sel4_rt.Response_time.interrupt_response_bound
-        (Sel4_rt.Analysis_ctx.make ~config ~pins ~build ())
-    in
+    let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
+    let config = ctx.Sel4_rt.Analysis_ctx.config in
+    let bound = Sel4_rt.Response_time.interrupt_response_bound ctx in
     Fmt.pr "worst-case interrupt response (%a): %d cycles (%.1f us)@."
       Sel4.Build.pp build bound
       (Hw.Config.cycles_to_us config bound)
@@ -216,9 +195,7 @@ let explain_cmd =
           exit 2
         end
     | (`Text | `Folded) as format -> (
-        let config = config_of ~l2 ~pin in
-        let pins = pins_of build ~pin in
-        let ctx = Sel4_rt.Analysis_ctx.make ~config ~pins ~build () in
+        let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
         let profile =
           match target with
           | Serve.Query.Kernel_entry ->
@@ -311,6 +288,12 @@ let repro_cmd =
           Sel4_rt.Experiments.(print_constraint_modes (constraint_modes ())) );
       ("summary", fun () -> Sel4_rt.Experiments.(print_summary (summary ())));
       ("l2lock", fun () -> Sel4_rt.Experiments.(print_l2_lock (l2_lock ())));
+      ( "callpreempt",
+        fun () -> Sel4_rt.Experiments.(print_call_preempt (call_preempt ())) );
+      ( "fastpath",
+        fun () -> Sel4_rt.Experiments.(print_fastpath (fastpath_ablation ())) );
+      ( "replacement",
+        fun () -> Sel4_rt.Experiments.(print_replacement (replacement ())) );
     ]
   in
   let run names =
@@ -463,16 +446,13 @@ let run_quickstart_traced ~config buf =
 
 let trace_cmd =
   let run scenario build l2 seed format capacity out =
-    let config = config_of ~l2 ~pin:false in
+    let ctx = Sel4_rt.Pinning.context ~l2 build in
+    let config = ctx.Sel4_rt.Analysis_ctx.config in
     let buf = Obs.Trace.create ?capacity () in
     (match scenario with
     | Quickstart -> run_quickstart_traced ~config buf
     | Entry entry -> (
-        match
-          Sel4_rt.Workloads.run_traced ~buf ~seed
-            (Sel4_rt.Analysis_ctx.make ~config ~build ())
-            entry
-        with
+        match Sel4_rt.Workloads.run_traced ~buf ~seed ctx entry with
         | Sel4.Kernel.Failed e, _ ->
             Fmt.epr "scenario failed: %s@." e;
             exit 1
@@ -554,11 +534,10 @@ let trace_cmd =
 
 let metrics_cmd =
   let run l2 runs json =
-    let config = config_of ~l2 ~pin:false in
     (* Exercise the full pipeline once per entry point — IPET stage spans,
        analysis-cache counters, pool stats — plus one observed workload for
        the hardware counters, then dump the registry. *)
-    let ctx = Sel4_rt.Analysis_ctx.make ~config () in
+    let ctx = Sel4_rt.Pinning.context ~l2 Sel4.Build.improved in
     List.iter
       (fun entry -> ignore (Sel4_rt.Response_time.computed ctx entry))
       Sel4_rt.Kernel_model.entry_points;
@@ -593,8 +572,7 @@ let inject_cmd =
       emit_envelope
         (Serve.Query.respond (Serve.Query.Inject { smoke; seed; l2 }))
     else begin
-      let config = config_of ~l2 ~pin:false in
-      let ctx = Sel4_rt.Analysis_ctx.make ~config () in
+      let ctx = Sel4_rt.Pinning.context ~l2 Sel4.Build.improved in
       let report = Inject.run_campaign ~smoke ~seed ctx in
       Fmt.pr "%a@." Inject.pp_report report;
       if not (Inject.ok report) then exit 1
@@ -669,12 +647,24 @@ let race_cmd =
           non-zero if any recorded access escapes its declared footprint.")
     Term.(const run $ smoke_arg $ json_arg)
 
+(* Inputs the library rejects with [Invalid_argument] (an unknown
+   scenario name, an explore depth below 1) are usage errors: report them
+   and exit 2, not as an uncaught exception. *)
+let or_usage_error f =
+  try f ()
+  with Invalid_argument msg ->
+    Fmt.epr "sel4rt: %s@." msg;
+    exit 2
+
 let explore_cmd =
   let run smoke depth json =
     if json then
       emit_envelope (Serve.Query.respond (Serve.Query.Explore { smoke; depth }))
     else begin
-      let report = Explore.run ~smoke ?depth Sel4_rt.Analysis_ctx.default in
+      let report =
+        or_usage_error (fun () ->
+            Explore.run ~smoke ?depth Sel4_rt.Analysis_ctx.default)
+      in
       Fmt.pr "%a@." Explore.pp_report report;
       if not (Explore.ok report) then exit 1
     end
@@ -716,6 +706,8 @@ let explore_cmd =
 let sim_cmd =
   let run smoke seed entries only inv_every collect forensics forensics_out
       cores shielded compare =
+    let only = match only with [] -> None | l -> Some l in
+    ignore (or_usage_error (fun () -> Sim.select_scenarios only));
     if cores > 1 || compare then begin
       (* The SMP engine: per-core worlds coupled through the IPI fabric.
          [--cores 1] without [--compare] stays on the single-core campaign
@@ -741,7 +733,6 @@ let sim_cmd =
         let policy =
           if shielded then Smp.Topology.Shielded else Smp.Topology.Spread
         in
-        let only = match only with [] -> None | l -> Some l in
         let report =
           Smp.Soak.run ~seed ?entries ~smoke ?inv_every ?only ~cores ~policy ()
         in
@@ -750,7 +741,6 @@ let sim_cmd =
       end;
       exit 0
     end;
-    let only = match only with [] -> None | l -> Some l in
     let report, th =
       if not (forensics || forensics_out <> None) then
         Sim.run_campaign_timed ~smoke ~seed ?entries ?only ?inv_every ~collect

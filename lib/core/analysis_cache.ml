@@ -17,7 +17,7 @@
    requester of a key inserts a [Pending] marker and computes outside the
    lock; later requesters of the same key block on a condition variable
    until the result (or the exception) lands.  Hit/miss counters feed the
-   bench harness's --json report. *)
+   metrics registry. *)
 
 type prefix_key = {
   pk_build : Sel4.Build.t;
@@ -46,12 +46,12 @@ let prefixes : (prefix_key, Wcet.Ipet.prepared cell) Hashtbl.t =
 let results : (result_key, Wcet.Ipet.result cell) Hashtbl.t = Hashtbl.create 64
 
 (* Counters live in the process-wide metrics registry, so `sel4rt metrics`
-   and the bench --json report read the same numbers as {!stats}.  A
+   and the serve `metrics` query read the same numbers as {!stats}.  A
    result-cache lookup resolves to exactly one of: an in-memory hit, a
    persistent-store hit (a memory miss satisfied from disk with no ILP
    solve), or a miss (a cold computation) — the three counters partition
-   the lookups, so per-section bench stats cannot double-count a disk hit
-   as both a hit and a miss. *)
+   the lookups, so a disk hit is never counted as both a hit and a
+   miss. *)
 let result_hits = Obs.Metrics.counter "analysis_cache.result_hits"
 let result_misses = Obs.Metrics.counter "analysis_cache.result_misses"
 let result_disk_hits = Obs.Metrics.counter "analysis_cache.disk_hits"
@@ -83,13 +83,6 @@ let hit_rate { hits; misses; disk_hits; _ } =
   let total = hits + disk_hits + misses in
   if total = 0 then 0.0 else float_of_int (hits + disk_hits) /. float_of_int total
 
-let reset_stats () =
-  Obs.Metrics.set_counter result_hits 0;
-  Obs.Metrics.set_counter result_misses 0;
-  Obs.Metrics.set_counter result_disk_hits 0;
-  Obs.Metrics.set_counter prefix_hits 0;
-  Obs.Metrics.set_counter prefix_misses 0
-
 let reset () =
   Mutex.lock lock;
   (* Pending entries belong to in-flight computations; dropping them would
@@ -102,7 +95,9 @@ let reset () =
   List.iter (Hashtbl.remove prefixes) (settled prefixes);
   List.iter (Hashtbl.remove results) (settled results);
   Mutex.unlock lock;
-  reset_stats ()
+  List.iter
+    (fun c -> Obs.Metrics.set_counter c 0)
+    [ result_hits; result_misses; result_disk_hits; prefix_hits; prefix_misses ]
 
 (* Compute-once memoisation: the first requester computes, everyone else
    waits for the settled cell.  Cached exceptions are re-raised (the

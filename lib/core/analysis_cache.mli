@@ -75,10 +75,7 @@ val set_persist : persist option -> unit
 val reset : unit -> unit
 (** Drop settled entries and zero the counters. *)
 
-val reset_stats : unit -> unit
-(** Zero the hit/miss counters without touching the cached entries; used
-    at bench section boundaries so each section reports its own rates. *)
-
 val set_enabled : bool -> unit
 (** When disabled, every call recomputes from scratch and touches neither
-    the tables nor the counters (the serial-fresh benchmark baseline). *)
+    the tables nor the counters (a fresh-computation reference for
+    tests). *)

@@ -47,19 +47,8 @@ type table1_row = {
 }
 
 let table1 () =
-  let selection = Pinning.select improved in
-  let pins =
-    {
-      Response_time.code = selection.Pinning.code_lines;
-      data = selection.Pinning.data_lines;
-    }
-  in
-  let plain = Analysis_ctx.make ~build:improved () in
-  let pinned =
-    Analysis_ctx.make
-      ~config:(Hw.Config.with_pinning Hw.Config.default)
-      ~pins ~build:improved ()
-  in
+  let plain = Pinning.context improved in
+  let pinned = Pinning.context ~pin:true improved in
   let cells =
     batch
       (List.concat_map

@@ -18,7 +18,7 @@
    - The pool is sized once (SEL4RT_DOMAINS overrides the default of
      [recommended_domain_count - 1], capped at 8) and shared process-wide
      via [default]; [set_serial true] forces every map onto the calling
-     domain, which benchmarks use to measure the serial baseline. *)
+     domain, which determinism tests use as the serial reference. *)
 
 type batch = {
   count : int;
@@ -39,7 +39,7 @@ type t = {
 
 let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
-(* Pool activity for the metrics registry (bench --json, sel4rt metrics). *)
+(* Pool activity for the metrics registry (sel4rt metrics, perfbench). *)
 let m_batches = Obs.Metrics.counter "parallel.batches"
 let m_jobs = Obs.Metrics.counter "parallel.jobs"
 let m_domains = Obs.Metrics.gauge "parallel.domains"

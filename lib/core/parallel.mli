@@ -43,8 +43,8 @@ val fold_ordered :
     batch drains; an errored job contributes nothing to the fold. *)
 
 val set_serial : bool -> unit
-(** Force every subsequent [map] onto the calling domain (used to measure
-    the serial baseline in benchmarks and determinism tests). *)
+(** Force every subsequent [map] onto the calling domain (the serial
+    reference of determinism tests). *)
 
 val shutdown : t -> unit
 (** Stop and join the pool's workers.  Do not call on {!default}'s pool

@@ -94,3 +94,16 @@ let install selection machine =
 let pp ppf s =
   Fmt.pf ppf "pinned %d I-lines, %d D-lines" (List.length s.code_lines)
     (List.length s.data_lines)
+
+(* The one place a pinning choice becomes an analysis context: the
+   selection's lines become the context's pins, and the configuration
+   reserves the locked way that holds them. *)
+let context ?(l2 = false) ?(pin = false) build =
+  let config = if l2 then Hw.Config.with_l2 else Hw.Config.default in
+  if not pin then Analysis_ctx.make ~config ~build ()
+  else
+    let s = select build in
+    Analysis_ctx.make
+      ~config:(Hw.Config.with_pinning config)
+      ~pins:{ Analysis_ctx.code = s.code_lines; data = s.data_lines }
+      ~build ()

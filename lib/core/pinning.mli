@@ -15,4 +15,10 @@ val select : Sel4.Build.t -> selection
 val install : selection -> Hw.Machine.t -> unit
 (** Pin the selection into a machine configured with locked ways. *)
 
+val context : ?l2:bool -> ?pin:bool -> Sel4.Build.t -> Analysis_ctx.t
+(** The analysis context for [build] on the default hardware, with the L2
+    enabled when [l2].  When [pin] (default [false]), one L1 way per
+    cache is locked ({!Hw.Config.with_pinning}) and holds [select build]
+    as the context's pins. *)
+
 val pp : selection Fmt.t

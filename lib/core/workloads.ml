@@ -199,7 +199,7 @@ let () =
     | _ -> None)
 
 (* Fold one run's hardware counters into the global metrics registry, so
-   `sel4rt metrics` and `bench --json` report total simulated work. *)
+   `sel4rt metrics` and perfbench report total simulated work. *)
 let note_hw_metrics cpu =
   let c = Hw.Cpu.counters cpu in
   let add name v = Obs.Metrics.incr ~by:v (Obs.Metrics.counter name) in

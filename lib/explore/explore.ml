@@ -469,6 +469,8 @@ let scenario_ops = [ Inject.Ep_delete; Inject.Badged_abort ]
 
 let run ?(smoke = false) ?depth (actx : Sel4_rt.Analysis_ctx.t) =
   let depth = match depth with Some d -> d | None -> if smoke then 2 else 3 in
+  (* Depth 0 has an empty universe: nothing explored, trivially ok. *)
+  if depth < 1 then invalid_arg (Fmt.str "explore depth %d: must be >= 1" depth);
   let ops = if smoke then [ Inject.Ep_delete ] else scenario_ops in
   let scens, total =
     List.fold_left

@@ -117,7 +117,8 @@ val run_scenario :
 
 val run : ?smoke:bool -> ?depth:int -> Sel4_rt.Analysis_ctx.t -> report
 (** The campaign: ep-delete at [depth] (default 3, smoke 2) and — full
-    mode only — badged-abort at depth [<= 2]. *)
+    mode only — badged-abort at depth [<= 2].
+    @raise Invalid_argument if [depth < 1]. *)
 
 val ok : report -> bool
 val pp_report : report Fmt.t

@@ -6,8 +6,8 @@
     - {!to_compact}, no insignificant whitespace — the serve wire, where
       one response is one line;
     - {!to_string}, one line with [", "] and [": "] separators — files
-      and stdout ([BENCH_wcet.json], forensics files, the soak report
-      pinned by [test/sim_smoke_report.golden.json]).
+      and stdout (forensics files, Chrome traces, the soak report pinned
+      by [test/sim_smoke_report.golden.json]).
 
     The parser is strict (it reads outside input off the serve wire):
     RFC 8259 number grammar, finite numbers only, no raw control

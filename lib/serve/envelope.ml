@@ -39,18 +39,3 @@ let wrap ?id ~status ~elapsed_s ~payload () =
         (error_payload ("invalid payload JSON: " ^ head))
 
 let error ?id msg = line ?id ~status:Error ~elapsed_s:0.0 (error_payload msg)
-
-(* The bench report's "speedup" figure.  With a single domain the
-   parallel engine and the serial baseline measure the same thing, and
-   the ratio is pure noise that once read as a real regression ("speedup
-   0.9x!") — so the field is omitted entirely rather than emitted with a
-   misleading value.  Centralised here (next to the other report-shape
-   decisions) so the rule is testable without running a bench. *)
-let speedup_field ~domains ~engine_wall_s ~serial_fresh_wall_s =
-  if domains <= 1 then None
-  else
-    Some
-      (Json.Fixed
-         ( 6,
-           if engine_wall_s > 0.0 then serial_fresh_wall_s /. engine_wall_s
-           else 0.0 ))

@@ -2,7 +2,7 @@
 
     Every JSON document this repository emits — serve responses, the
     [--json] output of [sel4rt analyse]/[explain]/[inject]/[race]/
-    [explore]/[metrics], and [BENCH_wcet.json] — is one envelope object:
+    [explore]/[metrics] — is one envelope object:
 
     {v
     { "schema_version": 1,
@@ -29,14 +29,10 @@ val schema_version : int
 val status_to_string : status -> string
 (** ["ok"], ["fail"], ["error"]. *)
 
-val to_json :
-  ?id:string -> status:status -> elapsed_s:float -> Json.t -> Json.t
-(** The envelope around a payload value ([elapsed_s] with 6 decimals).
-    Files render it with {!Json.to_string}. *)
-
 val line : ?id:string -> status:status -> elapsed_s:float -> Json.t -> string
-(** {!to_json} rendered by {!Json.to_compact} and newline-terminated: the
-    serve protocol's framing, one response per line. *)
+(** The envelope around a payload value ([elapsed_s] with 6 decimals),
+    rendered by {!Json.to_compact} and newline-terminated: the serve
+    protocol's framing, one response per line. *)
 
 val wrap :
   ?id:string ->
@@ -54,13 +50,3 @@ val error : ?id:string -> string -> string
 
 val error_payload : string -> Json.t
 (** [{"error": msg}]. *)
-
-val speedup_field :
-  domains:int ->
-  engine_wall_s:float ->
-  serial_fresh_wall_s:float ->
-  Json.t option
-(** The value of the bench report's ["speedup"] field (6 decimals), or
-    [None] when [domains <= 1] — a single-domain run measures no
-    parallelism, so the field is omitted from [BENCH_wcet.json] (a
-    warning is still printed) instead of shipping a noise figure. *)

@@ -62,26 +62,6 @@ let build_name b =
   then "lazy"
   else Fmt.str "%a" Sel4.Build.pp b
 
-(* Same hardware/pinning derivation as the CLI flags. *)
-let config_of ~l2 ~pin =
-  let c = if l2 then Hw.Config.with_l2 else Hw.Config.default in
-  if pin then Hw.Config.with_pinning c else c
-
-let pins_of build ~pin =
-  if not pin then Sel4_rt.Response_time.no_pins
-  else begin
-    let s = Sel4_rt.Pinning.select build in
-    {
-      Sel4_rt.Response_time.code = s.Sel4_rt.Pinning.code_lines;
-      data = s.Sel4_rt.Pinning.data_lines;
-    }
-  end
-
-let ctx_of ~build ~l2 ~pin =
-  let config = config_of ~l2 ~pin in
-  let pins = pins_of build ~pin in
-  Sel4_rt.Analysis_ctx.make ~config ~pins ~build ()
-
 (* Analyse payloads deliberately carry no wall-clock field: a disk-cache
    hit must produce byte-identical output to the cold solve it replays
    (the envelope's [elapsed_s] is the only timing).  [lp_solves] and
@@ -89,13 +69,14 @@ let ctx_of ~build ~l2 ~pin =
    result, so they survive the round trip unchanged. *)
 let analyse_payload ~target ~build ~l2 ~pin =
   let open Json in
-  let ctx = ctx_of ~build ~l2 ~pin in
-  let config = config_of ~l2 ~pin in
+  let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
   let bound wcet =
     [
       ("target", Str (target_name target)); ("build", Str (build_name build));
       ("l2", Bool l2); ("pin", Bool pin); ("wcet_cycles", int wcet);
-      ("wcet_us", Fixed (3, Hw.Config.cycles_to_us config wcet));
+      ( "wcet_us",
+        Fixed (3, Hw.Config.cycles_to_us ctx.Sel4_rt.Analysis_ctx.config wcet)
+      );
     ]
   in
   match target with
@@ -122,7 +103,7 @@ let run_exn = function
   | Analyse { target; build; l2; pin } ->
       (Envelope.Ok, analyse_payload ~target ~build ~l2 ~pin)
   | Explain { target; build; l2; pin } ->
-      let ctx = ctx_of ~build ~l2 ~pin in
+      let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
       let profile =
         match target with
         | Kernel_entry -> Sel4_rt.Response_time.interrupt_response_profile ctx
@@ -136,8 +117,8 @@ let run_exn = function
       let report, _throughput =
         Sim.run_campaign_timed ~smoke ~seed ?entries ?only ()
       in
-      (* [report_to_json], not [campaign_to_json]: the throughput member
-         is wall-clock and would break response determinism. *)
+      (* The throughput is wall-clock and stays out of the payload, so
+         responses are deterministic. *)
       (gate report.Sim.rp_ok, Sim.report_to_json report)
   | Smp { smoke; seed; entries; cores; shielded; compare } ->
       if compare then begin
@@ -157,8 +138,7 @@ let run_exn = function
         (gate report.Smp.Soak.rp_ok, Smp.Soak.report_to_json report)
       end
   | Inject { smoke; seed; l2 } ->
-      let config = config_of ~l2 ~pin:false in
-      let ctx = Sel4_rt.Analysis_ctx.make ~config () in
+      let ctx = Sel4_rt.Pinning.context ~l2 Sel4.Build.improved in
       let report = Inject.run_campaign ~smoke ~seed ctx in
       (gate (Inject.ok report), Inject.to_json report)
   | Race { smoke } ->

@@ -61,7 +61,9 @@ type outcome = { status : Envelope.status; payload : string }
 val run : request -> outcome
 (** Execute the request; [payload] is the compact JSON text of the
     payload value.  Never raises: an exception becomes an [Error]-status
-    outcome with an [{"error": ...}] payload.  [Fail]
+    outcome with an [{"error": ...}] payload — as does a well-formed
+    request that would run nothing: an unknown [sim] scenario name or an
+    [explore] depth below 1.  [Fail]
     means the command ran but its gate failed (an oracle violation, a
     latency over bound, a non-exact decomposition). *)
 

@@ -106,6 +106,20 @@ let scenarios =
     };
   ]
 
+(* An unknown name is an error: a selection that matched nothing would
+   run an empty campaign and report it ok. *)
+let select_scenarios = function
+  | None -> scenarios
+  | Some names ->
+      List.iter
+        (fun n ->
+          if not (List.exists (fun s -> s.sc_name = n) scenarios) then
+            invalid_arg
+              (Fmt.str "unknown scenario %S (known: %s)" n
+                 (String.concat ", " (List.map (fun s -> s.sc_name) scenarios))))
+        names;
+      List.filter (fun s -> List.mem s.sc_name names) scenarios
+
 (* --- statistics --- *)
 
 type latency_stats = {
@@ -776,11 +790,17 @@ let world_kernel w = w.w_kernel
 let world_entries_done w = w.w_entries_done ()
 let world_finish w = w.w_finish ()
 
-let run_shard ?worst_n ?trace ~build ~config ~selection ~scenario ~entries
+(* A shard runs on its context's build and hardware, with the context's
+   pins (if any) locked into the cache. *)
+let run_shard ?worst_n ?trace ~(actx : Analysis_ctx.t) ~scenario ~entries
     ~bound ~irq_wcet ~inv_every ~(rng : Prng.t) () =
+  let selection =
+    if actx.pins = Analysis_ctx.no_pins then None
+    else Some { Pinning.code_lines = actx.pins.code; data_lines = actx.pins.data }
+  in
   let w =
-    make_world ?worst_n ?trace ~build ~config ~selection ~scenario ~entries
-      ~bound ~irq_wcet ~inv_every ~rng ()
+    make_world ?worst_n ?trace ~build:actx.build ~config:actx.config ~selection
+      ~scenario ~entries ~bound ~irq_wcet ~inv_every ~rng ()
   in
   while not (world_done w) do
     world_step w
@@ -798,10 +818,7 @@ let shard_sizes entries =
 type run_spec = {
   rs_index : int;
   rs_label : string;
-  rs_build : Build.t;
-  rs_pinned : bool;
-  rs_config : Hw.Config.t;
-  rs_selection : Pinning.selection option;
+  rs_actx : Analysis_ctx.t;
   rs_scenario : scenario;
   rs_bound : int;
   rs_irq_wcet : int;
@@ -863,7 +880,7 @@ let finish_acc spec acc =
   {
     rr_scenario = spec.rs_scenario.sc_name;
     rr_build = spec.rs_label;
-    rr_pinned = spec.rs_pinned;
+    rr_pinned = spec.rs_actx.pins <> Analysis_ctx.no_pins;
     rr_entries = acc.ac_entries;
     rr_preempted = acc.ac_preempted;
     rr_restarts = acc.ac_restarts;
@@ -923,11 +940,7 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
   let inv_every =
     match inv_every with Some n -> max 0 n | None -> if smoke then 0 else 512
   in
-  let chosen =
-    match only with
-    | None -> scenarios
-    | Some names -> List.filter (fun s -> List.mem s.sc_name names) scenarios
-  in
+  let chosen = select_scenarios only in
   let root = Prng.create seed in
   (* Analysis inputs, computed once per build variant (serial; the
      engine's cache makes repeats cheap). *)
@@ -936,28 +949,11 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
       (fun sc ->
         List.map
           (fun (label, build, pinned) ->
-            let config =
-              if pinned then Hw.Config.with_pinning Hw.Config.default
-              else Hw.Config.default
-            in
-            let selection = if pinned then Some (Pinning.select build) else None in
-            let pins =
-              match selection with
-              | None -> Analysis_ctx.no_pins
-              | Some sel ->
-                  {
-                    Analysis_ctx.code = sel.Pinning.code_lines;
-                    data = sel.Pinning.data_lines;
-                  }
-            in
-            let actx = Analysis_ctx.make ~config ~pins ~build () in
+            let actx = Pinning.context ~pin:pinned build in
             {
               rs_index = 0;
               rs_label = label;
-              rs_build = build;
-              rs_pinned = pinned;
-              rs_config = config;
-              rs_selection = selection;
+              rs_actx = actx;
               rs_scenario = sc;
               rs_bound = Response_time.interrupt_response_bound actx;
               rs_irq_wcet = Response_time.computed_cycles actx Kernel_model.Interrupt;
@@ -981,10 +977,9 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
             fun () ->
               ( spec.rs_index,
                 shard_i,
-                run_shard ~worst_n ~build:spec.rs_build ~config:spec.rs_config
-                  ~selection:spec.rs_selection ~scenario:spec.rs_scenario
-                  ~entries:n ~bound:spec.rs_bound ~irq_wcet:spec.rs_irq_wcet
-                  ~inv_every
+                run_shard ~worst_n ~actx:spec.rs_actx
+                  ~scenario:spec.rs_scenario ~entries:n ~bound:spec.rs_bound
+                  ~irq_wcet:spec.rs_irq_wcet ~inv_every
                   ~rng:(Prng.split_at run_rng shard_i) () ))
           (shard_sizes entries))
       specs
@@ -1116,15 +1111,6 @@ type forensics = {
          distinct build variant of the campaign *)
 }
 
-let actx_of_spec spec =
-  let pins =
-    match spec.rs_selection with
-    | None -> Analysis_ctx.no_pins
-    | Some sel ->
-        { Analysis_ctx.code = sel.Pinning.code_lines; data = sel.Pinning.data_lines }
-  in
-  Analysis_ctx.make ~config:spec.rs_config ~pins ~build:spec.rs_build ()
-
 (* Replay pass: re-run exactly the shards implicated by pass 1 with a
    trace ring attached, stopping right after the entry that delivered the
    worst interrupt.  Shard streams derive from (seed, run index, shard
@@ -1134,8 +1120,7 @@ let capture_delivery ~root ~spec ~rank (latency, line, cyc, entry_idx, shard_i) 
   let run_rng = Prng.split_at root spec.rs_index in
   let trace = Obs.Trace.create ~capacity:32_768 () in
   let (_ : shard_out) =
-    run_shard ~trace ~build:spec.rs_build ~config:spec.rs_config
-      ~selection:spec.rs_selection ~scenario:spec.rs_scenario
+    run_shard ~trace ~actx:spec.rs_actx ~scenario:spec.rs_scenario
       ~entries:(entry_idx + 1) ~bound:spec.rs_bound ~irq_wcet:spec.rs_irq_wcet
       ~inv_every:0
       ~rng:(Prng.split_at run_rng shard_i) ()
@@ -1202,7 +1187,7 @@ let run_campaign_forensics ?pool ?(seed = 42) ?entries ?smoke ?only ?inv_every
           acc
           @ [
               ( spec.rs_label,
-                Response_time.interrupt_response_profile (actx_of_spec spec) );
+                Response_time.interrupt_response_profile spec.rs_actx );
             ])
       [] specs
   in
@@ -1326,20 +1311,3 @@ let pp_throughput ppf th =
     "throughput: %.2fs wall, %.0f entries/s, %.1f minor words/entry, peak RSS %d kB@."
     th.th_wall_s th.th_entries_per_sec th.th_minor_words_per_entry
     th.th_peak_rss_kb
-
-(* The report with a throughput member appended.  The throughput
-   figures are wall-clock (not deterministic), so they stay out of
-   [report_json] itself — the byte-identity contract covers only the
-   simulated-time report. *)
-let campaign_to_json r th =
-  let open Obs.Json in
-  let throughput =
-    Obj
-      [
-        ("wall_s", Fixed (3, th.th_wall_s));
-        ("entries_per_sec", Fixed (0, th.th_entries_per_sec));
-        ("minor_words_per_entry", Fixed (1, th.th_minor_words_per_entry));
-        ("peak_rss_kb", int th.th_peak_rss_kb);
-      ]
-  in
-  Obj (report_fields r @ [ ("throughput", throughput) ])

@@ -37,6 +37,12 @@ type scenario = {
 val scenarios : scenario list
 (** The standard five-scenario soak mix. *)
 
+val select_scenarios : string list option -> scenario list
+(** The scenarios named in the list, in {!scenarios} order; every
+    scenario for [None].
+    @raise Invalid_argument naming the known scenarios if a name is
+    unknown. *)
+
 (** Exact latency statistics of one run, in cycles.  Percentiles are
     computed from the full sorted sample (not a sketch); [ls_buckets] is
     the log2 histogram in {!Obs.Metrics} bucket convention (exponent [k]
@@ -190,7 +196,8 @@ val run_campaign :
 (** Run every scenario against the three scheduler variants (all other
     improvements enabled) plus a cache-pinned variant of the improved
     build, [entries] kernel entries each (default 52_000, or 1_500 with
-    [smoke]).  [only] restricts to the named scenarios.  The gate holds
+    [smoke]).  [only] restricts to the named scenarios
+    ({!select_scenarios}).  The gate holds
     when every observed latency is within its computed bound — plain for
     single-outstanding deliveries, plus one interrupt-path WCET per other
     delivery in the response window — and no sampled invariant check
@@ -254,15 +261,10 @@ val run_campaign_forensics :
 val pp_report : report Fmt.t
 
 val report_to_json : report -> Obs.Json.t
-(** The report as a JSON object (the ["sim"] section of
-    [BENCH_wcet.json], the [sim] serve payload). *)
+(** The report as a JSON object (the [sim] serve payload). *)
 
 val report_json : report -> string
 (** {!report_to_json} rendered by {!Obs.Json.to_string}: the bytes
     pinned by [test/sim_smoke_report.golden.json]. *)
 
 val pp_throughput : throughput Fmt.t
-
-val campaign_to_json : report -> throughput -> Obs.Json.t
-(** {!report_to_json} with a ["throughput"] member appended (wall-clock
-    figures, not covered by byte-identity). *)

@@ -282,12 +282,7 @@ let run ?(seed = 42) ?entries ?(smoke = false) ?inv_every ?only ~cores ~policy
     | None -> if smoke then 256 else 512
   in
   let topo = Topology.make ~cores ~policy in
-  let chosen =
-    match only with
-    | None -> Sim.scenarios
-    | Some names ->
-        List.filter (fun s -> List.mem s.Sim.sc_name names) Sim.scenarios
-  in
+  let chosen = Sim.select_scenarios only in
   (* Same analysis inputs as the single-core campaign's benno_bitmap
      variant: the per-core bounds extend this base. *)
   let actx =

@@ -3,8 +3,8 @@
    [Sys.time] reports *CPU* time summed over every running thread, which
    both stalls (while blocked) and over-counts (once analyses fan out
    across OCaml 5 domains).  Elapsed-time reporting must use a monotonic
-   wall clock instead; the C stub below (shipped with bechamel, already a
-   bench dependency) wraps clock_gettime(CLOCK_MONOTONIC). *)
+   wall clock instead; the C stub below (shipped with bechamel's
+   monotonic_clock library) wraps clock_gettime(CLOCK_MONOTONIC). *)
 
 let now_ns () = Monotonic_clock.now ()
 

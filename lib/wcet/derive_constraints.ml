@@ -112,18 +112,25 @@ let derive_conflicts m ai =
       (mapped_pairs m)
 
 (* The polarity-normalised guard of a block with a unique, exactly-once
-   branch predecessor: the condition under which the block executes. *)
-let guard_of m ai la =
+   branch predecessor: the condition under which the block executes.  The
+   terminator is read from the SSA form, so equal operands are equal
+   values: a register redefined between two syntactically identical
+   branches carries a new version there. *)
+let guard_of ai la =
   match AI.pred_labels ai la with
   | [ p ] when AI.exactly_once ai p -> (
-      let b = L.block_exn m.dm_program p in
-      match b.term with
+      match (Tac.Ssa.block_exn (AI.ssa ai) p).term with
       | L.Branch (c, x, y, l1, l2) when l1 <> l2 ->
           if la = l1 then Some (p, c, x, y)
           else if la = l2 then Some (p, negate_cmp c, x, y)
           else None
       | _ -> None)
   | _ -> None
+
+(* An SSA operand under its source register name. *)
+let pp_source ppf = function
+  | L.Reg r -> L.pp_operand ppf (L.Reg (Tac.Ssa.base_of r))
+  | o -> L.pp_operand ppf o
 
 let same_guard (c1, x1, y1) (c2, x2, y2) =
   (c1 = c2 && x1 = x2 && y1 = y2)
@@ -137,7 +144,7 @@ let derive_consistents m ai =
   else
     List.filter_map
       (fun ((la, ka), (lb, kb)) ->
-        match (guard_of m ai la, guard_of m ai lb) with
+        match (guard_of ai la, guard_of ai lb) with
         | Some (pa, c1, x1, y1), Some (pb, c2, x2, y2)
           when pa <> pb && same_guard (c1, x1, y1) (c2, x2, y2) ->
             Some
@@ -147,7 +154,7 @@ let derive_consistents m ai =
                   dv_rule = Equal_guards;
                   dv_note =
                     Fmt.str "both guarded by %a %a %a (at %s and %s)"
-                      L.pp_operand x1 L.pp_cmp c1 L.pp_operand y1 pa pb;
+                      pp_source x1 L.pp_cmp c1 pp_source y1 pa pb;
                 } )
         | _ -> None)
       (mapped_pairs m)

@@ -106,8 +106,8 @@ type prepared = {
   prep_elapsed_s : float;
 }
 
-(* Per-stage wall-time spans for the metrics registry (bench --json,
-   sel4rt metrics).  Wall time never feeds the event tracer. *)
+(* Per-stage wall-time spans for the metrics registry (sel4rt metrics,
+   perfbench).  Wall time never feeds the event tracer. *)
 let span_prepare = Obs.Metrics.histogram "ipet.prepare"
 let span_cache = Obs.Metrics.histogram "ipet.cache_analysis"
 let span_build = Obs.Metrics.histogram "ipet.ilp_build"

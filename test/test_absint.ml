@@ -361,6 +361,36 @@ let test_derive_rules () =
     (has_constraint r (Wcet.User_constraint.conflicts ~func:"f" "A1" "A2"));
   check_int "four conflicts + two consistents" 6 (List.length r.DC.rep_derived)
 
+(* The same two branches with [t] redefined between them: the guards are
+   syntactically identical but read different values, so equal guards
+   must not relate the arms (with t = 0 the run takes a1 and b2). *)
+let redefined_guard : DC.model =
+  let program =
+    {
+      delivery_like.DC.dm_program with
+      L.blocks =
+        List.map
+          (fun (blk : L.block) ->
+            if blk.L.label <> "m" then blk
+            else { blk with L.instrs = [ L.Assign ("t", L.Imm 1) ] })
+          delivery_like.DC.dm_program.L.blocks;
+    }
+  in
+  { delivery_like with DC.dm_name = "redefined"; dm_program = program }
+
+let test_redefined_guard () =
+  let program = redefined_guard.DC.dm_program in
+  let _, trace = Tac.Interp.run program ~inputs:[ ("t", 0) ] in
+  check_int "concrete t=0 runs a1" 1 (Tac.Interp.visits trace "a1");
+  check_int "concrete t=0 skips a2" 0 (Tac.Interp.visits trace "a2");
+  let r = DC.derive [ redefined_guard ] in
+  check_bool "no equal-guards constraint" false
+    (List.exists
+       (fun (_, d) -> d.DC.dv_rule = DC.Equal_guards)
+       r.DC.rep_derived);
+  check_bool "A1 not consistent with A2" false
+    (has_constraint r (Wcet.User_constraint.consistent ~func:"f" "A1" "A2"))
+
 let verdict_of report c =
   match
     List.find_opt (fun l -> l.DC.al_constraint = c) report.DC.rep_audit
@@ -468,6 +498,7 @@ let () =
       ( "derive",
         [
           Alcotest.test_case "rules" `Quick test_derive_rules;
+          Alcotest.test_case "redefined guard" `Quick test_redefined_guard;
           Alcotest.test_case "audit verdicts" `Quick test_audit_verdicts;
           Alcotest.test_case "loop cap" `Quick test_loop_cap_derivation;
           Alcotest.test_case "kernel audit" `Quick test_kernel_audit_complete;

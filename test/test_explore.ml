@@ -118,10 +118,20 @@ let test_smoke_campaign () =
   List.iter
     (fun s ->
       check_bool "explored some schedules" true (s.Explore.e_explored > 0);
+      check_bool "pruned some schedules" true (s.Explore.e_pruned > 0);
       check_bool "deduped some states" true (s.Explore.e_deduped > 0);
+      check_bool "deduped within explored" true
+        (s.Explore.e_deduped <= s.Explore.e_explored);
       check_int "counts add up" s.Explore.e_universe
         (s.Explore.e_explored + s.Explore.e_pruned))
-    r.Explore.x_scens
+    r.Explore.x_scens;
+  (* A depth below 1 has an empty universe: rejected, not a vacuous ok. *)
+  List.iter
+    (fun depth ->
+      match Explore.run ~smoke:true ~depth ctx with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "depth %d accepted" depth)
+    [ 0; -1 ]
 
 let test_badged_abort_requeue () =
   (* The cross-op interference scenario: a client re-queues on the

@@ -135,21 +135,6 @@ let test_envelope_no_id_and_bad_payload () =
   check_string "error helper message" "boom"
     (Option.get (J.to_string_opt (member_exn "error" (member_exn "payload" v))))
 
-(* The bench report's speedup field: present only when more than one
-   domain actually ran, so a single-domain bench can never ship a noise
-   ratio that reads like a parallelism regression. *)
-let test_envelope_speedup_field () =
-  let field = E.speedup_field ~serial_fresh_wall_s:9.0 ~engine_wall_s:3.0 in
-  check_bool "omitted at 1 domain" true (field ~domains:1 = None);
-  check_bool "omitted at 0 domains" true (field ~domains:0 = None);
-  check_bool "present at 2 domains" true
-    (field ~domains:2 = Some (J.Fixed (6, 3.0)));
-  check_string "renders with 6 decimals" "3.000000"
-    (J.to_compact (Option.get (field ~domains:2)));
-  check_bool "zero engine wall degrades to 0, not a crash" true
-    (E.speedup_field ~domains:4 ~serial_fresh_wall_s:9.0 ~engine_wall_s:0.0
-    = Some (J.Fixed (6, 0.0)))
-
 (* --- Query wire parsing --- *)
 
 let test_query_of_json () =
@@ -193,6 +178,19 @@ let test_query_of_json () =
       {|{"query": "sim", "entries": 0}|};
       {|{"query": "smp", "entries": -5}|};
       {|{"query": "smp", "cores": 0}|};
+    ];
+  (* Well-formed requests the command itself rejects, for the same
+     reason: they would run nothing and report ok. *)
+  List.iter
+    (fun s ->
+      match req s with
+      | Ok (_, r) ->
+          check_bool ("error status for " ^ s) true
+            ((Q.run r).Q.status = E.Error)
+      | Error msg -> Alcotest.failf "expected %s to parse: %s" s msg)
+    [
+      {|{"query": "sim", "scenarios": ["typo"]}|};
+      {|{"query": "explore", "depth": 0}|};
     ]
 
 let test_query_respond_deterministic () =
@@ -391,26 +389,45 @@ let test_memo_disk_warm_start () =
   DC.set_dir (fresh_dir ());
   DC.install ();
   Fun.protect ~finally:DC.uninstall (fun () ->
+      (* The default key, plus the manual-only and derived-only constraint
+         sources and the unconstrained baseline (Section 6.3) over the same
+         prefix: each is its own disk key. *)
+      let analyse () =
+        let computed ?use_constraints ?sources () =
+          AC.computed ?use_constraints ?sources ~config:Hw.Config.with_l2
+            Sel4.Build.original KM.Interrupt
+        in
+        [
+          Sel4_rt.Response_time.computed (private_ctx ()) KM.Interrupt;
+          computed ~sources:`Manual ();
+          computed ~sources:`Derived ();
+          computed ~use_constraints:false ();
+        ]
+      in
       AC.reset ();
-      let cold = Sel4_rt.Response_time.computed (private_ctx ()) KM.Interrupt in
+      let cold = analyse () in
       let s = AC.stats () in
-      check_int "cold run solves" 1 s.AC.misses;
+      check_int "cold run solves" 4 s.AC.misses;
       check_int "cold run has no disk hits" 0 s.AC.disk_hits;
-      (* A fresh memo (fresh process, same disk): the result must come
-         back from disk with zero cold solves and the identical bound. *)
+      (* A fresh memo (fresh process, same disk): the results must come
+         back from disk with zero cold solves and the identical bounds. *)
       AC.reset ();
-      let warm = Sel4_rt.Response_time.computed (private_ctx ()) KM.Interrupt in
+      let warm = analyse () in
       let s = AC.stats () in
       check_int "warm run never solves" 0 s.AC.misses;
-      check_int "warm run disk hit" 1 s.AC.disk_hits;
-      check_int "bit-identical bound" cold.Wcet.Ipet.wcet warm.Wcet.Ipet.wcet;
-      check_bool "block counts identical" true
-        (cold.Wcet.Ipet.block_counts = warm.Wcet.Ipet.block_counts);
-      check_bool "binding constraints identical" true
-        (cold.Wcet.Ipet.binding_constraints
-        = warm.Wcet.Ipet.binding_constraints);
-      check_int "solver stats identical" cold.Wcet.Ipet.lp_solves
-        warm.Wcet.Ipet.lp_solves)
+      check_int "warm run disk hits" 4 s.AC.disk_hits;
+      List.iter2
+        (fun (cold : Wcet.Ipet.result) (warm : Wcet.Ipet.result) ->
+          check_int "bit-identical bound" cold.Wcet.Ipet.wcet
+            warm.Wcet.Ipet.wcet;
+          check_bool "block counts identical" true
+            (cold.Wcet.Ipet.block_counts = warm.Wcet.Ipet.block_counts);
+          check_bool "binding constraints identical" true
+            (cold.Wcet.Ipet.binding_constraints
+            = warm.Wcet.Ipet.binding_constraints);
+          check_int "solver stats identical" cold.Wcet.Ipet.lp_solves
+            warm.Wcet.Ipet.lp_solves)
+        cold warm)
 
 (* The same contract across a real process boundary: a child process
    (this binary, re-executed with SEL4RT_SERVE_CHILD=populate) fills the
@@ -499,8 +516,6 @@ let () =
           Alcotest.test_case "schema pin" `Quick test_envelope_schema;
           Alcotest.test_case "no id / bad payload" `Quick
             test_envelope_no_id_and_bad_payload;
-          Alcotest.test_case "speedup field omitted at 1 domain" `Quick
-            test_envelope_speedup_field;
         ] );
       ( "query",
         [
