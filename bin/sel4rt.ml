@@ -566,50 +566,6 @@ let metrics_cmd =
           with $(b,--json).")
     Term.(const run $ l2_arg $ runs_arg $ json_arg)
 
-let inject_cmd =
-  let run smoke seed l2 json =
-    if json then
-      emit_envelope
-        (Serve.Query.respond (Serve.Query.Inject { smoke; seed; l2 }))
-    else begin
-      let ctx = Sel4_rt.Pinning.context ~l2 Sel4.Build.improved in
-      let report = Inject.run_campaign ~smoke ~seed ctx in
-      Fmt.pr "%a@." Inject.pp_report report;
-      if not (Inject.ok report) then exit 1
-    end
-  in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Small workloads and few random schedules: the fast fixed-seed \
-             CI configuration.")
-  in
-  let seed_arg =
-    Arg.(
-      value & opt int 42
-      & info [ "seed" ] ~docv:"N"
-          ~doc:"PRNG seed for the multi-interrupt schedules.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the machine-readable campaign report (same envelope as \
-             $(b,sel4rt explore --json)) instead of the readable table.")
-  in
-  Cmd.v
-    (Cmd.info "inject"
-       ~doc:
-         "Exhaustive preemption-point fault-injection campaign: replay every \
-          long-running operation injecting timer interrupts at each polled \
-          preemption point, check the invariant catalogue and restart \
-          progress after every kernel exit, and differentially compare final \
-          states across scheduler variants. Exits non-zero on any failure.")
-    Term.(const run $ smoke_arg $ seed_arg $ l2_arg $ json_arg)
-
 let race_cmd =
   let run smoke json =
     if json then
@@ -626,7 +582,7 @@ let race_cmd =
     Arg.(
       value & flag
       & info [ "smoke" ]
-          ~doc:"Audit against the small injection workloads (the CI run).")
+          ~doc:"Audit against the small operation workloads (the CI run).")
   in
   let json_arg =
     Arg.(
@@ -673,7 +629,9 @@ let explore_cmd =
     Arg.(
       value & flag
       & info [ "smoke" ]
-          ~doc:"Depth-2 ep-delete scenario only: the fast CI configuration.")
+          ~doc:
+            "Small operation workloads for the sweep and DPOR depth 2: the \
+             fast configuration.")
   in
   let depth_arg =
     Arg.(
@@ -689,18 +647,23 @@ let explore_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Emit the machine-readable report (same envelope as $(b,sel4rt \
-             inject --json)) instead of the readable table.")
+            "Emit the machine-readable campaign report (in the envelope \
+             every $(b,--json) output shares) instead of the readable \
+             table.")
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
-         "DPOR schedule explorer: systematically enumerate multi-preemption \
-          schedules that run interfering client actions in the windows the \
-          preemptions open, prune schedules whose actions provably commute \
-          (static interference analysis), deduplicate final states by \
-          canonical digest, and judge every explored schedule with the \
-          injection oracles. Exits non-zero on any oracle failure.")
+         "Preemption-schedule campaign over the four long-running \
+          operations: uninterrupted baselines, a preemption at every \
+          polled point alone and all at once, and DPOR over schedules that \
+          run interfering client actions in the windows the preemptions \
+          open, pruning those whose actions provably commute (static \
+          interference analysis). Every schedule runs under the three \
+          scheduler variants with the invariant catalogue, strict \
+          restart progress and final-state agreement checked; failures \
+          are shrunk to 1-minimal schedules. Exits non-zero on any \
+          failure.")
     Term.(const run $ smoke_arg $ depth_arg $ json_arg)
 
 let sim_cmd =
@@ -927,7 +890,7 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Long-lived analysis service: accept newline-delimited JSON queries \
-          (analyse, explain, metrics, sim, inject, race, explore) and answer \
+          (analyse, explain, metrics, sim, smp, race, explore) and answer \
           each with one envelope line.  Queries share the in-process \
           analysis caches, the Domain pool and the on-disk \
           content-addressed result cache, so repeated bounds come back \
@@ -973,7 +936,6 @@ let () =
             pins_cmd;
             trace_cmd;
             metrics_cmd;
-            inject_cmd;
             race_cmd;
             explore_cmd;
             sim_cmd;

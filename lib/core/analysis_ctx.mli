@@ -4,7 +4,7 @@
     so drivers take [Analysis_ctx.t] instead of re-copying the
     [?params ?pins ~config build] label sprawl.
 
-    {!Response_time}, {!Workloads}, {!Experiments} and [Inject] are all
+    {!Response_time}, {!Workloads}, {!Experiments} and [Explore] are all
     expressed in terms of it; the deprecated optional-label wrappers that
     bridged one release have been removed. *)
 

@@ -1,13 +1,9 @@
 (* Splitmix64 (Steele, Lea & Flood, OOPSLA'14): a 64-bit state advanced by
    a golden-ratio increment and finalised through two xor-multiply rounds.
    Chosen because it is tiny, fast, passes BigCrush, and — critically for
-   the injection and soak campaigns — supports cheap stream splitting, so
-   every shard, tenant and device owns an independent deterministic
-   sequence derived from one seed.
-
-   The output sequence for [create seed] is bit-identical to the private
-   generator the fault-injection engine shipped with, so historical
-   campaign results (seed 42) are unchanged by the hoist. *)
+   the soak campaigns — supports cheap stream splitting, so every shard,
+   tenant and device owns an independent deterministic sequence derived
+   from one seed. *)
 
 type t = { mutable state : int64 }
 

@@ -1,9 +1,11 @@
 (** The repository's single audited randomness source: splitmix64 with a
     splittable-stream interface.
 
-    Both the fault-injection campaigns ({!Inject}) and the soak simulator
-    ({!Sim}) draw every random decision from this module, so a seed fully
+    The soak simulators, single-core ({!Sim}) and SMP ({!Smp.Soak}),
+    draw every random decision from this module, so a seed fully
     determines a campaign and the generator only has to be audited once.
+    (The preemption-schedule campaign, {!Explore}, is exhaustive and
+    draws nothing.)
 
     Streams are cheap mutable values.  {!split} derives a statistically
     independent child stream from the parent's state without disturbing
@@ -14,8 +16,8 @@
 type t
 
 val create : int -> t
-(** A stream seeded with [seed].  The output sequence is identical to the
-    historical private generator of [lib/inject] for the same seed. *)
+(** A stream seeded with [seed]: [Int64.of_int seed] is the initial
+    state. *)
 
 val of_state : int64 -> t
 (** A stream starting from a raw 64-bit state (for replaying a child

@@ -1,15 +1,22 @@
-(* Stateless DPOR-style exploration of multi-preemption schedules.
+(* The preemption-schedule campaign: every preemption point of the four
+   long-running operations must restart safely (Sections 3.3-3.6).
 
-   The injection campaign ([Inject]) sweeps single interrupts and random
-   multi-interrupt schedules; this module turns the same workloads into a
-   systematic model checker over {e interleavings}: a schedule places a
-   preemption at a chosen poll index and runs a client {e action} — a
-   signal, a notification poll, a re-queueing send — in the window the
-   preemption opens, before the long-running operation restarts.
+   A schedule places preemptions at chosen poll indices of an operation's
+   replay ([Inject] supplies the workloads) and runs a client {e action}
+   — a signal, a notification poll, a re-queueing send, or nothing (a
+   "pause") — in the window each preemption opens, before the operation
+   restarts.  Per operation the campaign runs
 
-   Exhaustive enumeration of (polls x actions) explodes, so schedules are
-   pruned with the static interference relation of [Race], in the style
-   of dynamic partial-order reduction with persistent/sleep sets:
+   - the uninterrupted baselines under the three scheduler variants,
+     which must agree on poll count H and final-state digest;
+   - the sweep: a pause at each poll k in 1..H alone, then a pause at
+     every poll, each of which must reach the baseline digest; and
+   - DPOR over the operation's client-action alphabet (empty for
+     retype_clear and vspace_delete).
+
+   Exhaustive enumeration of (polls x actions) explodes, so DPOR prunes
+   schedules with the static interference relation of [Race], in the
+   style of dynamic partial-order reduction with persistent/sleep sets:
 
    - An action whose footprint commutes (no semantic conflict) with every
      section of the operation, with the IRQ-delivery path {e and} with
@@ -22,17 +29,21 @@
    - Actions that do conflict (with the operation or with each other) are
      {e decisions}: every placement and relative order is explored.
 
-   Every explored schedule is judged by the injection oracles (invariant
-   catalogue after each kernel exit, strict decrease of the progress
-   measure, final-state digest agreement across the three scheduler
-   variants), and final states are deduplicated by canonical digest —
-   schedules converging on an already-validated state skip the
-   differential replay.
+   Every schedule, whichever step produced it, is judged by one oracle:
+   the invariant catalogue after each kernel exit, strict decrease of the
+   progress measure between consecutive preemptions, and agreement of the
+   final states across the three scheduler variants.  DPOR's final
+   states are also deduplicated by canonical digest; that only counts.
+   Failing schedules are shrunk to 1-minimal ones and replayed under the
+   tracer for a timeline.
 
-   The pruning-soundness test ([test_explore]) checks the construction
-   empirically: naive full enumeration and DPOR exploration must reach
-   exactly the same set of final-state digests, with a substantial
-   fraction pruned. *)
+   Multi-pause schedules add nothing to the sweep: the state at a
+   preempted exit depends only on the poll index (pinned by
+   [test_explore]), so the sweep plus the preempt-everywhere schedule
+   cover every pause-only interleaving.  The pruning-soundness test
+   checks the DPOR construction empirically: naive full enumeration and
+   DPOR exploration must reach exactly the same set of final-state
+   digests, with a substantial fraction pruned. *)
 
 open Sel4.Ktypes
 module K = Sel4.Kernel
@@ -133,13 +144,19 @@ let op_sections op =
   match op with
   | Inject.Ep_delete | Inject.Badged_abort -> [ ep_sections; irq_deliver ]
   | Inject.Retype_clear | Inject.Vspace_delete ->
-      invalid_arg "Explore: only ep_delete and badged_abort have scenarios"
+      (* No client-action scenario names these operations' objects: take
+         the class-level catalogue sections, which name no instance and
+         so conflict with every one. *)
+      List.filter_map
+        (fun (s : Race.section) ->
+          if s.sec_op = Some (Inject.op_name op) then Some s.sec_fp else None)
+        Race.catalogue
+      @ [ irq_deliver ]
 
 let actions_for = function
   | Inject.Ep_delete -> ep_delete_actions
   | Inject.Badged_abort -> badged_abort_actions
-  | Inject.Retype_clear | Inject.Vspace_delete ->
-      invalid_arg "Explore: only ep_delete and badged_abort have scenarios"
+  | Inject.Retype_clear | Inject.Vspace_delete -> []
 
 (* Globally independent: commutes (on digest-visible state) with the
    operation's sections, the IRQ path, and every other action. *)
@@ -160,25 +177,23 @@ let independent_actions op alphabet =
 
 (* --- scenario workload extras --- *)
 
-(* Spawned after [Inject.setup]: the notifications the actions target and
-   a runnable actor thread per acting slot.  Slots 50+ are disjoint from
-   the injection workloads (endpoint at 10, badged caps at 11/12, parked
-   senders from 20). *)
+(* Spawned after [Inject.setup] when the alphabet is not empty: the
+   notifications the actions target and a runnable actor thread per
+   acting slot.  Slots 50+ are disjoint from the operation workloads
+   (endpoint at 10, badged caps at 11/12, parked senders from 20). *)
 let extra_setup op env =
-  ignore (B.spawn_notification env ~dest:50);
-  ignore (B.spawn_notification env ~dest:51);
-  let actor_slots =
-    actions_for op
+  let alphabet = actions_for op in
+  if alphabet <> [] then begin
+    ignore (B.spawn_notification env ~dest:50);
+    ignore (B.spawn_notification env ~dest:51);
+    alphabet
     |> List.filter_map (fun a ->
            if a.act_event = None then None else Some a.act_actor_slot)
     |> List.sort_uniq compare
-  in
-  List.iter
-    (fun slot ->
-      let t = B.spawn_thread env ~priority:50 ~dest:slot in
-      B.make_runnable env t)
-    actor_slots;
-  K.force_run env.B.k env.B.root_tcb
+    |> List.iter (fun slot ->
+           B.make_runnable env (B.spawn_thread env ~priority:50 ~dest:slot));
+    K.force_run env.B.k env.B.root_tcb
+  end
 
 let tcb_at env slot =
   match env.B.root_cnode.cn_slots.(slot).cap with
@@ -262,12 +277,15 @@ let check_invariants k =
   | Ok () -> Ok ()
   | Error ms -> Error ("invariants: " ^ String.concat "; " ms)
 
+type run = { r_digest : string; r_polls : int; r_restarts : int }
+
 (* Replay [op] under [build], firing the preemptions of [schedule] and
-   running each fired action in the window its preemption opens.  Returns
-   the final digest and the total polls of the run. *)
-let run_sched ~build ~op ~sz ~(schedule : sched) () =
+   running each fired action in the window its preemption opens.  After
+   every kernel exit the invariant catalogue runs and the progress
+   measure is checked. *)
+let run_sched ?cpu ~build ~op ~sz ~(schedule : sched) () =
   match
-    let env = B.boot build in
+    let env = B.boot ?cpu build in
     let d = Inject.setup env sz op in
     extra_setup op env;
     let k = env.B.k in
@@ -302,7 +320,12 @@ let run_sched ~build ~op ~sz ~(schedule : sched) () =
             else begin
               let polls = K.preempt_polls k in
               K.set_injection_hook k None;
-              Ok (Sel4.Digest.of_kernel k, polls)
+              Ok
+                {
+                  r_digest = Sel4.Digest.of_kernel k;
+                  r_polls = polls;
+                  r_restarts = entries - 1;
+                }
             end
         | K.Preempted ->
             let m = d.d_measure () in
@@ -336,217 +359,292 @@ let run_sched ~build ~op ~sz ~(schedule : sched) () =
   | exception B.Boot_failure e -> Error ("setup: " ^ e)
   | exception Sel4.Invariants.Violation e -> Error ("invariant raised: " ^ e)
 
+(* Replay a failing schedule with the cycle-accurate tracer attached and
+   render the event timeline for the report. *)
+let timeline ~config ~build ~op ~sz schedule =
+  let cpu = Hw.Cpu.create config in
+  let buf = Obs.Trace.create ~capacity:8192 () in
+  Hw.Cpu.set_trace_buffer cpu buf;
+  ignore (run_sched ~cpu ~build ~op ~sz ~schedule ());
+  Fmt.str "%a" Obs.Trace.pp_timeline buf
+
 (* --- reports --- *)
 
 type failure = {
   x_variant : string;
   x_schedule : (int * string) list;
+  x_min_schedule : (int * string) list;
   x_reason : string;
+  x_timeline : string;
 }
 
-type scen_report = {
-  e_scenario : string;
+type op_report = {
+  e_op : Inject.op;
+  e_points : int;
+  e_runs : int;
+  e_max_restarts : int;
   e_depth : int;
-  e_polls : int;  (** H: polls of the uninterrupted reference run *)
+  e_polls : int;
   e_alphabet : string list;
-  e_independent : string list;  (** globally-independent subset *)
+  e_independent : string list;
   e_universe : int;
   e_explored : int;
   e_pruned : int;
-  e_deduped : int;  (** explored schedules converging on a seen digest *)
+  e_deduped : int;
   e_digest_classes : int;
-  e_runs : ((int * string) list * string) list;
-      (** explored schedule -> final digest (first variant) *)
+  e_digests : ((int * string) list * string) list;
   e_failures : failure list;
 }
 
 type report = {
   x_smoke : bool;
   x_depth : int;
-  x_scens : scen_report list;
+  x_ops : op_report list;
   x_total_runs : int;
 }
 
 (* --- metrics --- *)
 
 let m_runs = Obs.Metrics.counter "explore.runs"
+let m_points = Obs.Metrics.counter "explore.points_covered"
 let m_universe = Obs.Metrics.counter "explore.universe"
 let m_explored = Obs.Metrics.counter "explore.explored"
 let m_pruned = Obs.Metrics.counter "explore.pruned"
 let m_deduped = Obs.Metrics.counter "explore.deduped"
 let m_failures = Obs.Metrics.counter "explore.failures"
+let m_shrink_runs = Obs.Metrics.counter "explore.shrink_runs"
+let m_max_restarts = Obs.Metrics.counter "explore.max_restarts"
 
-(* --- the exploration --- *)
+(* --- the campaign --- *)
 
-let scenario_depth ~depth op =
-  match op with
-  | Inject.Ep_delete -> depth
-  | Inject.Badged_abort -> min depth 2
-  | _ -> depth
+let vname (b : Sel4.Build.t) = Inject.variant_name b.sched
 
-let run_scenario ?(naive = false) ~depth (actx : Sel4_rt.Analysis_ctx.t) op =
-  (* Workload sizes stay at smoke scale: the breadth here is the schedule
-     space, not the object counts, and poll indices must stay enumerable. *)
-  let sz = Inject.sizes ~smoke:true in
-  let builds = Inject.variants ~base:actx.Sel4_rt.Analysis_ctx.build op in
-  let v0 = List.hd builds in
-  let total_runs = ref 0 in
-  let run ~build schedule =
-    incr total_runs;
-    Obs.Metrics.incr m_runs;
-    run_sched ~build ~op ~sz ~schedule ()
+let run_op ?(naive = false) ?(planted = fun _ -> None) ~smoke ~depth
+    (actx : Sel4_rt.Analysis_ctx.t) op =
+  let builds = Inject.variants ~base:actx.build op in
+  let runs = ref 0 in
+  let max_restarts = ref 0 in
+  let failures = ref [] in
+  (* The one oracle every schedule is judged (and shrunk) by: the planted
+     fault, then a replay under each build, then agreement of the final
+     states across the builds and, when given, with [expect]. *)
+  let judge ~sz ~builds ~expect schedule =
+    match planted schedule with
+    | Some reason -> Error (List.hd builds, "planted", reason)
+    | None -> (
+        let rec replay acc = function
+          | [] -> Ok (List.rev acc)
+          | build :: more -> (
+              incr runs;
+              Obs.Metrics.incr m_runs;
+              match run_sched ~build ~op ~sz ~schedule () with
+              | Error e -> Error (build, vname build, e)
+              | Ok r ->
+                  max_restarts := max !max_restarts r.r_restarts;
+                  replay ((build, r) :: acc) more)
+        in
+        let* results = replay [] builds in
+        let b0, r0 = List.hd results in
+        match
+          List.find_opt
+            (fun (_, r) -> r.r_polls <> r0.r_polls || r.r_digest <> r0.r_digest)
+            results
+        with
+        | Some (b, r) ->
+            Error
+              ( b,
+                "differential",
+                Fmt.str "runs diverge between %s and %s (%s)" (vname b0)
+                  (vname b)
+                  (if r.r_polls <> r0.r_polls then
+                     Fmt.str "polls %d vs %d" r0.r_polls r.r_polls
+                   else "final states differ") )
+        | None -> (
+            match expect with
+            | Some d when r0.r_digest <> d ->
+                Error
+                  (b0, vname b0, "final state differs from uninterrupted run")
+            | _ -> Ok r0))
   in
-  (* The uninterrupted reference run fixes H, the poll universe. *)
-  let polls =
-    match run ~build:v0 [] with
-    | Ok (_, polls) -> polls
-    | Error e -> invalid_arg ("Explore: reference run failed: " ^ e)
+  (* Judge [schedule]; a failure is shrunk, replayed under the tracer and
+     recorded. *)
+  let check ~sz ~builds ~expect schedule =
+    match judge ~sz ~builds ~expect schedule with
+    | Ok r -> Some r
+    | Error (build, variant, reason) ->
+        let fails cand =
+          Obs.Metrics.incr m_shrink_runs;
+          Result.is_error (judge ~sz ~builds ~expect cand)
+        in
+        let min_schedule = Inject.shrink ~fails schedule in
+        failures :=
+          {
+            x_variant = variant;
+            x_schedule = descr schedule;
+            x_min_schedule = descr min_schedule;
+            x_reason = reason;
+            x_timeline =
+              timeline ~config:actx.config ~build ~op ~sz min_schedule;
+          }
+          :: !failures;
+        None
   in
   let alphabet = actions_for op in
   let indep = independent_actions op alphabet in
-  let all = universe ~polls ~depth alphabet in
-  let seen = Hashtbl.create 64 in
-  let explored = ref 0 in
-  let pruned = ref 0 in
-  let deduped = ref 0 in
-  let runs = ref [] in
-  let failures = ref [] in
-  let fail variant schedule reason =
-    failures :=
-      { x_variant = variant; x_schedule = descr schedule; x_reason = reason }
-      :: !failures
+  (* DPOR keeps smoke sizes: its breadth is the schedule space, not the
+     object counts, and poll indices must stay enumerable.  Returns H,
+     the universe size, the explored count and each explored schedule's
+     final digest. *)
+  let dpor_sz = Inject.sizes ~smoke:true in
+  let dpor polls =
+    let all = universe ~polls ~depth alphabet in
+    let explored =
+      if naive then all else List.filter (canonical ~polls ~indep) all
+    in
+    let builds = if naive then [ List.hd builds ] else builds in
+    let digests =
+      List.filter_map
+        (fun schedule ->
+          check ~sz:dpor_sz ~builds ~expect:None schedule
+          |> Option.map (fun r -> (descr schedule, r.r_digest)))
+        explored
+    in
+    (polls, List.length all, List.length explored, digests)
   in
-  List.iter
-    (fun schedule ->
-      if (not naive) && not (canonical ~polls ~indep schedule) then
-        incr pruned
-      else begin
-        incr explored;
-        match run ~build:v0 schedule with
-        | Error e ->
-            fail (Inject.variant_name v0.Sel4.Build.sched) schedule e
-        | Ok (d0, _) ->
-            runs := (descr schedule, d0) :: !runs;
-            if Hashtbl.mem seen d0 then incr deduped
-            else begin
-              Hashtbl.replace seen d0 ();
-              if not naive then
-                List.iter
-                  (fun build ->
-                    match run ~build schedule with
-                    | Error e ->
-                        fail
-                          (Inject.variant_name build.Sel4.Build.sched)
-                          schedule e
-                    | Ok (d, _) ->
-                        if d <> d0 then
-                          fail "differential" schedule
-                            (Fmt.str
-                               "final state diverges between %s and %s"
-                               (Inject.variant_name v0.Sel4.Build.sched)
-                               (Inject.variant_name build.Sel4.Build.sched)))
-                  (List.tl builds)
-            end
-      end)
-    all;
-  ( {
-      e_scenario = Inject.op_name op;
-      e_depth = depth;
-      e_polls = polls;
-      e_alphabet = List.map (fun a -> a.act_name) alphabet;
-      e_independent = indep;
-      e_universe = List.length all;
-      e_explored = !explored;
-      e_pruned = !pruned;
-      e_deduped = !deduped;
-      e_digest_classes = Hashtbl.length seen;
-      e_runs = List.rev !runs;
-      e_failures = List.rev !failures;
-    },
-    !total_runs )
+  let no_dpor = (0, 0, 0, []) in
+  let sz = Inject.sizes ~smoke in
+  let points, (polls, universe, explored, digests) =
+    match check ~sz ~builds ~expect:None [] with
+    | None -> (0, no_dpor)
+    | Some base ->
+        let h = base.r_polls in
+        let pauses = List.map (fun p -> (p, pause)) in
+        let polls = List.init h (fun i -> i + 1) in
+        List.iter
+          (fun schedule ->
+            ignore (check ~sz ~builds ~expect:(Some base.r_digest) schedule))
+          (List.map (fun p -> pauses [ p ]) polls @ [ pauses polls ]);
+        let reference =
+          if alphabet = [] then None
+          else if smoke then Some base
+          else check ~sz:dpor_sz ~builds ~expect:None []
+        in
+        (h, Option.fold ~none:no_dpor ~some:(fun r -> dpor r.r_polls) reference)
+  in
+  let classes = List.length (List.sort_uniq compare (List.map snd digests)) in
+  {
+    e_op = op;
+    e_points = points;
+    e_runs = !runs;
+    e_max_restarts = !max_restarts;
+    e_depth = depth;
+    e_polls = polls;
+    e_alphabet = List.map (fun a -> a.act_name) alphabet;
+    e_independent = indep;
+    e_universe = universe;
+    e_explored = explored;
+    e_pruned = universe - explored;
+    e_deduped = List.length digests - classes;
+    e_digest_classes = classes;
+    e_digests = digests;
+    e_failures = List.rev !failures;
+  }
 
-let scenario_ops = [ Inject.Ep_delete; Inject.Badged_abort ]
+let scenario_depth ~depth = function
+  | Inject.Badged_abort -> min depth 2
+  | _ -> depth
 
 let run ?(smoke = false) ?depth (actx : Sel4_rt.Analysis_ctx.t) =
   let depth = match depth with Some d -> d | None -> if smoke then 2 else 3 in
   (* Depth 0 has an empty universe: nothing explored, trivially ok. *)
   if depth < 1 then invalid_arg (Fmt.str "explore depth %d: must be >= 1" depth);
-  let ops = if smoke then [ Inject.Ep_delete ] else scenario_ops in
-  let scens, total =
-    List.fold_left
-      (fun (acc, total) op ->
-        let r, n = run_scenario ~depth:(scenario_depth ~depth op) actx op in
-        (r :: acc, total + n))
-      ([], 0) ops
+  let ops =
+    List.map
+      (fun op -> run_op ~smoke ~depth:(scenario_depth ~depth op) actx op)
+      Inject.all_ops
   in
-  let scens = List.rev scens in
   List.iter
-    (fun s ->
-      Obs.Metrics.incr ~by:s.e_universe m_universe;
-      Obs.Metrics.incr ~by:s.e_explored m_explored;
-      Obs.Metrics.incr ~by:s.e_pruned m_pruned;
-      Obs.Metrics.incr ~by:s.e_deduped m_deduped;
-      Obs.Metrics.incr ~by:(List.length s.e_failures) m_failures)
-    scens;
-  { x_smoke = smoke; x_depth = depth; x_scens = scens; x_total_runs = total }
+    (fun o ->
+      Obs.Metrics.incr ~by:o.e_points m_points;
+      Obs.Metrics.incr ~by:o.e_universe m_universe;
+      Obs.Metrics.incr ~by:o.e_explored m_explored;
+      Obs.Metrics.incr ~by:o.e_pruned m_pruned;
+      Obs.Metrics.incr ~by:o.e_deduped m_deduped;
+      Obs.Metrics.incr ~by:(List.length o.e_failures) m_failures)
+    ops;
+  Obs.Metrics.set_counter m_max_restarts
+    (List.fold_left (fun a o -> max a o.e_max_restarts) 0 ops);
+  {
+    x_smoke = smoke;
+    x_depth = depth;
+    x_ops = ops;
+    x_total_runs = List.fold_left (fun a o -> a + o.e_runs) 0 ops;
+  }
 
-let ok r = List.for_all (fun s -> s.e_failures = []) r.x_scens
+let ok r = List.for_all (fun o -> o.e_failures = []) r.x_ops
 
 (* --- rendering --- *)
 
+let pp_sched ppf s =
+  Fmt.pf ppf "[%s]"
+    (String.concat "; " (List.map (fun (p, n) -> Fmt.str "%d:%s" p n) s))
+
 let pp_report ppf r =
-  Fmt.pf ppf "schedule exploration (%s, depth <= %d): %d runs@."
+  Fmt.pf ppf "preemption-schedule campaign (%s, depth <= %d): %d runs@."
     (if r.x_smoke then "smoke" else "full")
     r.x_depth r.x_total_runs;
   List.iter
-    (fun s ->
-      Fmt.pf ppf
-        "  %-14s polls=%d alphabet={%s} independent={%s}@.\
-        \    universe=%d explored=%d pruned=%d (%.0f%%) deduped=%d \
-         digest_classes=%d failures=%d@."
-        s.e_scenario s.e_polls
-        (String.concat "," s.e_alphabet)
-        (String.concat "," s.e_independent)
-        s.e_universe s.e_explored s.e_pruned
-        (if s.e_universe = 0 then 0.
-         else 100. *. float_of_int s.e_pruned /. float_of_int s.e_universe)
-        s.e_deduped s.e_digest_classes
-        (List.length s.e_failures);
+    (fun o ->
+      Fmt.pf ppf "  %-14s %3d points, %4d runs, max %d restarts: %s@."
+        (Inject.op_name o.e_op) o.e_points o.e_runs o.e_max_restarts
+        (if o.e_failures = [] then "ok"
+         else Fmt.str "%d FAILURES" (List.length o.e_failures));
+      if o.e_alphabet <> [] then
+        Fmt.pf ppf
+          "    dpor depth %d, polls=%d alphabet={%s} independent={%s}@.\
+          \    universe=%d explored=%d pruned=%d (%.0f%%) deduped=%d \
+           digest_classes=%d@."
+          o.e_depth o.e_polls
+          (String.concat "," o.e_alphabet)
+          (String.concat "," o.e_independent)
+          o.e_universe o.e_explored o.e_pruned
+          (if o.e_universe = 0 then 0.
+           else 100. *. float_of_int o.e_pruned /. float_of_int o.e_universe)
+          o.e_deduped o.e_digest_classes;
       List.iter
         (fun f ->
-          Fmt.pf ppf "    FAIL [%s] schedule [%s]: %s@." f.x_variant
-            (String.concat "; "
-               (List.map (fun (p, n) -> Fmt.str "%d:%s" p n) f.x_schedule))
-            f.x_reason)
-        s.e_failures)
-    r.x_scens
+          Fmt.pf ppf "    FAIL [%s] schedule %a shrunk to %a: %s@." f.x_variant
+            pp_sched f.x_schedule pp_sched f.x_min_schedule f.x_reason;
+          if f.x_timeline <> "" then
+            Fmt.pf ppf "    timeline of minimal replay:@.%s@." f.x_timeline)
+        o.e_failures)
+    r.x_ops
 
-(* Shares the campaign envelope with [Inject.to_json]: [campaign], [ok],
-   [total_runs], and an [ops] array with per-unit [failures]. *)
 let to_json r =
   let open Obs.Json in
+  let sched = list (fun (p, n) -> Arr [ int p; Str n ]) in
   let failure f =
     Obj
       [
-        ("variant", Str f.x_variant);
-        ( "schedule",
-          list (fun (p, n) -> Arr [ int p; Str n ]) f.x_schedule );
-        ("reason", Str f.x_reason);
+        ("variant", Str f.x_variant); ("schedule", sched f.x_schedule);
+        ("min_schedule", sched f.x_min_schedule); ("reason", Str f.x_reason);
       ]
   in
-  let scen s =
+  let op o =
     Obj
       [
-        ("name", Str s.e_scenario); ("polls", int s.e_polls);
-        ("universe", int s.e_universe); ("explored", int s.e_explored);
-        ("pruned", int s.e_pruned); ("deduped", int s.e_deduped);
-        ("digest_classes", int s.e_digest_classes);
-        ("failures", list failure s.e_failures);
+        ("name", Str (Inject.op_name o.e_op)); ("points", int o.e_points);
+        ("runs", int o.e_runs); ("max_restarts", int o.e_max_restarts);
+        ("depth", int o.e_depth); ("polls", int o.e_polls);
+        ("universe", int o.e_universe); ("explored", int o.e_explored);
+        ("pruned", int o.e_pruned); ("deduped", int o.e_deduped);
+        ("digest_classes", int o.e_digest_classes);
+        ("failures", list failure o.e_failures);
       ]
   in
   Obj
     [
       ("campaign", Str "explore"); ("smoke", Bool r.x_smoke);
       ("depth", int r.x_depth); ("ok", Bool (ok r));
-      ("total_runs", int r.x_total_runs); ("ops", list scen r.x_scens);
+      ("total_runs", int r.x_total_runs); ("ops", list op r.x_ops);
     ]

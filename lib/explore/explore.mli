@@ -1,22 +1,31 @@
-(** Stateless DPOR-style exploration of multi-preemption schedules.
+(** The preemption-schedule campaign: one checker for the restart safety
+    of every preemption point of the four long-running operations
+    (Sections 3.3-3.6).
 
-    Where the injection campaign ([Inject]) sweeps single interrupts, the
-    explorer enumerates {e interleavings}: a schedule places preemptions
-    at chosen poll indices and runs a client action — a signal, a
-    notification poll, a re-queueing send on the endpoint under abort —
-    in the window each preemption opens, before the long-running
-    operation restarts.
+    A schedule places preemptions at chosen poll indices and runs a
+    client action — a signal, a notification poll, a re-queueing send on
+    the endpoint under abort, or nothing (a "pause") — in the window each
+    preemption opens, before the operation restarts.  Per operation
+    ({!Inject.op}) the campaign runs the uninterrupted baselines under
+    the three scheduler variants (which must agree on poll count and
+    digest), the sweep (a pause at each poll alone, then a pause at every
+    poll; each must reach the baseline digest), and DPOR over the
+    operation's client-action alphabet.
 
-    The schedule space is pruned with the static interference relation of
-    [Race], in the style of dynamic partial-order reduction: actions
-    whose footprints commute (no semantic conflict) with the operation's
-    sections, the IRQ-delivery path and every other action are slid to a
-    canonical placement, and only canonical schedules run; conflicting
-    actions are decisions, explored in every placement and order.  Every
-    explored schedule is judged by the injection oracles (invariants
-    after each exit, strict measure decrease, digest agreement across the
-    three scheduler variants), and final states are deduplicated by
-    canonical digest. *)
+    DPOR prunes the schedule space with the static interference relation
+    of [Race]: actions whose footprints commute (no semantic conflict)
+    with the operation's sections, the IRQ-delivery path and every other
+    action are slid to a canonical placement, and only canonical
+    schedules run; conflicting actions are decisions, explored in every
+    placement and order.
+
+    Every schedule is judged by one oracle: invariants after each kernel
+    exit, strict decrease of the progress measure between consecutive
+    preemptions, and agreement of the final states across the three
+    scheduler variants.  DPOR deduplicates final states by canonical
+    digest for counting only.  Failures are shrunk to a 1-minimal
+    schedule ({!Inject.shrink}) and carry an {!Obs.Trace} timeline of
+    the replayed failure. *)
 
 (** {1 Actions} *)
 
@@ -30,14 +39,15 @@ type action = {
 }
 
 val actions_for : Inject.op -> action list
-(** The scenario alphabet.  Only {!Inject.Ep_delete} and
-    {!Inject.Badged_abort} have scenarios; raises [Invalid_argument]
-    otherwise. *)
+(** The operation's client-action alphabet.  Empty for
+    {!Inject.Retype_clear} and {!Inject.Vspace_delete}: they get the
+    baselines and the sweep only. *)
 
 val op_sections : Inject.op -> Race.footprint list
 (** The operation's own sections instantiated for the scenario's concrete
-    objects, plus the IRQ-delivery path: what an action must commute with
-    to be independent. *)
+    objects (class-level catalogue sections for the operations without
+    client actions), plus the IRQ-delivery path: what an action must
+    commute with to be independent. *)
 
 val independent_actions : Inject.op -> action list -> string list
 (** Names of the globally-independent actions of an alphabet: those that
@@ -61,30 +71,43 @@ val canonical : polls:int -> indep:string list -> sched -> bool
     actions it commutes with, so every class keeps exactly one canonical
     member. *)
 
+type run = {
+  r_digest : string;  (** canonical final state ({!Sel4.Digest.of_kernel}) *)
+  r_polls : int;  (** preemption-point polls over the whole replay *)
+  r_restarts : int;  (** preempted kernel exits before completion *)
+}
+
 val run_sched :
+  ?cpu:Hw.Cpu.t ->
   build:Sel4.Build.t ->
   op:Inject.op ->
   sz:Inject.sizes ->
   schedule:sched ->
   unit ->
-  (string * int, string) result
+  (run, string) result
 (** Replay the operation firing the schedule's preemptions and running
     each fired action in the window its preemption opens, with the
-    invariant and progress-measure oracles armed.  [Ok (digest, polls)]
-    on success. *)
+    invariant and progress-measure oracles armed.  [cpu] (e.g. one with
+    a trace buffer attached) is the hardware model the replay boots on. *)
 
 (** {1 Reports} *)
 
 type failure = {
-  x_variant : string;
-  x_schedule : (int * string) list;
+  x_variant : string;  (** scheduler variant, ["differential"] or ["planted"] *)
+  x_schedule : (int * string) list;  (** (poll, action) as first observed *)
+  x_min_schedule : (int * string) list;  (** 1-minimal after shrinking *)
   x_reason : string;
+  x_timeline : string;  (** rendered {!Obs.Trace} timeline of a replay *)
 }
 
-type scen_report = {
-  e_scenario : string;
-  e_depth : int;
-  e_polls : int;  (** H: polls of the uninterrupted reference run *)
+type op_report = {
+  e_op : Inject.op;
+  e_points : int;
+      (** H: polls of the uninterrupted run at campaign sizes (the sweep) *)
+  e_runs : int;  (** replays executed, shrinking included *)
+  e_max_restarts : int;  (** worst restart count over all replays *)
+  e_depth : int;  (** DPOR depth bound *)
+  e_polls : int;  (** polls of the DPOR reference run (smoke sizes) *)
   e_alphabet : string list;
   e_independent : string list;
   e_universe : int;
@@ -92,37 +115,46 @@ type scen_report = {
   e_pruned : int;
   e_deduped : int;  (** explored schedules converging on a seen digest *)
   e_digest_classes : int;
-  e_runs : ((int * string) list * string) list;
-      (** explored schedule -> final digest (first variant) *)
+  e_digests : ((int * string) list * string) list;
+      (** explored schedule -> final digest *)
   e_failures : failure list;
 }
 
 type report = {
   x_smoke : bool;
   x_depth : int;
-  x_scens : scen_report list;
+  x_ops : op_report list;  (** one per {!Inject.all_ops} *)
   x_total_runs : int;
 }
 
-val run_scenario :
+val run_op :
   ?naive:bool ->
+  ?planted:(sched -> string option) ->
+  smoke:bool ->
   depth:int ->
   Sel4_rt.Analysis_ctx.t ->
   Inject.op ->
-  scen_report * int
-(** Explore one scenario; returns the report and the number of runs.
-    [naive] disables pruning and the differential replay (first variant
-    only) — the full-enumeration reference the pruning-soundness test
-    compares digest sets against. *)
+  op_report
+(** The campaign for one operation: baselines, sweep (at
+    [Inject.sizes ~smoke]) and DPOR at [depth] (at smoke sizes).  The
+    context supplies the base build (each scheduler variant is derived
+    from it) and the hardware configuration failures are traced under.
+    A failing baseline is a recorded failure and ends the operation's
+    campaign.  [naive] disables DPOR pruning and replays DPOR schedules
+    under the first variant only — the full-enumeration reference the
+    pruning-soundness test compares digest sets against.  [planted] is a
+    test-only fault oracle: a schedule it returns [Some reason] for is
+    treated as failing, the hook the shrinker tests plant bugs with. *)
 
 val run : ?smoke:bool -> ?depth:int -> Sel4_rt.Analysis_ctx.t -> report
-(** The campaign: ep-delete at [depth] (default 3, smoke 2) and — full
-    mode only — badged-abort at depth [<= 2].
+(** The campaign over all four operations, DPOR at [depth] (default 3,
+    smoke 2; badged_abort at [<= 2]).  [smoke] shrinks the sweep's
+    workload sizes.
     @raise Invalid_argument if [depth < 1]. *)
 
 val ok : report -> bool
 val pp_report : report Fmt.t
 
 val to_json : report -> Obs.Json.t
-(** Shares the campaign envelope with [Inject.to_json]: [campaign],
-    [ok], [total_runs], and an [ops] array with per-unit [failures]. *)
+(** [campaign], [smoke], [depth], [ok], [total_runs], and an [ops] array
+    with per-operation counts and [failures]. *)

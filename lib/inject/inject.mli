@@ -1,24 +1,17 @@
-(** Exhaustive preemption-point fault injection with differential
-    scheduler checking.
+(** The workloads of the preemption-schedule campaign.
 
-    For each long-running kernel operation — endpoint deletion, badged-IPC
+    Four long-running kernel operations — endpoint deletion, badged-IPC
     abort, untyped retype with preemptible clearing, and address-space
-    deletion — the campaign replays the operation injecting a timer
-    interrupt at the k-th polled preemption point, for every k an
-    uninterrupted reference run polls (an exhaustive single-injection
-    sweep), plus seeded multi-interrupt schedules drawn from a splitmix
-    PRNG.  Injection is by poll index, not by cycle count, so a schedule
-    replays identically across scheduler variants.
+    deletion — each with a setup that populates a freshly booted
+    environment, a driver that issues (and restarts) the operation, and a
+    progress measure that must strictly decrease between consecutive
+    preemptions (Sections 3.3-3.6).
 
-    After every kernel exit the full {!Sel4.Invariants} catalogue runs,
-    and the operation's progress measure (queued waiters, abort-scan
-    length, uncleared bytes, live mappings) must strictly decrease between
-    consecutive preemptions — the restart-progress guarantee of
-    Sections 3.3-3.6.  The final kernel state is digested (queues, CDT,
-    mappings, cleared ranges) and must agree across the lazy, Benno, and
-    Benno+bitmap scheduler variants {e and} with the uninterrupted run.
-    Failing schedules are shrunk to a 1-minimal injection schedule and
-    reported with an {!Obs.Trace} timeline of the replayed failure. *)
+    {!Explore} replays these drivers under preemption schedules and judges
+    them; {!Race} replays them with an access recorder attached.  Both
+    reuse the exact same workloads, so their conclusions transfer.
+    Schedules are indexed by preemption-point poll, not by cycle, so a
+    schedule replays identically across scheduler variants. *)
 
 (** {1 Operations under test} *)
 
@@ -31,62 +24,7 @@ type op =
 val all_ops : op list
 val op_name : op -> string
 
-(** {1 Campaign results} *)
-
-type failure = {
-  f_op : op;
-  f_variant : string;  (** scheduler variant (or ["differential"]) *)
-  f_schedule : int list;  (** injection schedule as first observed *)
-  f_min_schedule : int list;  (** 1-minimal schedule after shrinking *)
-  f_reason : string;
-  f_timeline : string;  (** rendered {!Obs.Trace} timeline of a replay *)
-}
-
-type op_report = {
-  o_op : op;
-  o_points : int;  (** preemption points polled by the reference run *)
-  o_runs : int;  (** injection runs executed, across all variants *)
-  o_max_restarts : int;  (** worst restart count over all runs *)
-  o_failures : failure list;
-}
-
-type report = {
-  r_seed : int;
-  r_smoke : bool;
-  r_ops : op_report list;
-  r_total_runs : int;
-}
-
-val run_campaign :
-  ?smoke:bool ->
-  ?seed:int ->
-  ?ops:op list ->
-  ?planted:(op -> int list -> string option) ->
-  Sel4_rt.Analysis_ctx.t ->
-  report
-(** Run the full campaign.  The context supplies the base kernel build
-    (each scheduler variant is derived from it, with preemption points
-    forced on) and the hardware configuration used to replay failures
-    under the tracer.  [smoke] shrinks the workload sizes and the number
-    of random schedules for a fast fixed-seed CI run.  [planted] is a
-    test-only fault oracle: when it returns [Some reason] for a schedule,
-    that schedule is treated as failing — the hook the shrinker tests use
-    to plant a deterministic bug. *)
-
-val ok : report -> bool
-val pp_report : report Fmt.t
-
-val to_json : report -> Obs.Json.t
-(** Machine-readable campaign report.  The envelope — [campaign], [ok],
-    [total_runs], and per-unit failure arrays — is shared with
-    [Explore.to_json], so CI tooling parses both reports the same way. *)
-
-(** {1 Workloads exposed for the race analyser and schedule explorer}
-
-    The audit mode of [Race] replays these drivers with an access recorder
-    attached, and [Explore] interleaves them with interfering client
-    actions; both reuse the exact workloads the injection campaign
-    validates, so their conclusions transfer. *)
+(** {1 Workloads} *)
 
 type sizes = {
   sz_waiters : int;  (** blocked senders queued for deletion *)
@@ -119,16 +57,9 @@ val variants : base:Sel4.Build.t -> op -> Sel4.Build.t list
     points forced on — and, for {!Vspace_delete}, the shadow vspace
     design, the only one with preemptible teardown. *)
 
-(** {1 Pieces exposed for tests} *)
+(** {1 Shrinking} *)
 
-val shrink : fails:(int list -> bool) -> int list -> int list
+val shrink : fails:('a list -> bool) -> 'a list -> 'a list
 (** Greedy one-at-a-time reduction of a failing schedule to a 1-minimal
-    one: removing any single remaining injection no longer fails.
+    one: removing any single remaining element no longer fails.
     Precondition: [fails schedule]. *)
-
-val digest_of : Sel4.Kernel.t -> string
-(** Canonical rendering of the scheduler-independent kernel state: object
-    registry (queues, abort cursors, watermarks, cleared ranges, page
-    tables), capability slots and CDT shape.  Run-queue contents are
-    deliberately excluded — lazy scheduling parks blocked threads in the
-    queues by design. *)

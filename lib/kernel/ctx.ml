@@ -35,7 +35,7 @@ type t = {
       (* Fault-injection hook: called with the 1-based poll index at every
          preemption-point poll, *before* the pending check.  Returning
          [true] asserts an interrupt at exactly this poll — the mechanism
-         the injection campaigns use to hit the k-th preemption point
+         the schedule campaign uses to hit the k-th preemption point
          deterministically, independent of cycle counts.  Install via
          {!set_preempt_poll_hook}, which refuses to overwrite a live
          hook. *)
@@ -117,7 +117,7 @@ let exec t name count =
       Hw.Cpu.exec cpu ~base:region.Layout.base ~count
 
 (* Hook installers: refuse to silently replace a live hook.  Two engines
-   (inject campaign, audit recorder, explorer) composing over one context
+   (the schedule campaign, the audit recorder) composing over one context
    would otherwise drop each other's instrumentation without a trace. *)
 
 let set_preempt_poll_hook t hook =

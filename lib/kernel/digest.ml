@@ -7,9 +7,10 @@
    hash-table or registry iteration order, so two states that differ only
    in bookkeeping order digest identically.
 
-   Shared by the fault-injection campaign (differential final states), the
-   schedule explorer (state deduplication) and the soak simulator
-   (invariant-violation forensics). *)
+   Shared by the preemption-schedule campaign (differential final states
+   and state deduplication), its badged-abort workload (the abort-scan
+   progress measure) and the soak simulator (invariant-violation
+   forensics). *)
 
 open Ktypes
 

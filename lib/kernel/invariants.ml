@@ -347,8 +347,8 @@ let catalogue =
 let check (k : Kernel.t) = List.iter (fun (_, chk) -> chk k) catalogue
 
 (* Run the whole catalogue to the end and report every violation (one per
-   failing check), so injection failure reports show the complete damage
-   rather than whichever invariant happens to be checked first. *)
+   failing check), so schedule-campaign failure reports show the complete
+   damage rather than whichever invariant happens to be checked first. *)
 let check_result k =
   let violations =
     List.filter_map

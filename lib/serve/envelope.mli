@@ -1,8 +1,8 @@
 (** The unified machine-readable envelope.
 
     Every JSON document this repository emits — serve responses, the
-    [--json] output of [sel4rt analyse]/[explain]/[inject]/[race]/
-    [explore]/[metrics] — is one envelope object:
+    [--json] output of [sel4rt analyse]/[explain]/[race]/[explore]/
+    [metrics] — is one envelope object:
 
     {v
     { "schema_version": 1,
@@ -13,7 +13,7 @@
     v}
 
     [status] is ["ok"] when the command ran and its gate (if any) passed,
-    ["fail"] when it ran but a gate failed (an inject/explore oracle, a
+    ["fail"] when it ran but a gate failed (an explore oracle, a
     sim latency bound, a non-exact decomposition), and ["error"] when the
     request itself was malformed or the command raised; an ["error"]
     payload is [{"error": <message>}].  [elapsed_s] is the only

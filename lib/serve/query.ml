@@ -20,7 +20,6 @@ type request =
       shielded : bool;
       compare : bool;
     }
-  | Inject of { smoke : bool; seed : int; l2 : bool }
   | Race of { smoke : bool }
   | Explore of { smoke : bool; depth : int option }
 
@@ -137,10 +136,6 @@ let run_exn = function
         let report = Smp.Soak.run ~seed ?entries ~smoke ~cores ~policy () in
         (gate report.Smp.Soak.rp_ok, Smp.Soak.report_to_json report)
       end
-  | Inject { smoke; seed; l2 } ->
-      let ctx = Sel4_rt.Pinning.context ~l2 Sel4.Build.improved in
-      let report = Inject.run_campaign ~smoke ~seed ctx in
-      (gate (Inject.ok report), Inject.to_json report)
   | Race { smoke } ->
       let report = Race.audit ~smoke Sel4_rt.Analysis_ctx.default in
       (gate (Race.audit_ok report), Race.to_json report)
@@ -252,11 +247,6 @@ let of_json v =
             if cores < 1 then Result.Error "\"cores\" must be >= 1"
             else
               Result.Ok (Smp { smoke; seed; entries; cores; shielded; compare })
-        | "inject" ->
-            let* smoke = bool_field "smoke" true in
-            let* seed = int_field "seed" 42 in
-            let* l2 = bool_field "l2" false in
-            Result.Ok (Inject { smoke; seed; l2 })
         | "race" ->
             let* smoke = bool_field "smoke" true in
             Result.Ok (Race { smoke })

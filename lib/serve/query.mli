@@ -2,8 +2,8 @@
 
     One typed request variant covers every analysis the toolkit exposes
     machine-readably — WCET bounds, bound decomposition, the soak
-    campaign, fault injection, the interference audit, the DPOR
-    explorer, and the metrics registry.  [sel4rt]'s [--json] paths and
+    campaigns (single-core and SMP), the interference audit, the
+    preemption-schedule campaign, and the metrics registry.  [sel4rt]'s [--json] paths and
     the [serve] protocol are both thin clients of {!respond}: same
     request type, same payload bytes, same envelope.
 
@@ -11,7 +11,7 @@
 
     {v
     { "query": "analyse" | "explain" | "metrics" | "sim" | "smp"
-             | "inject" | "race" | "explore",
+             | "race" | "explore",
       "id": <optional string, echoed in the response envelope>,
       ...query-specific parameters... }
     v}
@@ -22,11 +22,11 @@
     ["smoke"], ["seed"], ["entries"], ["scenarios"]; [smp] takes
     ["smoke"], ["seed"], ["entries"], ["cores"] (default 4),
     ["shielded"] and ["compare"] (run both affinity policies and gate
-    on the shielded tail being strictly lower); [inject] takes
-    ["smoke"], ["seed"], ["l2"]; [race] takes ["smoke"]; [explore]
-    takes ["smoke"], ["depth"].  Booleans default to [false] except
-    campaign ["smoke"] which defaults to [true] (a server should not
-    run multi-minute campaigns unless explicitly asked).
+    on the shielded tail being strictly lower); [race] takes
+    ["smoke"]; [explore] takes ["smoke"], ["depth"].  Booleans default
+    to [false] except campaign ["smoke"] which defaults to [true] (a
+    server should not run multi-minute campaigns unless explicitly
+    asked).
 
     Analyse payloads carry no wall-clock fields — a warm-cache bound is
     byte-identical to the cold one, which is what the CI warm-cache gate
@@ -52,7 +52,6 @@ type request =
       shielded : bool;
       compare : bool;
     }
-  | Inject of { smoke : bool; seed : int; l2 : bool }
   | Race of { smoke : bool }
   | Explore of { smoke : bool; depth : int option }
 

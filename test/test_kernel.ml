@@ -1408,7 +1408,7 @@ let test_invariants_benno =
 (* Each test boots a clean kernel, applies one surgical corruption aimed
    at a single check, and requires both the targeted check and the
    whole-catalogue [check_result] to report it with the check's name —
-   the detection power the fault-injection campaign's oracle relies on. *)
+   the detection power the schedule campaign's oracle relies on. *)
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix
@@ -1540,7 +1540,7 @@ let test_check_result_collects_all () =
 (* --- hook composition safety --- *)
 
 (* The injection hook and the access recorder are both single-slot hooks
-   shared by several analysis clients (inject, race, explore): installing
+   shared by several analysis clients (race, explore): installing
    over a live hook must be an error, never a silent replacement. *)
 
 let test_injection_hook_double_set () =
