@@ -1,49 +1,53 @@
 (* sel4rt: command-line front end for the response-time toolkit.
 
-     sel4rt wcet     --entry syscall --build improved --l2 --pin --path
-     sel4rt analyse  [kernel_entry|syscall|...] --build improved  (JSON)
-     sel4rt observe  --entry interrupt --runs 25 --l2
-     sel4rt response --build improved --l2
+     sel4rt analyse  [kernel_entry|syscall|...] --build improved --path
      sel4rt explain  [kernel_entry|syscall|...] --format folded
-     sel4rt sim      --smoke --forensics --forensics-out DIR
+     sel4rt sim      --smoke --cores 4 --shielded | --forensics
+     sel4rt race | explore | metrics   [--json]
+     sel4rt observe  --entry interrupt --runs 25 --l2
      sel4rt repro [section ...]        (the paper's tables and figures)
      sel4rt serve    --stdio | --socket PATH
-     sel4rt loops
-     sel4rt pins
+     sel4rt trace | constraints | pins
 
-   Every [--json] path and the serve protocol speak the same unified
-   envelope (Serve.Envelope) over the same typed queries (Serve.Query);
-   the subcommands below are thin clients of that API. *)
+   The query-backed subcommands (analyse, explain, metrics, race,
+   explore, and sim without forensics) are thin clients of Serve.Query:
+   they parse their flags into one request, execute it once, print its
+   text report or the envelope a serve query answers, and exit on its
+   status.  Every subcommand exits 0 when it ran and its gate held, 1
+   when a gate failed, and 2 on an error or a usage error. *)
 
 open Cmdliner
+module Q = Serve.Query
 
+let conv_of parse print =
+  Arg.conv ((fun s -> Result.map_error (fun msg -> `Msg msg) (parse s)), print)
+
+let target_conv =
+  conv_of Q.target_of_string (fun ppf t -> Fmt.string ppf (Q.target_name t))
+
+(* A single entry point: any target but kernel_entry. *)
+let entry_of_string s =
+  match Q.target_of_string s with
+  | Ok (Q.Entry e) -> Ok e
+  | Ok Q.Kernel_entry -> Error "kernel_entry is not a single entry point"
+  | Error msg -> Error msg
+
+let entry_name e = Q.target_name (Q.Entry e)
 let entry_conv =
-  let parse = function
-    | "syscall" -> Ok Sel4_rt.Kernel_model.Syscall
-    | "interrupt" | "irq" -> Ok Sel4_rt.Kernel_model.Interrupt
-    | "fault" | "pagefault" -> Ok Sel4_rt.Kernel_model.Page_fault
-    | "undefined" | "undef" -> Ok Sel4_rt.Kernel_model.Undefined_instruction
-    | s -> Error (`Msg (Fmt.str "unknown entry point %S" s))
-  in
-  let print ppf e = Fmt.string ppf (Sel4_rt.Kernel_model.entry_name e) in
-  Arg.conv (parse, print)
+  conv_of entry_of_string (fun ppf e -> Fmt.string ppf (entry_name e))
 
 let build_conv =
-  let parse = function
-    | "improved" | "after" -> Ok Sel4.Build.improved
-    | "original" | "before" -> Ok Sel4.Build.original
-    | "benno" -> Ok { Sel4.Build.improved with Sel4.Build.sched = Sel4.Build.Benno }
-    | "lazy" -> Ok { Sel4.Build.improved with Sel4.Build.sched = Sel4.Build.Lazy }
-    | s -> Error (`Msg (Fmt.str "unknown build %S" s))
-  in
-  Arg.conv (parse, fun ppf b -> Sel4.Build.pp ppf b)
+  conv_of Q.build_of_string (fun ppf b -> Fmt.string ppf (Q.build_name b))
 
-let entry_arg =
+let target_arg =
   Arg.(
     value
-    & opt entry_conv Sel4_rt.Kernel_model.Syscall
-    & info [ "entry"; "e" ] ~docv:"ENTRY"
-        ~doc:"Kernel entry point: syscall, interrupt, fault or undefined.")
+    & pos 0 target_conv Q.Kernel_entry
+    & info [] ~docv:"TARGET"
+        ~doc:
+          "What to analyse: kernel_entry (the full interrupt-response \
+           bound: syscall path + interrupt path) or a single entry point — \
+           syscall, interrupt, fault, undefined.")
 
 let build_arg =
   Arg.(
@@ -60,76 +64,87 @@ let pin_arg =
     value & flag
     & info [ "pin" ] ~doc:"Reserve one L1 way and pin the interrupt path.")
 
-let path_arg =
-  Arg.(value & flag & info [ "path" ] ~doc:"Print the worst-case path.")
-
-let runs_arg =
+let json_arg =
   Arg.(
-    value & opt int 25
-    & info [ "runs" ] ~docv:"N" ~doc:"Polluted-cache measurement repetitions.")
+    value & flag
+    & info [ "json" ]
+        ~doc:
+          "Print the one-line JSON envelope a $(b,serve) query answers \
+           instead of the text report.")
 
-(* Shared by every JSON subcommand: print the one-line envelope and map
-   a non-ok status onto a non-zero exit. *)
-let emit_envelope (line, status) =
-  print_string line;
-  if status <> Serve.Envelope.Ok then exit 1
-
-let target_conv =
-  let parse s =
-    match Serve.Query.target_of_string s with
-    | Ok t -> Ok t
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun ppf t -> Fmt.string ppf (Serve.Query.target_name t))
-
-let target_arg =
+let out_arg what =
   Arg.(
     value
-    & pos 0 target_conv Serve.Query.Kernel_entry
-    & info [] ~docv:"TARGET"
-        ~doc:
-          "What to analyse: kernel_entry (the full interrupt-response \
-           bound: syscall path + interrupt path) or a single entry point — \
-           syscall, interrupt, fault, undefined.")
+    & opt (some string) None
+    & info [ "out"; "o" ] ~docv:"FILE" ~doc:("Write the " ^ what ^ " to FILE."))
+
+let write out text =
+  match out with
+  | None -> print_string text
+  | Some path ->
+      let oc = open_out path in
+      output_string oc text;
+      close_out oc
+
+(* --- the query path --- *)
+
+let exit_status = function
+  | Serve.Envelope.Ok -> exit 0
+  | Serve.Envelope.Fail -> exit 1
+  | Serve.Envelope.Error -> exit 2
+
+let usage_error msg =
+  Fmt.epr "sel4rt: %s@." msg;
+  exit 2
+
+let exec req =
+  match Q.exec req with Ok r -> r | Error msg -> usage_error msg
+
+(* [--json]: exactly the envelope line serve answers. *)
+let respond ?out req =
+  let line, status = Q.respond req in
+  write out line;
+  Option.iter (Fmt.pr "wrote %s@.") out;
+  exit_status status
+
+(* Text: the report, then anything [epilogue] adds, then the exit. *)
+let report ?(epilogue = ignore) r =
+  Fmt.pr "%a@?" Q.pp r;
+  epilogue r;
+  exit_status (Q.status r)
+
+let query ?epilogue ~json req =
+  if json then respond req else report ?epilogue (exec req)
 
 let analyse_cmd =
-  let run target build l2 pin =
-    emit_envelope
-      (Serve.Query.respond (Serve.Query.Analyse { target; build; l2; pin }))
+  let run target build l2 pin path json =
+    if path && (json || target = Q.Kernel_entry) then
+      usage_error "--path lists one entry point's worst-case path, as text";
+    query ~json (Q.Analyse { target; build; l2; pin }) ~epilogue:(function
+      | Q.Bound { ipet = Some ipet; _ } when path ->
+          Fmt.pr "worst-case path:@.";
+          List.iter
+            (fun (label, count, cycles) ->
+              Fmt.pr "  %-44s x%-5d %7d cycles/visit@." label count cycles)
+            (Wcet.Ipet.worst_path ipet)
+      | _ -> ())
+  in
+  let path_arg =
+    Arg.(
+      value & flag
+      & info [ "path" ] ~doc:"Print an entry point's worst-case path.")
   in
   Cmd.v
     (Cmd.info "analyse"
        ~doc:
-         "Compute a WCET or interrupt-response bound and emit it as one \
-          envelope line of JSON — the machine-readable twin of $(b,wcet) \
-          and $(b,response), and exactly what one $(b,serve) analyse query \
-          returns.  Warm disk-cache runs produce byte-identical payloads.")
-    Term.(const run $ target_arg $ build_arg $ l2_arg $ pin_arg)
-
-let wcet_cmd =
-  let run entry build l2 pin path =
-    let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
-    let config = ctx.Sel4_rt.Analysis_ctx.config in
-    let result = Sel4_rt.Response_time.computed ctx entry in
-    Fmt.pr "%s, %a@." (Sel4_rt.Kernel_model.entry_name entry) Sel4.Build.pp build;
-    Fmt.pr "hardware: %a@." Hw.Config.pp config;
-    Fmt.pr "WCET bound: %d cycles (%.1f us)@." result.Wcet.Ipet.wcet
-      (Hw.Config.cycles_to_us config result.Wcet.Ipet.wcet);
-    Fmt.pr "ILP: %d variables, %d constraints, %d nodes, %d LP solves, %.2fs@."
-      result.Wcet.Ipet.ilp_vars result.Wcet.Ipet.ilp_constraints
-      result.Wcet.Ipet.bb_nodes result.Wcet.Ipet.lp_solves
-      result.Wcet.Ipet.elapsed_s;
-    if path then begin
-      Fmt.pr "worst-case path:@.";
-      List.iter
-        (fun (label, count, cycles) ->
-          Fmt.pr "  %-44s x%-5d %7d cycles/visit@." label count cycles)
-        (Wcet.Ipet.worst_path result)
-    end
-  in
-  Cmd.v
-    (Cmd.info "wcet" ~doc:"Compute a WCET bound for a kernel entry point.")
-    Term.(const run $ entry_arg $ build_arg $ l2_arg $ pin_arg $ path_arg)
+         "Compute a WCET bound for one kernel entry point, or the worst-case \
+          interrupt-response bound (the longest kernel path plus the \
+          interrupt path).  With $(b,--json), the envelope one $(b,serve) \
+          analyse query returns; warm disk-cache runs produce byte-identical \
+          payloads.")
+    Term.(
+      const run $ target_arg $ build_arg $ l2_arg $ pin_arg $ path_arg
+      $ json_arg)
 
 let observe_cmd =
   let run entry build l2 runs =
@@ -141,107 +156,53 @@ let observe_cmd =
     Fmt.pr "observed worst case: %d cycles (%.1f us)@." observed
       (Hw.Config.cycles_to_us config observed)
   in
+  let entry_arg =
+    Arg.(
+      value
+      & opt entry_conv Sel4_rt.Kernel_model.Syscall
+      & info [ "entry"; "e" ] ~docv:"ENTRY"
+          ~doc:"Kernel entry point: syscall, interrupt, fault or undefined.")
+  in
+  let runs_arg =
+    Arg.(
+      value & opt int 25
+      & info [ "runs" ] ~docv:"N"
+          ~doc:"Polluted-cache measurement repetitions.")
+  in
   Cmd.v
     (Cmd.info "observe"
        ~doc:"Measure the observed worst case under adversarial workloads.")
     Term.(const run $ entry_arg $ build_arg $ l2_arg $ runs_arg)
 
-let response_cmd =
-  let run build l2 pin =
-    let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
-    let config = ctx.Sel4_rt.Analysis_ctx.config in
-    let bound = Sel4_rt.Response_time.interrupt_response_bound ctx in
-    Fmt.pr "worst-case interrupt response (%a): %d cycles (%.1f us)@."
-      Sel4.Build.pp build bound
-      (Hw.Config.cycles_to_us config bound)
-  in
-  Cmd.v
-    (Cmd.info "response"
-       ~doc:
-         "Compute the worst-case interrupt response bound (longest kernel \
-          path plus the interrupt path).")
-    Term.(const run $ build_arg $ l2_arg $ pin_arg)
-
 (* --- explain: block-by-block decomposition of a WCET bound --- *)
 
 let explain_cmd =
-  let run func build l2 pin format out =
-    let target =
-      match Serve.Query.target_of_string func with
-      | Ok t -> t
-      | Error _ ->
-          Fmt.epr
-            "unknown function %S (kernel_entry, syscall, interrupt, fault, \
-             undefined)@."
-            func;
-          exit 1
-    in
+  let run target build l2 pin format out =
+    let req = Q.Explain { target; build; l2; pin } in
     match format with
-    | `Json ->
-        (* The machine-readable path is one serve query: profile payload
-           inside the envelope, non-exact decomposition = fail status. *)
-        let line, status =
-          Serve.Query.respond (Serve.Query.Explain { target; build; l2; pin })
-        in
-        (match out with
-        | None -> print_string line
-        | Some path ->
-            let oc = open_out path in
-            output_string oc line;
-            close_out oc;
-            Fmt.pr "wrote %s@." path);
-        if status <> Serve.Envelope.Ok then begin
-          Fmt.epr "internal error: decomposition does not sum to the bound@.";
-          exit 2
-        end
+    | `Json -> respond ?out req
     | (`Text | `Folded) as format -> (
-        let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
-        let profile =
-          match target with
-          | Serve.Query.Kernel_entry ->
-              Sel4_rt.Response_time.interrupt_response_profile ctx
-          | Serve.Query.Entry e -> Sel4_rt.Response_time.profile ctx e
-        in
-        if not (Obs.Bound_profile.exact profile) then begin
-          Fmt.epr "internal error: decomposition does not sum to the bound@.";
-          exit 2
-        end;
-        let rendered =
-          match format with
-          | `Text -> Fmt.str "%a" Obs.Bound_profile.pp profile
-          | `Folded -> Obs.Bound_profile.to_folded profile
-        in
-        match out with
-        | None -> print_string rendered
-        | Some path ->
-            let oc = open_out path in
-            output_string oc rendered;
-            close_out oc;
-            Fmt.pr "wrote %s (%d rows, bound %d cycles)@." path
-              (List.length profile.Obs.Bound_profile.p_rows)
-              (Obs.Bound_profile.total profile))
-  in
-  let func_arg =
-    Arg.(
-      value & pos 0 string "kernel_entry"
-      & info [] ~docv:"FUNC"
-          ~doc:
-            "What to explain: kernel_entry (the full interrupt-response \
-             bound: syscall path + interrupt path), or a single entry point \
-             — syscall, interrupt, fault, undefined.")
+        match exec req with
+        | Q.Profile p as r ->
+            write out
+              (match format with
+              | `Text -> Fmt.str "%a" Q.pp r
+              | `Folded -> Obs.Bound_profile.to_folded p);
+            Option.iter
+              (fun path ->
+                Fmt.pr "wrote %s (%d rows, bound %d cycles)@." path
+                  (List.length p.Obs.Bound_profile.p_rows)
+                  (Obs.Bound_profile.total p))
+              out;
+            exit_status (Q.status r)
+        | _ -> assert false)
   in
   let format_conv =
-    let parse = function
-      | "text" | "table" -> Ok `Text
-      | "folded" | "flamegraph" -> Ok `Folded
-      | "json" -> Ok `Json
-      | s -> Error (`Msg (Fmt.str "unknown format %S (text, folded, json)" s))
-    in
-    let print ppf f =
-      Fmt.string ppf
-        (match f with `Text -> "text" | `Folded -> "folded" | `Json -> "json")
-    in
-    Arg.conv (parse, print)
+    Arg.enum
+      [
+        ("text", `Text); ("table", `Text); ("folded", `Folded);
+        ("flamegraph", `Folded); ("json", `Json);
+      ]
   in
   let format_arg =
     Arg.(
@@ -252,12 +213,6 @@ let explain_cmd =
              folded-stack lines, one frame path per block and cost \
              component), or json.")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the profile to FILE.")
-  in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
@@ -267,8 +222,8 @@ let explain_cmd =
           flow/loop/infeasible-path constraints that shaped the optimum.  \
           The rows sum to the bound exactly.")
     Term.(
-      const run $ func_arg $ build_arg $ l2_arg $ pin_arg $ format_arg
-      $ out_arg)
+      const run $ target_arg $ build_arg $ l2_arg $ pin_arg $ format_arg
+      $ out_arg "profile")
 
 let repro_cmd =
   let sections =
@@ -305,9 +260,9 @@ let repro_cmd =
             Fmt.pr "==== %s ====@." name;
             f ()
         | None ->
-            Fmt.epr "unknown section %s (available: %s)@." name
-              (String.concat ", " (List.map fst sections));
-            exit 1)
+            usage_error
+              (Fmt.str "unknown section %s (available: %s)" name
+                 (String.concat ", " (List.map fst sections))))
       names
   in
   Cmd.v
@@ -318,41 +273,25 @@ let repro_cmd =
       $ Arg.(value & pos_all string [] & info [] ~docv:"SECTION"))
 
 let constraints_cmd =
-  let main_of = function
-    | "syscall" -> Ok "syscall"
-    | "interrupt" | "irq" -> Ok "interrupt"
-    | "fault" | "pagefault" | "page_fault" -> Ok "page_fault"
-    | "undefined" | "undef" -> Ok "undef"
-    | s -> Error s
-  in
-  let run func =
-    let mains =
-      match func with
-      | Some f -> (
-          match main_of f with
-          | Ok m -> [ m ]
-          | Error s ->
-              Fmt.epr
-                "unknown entry function %S (syscall, interrupt, fault, \
-                 undefined)@."
-                s;
-              exit 1)
-      | None ->
-          List.map Sel4_rt.Kernel_model.entry_main
-            Sel4_rt.Kernel_model.entry_points
+  let run entry =
+    let entries =
+      match entry with
+      | Some e -> [ e ]
+      | None -> Sel4_rt.Kernel_model.entry_points
     in
     List.iter
-      (fun main ->
+      (fun entry ->
+        let main = Sel4_rt.Kernel_model.entry_main entry in
         Fmt.pr "==== %s ====@." main;
         let report = Sel4_rt.Kernel_model.constraint_report ~main () in
         Fmt.pr "%a@." Wcet.Derive_constraints.pp_report report)
-      mains
+      entries
   in
-  let func_arg =
+  let entry_arg =
     Arg.(
       value
-      & pos 0 (some string) None
-      & info [] ~docv:"FUNC"
+      & pos 0 (some entry_conv) None
+      & info [] ~docv:"ENTRY"
           ~doc:
             "Entry function to audit: syscall, interrupt, fault or \
              undefined.  Default: all of them.")
@@ -363,55 +302,34 @@ let constraints_cmd =
          "Derive the Section 5.2 infeasible-path constraints from the TAC \
           decision models and audit every manual constraint \
           (proved/refuted/unknown, with evidence).")
-    Term.(const run $ func_arg)
-
-let loops_cmd =
-  let run () =
-    Sel4_rt.Experiments.(print_loop_bounds (loop_bounds ()))
-  in
-  Cmd.v
-    (Cmd.info "loops" ~doc:"Compute the kernel loop bounds (Section 5.3).")
-    Term.(const run $ const ())
+    Term.(const run $ entry_arg)
 
 (* --- trace: run a scenario with the cycle-accurate event tracer on --- *)
 
-type trace_scenario = Quickstart | Entry of Sel4_rt.Kernel_model.entry_point
-
 let scenario_conv =
-  let parse = function
-    | "quickstart" -> Ok Quickstart
-    | "syscall" -> Ok (Entry Sel4_rt.Kernel_model.Syscall)
-    | "interrupt" | "irq" -> Ok (Entry Sel4_rt.Kernel_model.Interrupt)
-    | "fault" | "pagefault" -> Ok (Entry Sel4_rt.Kernel_model.Page_fault)
-    | "undefined" | "undef" ->
-        Ok (Entry Sel4_rt.Kernel_model.Undefined_instruction)
-    | s -> Error (`Msg (Fmt.str "unknown scenario %S" s))
-  in
-  let print ppf = function
-    | Quickstart -> Fmt.string ppf "quickstart"
-    | Entry e -> Fmt.string ppf (Sel4_rt.Kernel_model.entry_name e)
-  in
-  Arg.conv (parse, print)
+  conv_of
+    (function
+      | "quickstart" -> Ok `Quickstart
+      | s -> Result.map (fun e -> `Entry e) (entry_of_string s))
+    (fun ppf -> function
+      | `Quickstart -> Fmt.string ppf "quickstart"
+      | `Entry e -> Fmt.string ppf (entry_name e))
 
-let format_conv =
-  let parse = function
-    | "chrome" | "json" -> Ok `Chrome
-    | "text" | "timeline" -> Ok `Text
-    | s -> Error (`Msg (Fmt.str "unknown format %S (chrome or text)" s))
-  in
-  let print ppf f =
-    Fmt.string ppf (match f with `Chrome -> "chrome" | `Text -> "text")
-  in
-  Arg.conv (parse, print)
+let trace_format_conv =
+  Arg.enum
+    [
+      ("text", `Text); ("timeline", `Text); ("chrome", `Chrome);
+      ("json", `Chrome);
+    ]
 
 (* The examples/quickstart.ml sequence — boot, IPC ping-pong, interrupt
    delivery — with the tracer attached from the first boot instruction. *)
-let run_quickstart_traced ~config buf =
+let run_quickstart_traced ~config build buf =
   let module K = Sel4.Kernel in
   let module B = Sel4.Boot in
   let cpu = Hw.Cpu.create config in
   Hw.Cpu.set_trace_buffer cpu buf;
-  let env = B.boot ~cpu Sel4.Build.improved in
+  let env = B.boot ~cpu build in
   let expect what = function
     | K.Completed -> ()
     | _ -> failwith ("quickstart trace: " ^ what ^ " failed")
@@ -450,8 +368,8 @@ let trace_cmd =
     let config = ctx.Sel4_rt.Analysis_ctx.config in
     let buf = Obs.Trace.create ?capacity () in
     (match scenario with
-    | Quickstart -> run_quickstart_traced ~config buf
-    | Entry entry -> (
+    | `Quickstart -> run_quickstart_traced ~config build buf
+    | `Entry entry -> (
         match Sel4_rt.Workloads.run_traced ~buf ~seed ctx entry with
         | Sel4.Kernel.Failed e, _ ->
             Fmt.epr "scenario failed: %s@." e;
@@ -465,28 +383,24 @@ let trace_cmd =
         "warning: trace ring overflowed — %d oldest events dropped (capacity \
          %d; raise with --capacity)@."
         (Obs.Trace.dropped buf) (Obs.Trace.capacity buf);
-    let rendered =
-      match format with
+    write out
+      (match format with
       | `Chrome ->
           Obs.Json.to_string
             (Obs.Trace.to_chrome_json ~cycles_per_us:config.Hw.Config.clock_mhz
                buf)
           ^ "\n"
-      | `Text -> Fmt.str "%a" Obs.Trace.pp_timeline buf
-    in
-    match out with
-    | None -> print_string rendered
-    | Some path ->
-        let oc = open_out path in
-        output_string oc rendered;
-        close_out oc;
-        Fmt.pr "wrote %s (%d events, %d dropped)@." path
-          (Obs.Trace.length buf) (Obs.Trace.dropped buf)
+      | `Text -> Fmt.str "%a" Obs.Trace.pp_timeline buf);
+    Option.iter
+      (fun path ->
+        Fmt.pr "wrote %s (%d events, %d dropped)@." path (Obs.Trace.length buf)
+          (Obs.Trace.dropped buf))
+      out
   in
   let scenario_arg =
     Arg.(
       value
-      & pos 0 scenario_conv Quickstart
+      & pos 0 scenario_conv `Quickstart
       & info [] ~docv:"SCENARIO"
           ~doc:
             "Scenario to trace: quickstart (the examples/quickstart.ml \
@@ -500,7 +414,7 @@ let trace_cmd =
   in
   let format_arg =
     Arg.(
-      value & opt format_conv `Text
+      value & opt trace_format_conv `Text
       & info [ "format"; "f" ] ~docv:"FORMAT"
           ~doc:
             "Output format: text (human-readable timeline) or chrome \
@@ -517,12 +431,6 @@ let trace_cmd =
              dropped count goes to stderr (also counted by the \
              $(b,trace.dropped) metric).")
   in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the trace to FILE.")
-  in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
@@ -530,33 +438,29 @@ let trace_cmd =
           export the event timeline.")
     Term.(
       const run $ scenario_arg $ build_arg $ l2_arg $ seed_arg $ format_arg
-      $ capacity_arg $ out_arg)
+      $ capacity_arg $ out_arg "trace")
 
 let metrics_cmd =
   let run l2 runs json =
     (* Exercise the full pipeline once per entry point — IPET stage spans,
        analysis-cache counters, pool stats — plus one observed workload for
        the hardware counters, then dump the registry. *)
-    let ctx = Sel4_rt.Pinning.context ~l2 Sel4.Build.improved in
+    let build = Sel4.Build.improved in
     List.iter
-      (fun entry -> ignore (Sel4_rt.Response_time.computed ctx entry))
+      (fun e ->
+        let target = Q.Entry e in
+        ignore (exec (Q.Analyse { target; build; l2; pin = false })))
       Sel4_rt.Kernel_model.entry_points;
     ignore
-      (Sel4_rt.Response_time.observed ~runs ctx Sel4_rt.Kernel_model.Interrupt);
-    if json then
-      emit_envelope (Serve.Query.respond Serve.Query.Metrics)
-    else Fmt.pr "%a@." (fun ppf -> Obs.Metrics.pp ppf) (Obs.Metrics.snapshot ())
+      (Sel4_rt.Response_time.observed ~runs
+         (Sel4_rt.Pinning.context ~l2 build)
+         Sel4_rt.Kernel_model.Interrupt);
+    query ~json Q.Metrics
   in
   let runs_arg =
     Arg.(
       value & opt int 5
       & info [ "runs" ] ~docv:"N" ~doc:"Observed-workload repetitions.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Dump the registry as JSON instead of the readable table.")
   in
   Cmd.v
     (Cmd.info "metrics"
@@ -567,30 +471,12 @@ let metrics_cmd =
     Term.(const run $ l2_arg $ runs_arg $ json_arg)
 
 let race_cmd =
-  let run smoke json =
-    if json then
-      emit_envelope (Serve.Query.respond (Serve.Query.Race { smoke }))
-    else begin
-      let report = Race.audit ~smoke Sel4_rt.Analysis_ctx.default in
-      Fmt.pr "%a@." Race.pp_matrix ();
-      Fmt.pr "%a@." Race.pp_og ();
-      Fmt.pr "%a@." Race.pp_audit report;
-      if not (Race.audit_ok report) then exit 1
-    end
-  in
+  let run smoke json = query ~json (Q.Race { smoke }) in
   let smoke_arg =
     Arg.(
       value & flag
       & info [ "smoke" ]
           ~doc:"Audit against the small operation workloads (the CI run).")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the full analysis (sections, matrix, Owicki-Gries rows, \
-             audit) as JSON.")
   in
   Cmd.v
     (Cmd.info "race"
@@ -603,28 +489,8 @@ let race_cmd =
           non-zero if any recorded access escapes its declared footprint.")
     Term.(const run $ smoke_arg $ json_arg)
 
-(* Inputs the library rejects with [Invalid_argument] (an unknown
-   scenario name, an explore depth below 1) are usage errors: report them
-   and exit 2, not as an uncaught exception. *)
-let or_usage_error f =
-  try f ()
-  with Invalid_argument msg ->
-    Fmt.epr "sel4rt: %s@." msg;
-    exit 2
-
 let explore_cmd =
-  let run smoke depth json =
-    if json then
-      emit_envelope (Serve.Query.respond (Serve.Query.Explore { smoke; depth }))
-    else begin
-      let report =
-        or_usage_error (fun () ->
-            Explore.run ~smoke ?depth Sel4_rt.Analysis_ctx.default)
-      in
-      Fmt.pr "%a@." Explore.pp_report report;
-      if not (Explore.ok report) then exit 1
-    end
-  in
+  let run smoke depth json = query ~json (Q.Explore { smoke; depth }) in
   let smoke_arg =
     Arg.(
       value & flag
@@ -642,15 +508,6 @@ let explore_cmd =
             "Maximum preemptions (and client actions) per schedule (default \
              3, or 2 under $(b,--smoke)).")
   in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Emit the machine-readable campaign report (in the envelope \
-             every $(b,--json) output shares) instead of the readable \
-             table.")
-  in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
@@ -666,87 +523,76 @@ let explore_cmd =
           failure.")
     Term.(const run $ smoke_arg $ depth_arg $ json_arg)
 
+(* The forensics campaign is not a query: it writes to stderr and files
+   around the same report the [sim] query prints. *)
+let run_forensics ~smoke ~seed ?entries ?only ?inv_every forensics_out =
+  match
+    Sim.run_campaign_forensics ~smoke ~seed ?entries ?only ?inv_every ()
+  with
+  | exception Invalid_argument msg -> usage_error msg
+  | report, th, f ->
+      Fmt.epr "%a@." Obs.Tail_report.pp f.Sim.fo_tail;
+      List.iter (fun g -> Fmt.epr "%a@." Obs.Gap_report.pp g) f.Sim.fo_gaps;
+      Option.iter
+        (fun dir ->
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          let write name contents =
+            let path = Filename.concat dir name in
+            write (Some path) contents;
+            Fmt.epr "wrote %s@." path
+          in
+          let write_json name v = write name (Obs.Json.to_string v ^ "\n") in
+          write_json "sim_tail.json" (Obs.Tail_report.to_json f.Sim.fo_tail);
+          write_json "sim_gap.json" (Obs.Gap_report.to_json f.Sim.fo_gaps);
+          List.iter
+            (fun (label, p) ->
+              write
+                ("bound_profile_" ^ label ^ ".folded")
+                (Obs.Bound_profile.to_folded p))
+            f.Sim.fo_profiles;
+          List.iter
+            (fun (stem, json) -> write_json (stem ^ ".trace.json") json)
+            (Obs.Tail_report.chrome_traces f.Sim.fo_tail))
+        forensics_out;
+      Q.Soak (report, th)
+
 let sim_cmd =
-  let run smoke seed entries only inv_every collect forensics forensics_out
-      cores shielded compare =
-    let only = match only with [] -> None | l -> Some l in
-    ignore (or_usage_error (fun () -> Sim.select_scenarios only));
-    if cores > 1 || compare then begin
-      (* The SMP engine: per-core worlds coupled through the IPI fabric.
-         [--cores 1] without [--compare] stays on the single-core campaign
-         below, whose stdout is covered by the byte-identity contract. *)
-      if forensics || forensics_out <> None then
-        Fmt.epr
-          "warning: --forensics applies to the single-core campaign only; \
-           ignored under --cores > 1@.";
-      if compare then begin
-        let shielded_rep, spread_rep, cmp =
-          Smp.Soak.run_compare ~seed ?entries ~smoke ~cores:(max 2 cores) ()
-        in
-        Fmt.pr "%a@." Smp.Soak.pp_report shielded_rep;
-        Fmt.pr "%a@." Smp.Soak.pp_report spread_rep;
-        Fmt.pr "%a@." Smp.Soak.pp_comparison cmp;
-        if
-          not
-            (shielded_rep.Smp.Soak.rp_ok && spread_rep.Smp.Soak.rp_ok
-           && cmp.Smp.Soak.cmp_tail_lower)
-        then exit 1
-      end
-      else begin
-        let policy =
-          if shielded then Smp.Topology.Shielded else Smp.Topology.Spread
-        in
-        let report =
-          Smp.Soak.run ~seed ?entries ~smoke ?inv_every ?only ~cores ~policy ()
-        in
-        Fmt.pr "%a@." Smp.Soak.pp_report report;
-        if not report.Smp.Soak.rp_ok then exit 1
-      end;
-      exit 0
-    end;
-    let report, th =
-      if not (forensics || forensics_out <> None) then
-        Sim.run_campaign_timed ~smoke ~seed ?entries ?only ?inv_every ~collect
-          ()
-      else begin
-        let report, th, f =
-          Sim.run_campaign_forensics ~smoke ~seed ?entries ?only ?inv_every ()
-        in
-        (* Forensic output goes to stderr / files: stdout stays the
-           byte-identical campaign report. *)
-        Fmt.epr "%a@." Obs.Tail_report.pp f.Sim.fo_tail;
-        List.iter (fun g -> Fmt.epr "%a@." Obs.Gap_report.pp g) f.Sim.fo_gaps;
-        Option.iter
-          (fun dir ->
-            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-            let write name contents =
-              let path = Filename.concat dir name in
-              let oc = open_out path in
-              output_string oc contents;
-              close_out oc;
-              Fmt.epr "wrote %s@." path
-            in
-            let write_json name v = write name (Obs.Json.to_string v ^ "\n") in
-            write_json "sim_tail.json" (Obs.Tail_report.to_json f.Sim.fo_tail);
-            write_json "sim_gap.json" (Obs.Gap_report.to_json f.Sim.fo_gaps);
-            List.iter
-              (fun (label, p) ->
-                write
-                  ("bound_profile_" ^ label ^ ".folded")
-                  (Obs.Bound_profile.to_folded p))
-              f.Sim.fo_profiles;
-            List.iter
-              (fun (stem, json) -> write_json (stem ^ ".trace.json") json)
-              (Obs.Tail_report.chrome_traces f.Sim.fo_tail))
-          forensics_out;
-        (report, th)
-      end
+  let run smoke seed entries scenarios inv_every forensics forensics_out cores
+      shielded compare =
+    let forensics = forensics || forensics_out <> None in
+    if shielded && (cores = 1 || compare) then
+      usage_error "--shielded needs --cores above 1 and no --compare";
+    if forensics && (cores <> 1 || compare) then
+      usage_error "--forensics records the single-core campaign only";
+    let req =
+      if cores = 1 && not compare then
+        Q.Sim { smoke; seed; entries; scenarios; inv_every }
+      else
+        (* A comparison needs two cores: plain --compare runs on two. *)
+        let cores = if compare && cores = 1 then 2 else cores in
+        Q.Smp
+          {
+            smoke;
+            seed;
+            entries;
+            cores;
+            shielded;
+            compare;
+            scenarios;
+            inv_every;
+          }
     in
-    Fmt.pr "%a@." Sim.pp_report report;
     (* Wall-clock economics go to stderr: stdout is covered by the
        byte-identity contract (fixed seed => fixed bytes). *)
-    Fmt.epr "%a@." Sim.pp_throughput th;
-    if not report.Sim.rp_ok then exit 1
+    report
+      ~epilogue:(function
+        | Q.Soak (_, th) -> Fmt.epr "%a@." Sim.pp_throughput th | _ -> ())
+      (if not forensics then exec req
+       else begin
+         Result.iter_error usage_error (Q.validate req);
+         let only = match scenarios with [] -> None | l -> Some l in
+         run_forensics ~smoke ~seed ?entries ?only ?inv_every forensics_out
+       end)
   in
   let smoke_arg =
     Arg.(
@@ -768,11 +614,13 @@ let sim_cmd =
       & info [ "entries" ] ~docv:"N"
           ~doc:"Kernel entries per scenario/build run (default 52000).")
   in
-  let only_arg =
+  let scenario_arg =
     Arg.(
       value & opt_all string []
       & info [ "scenario" ] ~docv:"NAME"
-          ~doc:"Restrict to the named scenario (repeatable).")
+          ~doc:
+            "Restrict to the named scenario (repeatable; not with \
+             $(b,--compare)).")
   in
   let inv_every_arg =
     Arg.(
@@ -781,27 +629,20 @@ let sim_cmd =
           ~doc:
             "Run the invariant catalogue every N entries (0 = off; default \
              512, or 0 under $(b,--smoke)).  Checks charge no simulated \
-             cycles, so the period never changes the report.")
-  in
-  let collect_arg =
-    Arg.(
-      value & flag
-      & info [ "collect" ]
-          ~doc:
-            "Collect all shard results before merging instead of the \
-             constant-memory streaming fold (same report bytes; for \
-             differential testing).")
+             cycles, so the period never changes the report.  Not with \
+             $(b,--compare).")
   in
   let forensics_arg =
     Arg.(
       value & flag
       & info [ "forensics" ]
           ~doc:
-            "Flight-record the worst deliveries: after the campaign, replay \
-             the implicated shards with the tracer attached and print the \
-             tail report (worst windows attributed to kernel sections) and \
-             the gap report (bound decomposition vs. observed worst case) to \
-             stderr.  The stdout report stays byte-identical.")
+            "Flight-record the worst deliveries of the single-core campaign: \
+             after the campaign, replay the implicated shards with the \
+             tracer attached and print the tail report (worst windows \
+             attributed to kernel sections) and the gap report (bound \
+             decomposition vs. observed worst case) to stderr.  The stdout \
+             report stays byte-identical.")
   in
   let forensics_out_arg =
     Arg.(
@@ -819,10 +660,10 @@ let sim_cmd =
       & info [ "cores" ] ~docv:"N"
           ~doc:
             "Number of modelled cores.  1 (default) runs the single-core \
-             campaign (byte-identical to previous releases); above 1, the \
-             SMP engine runs per-core schedulers coupled through the IPI \
-             fabric and checks every delivery against the per-core bound \
-             (single-core bound + remote-interference term).")
+             campaign; above 1, the SMP engine runs per-core schedulers \
+             coupled through the IPI fabric and checks every delivery \
+             against the per-core bound (single-core bound + \
+             remote-interference term).")
   in
   let shielded_arg =
     Arg.(
@@ -840,9 +681,10 @@ let sim_cmd =
       & info [ "compare" ]
           ~doc:
             "Run the shielded and spread policies at the same seed and \
-             budget and report the tail comparison; exits non-zero unless \
-             both runs pass their gates and the shielded core's observed \
-             p99.9 and max are strictly lower.")
+             budget (on 2 cores unless $(b,--cores) says more) and report \
+             the tail comparison; exits non-zero unless both runs pass \
+             their gates and the shielded core's observed p99.9 and max are \
+             strictly lower.")
   in
   Cmd.v
     (Cmd.info "sim"
@@ -855,8 +697,8 @@ let sim_cmd =
           count. Exits non-zero if any latency exceeds its bound or an \
           invariant check fails.")
     Term.(
-      const run $ smoke_arg $ seed_arg $ entries_arg $ only_arg $ inv_every_arg
-      $ collect_arg $ forensics_arg $ forensics_out_arg $ cores_arg
+      const run $ smoke_arg $ seed_arg $ entries_arg $ scenario_arg
+      $ inv_every_arg $ forensics_arg $ forensics_out_arg $ cores_arg
       $ shielded_arg $ compare_arg)
 
 let serve_cmd =
@@ -866,7 +708,9 @@ let serve_cmd =
     | Some path ->
         Fmt.epr "sel4rt serve: listening on %s@." path;
         Serve.Server.serve_socket path
-    | None -> exit (Serve.Server.serve_stdio ())
+    | None ->
+        if not (Serve.Server.serve_channels stdin stdout) then
+          exit_status Serve.Envelope.Error
   in
   let socket_arg =
     Arg.(
@@ -883,8 +727,7 @@ let serve_cmd =
       & info [ "stdio" ]
           ~doc:
             "Serve newline-delimited JSON queries on stdin/stdout until EOF \
-             (the default).  Exits non-zero if any query line was \
-             malformed.")
+             (the default).  Exits 2 if any query line was malformed.")
   in
   Cmd.v
     (Cmd.info "serve"
@@ -920,23 +763,25 @@ let () =
         "Worst-case interrupt response analysis for a verifiable protected \
          microkernel (EuroSys'12 reproduction)."
   in
+  (* A command line cmdliner rejects is a usage error like any other. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            wcet_cmd;
-            analyse_cmd;
-            serve_cmd;
-            observe_cmd;
-            response_cmd;
-            explain_cmd;
-            repro_cmd;
-            constraints_cmd;
-            loops_cmd;
-            pins_cmd;
-            trace_cmd;
-            metrics_cmd;
-            race_cmd;
-            explore_cmd;
-            sim_cmd;
-          ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [
+              analyse_cmd;
+              serve_cmd;
+              observe_cmd;
+              explain_cmd;
+              repro_cmd;
+              constraints_cmd;
+              pins_cmd;
+              trace_cmd;
+              metrics_cmd;
+              race_cmd;
+              explore_cmd;
+              sim_cmd;
+            ])
+     with
+    | Ok _ -> 0
+    | Error _ -> 2)

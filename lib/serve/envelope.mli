@@ -1,8 +1,9 @@
 (** The unified machine-readable envelope.
 
-    Every JSON document this repository emits — serve responses, the
-    [--json] output of [sel4rt analyse]/[explain]/[race]/[explore]/
-    [metrics] — is one envelope object:
+    Every JSON document this repository emits — serve responses and
+    the JSON output of the query-backed [sel4rt] subcommands
+    ([analyse]/[race]/[explore]/[metrics] [--json],
+    [explain --format json]) — is one envelope object:
 
     {v
     { "schema_version": 1,
@@ -14,9 +15,10 @@
 
     [status] is ["ok"] when the command ran and its gate (if any) passed,
     ["fail"] when it ran but a gate failed (an explore oracle, a
-    sim latency bound, a non-exact decomposition), and ["error"] when the
-    request itself was malformed or the command raised; an ["error"]
-    payload is [{"error": <message>}].  [elapsed_s] is the only
+    sim latency bound, a non-exact decomposition: {!Query.status}), and
+    ["error"] when the request itself was malformed or the command
+    raised; an ["error"] payload is [{"error": <message>}].  [sel4rt]
+    exits 0, 1 and 2 on the three.  [elapsed_s] is the only
     wall-clock-dependent field — payloads are deterministic for
     deterministic commands, which is what the warm-cache byte-identity
     gate checks. *)

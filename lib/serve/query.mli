@@ -3,9 +3,10 @@
     One typed request variant covers every analysis the toolkit exposes
     machine-readably — WCET bounds, bound decomposition, the soak
     campaigns (single-core and SMP), the interference audit, the
-    preemption-schedule campaign, and the metrics registry.  [sel4rt]'s [--json] paths and
-    the [serve] protocol are both thin clients of {!respond}: same
-    request type, same payload bytes, same envelope.
+    preemption-schedule campaign, and the metrics registry.  The
+    [serve] protocol and every query-backed [sel4rt] subcommand are thin
+    clients of {!exec}: same request, same gate ({!status}), same
+    payload ({!to_json}) and text ({!pp}).
 
     Wire form (one JSON object per request):
 
@@ -26,7 +27,8 @@
     ["smoke"]; [explore] takes ["smoke"], ["depth"].  Booleans default
     to [false] except campaign ["smoke"] which defaults to [true] (a
     server should not run multi-minute campaigns unless explicitly
-    asked).
+    asked).  [smp]'s [scenarios] and either campaign's [inv_every] are
+    CLI-only: the wire runs every scenario at the default period.
 
     Analyse payloads carry no wall-clock fields — a warm-cache bound is
     byte-identical to the cold one, which is what the CI warm-cache gate
@@ -43,6 +45,7 @@ type request =
       seed : int;
       entries : int option;
       scenarios : string list;
+      inv_every : int option;
     }
   | Smp of {
       smoke : bool;
@@ -51,35 +54,70 @@ type request =
       cores : int;
       shielded : bool;
       compare : bool;
+      scenarios : string list;
+      inv_every : int option;
     }
   | Race of { smoke : bool }
   | Explore of { smoke : bool; depth : int option }
 
+(** What a request produced: the report value its library builds. *)
+type result =
+  | Bound of {
+      target : target;
+      build : Sel4.Build.t;
+      l2 : bool;
+      pin : bool;
+      config : Hw.Config.t;
+      wcet : int;
+      ipet : Wcet.Ipet.result option;  (** [None] for [Kernel_entry] *)
+    }
+  | Profile of Obs.Bound_profile.t
+  | Snapshot of Obs.Metrics.snapshot
+  | Soak of (Sim.report * Sim.throughput)
+  | Smp_soak of Smp.Soak.report
+  | Smp_compare of (Smp.Soak.report * Smp.Soak.report * Smp.Soak.comparison)
+      (** shielded, spread, comparison *)
+  | Race_audit of Race.audit_report
+  | Explore_report of Explore.report
+
+val validate : request -> (request, string) Stdlib.result
+(** Reject [entries] or [cores] below 1 (a campaign that runs nothing)
+    and an SMP comparison given [scenarios] or [inv_every], which it
+    cannot honour.  {!of_json} and {!exec} both apply it. *)
+
+val exec : request -> (result, string) Stdlib.result
+(** Never raises: a request {!validate} rejects, or whose command raises
+    (an unknown scenario name, an [explore] depth below 1), is [Error]. *)
+
+val status : result -> Envelope.status
+(** The one gate: [Fail] for an oracle violation, a latency over bound,
+    a non-exact decomposition or a shielded tail not below spread's. *)
+
+val to_json : result -> Json.t
+(** The payload a serve response carries. *)
+
+val pp : result Fmt.t
+(** The text report, newline-terminated. *)
+
 type outcome = { status : Envelope.status; payload : string }
 
 val run : request -> outcome
-(** Execute the request; [payload] is the compact JSON text of the
-    payload value.  Never raises: an exception becomes an [Error]-status
-    outcome with an [{"error": ...}] payload — as does a well-formed
-    request that would run nothing: an unknown [sim] scenario name or an
-    [explore] depth below 1.  [Fail]
-    means the command ran but its gate failed (an oracle violation, a
-    latency over bound, a non-exact decomposition). *)
+(** {!exec} then {!to_json}, compact; an [Error] becomes an
+    [Error]-status outcome with an [{"error": ...}] payload. *)
 
 val respond : ?id:string -> request -> string * Envelope.status
 (** {!run} wrapped in the one-line envelope (trailing newline included),
     with the wall-clock [elapsed_s] measured around the run.  The
     payload value is wrapped as built: it is printed once and never
-    parsed back.  The status
-    is also returned so CLI clients can turn [Fail]/[Error] into a
-    non-zero exit. *)
+    parsed back.  The status is also returned so CLI clients can turn
+    [Fail]/[Error] into a non-zero exit. *)
 
-val of_json : Json.t -> (string option * request, string) result
+val of_json : Json.t -> (string option * request, string) Stdlib.result
 (** Parse a wire request: [Ok (id, request)] or [Error message] for an
-    unknown query kind, a bad parameter (including [entries] or [cores]
-    below 1), or a non-object. *)
+    unknown query kind, a bad parameter (see {!validate}), or a
+    non-object. *)
 
 val target_name : target -> string
-val target_of_string : string -> (target, string) result
-val build_of_string : string -> (Sel4.Build.t, string) result
+val target_of_string : string -> (target, string) Stdlib.result
+val build_of_string : string -> (Sel4.Build.t, string) Stdlib.result
 val build_name : Sel4.Build.t -> string

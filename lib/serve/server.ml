@@ -58,8 +58,6 @@ let serve_channels ic oc =
    with End_of_file -> ());
   !all_well_formed
 
-let serve_stdio () = if serve_channels stdin stdout then 0 else 1
-
 let serve_socket path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -19,10 +19,6 @@ val serve_channels : in_channel -> out_channel -> bool
     non-blank line parsed as a well-formed request ([fail]-status
     results are still well-formed; only malformed input clears it). *)
 
-val serve_stdio : unit -> int
-(** Serve stdin/stdout until EOF; the suggested process exit code —
-    [0] when every query was well-formed, [1] otherwise. *)
-
 val serve_socket : string -> unit
 (** Bind a Unix-domain socket at the given path (replacing any stale
     socket file) and serve each accepted connection on its own thread,

@@ -156,7 +156,16 @@ let test_query_of_json () =
   | Ok (None, Q.Explore { smoke = true; depth = Some 2 }) -> ()
   | _ -> Alcotest.fail "explore params");
   (match req {|{"query": "sim", "scenarios": ["idle"], "entries": 100}|} with
-  | Ok (None, Q.Sim { smoke = true; seed = 42; entries = Some 100; scenarios = [ "idle" ] }) ->
+  | Ok
+      ( None,
+        Q.Sim
+          {
+            smoke = true;
+            seed = 42;
+            entries = Some 100;
+            scenarios = [ "idle" ];
+            inv_every = None;
+          } ) ->
       ()
   | _ -> Alcotest.fail "sim params");
   List.iter
@@ -191,6 +200,29 @@ let test_query_of_json () =
     [
       {|{"query": "sim", "scenarios": ["typo"]}|};
       {|{"query": "explore", "depth": 0}|};
+    ];
+  (* A comparison cannot honour a scenario list or an invariant period,
+     which only typed (CLI) requests can carry. *)
+  let comparison ~scenarios ~inv_every =
+    Q.Smp
+      {
+        smoke = true;
+        seed = 42;
+        entries = None;
+        cores = 2;
+        shielded = false;
+        compare = true;
+        scenarios;
+        inv_every;
+      }
+  in
+  List.iter
+    (fun r ->
+      check_bool "comparison rejects its unused parameters" true
+        (Result.is_error (Q.exec r)))
+    [
+      comparison ~scenarios:[ "ipc_pingpong" ] ~inv_every:None;
+      comparison ~scenarios:[] ~inv_every:(Some 64);
     ]
 
 let test_query_respond_deterministic () =
