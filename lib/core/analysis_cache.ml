@@ -1,49 +1,34 @@
 (* Content-keyed memo cache over the WCET analysis pipeline.
 
-   Every quantity the experiments compute is a pure function of a small
-   structured key: (build variant, entry point, kernel-model parameters,
-   hardware configuration, pinned lines, forced-path constraints, and
-   whether the manual constraints apply).  The experiment suite re-derives
-   identical tuples dozens of times across table1/table2/fig8/summary, so
-   results are memoised at two levels:
+   Every quantity the experiments compute is a pure function of one
+   analysis request: an {!Analysis_ctx.t} (build, kernel-model
+   parameters, hardware configuration, pinned lines), an entry point, a
+   constraint selector and forced-path counts.  The experiment suite
+   re-derives identical requests dozens of times across
+   table1/table2/fig8/summary, so results are memoised at two levels:
 
    - a *prefix* cache over {!Wcet.Ipet.prepare} (virtual inlining, loop
      detection, cache-analysis fixpoint), shared by every ILP variant over
-     the same (build, entry, params, config, pins);
+     the same context and entry point;
    - a *result* cache over the full {!Wcet.Ipet.analyse_prepared} output.
 
-   Both tables are guarded by one mutex so concurrent domains (the
-   {!Parallel} pool) share work instead of duplicating it: the first
+   Both tables are keyed by the canonical key text ({!render_prefix},
+   plus {!render_variant} for results), the same text that addresses the
+   persistent store, so memory and disk agree on what a key is by
+   construction.  Both are guarded by one mutex so concurrent domains
+   (the {!Parallel} pool) share work instead of duplicating it: the first
    requester of a key inserts a [Pending] marker and computes outside the
    lock; later requesters of the same key block on a condition variable
    until the result (or the exception) lands.  Hit/miss counters feed the
    metrics registry. *)
-
-type prefix_key = {
-  pk_build : Sel4.Build.t;
-  pk_entry : Kernel_model.entry_point;
-  pk_params : Kernel_model.params;
-  pk_config : Hw.Config.t;
-  pk_pinned_code : int list;
-  pk_pinned_data : int list;
-}
-
-type result_key = {
-  rk_prefix : prefix_key;
-  rk_use_constraints : bool;
-  rk_sources : Wcet.Ipet.sources;
-  rk_forced : (string * string * int) list;
-}
 
 type 'a cell = Pending | Ready of ('a, exn) Result.t
 
 let lock = Mutex.create ()
 let cond = Condition.create ()
 
-let prefixes : (prefix_key, Wcet.Ipet.prepared cell) Hashtbl.t =
-  Hashtbl.create 64
-
-let results : (result_key, Wcet.Ipet.result cell) Hashtbl.t = Hashtbl.create 64
+let prefixes : (string, Wcet.Ipet.prepared cell) Hashtbl.t = Hashtbl.create 64
+let results : (string, Wcet.Ipet.result cell) Hashtbl.t = Hashtbl.create 64
 
 (* Counters live in the process-wide metrics registry, so `sel4rt metrics`
    and the serve `metrics` query read the same numbers as {!stats}.  A
@@ -142,12 +127,14 @@ let memo tbl hit key compute =
   in
   loop ()
 
-let prepared key =
+let prepare ({ config; params; pins; build } : Analysis_ctx.t) entry =
+  Wcet.Ipet.prepare ~config ~pinned_code:pins.code ~pinned_data:pins.data
+    (Kernel_model.spec ~params build entry)
+
+let prepared key ctx entry =
   memo prefixes prefix_hits key (fun () ->
       Obs.Metrics.incr prefix_misses;
-      Wcet.Ipet.prepare ~config:key.pk_config ~pinned_code:key.pk_pinned_code
-        ~pinned_data:key.pk_pinned_data
-        (Kernel_model.spec ~params:key.pk_params key.pk_build key.pk_entry))
+      prepare ctx entry)
 
 (* --- persistence hooks (installed by Serve.Disk_cache) --- *)
 
@@ -160,28 +147,20 @@ type persist = {
 let persist_store : persist option Atomic.t = Atomic.make None
 let set_persist p = Atomic.set persist_store p
 
-(* Canonical text rendering of a result key, in the style of
+(* Canonical text rendering of an analysis request, in the style of
    {!Sel4.Digest}: every field named, one line per component, no
    dependence on hash-table or marshalling order.  The records are
    destructured field by field so that adding a field to any component
    type fails compilation here rather than silently aliasing distinct
-   configurations to one cache entry. *)
-let render_key (rk : result_key) =
+   configurations to one cache entry.  The prefix text keys
+   {!Wcet.Ipet.prepare}'s inputs; a result key appends the variant. *)
+let render_prefix (ctx : Analysis_ctx.t) entry =
   let b = Buffer.create 512 in
-  let add fmt = Fmt.kstr (Buffer.add_string b) fmt in
+  let add fmt = Printf.bprintf b fmt in
   let ints l = String.concat "," (List.map string_of_int l) in
-  let {
-    pk_build;
-    pk_entry;
-    pk_params;
-    pk_config;
-    pk_pinned_code;
-    pk_pinned_data;
-  } =
-    rk.rk_prefix
-  in
+  let { Analysis_ctx.config; params; pins = { code; data }; build } = ctx in
   let { Sel4.Build.sched; vspace; preemption_points; preempt_chunk } =
-    pk_build
+    build
   in
   add "build sched=%s vspace=%s preempt=%b chunk=%d\n"
     (match sched with
@@ -192,7 +171,7 @@ let render_key (rk : result_key) =
     | Sel4.Build.Asid_table -> "asid_table"
     | Sel4.Build.Shadow_tables -> "shadow_tables")
     preemption_points preempt_chunk;
-  add "entry %s\n" (Kernel_model.entry_name pk_entry);
+  add "entry %s\n" (Kernel_model.entry_name entry);
   let {
     Kernel_model.decode_depth;
     msg_words;
@@ -202,7 +181,7 @@ let render_key (rk : result_key) =
     max_parked;
     preemptible_call;
   } =
-    pk_params
+    params
   in
   add
     "params depth=%d msg=%d caps=%d frame_bits=%d waiters=%d parked=%d \
@@ -233,7 +212,7 @@ let render_key (rk : result_key) =
     l2_locked_base;
     l2_locked_bytes;
   } =
-    pk_config
+    config
   in
   add "config clock=%h repl=%s l1=%d/%d/%d+%d l2=%b/%d/%d/%d+%d\n" clock_mhz
     (match replacement with
@@ -246,102 +225,51 @@ let render_key (rk : result_key) =
     mem_cycles_l2_off mem_cycles_l2_on writeback_fraction branch_predictor
     branch_cost_static branch_cost_predicted branch_cost_mispredicted
     locked_ways_i locked_ways_d l2_locked_base l2_locked_bytes;
-  add "pins code=[%s] data=[%s]\n" (ints pk_pinned_code) (ints pk_pinned_data);
-  add "variant constraints=%b sources=%s\n" rk.rk_use_constraints
-    (match rk.rk_sources with
-    | `All -> "all"
-    | `Manual -> "manual"
-    | `Derived -> "derived");
-  List.iter
-    (fun (func, block, count) -> add "forced %s/%s=%d\n" func block count)
-    rk.rk_forced;
+  add "pins code=[%s] data=[%s]\n" (ints code) (ints data);
   Buffer.contents b
 
-(* A cached solution of a *more* constrained sibling (same prefix and
-   forced counts) remains feasible for a less constrained variant and
-   warm-starts its branch-and-bound: the full constraint set ([`All])
-   warm-starts the unconstrained baseline and the single-source
-   ([`Manual] / [`Derived]) variants alike. *)
-let warm_start_for rkey =
-  let find k =
-    match Hashtbl.find_opt results k with
-    | Some (Ready (Ok r)) -> Some r.Wcet.Ipet.ilp_solution
-    | _ -> None
-  in
-  if not rkey.rk_use_constraints then
-    find { rkey with rk_use_constraints = true; rk_sources = `All }
-  else
-    match rkey.rk_sources with
-    | `All -> None
-    | `Manual | `Derived -> find { rkey with rk_sources = `All }
+let render_variant (sources : Wcet.Ipet.sources) forced =
+  let b = Buffer.create 64 in
+  let add fmt = Printf.bprintf b fmt in
+  add "variant sources=%s\n"
+    (match sources with
+    | `All -> "all"
+    | `Manual -> "manual"
+    | `Derived -> "derived"
+    | `None -> "none");
+  List.iter
+    (fun (func, block, count) -> add "forced %s/%s=%d\n" func block count)
+    forced;
+  Buffer.contents b
 
-let computed ?(params = Kernel_model.default_params) ?(pinned_code = [])
-    ?(pinned_data = []) ?(use_constraints = true)
-    ?(sources : Wcet.Ipet.sources = `All)
-    ?(forced = ([] : (string * string * int) list)) ~config build entry =
-  (* With constraints off the sources selector is inert; normalise it so
-     the baseline occupies one cache slot instead of three. *)
-  let sources = if use_constraints then sources else `All in
-  let pkey =
-    {
-      pk_build = build;
-      pk_entry = entry;
-      pk_params = params;
-      pk_config = config;
-      pk_pinned_code = pinned_code;
-      pk_pinned_data = pinned_data;
-    }
-  in
+let computed ?(sources : Wcet.Ipet.sources = `All)
+    ?(forced = ([] : (string * string * int) list)) ctx entry =
   if not (Atomic.get enabled) then
-    Wcet.Ipet.analyse_prepared ~use_constraints ~sources ~forced
-      (Wcet.Ipet.prepare ~config ~pinned_code ~pinned_data
-         (Kernel_model.spec ~params build entry))
-  else begin
-    let rkey =
-      {
-        rk_prefix = pkey;
-        rk_use_constraints = use_constraints;
-        rk_sources = sources;
-        rk_forced = forced;
-      }
-    in
-    memo results result_hits rkey (fun () ->
-        let prefix = prepared pkey in
+    Wcet.Ipet.analyse_prepared ~sources ~forced (prepare ctx entry)
+  else
+    let pkey = render_prefix ctx entry in
+    let key = pkey ^ render_variant sources forced in
+    memo results result_hits key (fun () ->
+        let prefix = prepared pkey ctx entry in
         let solve () =
           Obs.Metrics.incr result_misses;
-          let warm_start =
-            Mutex.lock lock;
-            let w = warm_start_for rkey in
-            Mutex.unlock lock;
-            w
-          in
-          Wcet.Ipet.analyse_prepared ~use_constraints ~sources ~forced
-            ?warm_start prefix
+          Wcet.Ipet.analyse_prepared ~sources ~forced prefix
         in
         match Atomic.get persist_store with
         | None -> solve ()
         | Some store -> (
-            let key = render_key rkey in
-            match store.p_load key with
-            | Some stored -> (
-                (* A shape mismatch means a stale or colliding entry:
-                   recompute (and overwrite it) rather than crash. *)
-                match Wcet.Ipet.rehydrate prefix stored with
-                | r ->
-                    Obs.Metrics.incr result_disk_hits;
-                    r
-                | exception Invalid_argument _ ->
-                    let r = solve () in
-                    store.p_store key (Wcet.Ipet.to_persisted r);
-                    r)
+            (* A shape mismatch means a stale or colliding entry:
+               recompute (and overwrite it) rather than crash. *)
+            let rehydrated stored =
+              match Wcet.Ipet.rehydrate prefix stored with
+              | r -> Some r
+              | exception Invalid_argument _ -> None
+            in
+            match Option.bind (store.p_load key) rehydrated with
+            | Some r ->
+                Obs.Metrics.incr result_disk_hits;
+                r
             | None ->
                 let r = solve () in
                 store.p_store key (Wcet.Ipet.to_persisted r);
                 r))
-  end
-
-let computed_cycles ?params ?pinned_code ?pinned_data ?use_constraints ?sources
-    ?forced ~config build entry =
-  (computed ?params ?pinned_code ?pinned_data ?use_constraints ?sources ?forced
-     ~config build entry)
-    .Wcet.Ipet.wcet

@@ -1,44 +1,27 @@
 (** Content-keyed, domain-safe memo cache over the WCET analysis pipeline.
 
-    Results are keyed on (build variant, entry point, kernel-model
-    parameters, hardware configuration, pinned lines, forced-path
-    constraints, use of manual constraints); the analysis prefix (inlining
-    + loop detection + cache fixpoint) is cached separately and shared by
-    every ILP variant over it.  Concurrent requests for the same key
-    compute once: later requesters block until the first one's result (or
-    exception) is available.
+    One request is an {!Analysis_ctx.t}, an entry point, a constraint
+    selector and forced-path counts.  Results and the analysis prefix
+    (inlining + loop detection + cache fixpoint, shared by every ILP
+    variant over one context and entry point) are memoised in separate
+    tables, both keyed by the request's canonical text, the same text
+    that addresses the persistent store.  Concurrent requests for the
+    same key compute once: later requesters block until the first one's
+    result (or exception) is available.
 
     Cached {!Wcet.Ipet.result} values are shared structurally — treat
     their arrays as read-only. *)
 
 val computed :
-  ?params:Kernel_model.params ->
-  ?pinned_code:int list ->
-  ?pinned_data:int list ->
-  ?use_constraints:bool ->
   ?sources:Wcet.Ipet.sources ->
   ?forced:(string * string * int) list ->
-  config:Hw.Config.t ->
-  Sel4.Build.t ->
+  Analysis_ctx.t ->
   Kernel_model.entry_point ->
   Wcet.Ipet.result
-(** Memoised [Kernel_model.spec |> Wcet.Ipet.analyse].
-    [use_constraints:false] drops every user constraint; [sources]
-    selects manual-only / derived-only / all constraint rows when they
-    are on (default [`All]).  Less constrained variants warm-start from
-    an already-cached [`All] sibling's solution. *)
-
-val computed_cycles :
-  ?params:Kernel_model.params ->
-  ?pinned_code:int list ->
-  ?pinned_data:int list ->
-  ?use_constraints:bool ->
-  ?sources:Wcet.Ipet.sources ->
-  ?forced:(string * string * int) list ->
-  config:Hw.Config.t ->
-  Sel4.Build.t ->
-  Kernel_model.entry_point ->
-  int
+(** Memoised [Kernel_model.spec |> Wcet.Ipet.analyse_prepared].
+    [sources] selects the constraint rows (default [`All]; [`None] is
+    the unconstrained baseline); [forced] pins path counts.  A miss
+    solves cold. *)
 
 type stats = {
   hits : int;  (** in-memory result hits (including waits on in-flight keys) *)
@@ -62,11 +45,12 @@ type persist = {
   p_store : string -> Wcet.Ipet.persisted -> unit;
 }
 (** A persistent result store keyed by the canonical text rendering of the
-    full analysis key (context digest convention: every field named,
-    deterministic order).  Loaded records are {!Wcet.Ipet.rehydrate}d over
-    the freshly prepared prefix, so a store hit performs no ILP build or
-    solve; a missing or rejected record falls back to computing (and
-    re-storing).  Implementations must be safe to call from any domain. *)
+    full analysis request (context digest convention: every field named,
+    deterministic order), the key of the in-memory result table too.
+    Loaded records are {!Wcet.Ipet.rehydrate}d over the freshly prepared
+    prefix, so a store hit performs no ILP build or solve; a missing or
+    rejected record falls back to computing (and re-storing).
+    Implementations must be safe to call from any domain. *)
 
 val set_persist : persist option -> unit
 (** Install (or remove) the persistent store behind the memo tables.

@@ -1,6 +1,6 @@
 (* The unified analysis context (see analysis_ctx.mli).  The record is
    deliberately flat and immutable: a context is cheap to derive from
-   another with the [with_*] updates, and two structurally equal contexts
+   another with [{ ctx with ... }], and two structurally equal contexts
    always denote the same analysis inputs (the analysis cache keys on the
    same four components). *)
 
@@ -20,10 +20,6 @@ let make ?(config = Hw.Config.default) ?(params = Kernel_model.default_params)
   { config; params; pins; build }
 
 let default = make ()
-let with_config t config = { t with config }
-let with_params t params = { t with params }
-let with_pins t pins = { t with pins }
-let with_build t build = { t with build }
 
 let pp ppf t =
   Fmt.pf ppf "build=(%a) l2=%b pins=%d+%d depth=%d" Sel4.Build.pp t.build

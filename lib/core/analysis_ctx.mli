@@ -34,12 +34,4 @@ val make :
 val default : t
 (** [make ()]. *)
 
-(** Functional updates, for deriving one-field variants of a base
-    context (ablations, build sweeps): *)
-
-val with_config : t -> Hw.Config.t -> t
-val with_params : t -> Kernel_model.params -> t
-val with_pins : t -> pins -> t
-val with_build : t -> Sel4.Build.t -> t
-
 val pp : t Fmt.t

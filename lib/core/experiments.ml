@@ -409,16 +409,13 @@ type analysis_cost_row = {
 }
 
 let analysis_cost () =
-  let config = Hw.Config.default in
+  let ctx = Analysis_ctx.default in
   Parallel.map (Parallel.default ())
     (fun entry ->
-      (* Constrained first: its solution is feasible for (and warm-starts)
-         the unconstrained relaxation, and both share the cached analysis
-         prefix. *)
-      let constrained = Analysis_cache.computed ~config improved entry in
-      let unconstrained =
-        Analysis_cache.computed ~use_constraints:false ~config improved entry
-      in
+      (* Both variants share the cached analysis prefix; each solves
+         cold, so their order does not matter. *)
+      let constrained = Analysis_cache.computed ctx entry in
+      let unconstrained = Analysis_cache.computed ~sources:`None ctx entry in
       {
         ac_entry = entry;
         ilp_vars = constrained.Wcet.Ipet.ilp_vars;
@@ -461,22 +458,15 @@ type constraint_mode_row = {
 }
 
 let constraint_modes () =
-  let config = Hw.Config.default in
+  let ctx = Analysis_ctx.default in
   Parallel.map (Parallel.default ())
     (fun entry ->
-      (* Most constrained first: `All warm-starts both single-source
-         variants and the unconstrained baseline, and all four share the
-         cached analysis prefix. *)
-      let combined = Analysis_cache.computed ~config improved entry in
-      let manual =
-        Analysis_cache.computed ~sources:`Manual ~config improved entry
-      in
-      let derived =
-        Analysis_cache.computed ~sources:`Derived ~config improved entry
-      in
-      let unconstrained =
-        Analysis_cache.computed ~use_constraints:false ~config improved entry
-      in
+      (* All four variants share the cached analysis prefix; each solves
+         cold, so their order does not matter. *)
+      let combined = Analysis_cache.computed ctx entry in
+      let manual = Analysis_cache.computed ~sources:`Manual ctx entry in
+      let derived = Analysis_cache.computed ~sources:`Derived ctx entry in
+      let unconstrained = Analysis_cache.computed ~sources:`None ctx entry in
       let report =
         Kernel_model.constraint_report
           ~main:(Kernel_model.entry_main entry) ()

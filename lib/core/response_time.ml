@@ -6,31 +6,19 @@
 
    All drivers take an {!Analysis_ctx.t}. *)
 
-type pins = Analysis_ctx.pins = { code : int list; data : int list }
-
-let no_pins = Analysis_ctx.no_pins
-
 (* All computed (IPET) quantities route through the analysis-engine cache:
-   identical (build, entry, config, pins, params, forced) tuples are
-   analysed once per process, whichever experiment asks first. *)
+   identical (context, entry, forced) requests are analysed once per
+   process, whichever experiment asks first. *)
 
-let computed (ctx : Analysis_ctx.t) entry =
-  Analysis_cache.computed ~params:ctx.Analysis_ctx.params
-    ~pinned_code:ctx.Analysis_ctx.pins.code
-    ~pinned_data:ctx.Analysis_ctx.pins.data ~config:ctx.Analysis_ctx.config
-    ctx.Analysis_ctx.build entry
+let computed ctx entry = Analysis_cache.computed ctx entry
 
 let computed_cycles ctx entry = (computed ctx entry).Wcet.Ipet.wcet
 
 (* Computed execution time of the realisable path (Section 6.2: extra ILP
    constraints force analysis of the tested path). *)
 let computed_for_path (ctx : Analysis_ctx.t) entry =
-  let params = ctx.Analysis_ctx.params in
-  let forced = Kernel_model.realisable_path ~params entry in
-  (Analysis_cache.computed ~params ~pinned_code:ctx.Analysis_ctx.pins.code
-     ~pinned_data:ctx.Analysis_ctx.pins.data ~forced
-     ~config:ctx.Analysis_ctx.config ctx.Analysis_ctx.build entry)
-    .Wcet.Ipet.wcet
+  let forced = Kernel_model.realisable_path ~params:ctx.params entry in
+  (Analysis_cache.computed ~forced ctx entry).Wcet.Ipet.wcet
 
 let observed ?runs ctx entry = Workloads.observed ?runs ctx entry
 let observed_traced ?runs ctx entry = Workloads.observed_traced ?runs ctx entry
@@ -54,5 +42,3 @@ let profile ctx entry =
 let interrupt_response_profile ctx =
   Obs.Bound_profile.concat ~entry:"kernel_entry"
     [ profile ctx Kernel_model.Syscall; profile ctx Kernel_model.Interrupt ]
-
-let us config cycles = Hw.Config.cycles_to_us config cycles

@@ -7,11 +7,6 @@
 
     All drivers take an {!Analysis_ctx.t}. *)
 
-type pins = Analysis_ctx.pins = { code : int list; data : int list }
-(** Re-export of {!Analysis_ctx.pins} under its historical name. *)
-
-val no_pins : pins
-
 val computed : Analysis_ctx.t -> Kernel_model.entry_point -> Wcet.Ipet.result
 val computed_cycles : Analysis_ctx.t -> Kernel_model.entry_point -> int
 
@@ -41,5 +36,3 @@ val interrupt_response_profile : Analysis_ctx.t -> Obs.Bound_profile.t
 (** Decomposition of the full response bound: the syscall-path profile
     followed by the interrupt-path profile; total equals
     {!interrupt_response_bound}. *)
-
-val us : Hw.Config.t -> int -> float

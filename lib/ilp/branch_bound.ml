@@ -26,42 +26,9 @@ let fractional_var (solution : Simplex.solution) =
   in
   scan 0
 
-(* A candidate integral assignment is usable as an initial incumbent only
-   if it actually satisfies the problem: non-negative values that meet
-   every constraint.  Anything else is silently discarded — warm starts
-   are an optimisation, never a soundness input. *)
-let check_warm_start problem values =
-  let n = List.length (Problem.vars problem) in
-  if Array.length values <> n || Array.exists (fun v -> v < 0) values then None
-  else
-    let value_of (terms : (int * Problem.var) list) =
-      List.fold_left
-        (fun acc ((c, v) : int * Problem.var) -> acc + (c * values.((v :> int))))
-        0 terms
-    in
-    let ok =
-      List.for_all
-        (fun (c : Problem.cstr) ->
-          let v = value_of c.Problem.terms in
-          match c.Problem.relation with
-          | Problem.Le -> v <= c.Problem.bound
-          | Problem.Ge -> v >= c.Problem.bound
-          | Problem.Eq -> v = c.Problem.bound)
-        (Problem.constraints problem)
-    in
-    if ok then Some (value_of (Problem.objective problem), Array.copy values)
-    else None
-
-let solve ?(max_nodes = 100_000) ?stats ?warm_start problem =
+let solve ?(max_nodes = 100_000) ?stats problem =
   let stats = match stats with Some s -> s | None -> { nodes = 0; lp_solves = 0 } in
-  (* Incumbent warm-starting: seed the search with a known feasible
-     integral solution (typically from a previous solve of a more
-     constrained variant of the same problem, whose optimum remains
-     feasible here).  Every node whose LP bound cannot beat it is pruned
-     without branching. *)
-  let incumbent =
-    ref (Option.bind warm_start (check_warm_start problem))
-  in
+  let incumbent = ref None in
   let better objective =
     match !incumbent with
     | None -> true

@@ -13,14 +13,9 @@ type outcome =
 
 type stats = { mutable nodes : int; mutable lp_solves : int }
 
-val solve :
-  ?max_nodes:int -> ?stats:stats -> ?warm_start:int array -> Problem.t -> outcome
-(** [warm_start] seeds the incumbent with a candidate integral assignment
-    (one value per problem variable, in creation order); it is validated
-    against the constraints and ignored if infeasible, so any previous
-    solution of a *more constrained* variant of the same problem is a safe
-    warm start.  A good incumbent lets branch-and-bound prune nodes whose
-    LP relaxation cannot beat it.
+val solve : ?max_nodes:int -> ?stats:stats -> Problem.t -> outcome
+(** Depth-first search from an empty incumbent; IPET relaxations are
+    usually integral, so the root node typically ends it.
     @raise Node_limit if the search exceeds [max_nodes] (default 100_000). *)
 
 val pp_outcome : outcome Fmt.t

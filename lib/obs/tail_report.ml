@@ -21,10 +21,7 @@ type delivery = {
 
 type t = { t_worst_n : int; t_deliveries : delivery list }
 
-let stem d =
-  Printf.sprintf "%s_%s_rank%d" d.d_scenario
-    (String.map (function '+' -> 'p' | c -> c) d.d_build)
-    d.d_rank
+let stem d = Printf.sprintf "%s_%s_rank%d" d.d_scenario d.d_build d.d_rank
 
 let chrome_traces ?cycles_per_us t =
   List.map

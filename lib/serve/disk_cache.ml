@@ -1,8 +1,12 @@
 (* On-disk content-addressed analysis cache (see disk_cache.mli). *)
 
-let format_version = 1
+(* Bumped whenever [Wcet.Ipet.persisted] or the key text changes shape:
+   [Marshal] is untyped, so an old blob must never be read as the new
+   record. *)
+let format_version = 2
 let magic = "sel4rt-cache"
 let suffix = ".an"
+let tmp_suffix = ".tmp"
 
 let hits = Obs.Metrics.counter "serve.cache.hits"
 let misses = Obs.Metrics.counter "serve.cache.misses"
@@ -48,8 +52,9 @@ let max_bytes () =
 
 let path_of_key key = Filename.concat !the_dir (Digest.to_hex (Digest.string key) ^ suffix)
 
-(* Entries only; tmp files and anything else in the directory are not
-   the cache's to manage (beyond the eviction of its own entries). *)
+(* Entries only; temp files (their own suffix, so another process's
+   in-flight write is never listed) and anything else in the directory
+   are not the cache's to manage. *)
 let entries () =
   match Sys.readdir !the_dir with
   | exception Sys_error _ -> []
@@ -145,23 +150,24 @@ let store ?(version = format_version) ~key payload =
   try
     if not (Sys.file_exists !the_dir) then Unix.mkdir !the_dir 0o755;
     let blob = Marshal.to_string (payload : Wcet.Ipet.persisted) [] in
-    let tmp =
-      Filename.temp_file ~temp_dir:!the_dir "tmp-" suffix
-    in
-    let oc = open_out_bin tmp in
+    let tmp = Filename.temp_file ~temp_dir:!the_dir "tmp-" tmp_suffix in
     (try
-       Printf.fprintf oc "%s %d %d %d %s\n" magic version (String.length key)
-         (String.length blob)
-         (Digest.to_hex (Digest.string blob));
-       output_string oc key;
-       output_string oc blob;
-       close_out oc
+       let oc = open_out_bin tmp in
+       Fun.protect
+         ~finally:(fun () -> close_out_noerr oc)
+         (fun () ->
+           Printf.fprintf oc "%s %d %d %d %s\n" magic version
+             (String.length key) (String.length blob)
+             (Digest.to_hex (Digest.string blob));
+           output_string oc key;
+           output_string oc blob;
+           close_out oc);
+       (* Atomic on POSIX: readers see the old entry or the new one, never
+          a torn write. *)
+       Sys.rename tmp (path_of_key key)
      with e ->
-       close_out_noerr oc;
+       (try Sys.remove tmp with Sys_error _ -> ());
        raise e);
-    (* Atomic on POSIX: readers see the old entry or the new one, never a
-       torn write. *)
-    Sys.rename tmp (path_of_key key);
     Obs.Metrics.incr stores;
     evict_to_cap ()
   with Sys_error _ | Unix.Unix_error _ ->

@@ -12,10 +12,11 @@
     <Marshal blob of Wcet.Ipet.persisted>
     v}
 
-    Writes go to a unique temporary file in the same directory followed
-    by an atomic [rename], so concurrent writers (domains or processes)
-    can race on one key and readers still only ever observe complete
-    entries.  Reads verify the format version, the full key text (hash
+    Writes go to a unique temporary file ([tmp-*.tmp], never listed as
+    an entry) in the same directory followed by an atomic [rename], so
+    concurrent writers (domains or processes) can race on one key and
+    readers still only ever observe complete entries.  A write or
+    [rename] that fails removes its temporary file.  Reads verify the format version, the full key text (hash
     collisions degrade to misses, never wrong results) and the blob
     digest; any mismatch, truncation or unreadable file counts as a miss
     — corruption can cost a recompute, never a crash or a wrong bound.

@@ -83,18 +83,22 @@ let build_name b =
   else Fmt.str "%a" Sel4.Build.pp b
 
 let validate req =
-  let at_least_one name = function
-    | Some n when n < 1 -> Result.Error (Fmt.str "%S must be >= 1" name)
+  let at_least lo name = function
+    | Some n when n < lo -> Result.Error (Fmt.str "%S must be >= %d" name lo)
     | _ -> Result.Ok req
   in
+  let campaign entries inv_every =
+    Result.bind (at_least 1 "entries" entries) (fun _ ->
+        at_least 0 "inv_every" inv_every)
+  in
   match req with
-  | Sim { entries; _ } -> at_least_one "entries" entries
+  | Sim { entries; inv_every; _ } -> campaign entries inv_every
   | Smp { entries; cores; compare; scenarios; inv_every; _ } ->
       if compare && (scenarios <> [] || inv_every <> None) then
         Result.Error "compare takes neither scenarios nor inv_every"
       else
-        Result.bind (at_least_one "entries" entries) (fun _ ->
-            at_least_one "cores" (Some cores))
+        Result.bind (campaign entries inv_every) (fun _ ->
+            at_least 1 "cores" (Some cores))
   | Analyse _ | Explain _ | Metrics | Race _ | Explore _ -> Result.Ok req
 
 let only = function [] -> None | l -> Some l

@@ -81,9 +81,10 @@ type result =
   | Explore_report of Explore.report
 
 val validate : request -> (request, string) Stdlib.result
-(** Reject [entries] or [cores] below 1 (a campaign that runs nothing)
-    and an SMP comparison given [scenarios] or [inv_every], which it
-    cannot honour.  {!of_json} and {!exec} both apply it. *)
+(** Reject [entries] or [cores] below 1 (a campaign that runs nothing),
+    a negative [inv_every] (which would silently turn sampling off) and
+    an SMP comparison given [scenarios] or [inv_every], which it cannot
+    honour.  {!of_json} and {!exec} both apply it. *)
 
 val exec : request -> (result, string) Stdlib.result
 (** Never raises: a request {!validate} rejects, or whose command raises

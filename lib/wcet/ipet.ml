@@ -17,8 +17,10 @@
    loop detection and the cache-analysis fixpoint, which depend only on the
    program, hardware configuration and pinned lines — is computed once
    ({!prepare}) and shared across every ILP variant run over it
-   ({!analyse_prepared}): with and without the manual constraints, and with
-   any set of forced path counts (Section 6.2). *)
+   ({!analyse_prepared}): with each constraint source or none, and with
+   any set of forced path counts (Section 6.2).  Every variant is solved
+   cold: IPET relaxations are integral, so branch-and-bound ends at the
+   root LP and a seeded incumbent would save nothing. *)
 
 type loop_bound = { func : string; header : string; bound : int }
 
@@ -29,7 +31,7 @@ type spec = {
   derived : (User_constraint.t * Derive_constraints.derivation) list;
 }
 
-type sources = [ `All | `Manual | `Derived ]
+type sources = [ `All | `Manual | `Derived | `None ]
 
 type result = {
   wcet : int;
@@ -41,7 +43,6 @@ type result = {
   bb_nodes : int;
   lp_solves : int;
   elapsed_s : float;
-  ilp_solution : int array;
   edge_counts : ((int * int) * int) list;
   binding_constraints : (string * int) list;
 }
@@ -141,29 +142,26 @@ let prepare ~config ?(pinned_code = []) ?(pinned_data = []) (spec : spec) =
 (* Constraints selected for one ILP variant, each tagged with its
    provenance for the constraint-row label.  Derived constraints that
    structurally duplicate a manual one are dropped under [`All]. *)
-let selected_constraints (spec : spec) ~use_constraints ~(sources : sources) =
-  if not use_constraints then []
-  else
-    let manual = List.map (fun c -> (c, "manual")) spec.constraints in
-    let derived =
-      List.map
-        (fun (c, (d : Derive_constraints.derivation)) ->
-          ( c,
-            Fmt.str "derived %s/%s" d.Derive_constraints.dv_model
-              (Derive_constraints.rule_name d.Derive_constraints.dv_rule) ))
-        spec.derived
-    in
-    match sources with
-    | `Manual -> manual
-    | `Derived -> derived
-    | `All ->
-        manual
-        @ List.filter
-            (fun (c, _) -> not (List.mem c spec.constraints))
-            derived
+let selected_constraints (spec : spec) (sources : sources) =
+  let manual = List.map (fun c -> (c, "manual")) spec.constraints in
+  let derived =
+    List.map
+      (fun (c, (d : Derive_constraints.derivation)) ->
+        ( c,
+          Fmt.str "derived %s/%s" d.Derive_constraints.dv_model
+            (Derive_constraints.rule_name d.Derive_constraints.dv_rule) ))
+      spec.derived
+  in
+  match sources with
+  | `None -> []
+  | `Manual -> manual
+  | `Derived -> derived
+  | `All ->
+      manual
+      @ List.filter (fun (c, _) -> not (List.mem c spec.constraints)) derived
 
-let analyse_prepared ?(use_constraints = true) ?(sources : sources = `All)
-    ?(forced = ([] : (string * string * int) list)) ?warm_start (p : prepared) =
+let analyse_prepared ?(sources : sources = `All)
+    ?(forced = ([] : (string * string * int) list)) (p : prepared) =
   let started = Clock.now_s () in
   let spec = p.spec in
   let inlined = p.inlined in
@@ -260,7 +258,7 @@ let analyse_prepared ?(use_constraints = true) ?(sources : sources = `All)
   let entry_of_ctx blocks =
     List.filter_map (fun (id, _, is_entry) -> if is_entry then Some id else None) blocks
   in
-  let constraints = selected_constraints spec ~use_constraints ~sources in
+  let constraints = selected_constraints spec sources in
   List.iter
     (fun (c, src) ->
       let clabel = Fmt.str "[%s] %a" src User_constraint.pp c in
@@ -320,7 +318,7 @@ let analyse_prepared ?(use_constraints = true) ?(sources : sources = `All)
   let stats = { Ilp.Branch_bound.nodes = 0; lp_solves = 0 } in
   Obs.Metrics.observe span_build (Clock.elapsed_s ~since:started);
   let solve_started = Clock.now_s () in
-  let solved = Ilp.Branch_bound.solve ?warm_start ~stats problem in
+  let solved = Ilp.Branch_bound.solve ~stats problem in
   Obs.Metrics.observe span_solve (Clock.elapsed_s ~since:solve_started);
   match solved with
   | Ilp.Branch_bound.Optimal { objective; values } ->
@@ -371,7 +369,6 @@ let analyse_prepared ?(use_constraints = true) ?(sources : sources = `All)
         bb_nodes = stats.Ilp.Branch_bound.nodes;
         lp_solves = stats.Ilp.Branch_bound.lp_solves;
         elapsed_s = p.prep_elapsed_s +. Clock.elapsed_s ~since:started;
-        ilp_solution = values;
         edge_counts;
         binding_constraints;
       }
@@ -392,7 +389,6 @@ type persisted = {
   ps_bb_nodes : int;
   ps_lp_solves : int;
   ps_elapsed_s : float;
-  ps_ilp_solution : int array;
   ps_edge_counts : ((int * int) * int) list;
   ps_binding_constraints : (string * int) list;
 }
@@ -406,7 +402,6 @@ let to_persisted (r : result) =
     ps_bb_nodes = r.bb_nodes;
     ps_lp_solves = r.lp_solves;
     ps_elapsed_s = r.elapsed_s;
-    ps_ilp_solution = r.ilp_solution;
     ps_edge_counts = r.edge_counts;
     ps_binding_constraints = r.binding_constraints;
   }
@@ -431,7 +426,6 @@ let rehydrate (p : prepared) (ps : persisted) =
     bb_nodes = ps.ps_bb_nodes;
     lp_solves = ps.ps_lp_solves;
     elapsed_s = ps.ps_elapsed_s;
-    ilp_solution = ps.ps_ilp_solution;
     edge_counts = ps.ps_edge_counts;
     binding_constraints = ps.ps_binding_constraints;
   }

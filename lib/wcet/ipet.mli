@@ -4,7 +4,9 @@
     The pipeline is split so the expensive analysis prefix (inlining, loop
     detection, cache fixpoint) can be {!prepare}d once per (program,
     hardware configuration, pinned lines) and shared by every ILP variant
-    solved over it via {!analyse_prepared}. *)
+    solved over it via {!analyse_prepared}.  Every variant is solved
+    cold; a stored result is {!rehydrate}d over a fresh prefix instead
+    of solved again. *)
 
 type loop_bound = { func : string; header : string; bound : int }
 (** Maximum executions of the header block per entry into the loop. *)
@@ -18,10 +20,11 @@ type spec = {
           provenance; see the [sources] selector *)
 }
 
-type sources = [ `All | `Manual | `Derived ]
+type sources = [ `All | `Manual | `Derived | `None ]
 (** Which constraint sources an ILP variant uses.  [`All] is the
     default: the manual set plus every derived constraint that does not
-    structurally duplicate a manual one. *)
+    structurally duplicate a manual one.  [`None] drops every user
+    constraint (the Section 6.3 unconstrained baseline). *)
 
 type result = {
   wcet : int;  (** sound upper bound, in cycles *)
@@ -35,10 +38,6 @@ type result = {
   elapsed_s : float;
       (** monotonic wall time of this analysis (prefix + ILP), as if run
           fresh; prefix time is included even when the prefix was shared *)
-  ilp_solution : int array;
-      (** the full optimal assignment over every ILP variable (blocks and
-          edges, in creation order) — a valid warm start for any *less*
-          constrained variant of the same problem *)
   edge_counts : ((int * int) * int) list;
       (** traversal counts of CFG edges (inlined block ids) at the optimum,
           restricted to edges with positive flow, sorted *)
@@ -68,22 +67,12 @@ val prepare :
   prepared
 
 val analyse_prepared :
-  ?use_constraints:bool ->
-  ?sources:sources ->
-  ?forced:(string * string * int) list ->
-  ?warm_start:int array ->
-  prepared ->
-  result
-(** Build and solve one ILP over a shared prefix.  [use_constraints:false]
-    drops every user constraint, manual and derived (the Section 6.3
-    unconstrained baseline); [sources] selects between them when
-    constraints are on.  Constraint rows carry their provenance in the
-    ILP row label.  [forced] pins total execution counts of
-    (function, block label) pairs, which is how Section 6.2 computes the
-    predicted time of a specific realisable path.  [warm_start] seeds
-    branch-and-bound with a candidate solution (see
-    {!Ilp.Branch_bound.solve}); the [ilp_solution] of a more constrained
-    variant of the same prepared problem is always safe. *)
+  ?sources:sources -> ?forced:(string * string * int) list -> prepared -> result
+(** Build and solve one ILP over a shared prefix, cold.  [sources]
+    selects the user constraints (default [`All]); constraint rows carry
+    their provenance in the ILP row label.  [forced] pins total execution
+    counts of (function, block label) pairs, which is how Section 6.2
+    computes the predicted time of a specific realisable path. *)
 
 val analyse :
   config:Hw.Config.t ->
@@ -102,7 +91,6 @@ type persisted = {
   ps_bb_nodes : int;
   ps_lp_solves : int;
   ps_elapsed_s : float;
-  ps_ilp_solution : int array;
   ps_edge_counts : ((int * int) * int) list;
   ps_binding_constraints : (string * int) list;
 }

@@ -461,13 +461,13 @@ let test_ipet_manual_vs_derived () =
   in
   check_bool "spec carries derived constraints" true (spec.Wcet.Ipet.derived <> []);
   let prepared = Wcet.Ipet.prepare ~config:Hw.Config.default spec in
-  let wcet ?use_constraints ?sources () =
-    (Wcet.Ipet.analyse_prepared ?use_constraints ?sources prepared).Wcet.Ipet.wcet
+  let wcet sources =
+    (Wcet.Ipet.analyse_prepared ~sources prepared).Wcet.Ipet.wcet
   in
-  let unconstrained = wcet ~use_constraints:false () in
-  let manual = wcet ~sources:`Manual () in
-  let derived = wcet ~sources:`Derived () in
-  let combined = wcet ~sources:`All () in
+  let unconstrained = wcet `None in
+  let manual = wcet `Manual in
+  let derived = wcet `Derived in
+  let combined = wcet `All in
   check_bool "manual tightens the bound" true (manual < unconstrained);
   check_int "derived alone reproduces the manual bound" manual derived;
   check_int "combined equals manual (derived subsume it)" manual combined

@@ -108,7 +108,7 @@ let test_pinning_reduces_wcet () =
   let selection = Sel4_rt.Pinning.select improved in
   let pins =
     {
-      RT.code = selection.Sel4_rt.Pinning.code_lines;
+      Actx.code = selection.Sel4_rt.Pinning.code_lines;
       data = selection.Sel4_rt.Pinning.data_lines;
     }
   in

@@ -17,6 +17,9 @@ let configs = [ ("L2 off", Hw.Config.default); ("L2 on", Hw.Config.with_l2) ]
 let fresh ~config build entry =
   Wcet.Ipet.analyse ~config (KM.spec build entry)
 
+let ctx ?(config = Hw.Config.default) build =
+  Sel4_rt.Analysis_ctx.make ~config ~build ()
+
 (* Every observable field of the result except the timing must be
    identical whether it came from the cache or a from-scratch pipeline
    run. *)
@@ -26,10 +29,10 @@ let same_result label (a : Wcet.Ipet.result) (b : Wcet.Ipet.result) =
     (label ^ ": block_counts")
     (Array.to_list a.Wcet.Ipet.block_counts)
     (Array.to_list b.Wcet.Ipet.block_counts);
-  check_int_list
-    (label ^ ": ilp_solution")
-    (Array.to_list a.Wcet.Ipet.ilp_solution)
-    (Array.to_list b.Wcet.Ipet.ilp_solution);
+  check_bool (label ^ ": edge_counts") true
+    (a.Wcet.Ipet.edge_counts = b.Wcet.Ipet.edge_counts);
+  check_bool (label ^ ": binding_constraints") true
+    (a.Wcet.Ipet.binding_constraints = b.Wcet.Ipet.binding_constraints);
   check_int (label ^ ": ilp_vars") a.Wcet.Ipet.ilp_vars b.Wcet.Ipet.ilp_vars;
   check_int
     (label ^ ": ilp_constraints")
@@ -47,8 +50,8 @@ let test_cached_equals_fresh () =
         (fun entry ->
           let config = Hw.Config.default in
           let label = Fmt.str "%s/%s" bname (KM.entry_name entry) in
-          let cached = AC.computed ~config build entry in
-          let cached_again = AC.computed ~config build entry in
+          let cached = AC.computed (ctx ~config build) entry in
+          let cached_again = AC.computed (ctx ~config build) entry in
           same_result label cached (fresh ~config build entry);
           same_result (label ^ " (second lookup)") cached cached_again)
         KM.entry_points)
@@ -56,12 +59,12 @@ let test_cached_equals_fresh () =
 
 let test_cache_counts_hits () =
   AC.reset ();
-  let config = Hw.Config.with_l2 in
+  let ctx = ctx ~config:Hw.Config.with_l2 Sel4.Build.improved in
   let s0 = AC.stats () in
   check_int "counters start at zero" 0 (s0.AC.hits + s0.AC.misses);
-  ignore (AC.computed ~config Sel4.Build.improved KM.Interrupt);
-  ignore (AC.computed ~config Sel4.Build.improved KM.Interrupt);
-  ignore (AC.computed ~config Sel4.Build.improved KM.Interrupt);
+  ignore (AC.computed ctx KM.Interrupt);
+  ignore (AC.computed ctx KM.Interrupt);
+  ignore (AC.computed ctx KM.Interrupt);
   let s = AC.stats () in
   check_int "one miss" 1 s.AC.misses;
   check_int "two hits" 2 s.AC.hits;
@@ -72,11 +75,11 @@ let test_cache_counts_hits () =
 
 let test_variants_share_prefix () =
   AC.reset ();
-  let config = Hw.Config.default in
-  ignore (AC.computed ~config Sel4.Build.improved KM.Syscall);
-  ignore (AC.computed ~use_constraints:false ~config Sel4.Build.improved KM.Syscall);
+  let ctx = ctx Sel4.Build.improved in
+  ignore (AC.computed ctx KM.Syscall);
+  ignore (AC.computed ~sources:`None ctx KM.Syscall);
   let forced = KM.realisable_path ~params:KM.default_params KM.Syscall in
-  ignore (AC.computed ~forced ~config Sel4.Build.improved KM.Syscall);
+  ignore (AC.computed ~forced ctx KM.Syscall);
   let s = AC.stats () in
   check_int "three distinct ILP variants" 3 s.AC.misses;
   (* All three share one prepared prefix: one prefix miss, two prefix hits. *)
@@ -87,26 +90,39 @@ let test_disabled_cache_bypasses_tables () =
   AC.reset ();
   AC.set_enabled false;
   Fun.protect ~finally:(fun () -> AC.set_enabled true) @@ fun () ->
-  let config = Hw.Config.default in
-  let r = AC.computed ~config Sel4.Build.improved KM.Interrupt in
-  same_result "disabled" r (fresh ~config Sel4.Build.improved KM.Interrupt);
+  let r = AC.computed (ctx Sel4.Build.improved) KM.Interrupt in
+  same_result "disabled" r
+    (fresh ~config:Hw.Config.default Sel4.Build.improved KM.Interrupt);
   let s = AC.stats () in
   check_int "no lookups recorded" 0 (s.AC.hits + s.AC.misses)
 
-(* --- warm-starting cannot change the optimum --- *)
+(* --- constraint variants: the cache order cannot change a result --- *)
 
-let test_warm_start_same_optimum () =
-  AC.reset ();
-  let config = Hw.Config.default in
-  (* Constrained first so the unconstrained solve takes the warm start. *)
-  let constrained = AC.computed ~config Sel4.Build.improved KM.Syscall in
-  let warm = AC.computed ~use_constraints:false ~config Sel4.Build.improved KM.Syscall in
-  AC.reset ();
-  (* Cold: unconstrained without a cached constrained sibling. *)
-  let cold = AC.computed ~use_constraints:false ~config Sel4.Build.improved KM.Syscall in
-  check_int "warm-started optimum" cold.Wcet.Ipet.wcet warm.Wcet.Ipet.wcet;
-  check_bool "relaxation dominates" true
-    (warm.Wcet.Ipet.wcet >= constrained.Wcet.Ipet.wcet)
+(* Each variant is solved cold, so a constraint variant must come out
+   identical whether it is the first request over its prefix or follows
+   its [`All] sibling. *)
+let test_variants_order_independent () =
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun entry ->
+          List.iter
+            (fun (sname, sources) ->
+              let label =
+                Fmt.str "%s/%s/%s" cname (KM.entry_name entry) sname
+              in
+              let ctx = ctx ~config Sel4.Build.improved in
+              AC.reset ();
+              let cold = AC.computed ~sources ctx entry in
+              AC.reset ();
+              let all = AC.computed ctx entry in
+              let after_all = AC.computed ~sources ctx entry in
+              same_result label cold after_all;
+              check_bool (label ^ ": relaxation dominates") true
+                (after_all.Wcet.Ipet.wcet >= all.Wcet.Ipet.wcet))
+            [ ("manual", `Manual); ("derived", `Derived); ("none", `None) ])
+        [ KM.Syscall; KM.Interrupt ])
+    configs
 
 (* --- parallel pool: determinism, ordering, exceptions --- *)
 
@@ -224,7 +240,7 @@ let test_pinned_profile_shrinks_stall () =
   let sel = Sel4_rt.Pinning.select build in
   let pins =
     {
-      Sel4_rt.Response_time.code = sel.Sel4_rt.Pinning.code_lines;
+      Sel4_rt.Analysis_ctx.code = sel.Sel4_rt.Pinning.code_lines;
       data = sel.Sel4_rt.Pinning.data_lines;
     }
   in
@@ -275,8 +291,8 @@ let () =
             test_case "variants share prefix" `Quick test_variants_share_prefix;
             test_case "disabled bypasses tables" `Quick
               test_disabled_cache_bypasses_tables;
-            test_case "warm start same optimum" `Quick
-              test_warm_start_same_optimum;
+            test_case "constraint variants are order-independent" `Quick
+              test_variants_order_independent;
           ] );
       ( "pool",
         Alcotest.

@@ -258,31 +258,6 @@ let test_lp_bounds_ilp =
           true
       | _ -> false)
 
-let test_bb_warm_start =
-  (* A warm start taken from the optimal solution (or any junk vector) must
-     never change the reported optimum: valid incumbents only prune, and
-     infeasible candidates are discarded. *)
-  QCheck.Test.make ~count:300 ~name:"warm start preserves the optimum"
-    (QCheck.make ~print:print_ilp random_ilp_gen)
-    (fun instance ->
-      let p = build_problem instance in
-      let cold = Ilp.Branch_bound.solve p in
-      let warm ws = Ilp.Branch_bound.solve ~warm_start:ws p in
-      let junk =
-        Array.init (List.length (Ilp.Problem.vars p)) (fun i -> (i * 7) - 3)
-      in
-      match cold with
-      | Ilp.Branch_bound.Optimal { objective; values } -> (
-          (match warm junk with
-          | Ilp.Branch_bound.Optimal { objective = o; _ } -> o = objective
-          | _ -> false)
-          &&
-          match warm values with
-          | Ilp.Branch_bound.Optimal { objective = o; _ } -> o = objective
-          | _ -> false)
-      | Ilp.Branch_bound.Infeasible -> warm junk = Ilp.Branch_bound.Infeasible
-      | Ilp.Branch_bound.Unbounded -> true)
-
 let test_bb_integrality () =
   (* max x s.t. 2x <= 3 -> LP gives 3/2, ILP must give 1. *)
   let p = Ilp.Problem.create () in
@@ -334,7 +309,7 @@ let () =
           ] );
       ( "branch-bound",
         Alcotest.[ test_case "integrality" `Quick test_bb_integrality ]
-        @ qsuite [ test_bb_vs_brute_force; test_lp_bounds_ilp; test_bb_warm_start ] );
+        @ qsuite [ test_bb_vs_brute_force; test_lp_bounds_ilp ] );
       ( "problem",
         Alcotest.[ test_case "pretty printing" `Quick test_problem_pp ] );
     ]

@@ -307,9 +307,8 @@ let test_disk_roundtrip () =
   | None -> Alcotest.fail "stored entry should load"
   | Some p' ->
       check_int "wcet survives" p.Wcet.Ipet.ps_wcet p'.Wcet.Ipet.ps_wcet;
-      check_int "solution length survives"
-        (Array.length p.Wcet.Ipet.ps_ilp_solution)
-        (Array.length p'.Wcet.Ipet.ps_ilp_solution);
+      check_bool "edge counts survive" true
+        (p.Wcet.Ipet.ps_edge_counts = p'.Wcet.Ipet.ps_edge_counts);
       check_bool "binding constraints survive" true
         (p.Wcet.Ipet.ps_binding_constraints
         = p'.Wcet.Ipet.ps_binding_constraints));
@@ -409,6 +408,28 @@ let test_disk_eviction () =
   in
   check_bool "cap enforced" true (List.length remaining <= 1)
 
+(* A store whose [rename] fails (here: the entry's path is a non-empty
+   directory) is an error, and it leaves no temp file behind. *)
+let test_disk_failed_store_leaves_nothing () =
+  DC.set_dir (fresh_dir ());
+  let p = Lazy.force persisted_sample in
+  let entry =
+    Filename.concat (DC.dir ()) (Digest.to_hex (Digest.string "k") ^ ".an")
+  in
+  Sys.mkdir entry 0o755;
+  let occupant = Filename.concat entry "occupant" in
+  close_out (open_out occupant);
+  let before = DC.stats () in
+  DC.store ~key:"k" p;
+  let after = DC.stats () in
+  check_int "counted as an error" 1 (after.DC.dc_errors - before.DC.dc_errors);
+  check_int "not counted as a store" 0
+    (after.DC.dc_stores - before.DC.dc_stores);
+  check_bool "only the occupied entry path remains" true
+    (Sys.readdir (DC.dir ()) = [| Filename.basename entry |]);
+  Sys.remove occupant;
+  Sys.rmdir entry
+
 (* --- persistence through Analysis_cache --- *)
 
 (* A configuration no other suite in this binary analyses, so the
@@ -417,7 +438,7 @@ let private_ctx () =
   Sel4_rt.Analysis_ctx.make ~config:Hw.Config.with_l2
     ~build:Sel4.Build.original ()
 
-let test_memo_disk_warm_start () =
+let test_memo_warm_via_disk () =
   DC.set_dir (fresh_dir ());
   DC.install ();
   Fun.protect ~finally:DC.uninstall (fun () ->
@@ -425,16 +446,9 @@ let test_memo_disk_warm_start () =
          sources and the unconstrained baseline (Section 6.3) over the same
          prefix: each is its own disk key. *)
       let analyse () =
-        let computed ?use_constraints ?sources () =
-          AC.computed ?use_constraints ?sources ~config:Hw.Config.with_l2
-            Sel4.Build.original KM.Interrupt
-        in
-        [
-          Sel4_rt.Response_time.computed (private_ctx ()) KM.Interrupt;
-          computed ~sources:`Manual ();
-          computed ~sources:`Derived ();
-          computed ~use_constraints:false ();
-        ]
+        List.map
+          (fun sources -> AC.computed ~sources (private_ctx ()) KM.Interrupt)
+          [ `All; `Manual; `Derived; `None ]
       in
       AC.reset ();
       let cold = analyse () in
@@ -505,9 +519,9 @@ let test_cross_process_round_trip () =
       check_int "parent run reads the child's entry" 1 s.AC.disk_hits;
       check_int "bound identical across processes" child_bound r.Wcet.Ipet.wcet)
 
-(* --- warm start and rehydration at the Ipet layer --- *)
+(* --- rehydration at the Ipet layer --- *)
 
-let test_rehydrate_and_warm_start_identity () =
+let test_rehydrate_identity () =
   let spec = KM.spec Sel4.Build.improved KM.Syscall in
   let prepared = Wcet.Ipet.prepare ~config:Hw.Config.default spec in
   let cold = Wcet.Ipet.analyse_prepared prepared in
@@ -516,19 +530,10 @@ let test_rehydrate_and_warm_start_identity () =
   check_int "rehydrated wcet" cold.Wcet.Ipet.wcet r.Wcet.Ipet.wcet;
   check_bool "rehydrated counts" true
     (cold.Wcet.Ipet.block_counts = r.Wcet.Ipet.block_counts);
-  check_bool "rehydrated solution" true
-    (cold.Wcet.Ipet.ilp_solution = r.Wcet.Ipet.ilp_solution);
   check_bool "rehydrated edges" true
     (cold.Wcet.Ipet.edge_counts = r.Wcet.Ipet.edge_counts);
-  (* Seeding branch-and-bound with the persisted optimal basis must
-     reproduce the cold bound bit-identically. *)
-  let warm =
-    Wcet.Ipet.analyse_prepared ~warm_start:cold.Wcet.Ipet.ilp_solution prepared
-  in
-  check_int "warm-started bound identical" cold.Wcet.Ipet.wcet
-    warm.Wcet.Ipet.wcet;
-  check_bool "warm-started optimum identical" true
-    (cold.Wcet.Ipet.block_counts = warm.Wcet.Ipet.block_counts)
+  check_bool "rehydrated binding constraints" true
+    (cold.Wcet.Ipet.binding_constraints = r.Wcet.Ipet.binding_constraints)
 
 let () =
   (* The cross-process test re-executes this binary as a cache-populate
@@ -567,14 +572,16 @@ let () =
           Alcotest.test_case "concurrent writers" `Quick
             test_disk_concurrent_writers;
           Alcotest.test_case "eviction cap" `Quick test_disk_eviction;
+          Alcotest.test_case "failed store leaves no file" `Quick
+            test_disk_failed_store_leaves_nothing;
         ] );
       ( "persistence",
         [
           Alcotest.test_case "memo warm start via disk" `Quick
-            test_memo_disk_warm_start;
+            test_memo_warm_via_disk;
           Alcotest.test_case "cross-process roundtrip" `Quick
             test_cross_process_round_trip;
-          Alcotest.test_case "rehydrate and warm start identity" `Quick
-            test_rehydrate_and_warm_start_identity;
+          Alcotest.test_case "rehydrate identity" `Quick
+            test_rehydrate_identity;
         ] );
     ]
