@@ -116,6 +116,17 @@ let report ?(epilogue = ignore) r =
 let query ?epilogue ~json req =
   if json then respond req else report ?epilogue (exec req)
 
+(* Every command documents the exit map above, not cmdliner's default. *)
+let cmd_info =
+  Cmd.info
+    ~exits:
+      Cmd.Exit.
+        [
+          info 0 ~doc:"when the command ran and its gate, if any, held.";
+          info 1 ~doc:"when a gate failed.";
+          info 2 ~doc:"on an error or a command-line usage error.";
+        ]
+
 let analyse_cmd =
   let run target build l2 pin path json =
     if path && (json || target = Q.Kernel_entry) then
@@ -135,7 +146,7 @@ let analyse_cmd =
       & info [ "path" ] ~doc:"Print an entry point's worst-case path.")
   in
   Cmd.v
-    (Cmd.info "analyse"
+    (cmd_info "analyse"
        ~doc:
          "Compute a WCET bound for one kernel entry point, or the worst-case \
           interrupt-response bound (the longest kernel path plus the \
@@ -170,7 +181,7 @@ let observe_cmd =
           ~doc:"Polluted-cache measurement repetitions.")
   in
   Cmd.v
-    (Cmd.info "observe"
+    (cmd_info "observe"
        ~doc:"Measure the observed worst case under adversarial workloads.")
     Term.(const run $ entry_arg $ build_arg $ l2_arg $ runs_arg)
 
@@ -214,7 +225,7 @@ let explain_cmd =
              component), or json.")
   in
   Cmd.v
-    (Cmd.info "explain"
+    (cmd_info "explain"
        ~doc:
          "Decompose a WCET bound block by block: the optimal IPET basis \
           rendered as per-block cycle contributions split into execution, \
@@ -266,7 +277,7 @@ let repro_cmd =
       names
   in
   Cmd.v
-    (Cmd.info "repro"
+    (cmd_info "repro"
        ~doc:"Regenerate the paper's tables and figures (all, or by name).")
     Term.(
       const run
@@ -297,7 +308,7 @@ let constraints_cmd =
              undefined.  Default: all of them.")
   in
   Cmd.v
-    (Cmd.info "constraints"
+    (cmd_info "constraints"
        ~doc:
          "Derive the Section 5.2 infeasible-path constraints from the TAC \
           decision models and audit every manual constraint \
@@ -432,7 +443,7 @@ let trace_cmd =
              $(b,trace.dropped) metric).")
   in
   Cmd.v
-    (Cmd.info "trace"
+    (cmd_info "trace"
        ~doc:
          "Run a scenario with the cycle-accurate kernel tracer attached and \
           export the event timeline.")
@@ -463,7 +474,7 @@ let metrics_cmd =
       & info [ "runs" ] ~docv:"N" ~doc:"Observed-workload repetitions.")
   in
   Cmd.v
-    (Cmd.info "metrics"
+    (cmd_info "metrics"
        ~doc:
          "Run the analysis pipeline and dump the metrics registry (counters, \
           gauges, stage-span histograms) — a readable table by default, JSON \
@@ -479,7 +490,7 @@ let race_cmd =
           ~doc:"Audit against the small operation workloads (the CI run).")
   in
   Cmd.v
-    (Cmd.info "race"
+    (cmd_info "race"
        ~doc:
          "Static interference analysis over preemption-delimited sections: \
           print the declared read/write footprints, the pairwise \
@@ -509,7 +520,7 @@ let explore_cmd =
              3, or 2 under $(b,--smoke)).")
   in
   Cmd.v
-    (Cmd.info "explore"
+    (cmd_info "explore"
        ~doc:
          "Preemption-schedule campaign over the four long-running \
           operations: uninterrupted baselines, a preemption at every \
@@ -687,7 +698,7 @@ let sim_cmd =
              strictly lower.")
   in
   Cmd.v
-    (Cmd.info "sim"
+    (cmd_info "sim"
        ~doc:
          "Stochastic soak campaign: seeded multi-tenant syscall traffic plus \
           virtual devices asserting interrupts, run for large kernel-entry \
@@ -730,7 +741,7 @@ let serve_cmd =
              (the default).  Exits 2 if any query line was malformed.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (cmd_info "serve"
        ~doc:
          "Long-lived analysis service: accept newline-delimited JSON queries \
           (analyse, explain, metrics, sim, smp, race, explore) and answer \
@@ -750,7 +761,7 @@ let pins_cmd =
     List.iter (fun l -> Fmt.pr "  %#010x@." l) s.Sel4_rt.Pinning.data_lines
   in
   Cmd.v
-    (Cmd.info "pins" ~doc:"Show the trace-derived cache-pinning selection.")
+    (cmd_info "pins" ~doc:"Show the trace-derived cache-pinning selection.")
     Term.(const run $ build_arg)
 
 let () =
@@ -758,7 +769,7 @@ let () =
      SEL4RT_NO_DISK_CACHE to opt out, SEL4RT_CACHE_DIR to relocate). *)
   Serve.Disk_cache.install ();
   let info =
-    Cmd.info "sel4rt" ~version:"1.0.0"
+    cmd_info "sel4rt" ~version:"1.0.0"
       ~doc:
         "Worst-case interrupt response analysis for a verifiable protected \
          microkernel (EuroSys'12 reproduction)."
