@@ -161,7 +161,7 @@ let observe_cmd =
   let run entry build l2 runs =
     let ctx = Sel4_rt.Pinning.context ~l2 build in
     let config = ctx.Sel4_rt.Analysis_ctx.config in
-    let observed = Sel4_rt.Response_time.observed ~runs ctx entry in
+    let observed = Sel4_rt.Workloads.observed ~runs ctx entry in
     Fmt.pr "%s, %a, %d runs@." (Sel4_rt.Kernel_model.entry_name entry)
       Sel4.Build.pp build runs;
     Fmt.pr "observed worst case: %d cycles (%.1f us)@." observed
@@ -237,31 +237,7 @@ let explain_cmd =
       $ out_arg "profile")
 
 let repro_cmd =
-  let sections =
-    [
-      ("table1", fun () -> Sel4_rt.Experiments.(print_table1 (table1 ())));
-      ("table2", fun () -> Sel4_rt.Experiments.(print_table2 (table2 ())));
-      ("fig7", fun () -> Sel4_rt.Experiments.(print_fig7 (fig7 ())));
-      ("fig8", fun () -> Sel4_rt.Experiments.(print_fig8 (fig8 ())));
-      ("fig9", fun () -> Sel4_rt.Experiments.(print_fig9 (fig9 ())));
-      ("sched", fun () -> Sel4_rt.Experiments.(print_sched (sched_ablation ())));
-      ( "loopbounds",
-        fun () -> Sel4_rt.Experiments.(print_loop_bounds (loop_bounds ())) );
-      ( "analysis",
-        fun () -> Sel4_rt.Experiments.(print_analysis_cost (analysis_cost ())) );
-      ( "constraints",
-        fun () ->
-          Sel4_rt.Experiments.(print_constraint_modes (constraint_modes ())) );
-      ("summary", fun () -> Sel4_rt.Experiments.(print_summary (summary ())));
-      ("l2lock", fun () -> Sel4_rt.Experiments.(print_l2_lock (l2_lock ())));
-      ( "callpreempt",
-        fun () -> Sel4_rt.Experiments.(print_call_preempt (call_preempt ())) );
-      ( "fastpath",
-        fun () -> Sel4_rt.Experiments.(print_fastpath (fastpath_ablation ())) );
-      ( "replacement",
-        fun () -> Sel4_rt.Experiments.(print_replacement (replacement ())) );
-    ]
-  in
+  let sections = Sel4_rt.Experiments.sections in
   let run names =
     let names = if names = [] then List.map fst sections else names in
     List.iter
@@ -463,7 +439,7 @@ let metrics_cmd =
         ignore (exec (Q.Analyse { target; build; l2; pin = false })))
       Sel4_rt.Kernel_model.entry_points;
     ignore
-      (Sel4_rt.Response_time.observed ~runs
+      (Sel4_rt.Workloads.observed ~runs
          (Sel4_rt.Pinning.context ~l2 build)
          Sel4_rt.Kernel_model.Interrupt);
     query ~json Q.Metrics

@@ -34,7 +34,7 @@ let () =
 
   Fmt.pr "@.3. Adversarial measurement on the executable kernel@.";
   let observed =
-    Sel4_rt.Response_time.observed ~runs:10 ctx Sel4_rt.Kernel_model.Interrupt
+    Sel4_rt.Workloads.observed ~runs:10 ctx Sel4_rt.Kernel_model.Interrupt
   in
   Fmt.pr "   observed worst case: %d cycles; computed/observed = %.2f@."
     observed

@@ -1,172 +1,11 @@
-(** The paper's evaluation, experiment by experiment.  Each function
-    computes one table or figure and returns structured rows; the
-    [print_*] companions render them in the paper's layout.  Expected
-    shapes and a representative run are documented in EXPERIMENTS.md. *)
+(** The paper's evaluation, section by section.  Expected shapes and the
+    output of every section are documented in EXPERIMENTS.md. *)
 
-(** {1 Table 1 — WCET with and without cache pinning (Section 4)} *)
-
-type table1_row = {
-  t1_entry : Kernel_model.entry_point;
-  without_pinning : int;  (** cycles *)
-  with_pinning : int;
-  gain_percent : float;
-}
-
-val table1 : unit -> table1_row list
-val print_table1 : table1_row list -> unit
-
-(** {1 Table 2 — before/after WCET, computed vs observed, L2 off/on} *)
-
-type table2_cell = {
-  computed : int;
-  observed : int;
-  ratio : float;
-  prov : Workloads.provenance;
-      (** provenance of the observed worst case: pollution seed, worst
-          non-preemptible section, stall/compute split *)
-}
-
-type table2_row = {
-  t2_entry : Kernel_model.entry_point;
-  before_l2_off : int;  (** computed only, as in the paper *)
-  after_l2_off : table2_cell;
-  after_l2_on : table2_cell;
-}
-
-val table2 : ?runs:int -> unit -> table2_row list
-val print_table2 : table2_row list -> unit
-
-(** {1 Figure 8 — overestimation of the hardware model on forced paths} *)
-
-type fig8_row = {
-  f8_entry : Kernel_model.entry_point;
-  overestimation_l2_off : float;  (** percent *)
-  overestimation_l2_on : float;
-}
-
-val fig8 : ?runs:int -> unit -> fig8_row list
-val print_fig8 : fig8_row list -> unit
-
-(** {1 Figure 9 — observed effect of the L2 cache and branch predictor} *)
-
-type fig9_row = {
-  f9_entry : Kernel_model.entry_point;
-  baseline : int;
-  with_l2 : int;
-  with_bpred : int;
-  with_both : int;
-  f9_prov : Workloads.provenance;  (** attribution of the +both worst case *)
-}
-
-val fig9 : ?runs:int -> unit -> fig9_row list
-val print_fig9 : fig9_row list -> unit
-
-(** {1 Figure 7 scenario — capability-decode depth sweep} *)
-
-type fig7_row = { depth : int; syscall_cycles : int }
-
-val fig7 : ?runs:int -> unit -> fig7_row list
-val print_fig7 : fig7_row list -> unit
-
-(** {1 Scheduler ablation (Sections 3.1-3.2)} *)
-
-type sched_row = {
-  parked : int;
-  lazy_cycles : int;
-  benno_cycles : int;
-  bitmap_cycles : int;
-}
-
-val sched_decision_cycles : Sel4.Build.t -> parked:int -> int
-val sched_ablation : unit -> sched_row list
-val print_sched : sched_row list -> unit
-
-(** {1 Loop bounds (Section 5.3)} *)
+val sections : (string * (unit -> unit)) list
+(** Each paper section by its [sel4rt repro] name, in the paper's order:
+    a thunk that computes the section's table or figure and prints it in
+    the paper's layout. *)
 
 val loop_bounds : unit -> Kernel_loops.result list
-val print_loop_bounds : Kernel_loops.result list -> unit
-
-(** {1 Analysis cost and manual constraints (Section 6.3)} *)
-
-type analysis_cost_row = {
-  ac_entry : Kernel_model.entry_point;
-  ilp_vars : int;
-  ilp_constraints : int;
-  bb_nodes : int;
-  lp_solves : int;
-  elapsed_s : float;
-  unconstrained_wcet : int;
-  constrained_wcet : int;
-}
-
-val analysis_cost : unit -> analysis_cost_row list
-val print_analysis_cost : analysis_cost_row list -> unit
-
-(** {1 Manual vs derived constraints (the Section 5.2 audit)} *)
-
-type constraint_mode_row = {
-  cm_entry : Kernel_model.entry_point;
-  cm_unconstrained : int;  (** WCET, every user constraint dropped *)
-  cm_manual : int;  (** WCET under the hand-written Section 5.2 set *)
-  cm_derived : int;  (** WCET under the mechanically derived set only *)
-  cm_combined : int;  (** WCET under manual + non-duplicate derived *)
-  cm_n_manual : int;
-  cm_n_derived : int;
-  cm_proved : int;  (** manual constraints subsumed by a derivation *)
-  cm_refuted : int;  (** manual constraints with a concrete counterexample *)
-  cm_unknown : int;
-}
-
-val constraint_modes : unit -> constraint_mode_row list
-val print_constraint_modes : constraint_mode_row list -> unit
-
-(** {1 Section 8 extension — kernel text locked into the L2} *)
-
-type l2lock_row = {
-  ll_entry : Kernel_model.entry_point;
-  l2_plain : int;
-  l2_locked : int;
-  ll_observed : int;
-}
-
-val l2_locked_config : unit -> Hw.Config.t
-val l2_lock : ?runs:int -> unit -> l2lock_row list
-val print_l2_lock : l2lock_row list -> unit
-
-(** {1 Section 6.1 ablations} *)
-
-type call_preempt_row = { atomic_call : int; preemptible_call : int }
-
-val call_preempt : unit -> call_preempt_row
-val print_call_preempt : call_preempt_row -> unit
-
-type fastpath_row = { fast_cycles : int; slow_cycles : int }
-
-val fastpath_ablation : unit -> fastpath_row
-val print_fastpath : fastpath_row -> unit
-
-(** {1 Replacement-policy comparison (Section 5.1)} *)
-
-type replacement_row = {
-  rp_entry : Kernel_model.entry_point;
-  lru_observed : int;
-  rr_observed : int;
-  bound : int;
-}
-
-val replacement : ?runs:int -> unit -> replacement_row list
-val print_replacement : replacement_row list -> unit
-
-(** {1 Headline summary (Section 6)} *)
-
-type summary = {
-  fastpath_cycles : int;
-  syscall_factor : float;
-  response_l2_off_us : float;
-  response_l2_on_us : float;
-  interrupt_observed : int;  (** observed interrupt-path worst case, L2 off *)
-  interrupt_prov : Workloads.provenance;
-}
-
-val summary : unit -> summary
-val print_summary : summary -> unit
+(** The Section 5.3 kernel loop bounds at the default kernel parameters
+    (the [loopbounds] section). *)

@@ -1,36 +1,35 @@
-(* Fixed-size OCaml 5 Domain worker pool (stdlib only — domainslib is not
-   available in this environment).
+(* Fixed-size OCaml 5 Domain worker pool, on the stdlib alone.
 
-   The analysis engine fans (entry point x hardware configuration x build)
-   jobs out across domains: every job is a pure function of its inputs (the
-   simulator and the WCET pipeline allocate all their state per call), so
-   parallel evaluation is deterministic and [map]/[run_all] return results
-   in submission order, exactly as the serial path would.
+   The soak campaign fans its (run x shard) jobs out across domains: every
+   job is a pure function of its inputs (the simulator allocates all its
+   state per call), so parallel evaluation is deterministic and the one
+   batch engine, [fold_ordered], merges results in submission order,
+   exactly as the serial path would.  [run_all] is that fold with a list
+   merge.
 
    Design notes:
    - Work is submitted as a *batch*; the submitting domain participates in
      draining its own batch, so a batch can never deadlock waiting for busy
-     workers, and nested [map] calls from worker domains simply degrade to
-     serial execution (checked via a domain-local flag).
+     workers, and nested batches submitted from worker domains simply
+     degrade to serial execution (checked via a domain-local flag).
    - Exceptions inside jobs are caught per-job; the first one is re-raised
      in the submitter after the whole batch has drained, so the pool is
      never left with orphaned jobs.
    - The pool is sized once (SEL4RT_DOMAINS overrides the default of
      [recommended_domain_count - 1], capped at 8) and shared process-wide
-     via [default]; [set_serial true] forces every map onto the calling
+     via [default]; [set_serial true] forces every batch onto the calling
      domain, which determinism tests use as the serial reference. *)
 
 type batch = {
   count : int;
   run : int -> unit;  (* run job [i]; must not raise *)
   next : int Atomic.t;  (* next job index to claim *)
-  remaining : int Atomic.t;  (* jobs not yet finished *)
 }
 
 type t = {
   lock : Mutex.t;
   work : Condition.t;  (* workers: a batch was submitted / shutdown *)
-  finished : Condition.t;  (* submitters: some batch drained *)
+  finished : Condition.t;  (* submitters: some job finished *)
   mutable batches : batch list;
   mutable stop : bool;
   mutable workers : unit Domain.t list;
@@ -48,23 +47,15 @@ let serial_override = Atomic.make false
 
 let set_serial b = Atomic.set serial_override b
 
-(* Claim and run jobs from [b] until it is exhausted.  Called both by
-   workers and by the submitting domain. *)
-let help pool b =
-  let rec loop () =
-    let i = Atomic.fetch_and_add b.next 1 in
-    if i < b.count then begin
-      b.run i;
-      if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
-        (* Last job of the batch: wake any submitter waiting on it. *)
-        Mutex.lock pool.lock;
-        Condition.broadcast pool.finished;
-        Mutex.unlock pool.lock
-      end;
-      loop ()
-    end
-  in
-  loop ()
+(* Claim and run the next job of [b]; false once every job is claimed.
+   Called both by workers and by the submitting domain. *)
+let run_next b =
+  let i = Atomic.fetch_and_add b.next 1 in
+  i < b.count
+  && begin
+       b.run i;
+       true
+     end
 
 let worker pool () =
   Domain.DLS.set in_worker true;
@@ -91,7 +82,9 @@ let worker pool () =
     match wait () with
     | None -> ()
     | Some b ->
-        help pool b;
+        while run_next b do
+          ()
+        done;
         next_batch ()
   in
   next_batch ()
@@ -151,48 +144,6 @@ let default () =
   Mutex.unlock default_lock;
   pool
 
-let map pool f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
-  if
-    n <= 1 || pool.size = 0
-    || Atomic.get serial_override
-    || Domain.DLS.get in_worker
-  then List.map f xs
-  else begin
-    let results = Array.make n None in
-    let error = Atomic.make None in
-    let run i =
-      match f arr.(i) with
-      | r -> results.(i) <- Some r
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set error None (Some (e, bt)))
-    in
-    Obs.Metrics.incr m_batches;
-    Obs.Metrics.incr ~by:n m_jobs;
-    let b =
-      { count = n; run; next = Atomic.make 0; remaining = Atomic.make n }
-    in
-    Mutex.lock pool.lock;
-    pool.batches <- pool.batches @ [ b ];
-    Condition.broadcast pool.work;
-    Mutex.unlock pool.lock;
-    help pool b;
-    Mutex.lock pool.lock;
-    while Atomic.get b.remaining > 0 do
-      Condition.wait pool.finished pool.lock
-    done;
-    Mutex.unlock pool.lock;
-    (match Atomic.get error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.to_list
-      (Array.map (function Some r -> r | None -> assert false) results)
-  end
-
-let run_all pool thunks = map pool (fun f -> f ()) thunks
-
 (* --- streaming ordered fold --- *)
 
 type 'a fold_slot =
@@ -202,8 +153,8 @@ type 'a fold_slot =
 
 (* Fold thunk results into [init] in submission order, merging each result
    on the submitting domain as soon as the ordered prefix is complete.
-   Equivalent to [run_all] followed by [List.fold_left merge init], but
-   retains at most the out-of-order window of results (bounded by the
+   Equivalent to the serial [List.fold_left merge init] over the results,
+   but retains at most the out-of-order window of results (bounded by the
    domain count) instead of the whole batch — this is what keeps soak
    campaigns at constant memory in the job count.  Merge order never
    depends on completion order, so the fold is deterministic under any
@@ -212,8 +163,7 @@ type 'a fold_slot =
 let fold_ordered pool ~init ~merge thunks =
   let arr = Array.of_list thunks in
   let n = Array.length arr in
-  if n = 0 then init
-  else if
+  if
     n <= 1 || pool.size = 0
     || Atomic.get serial_override
     || Domain.DLS.get in_worker
@@ -236,9 +186,7 @@ let fold_ordered pool ~init ~merge thunks =
     in
     Obs.Metrics.incr m_batches;
     Obs.Metrics.incr ~by:n m_jobs;
-    let b =
-      { count = n; run; next = Atomic.make 0; remaining = Atomic.make n }
-    in
+    let b = { count = n; run; next = Atomic.make 0 } in
     Mutex.lock pool.lock;
     pool.batches <- pool.batches @ [ b ];
     Condition.broadcast pool.work;
@@ -259,27 +207,15 @@ let fold_ordered pool ~init ~merge thunks =
     in
     while !merged < n do
       drain_ready ();
-      if !merged < n then begin
-        let i = Atomic.fetch_and_add b.next 1 in
-        if i < b.count then begin
-          b.run i;
-          if Atomic.fetch_and_add b.remaining (-1) = 1 then begin
-            Mutex.lock pool.lock;
-            Condition.broadcast pool.finished;
-            Mutex.unlock pool.lock
-          end
-        end
-        else begin
-          (* Every job is claimed; sleep until the next-to-merge slot is
-             filled.  The slot check and the workers' broadcast both run
-             under the pool lock, so the wakeup cannot be lost. *)
-          Mutex.lock pool.lock;
-          (match Atomic.get slots.(!merged) with
-          | Fold_pending when Atomic.get b.remaining > 0 ->
-              Condition.wait pool.finished pool.lock
-          | _ -> ());
-          Mutex.unlock pool.lock
-        end
+      if !merged < n && not (run_next b) then begin
+        (* Every job is claimed; sleep until the next-to-merge slot is
+           filled.  The slot check and the workers' broadcast both run
+           under the pool lock, so the wakeup cannot be lost. *)
+        Mutex.lock pool.lock;
+        (match Atomic.get slots.(!merged) with
+        | Fold_pending -> Condition.wait pool.finished pool.lock
+        | Fold_done _ | Fold_consumed -> ());
+        Mutex.unlock pool.lock
       end
     done;
     (match Atomic.get error with
@@ -287,3 +223,6 @@ let fold_ordered pool ~init ~merge thunks =
     | None -> ());
     !acc
   end
+
+let run_all pool thunks =
+  List.rev (fold_ordered pool ~init:[] ~merge:(fun acc r -> r :: acc) thunks)

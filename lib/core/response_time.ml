@@ -20,9 +20,6 @@ let computed_for_path (ctx : Analysis_ctx.t) entry =
   let forced = Kernel_model.realisable_path ~params:ctx.params entry in
   (Analysis_cache.computed ~forced ctx entry).Wcet.Ipet.wcet
 
-let observed ?runs ctx entry = Workloads.observed ?runs ctx entry
-let observed_traced ?runs ctx entry = Workloads.observed_traced ?runs ctx entry
-
 (* Worst-case interrupt response: the longest non-preemptible kernel path
    (the system call handler) plus the interrupt path itself. *)
 let interrupt_response_bound ctx =

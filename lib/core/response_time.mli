@@ -14,17 +14,6 @@ val computed_for_path : Analysis_ctx.t -> Kernel_model.entry_point -> int
 (** Predicted time of the realisable path the workloads execute, obtained
     by forcing the ILP (Section 6.2); the Figure 8 numerator. *)
 
-val observed : ?runs:int -> Analysis_ctx.t -> Kernel_model.entry_point -> int
-(** Worst cycles over [runs] polluted-cache adversarial executions. *)
-
-val observed_traced :
-  ?runs:int ->
-  Analysis_ctx.t ->
-  Kernel_model.entry_point ->
-  int * Workloads.provenance
-(** Same worst case as {!observed} (the attached event trace never charges
-    cycles), plus the latency attribution of the worst run. *)
-
 val interrupt_response_bound : Analysis_ctx.t -> int
 
 val profile : Analysis_ctx.t -> Kernel_model.entry_point -> Obs.Bound_profile.t

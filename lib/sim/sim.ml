@@ -932,7 +932,7 @@ let peak_rss_kb () =
    index, shard index) — the forensics pass-1 output that tells the
    flight recorder which shards to replay. *)
 let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
-    ?inv_every ?(collect = false) ~worst_n () =
+    ?inv_every ~worst_n () =
   let pool = match pool with Some p -> p | None -> Parallel.default () in
   let entries =
     match entries with Some e -> e | None -> if smoke then 1_500 else 52_000
@@ -966,8 +966,7 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
   (* Flatten (run, shard) jobs into one batch for load balance.  Shard
      outputs merge into per-run accumulators in submission order as the
      ordered prefix completes, so only the pool's out-of-order window of
-     shard_outs is ever live — memory stays constant in [entries].
-     [collect] keeps the run_all-then-fold path for differential tests. *)
+     shard_outs is ever live — memory stays constant in [entries]. *)
   let jobs =
     List.concat_map
       (fun spec ->
@@ -1011,8 +1010,7 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
     total_minor := !total_minor +. out.so_minor_words
   in
   let t0 = Obs.Metrics.now_s () in
-  if collect then List.fold_left merge () (Parallel.run_all pool jobs)
-  else Parallel.fold_ordered pool ~init:() ~merge jobs;
+  Parallel.fold_ordered pool ~init:() ~merge jobs;
   let wall_s = Obs.Metrics.now_s () -. t0 in
   let runs = List.map (fun spec -> finish_acc spec accs.(spec.rs_index)) specs in
   let total_entries = List.fold_left (fun a r -> a + r.rr_entries) 0 runs in
@@ -1072,16 +1070,11 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
     specs,
     run_worsts )
 
-let run_campaign_timed ?pool ?seed ?entries ?smoke ?only ?inv_every ?collect ()
-    =
+let run_campaign_timed ?pool ?seed ?entries ?smoke ?only ?inv_every () =
   let report, throughput, _, _ =
-    campaign_internal ?pool ?seed ?entries ?smoke ?only ?inv_every ?collect
-      ~worst_n:0 ()
+    campaign_internal ?pool ?seed ?entries ?smoke ?only ?inv_every ~worst_n:0 ()
   in
   (report, throughput)
-
-let run_campaign ?pool ?seed ?entries ?smoke ?only () =
-  fst (run_campaign_timed ?pool ?seed ?entries ?smoke ?only ())
 
 (* --- forensics: tail flight recorder + gap report --- *)
 

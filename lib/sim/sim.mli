@@ -107,9 +107,10 @@ val margin_percent : run_result -> float
     The building block the SMP soak ({!Smp.Soak}) is made of: one
     booted kernel plus the scenario's tenants and devices, exposed as an
     explicit step/finish interface so several worlds (one per modelled
-    core) can be interleaved in global cycle order.  {!run_campaign} is
-    exactly [make_world] driven to completion per shard, so the
-    single-core campaign (and its byte-identity contract) is unchanged. *)
+    core) can be interleaved in global cycle order.
+    {!run_campaign_timed} is exactly [make_world] driven to completion
+    per shard, so the single-core campaign (and its byte-identity
+    contract) is unchanged. *)
 
 (** Aggregated output of one world run to completion: counts, the
     latency histogram of single-outstanding deliveries (value -> count,
@@ -185,24 +186,6 @@ type throughput = {
   th_peak_rss_kb : int;  (** VmHWM from /proc/self/status; 0 if absent *)
 }
 
-val run_campaign :
-  ?pool:Sel4_rt.Parallel.t ->
-  ?seed:int ->
-  ?entries:int ->
-  ?smoke:bool ->
-  ?only:string list ->
-  unit ->
-  report
-(** Run every scenario against the three scheduler variants (all other
-    improvements enabled) plus a cache-pinned variant of the improved
-    build, [entries] kernel entries each (default 52_000, or 1_500 with
-    [smoke]).  [only] restricts to the named scenarios
-    ({!select_scenarios}).  The gate holds
-    when every observed latency is within its computed bound — plain for
-    single-outstanding deliveries, plus one interrupt-path WCET per other
-    delivery in the response window — and no sampled invariant check
-    failed. *)
-
 val run_campaign_timed :
   ?pool:Sel4_rt.Parallel.t ->
   ?seed:int ->
@@ -210,15 +193,19 @@ val run_campaign_timed :
   ?smoke:bool ->
   ?only:string list ->
   ?inv_every:int ->
-  ?collect:bool ->
   unit ->
   report * throughput
-(** [run_campaign] plus throughput measurement.  [inv_every] sets the
-    invariant sampling period in entries (default 512, or 0 = off with
-    [smoke]; invariant checks charge no simulated cycles, so the period
-    never affects report bytes).  [collect] forces the
-    collect-all-then-merge path instead of the streaming ordered fold —
-    same report bytes, unbounded memory; used by differential tests. *)
+(** Run every scenario against the three scheduler variants (all other
+    improvements enabled) plus a cache-pinned variant of the improved
+    build, [entries] kernel entries each (default 52_000, or 1_500 with
+    [smoke]), and measure the throughput.  [only] restricts to the named
+    scenarios ({!select_scenarios}).  The gate holds when every observed
+    latency is within its computed bound — plain for single-outstanding
+    deliveries, plus one interrupt-path WCET per other delivery in the
+    response window — and no sampled invariant check failed.
+    [inv_every] sets the invariant sampling period in entries (default
+    512, or 0 = off with [smoke]; invariant checks charge no simulated
+    cycles, so the period never affects report bytes). *)
 
 (** {1 Forensics: tail flight recorder and gap report}
 

@@ -9,6 +9,7 @@
 module KM = Sel4_rt.Kernel_model
 module RT = Sel4_rt.Response_time
 module Actx = Sel4_rt.Analysis_ctx
+module W = Sel4_rt.Workloads
 
 let improved = Sel4.Build.improved
 let original = Sel4.Build.original
@@ -28,7 +29,7 @@ let test_soundness_all_entries () =
         (fun entry ->
           let ctx = ctx_of config improved in
           let computed = RT.computed_cycles ctx entry in
-          let observed = RT.observed ~runs:5 ctx entry in
+          let observed = W.observed ~runs:5 ctx entry in
           check_bool
             (Fmt.str "%s, %s: computed %d >= observed %d" (KM.entry_name entry)
                cname computed observed)
@@ -48,7 +49,7 @@ let test_soundness_round_robin () =
       let computed =
         RT.computed_cycles (ctx_of Hw.Config.default improved) entry
       in
-      let observed = RT.observed ~runs:5 (ctx_of config improved) entry in
+      let observed = W.observed ~runs:5 (ctx_of config improved) entry in
       check_bool
         (Fmt.str "%s under round-robin: %d >= %d" (KM.entry_name entry)
            computed observed)
@@ -60,7 +61,7 @@ let test_soundness_original_build () =
      observation (same workload; the operations just run unpreempted). *)
   let ctx = ctx_of Hw.Config.default original in
   let computed = RT.computed_cycles ctx KM.Syscall in
-  let observed = RT.observed ~runs:3 ctx KM.Syscall in
+  let observed = W.observed ~runs:3 ctx KM.Syscall in
   check_bool
     (Fmt.str "original syscall: %d >= %d" computed observed)
     true (computed >= observed)
@@ -73,7 +74,7 @@ let test_forced_path_between_observed_and_wcet () =
     (fun entry ->
       let wcet = RT.computed_cycles ctx entry in
       let forced = RT.computed_for_path ctx entry in
-      let observed = RT.observed ~runs:5 ctx entry in
+      let observed = W.observed ~runs:5 ctx entry in
       check_bool
         (Fmt.str "%s: observed %d <= forced %d <= wcet %d"
            (KM.entry_name entry) observed forced wcet)
@@ -164,7 +165,7 @@ let test_deep_cspace_depth_matters () =
     let params =
       { KM.default_params with KM.decode_depth = depth; KM.extra_caps = 0 }
     in
-    RT.observed ~runs:3 (Actx.make ~params ~build:improved ()) KM.Syscall
+    W.observed ~runs:3 (Actx.make ~params ~build:improved ()) KM.Syscall
   in
   let c1 = cost 1 and c8 = cost 8 and c32 = cost 32 in
   check_bool (Fmt.str "monotone %d < %d < %d" c1 c8 c32) true

@@ -124,36 +124,9 @@ let test_variants_order_independent () =
         [ KM.Syscall; KM.Interrupt ])
     configs
 
-(* --- parallel pool: determinism, ordering, exceptions --- *)
-
-let test_pool_map_matches_serial () =
-  let pool = P.create ~domains:4 () in
-  Fun.protect ~finally:(fun () -> P.shutdown pool) @@ fun () ->
-  let inputs = List.init 100 (fun i -> i) in
-  let f x = (x * x) + 1 in
-  check_int_list "order-preserving map" (List.map f inputs) (P.map pool f inputs)
-
-let test_pool_exception_propagates () =
-  let pool = P.create ~domains:3 () in
-  Fun.protect ~finally:(fun () -> P.shutdown pool) @@ fun () ->
-  check_bool "job exception reaches submitter" true
-    (try
-       ignore (P.map pool (fun x -> if x = 5 then failwith "boom" else x)
-                 (List.init 10 Fun.id));
-       false
-     with Failure m -> m = "boom")
-
-let test_pool_nested_map () =
-  let pool = P.create ~domains:3 () in
-  Fun.protect ~finally:(fun () -> P.shutdown pool) @@ fun () ->
-  (* Outer jobs submit inner maps; workers fall back to serial execution
-     rather than deadlocking on their own pool. *)
-  let rows = P.map pool (fun i -> P.map pool (fun j -> (10 * i) + j) [ 1; 2; 3 ]) [ 1; 2 ] in
-  check_int_list "nested flattened" [ 11; 12; 13; 21; 22; 23 ] (List.concat rows)
-
-let test_parallel_experiments_equal_serial () =
-  (* The whole-experiment property: batched analyses must reproduce the
-     serial, cache-free numbers exactly, run after run. *)
+(* The whole-engine property: analyses served from the memo cache must
+   reproduce the cache-free numbers exactly, run after run. *)
+let test_cache_on_equals_off () =
   let run () =
     AC.reset ();
     List.concat_map
@@ -166,19 +139,79 @@ let test_parallel_experiments_equal_serial () =
           KM.entry_points)
       configs
   in
-  let parallel1 = run () in
-  let parallel2 = run () in
-  P.set_serial true;
+  let cached1 = run () in
+  let cached2 = run () in
   AC.set_enabled false;
-  let serial =
-    Fun.protect
-      ~finally:(fun () ->
-        AC.set_enabled true;
-        P.set_serial false)
-      run
+  let fresh = Fun.protect ~finally:(fun () -> AC.set_enabled true) run in
+  check_int_list "cache deterministic" cached1 cached2;
+  check_int_list "cache on equals cache off" fresh cached1
+
+(* --- parallel pool: determinism, ordering, exceptions --- *)
+
+let with_pool domains f =
+  let pool = P.create ~domains () in
+  Fun.protect ~finally:(fun () -> P.shutdown pool) (fun () -> f pool)
+
+let test_pool_run_all_matches_serial () =
+  with_pool 4 @@ fun pool ->
+  let inputs = List.init 100 (fun i -> i) in
+  let f x = (x * x) + 1 in
+  check_int_list "order-preserving batch" (List.map f inputs)
+    (P.run_all pool (List.map (fun x () -> f x) inputs))
+
+let test_pool_exception_propagates () =
+  with_pool 3 @@ fun pool ->
+  check_bool "job exception reaches submitter" true
+    (try
+       ignore
+         (P.run_all pool
+            (List.init 10 (fun x () -> if x = 5 then failwith "boom" else x)));
+       false
+     with Failure m -> m = "boom")
+
+let test_pool_nested_batches () =
+  with_pool 3 @@ fun pool ->
+  (* Outer jobs submit inner batches; workers fall back to serial
+     execution rather than deadlocking on their own pool. *)
+  let inner i = P.run_all pool (List.map (fun j () -> (10 * i) + j) [ 1; 2; 3 ]) in
+  let rows = P.run_all pool [ (fun () -> inner 1); (fun () -> inner 2) ] in
+  check_int_list "nested flattened" [ 11; 12; 13; 21; 22; 23 ] (List.concat rows)
+
+(* The streaming fold merges in submission order whatever the completion
+   order: jobs of uneven length and a non-commutative merge must give the
+   serial fold, and a raising job re-raises only once the batch drains. *)
+let test_fold_ordered_matches_serial () =
+  with_pool 4 @@ fun pool ->
+  let job i () =
+    (* Early jobs run longest, so later ones finish first. *)
+    let spin = ref 0 in
+    for k = 1 to (64 - i) * 2_000 do
+      spin := !spin + (k land 1)
+    done;
+    ignore (Sys.opaque_identity !spin);
+    i
   in
-  check_int_list "parallel deterministic" parallel1 parallel2;
-  check_int_list "parallel equals serial fresh" serial parallel1
+  let merge acc i = (acc * 31) + i + 1 in
+  let jobs = List.init 64 job in
+  check_int "ordered fold equals the serial fold"
+    (List.fold_left (fun acc th -> merge acc (th ())) 7 jobs)
+    (P.fold_ordered pool ~init:7 ~merge jobs);
+  let finished = Atomic.make 0 in
+  let jobs =
+    List.init 32 (fun i () ->
+        if i = 3 then failwith "boom"
+        else begin
+          ignore (job i ());
+          Atomic.incr finished;
+          i
+        end)
+  in
+  check_bool "raising job re-raises" true
+    (try
+       ignore (P.fold_ordered pool ~init:0 ~merge jobs);
+       false
+     with Failure m -> m = "boom");
+  check_int "the batch drained first" 31 (Atomic.get finished)
 
 (* --- bound decomposition (sel4rt explain) --- *)
 
@@ -293,16 +326,18 @@ let () =
               test_disabled_cache_bypasses_tables;
             test_case "constraint variants are order-independent" `Quick
               test_variants_order_independent;
+            test_case "on equals off" `Slow test_cache_on_equals_off;
           ] );
       ( "pool",
         Alcotest.
           [
-            test_case "map matches serial" `Quick test_pool_map_matches_serial;
+            test_case "map matches serial" `Quick
+              test_pool_run_all_matches_serial;
             test_case "exceptions propagate" `Quick
               test_pool_exception_propagates;
-            test_case "nested maps" `Quick test_pool_nested_map;
-            test_case "experiments equal serial" `Slow
-              test_parallel_experiments_equal_serial;
+            test_case "nested maps" `Quick test_pool_nested_batches;
+            test_case "fold_ordered matches serial" `Quick
+              test_fold_ordered_matches_serial;
           ] );
       ( "explain",
         Alcotest.

@@ -1,8 +1,8 @@
 (* Tests of the observability layer: ring-buffer semantics, trace
-   determinism (identical event streams run after run and across
-   serial/parallel execution), zero overhead (observed cycle counts
-   bit-identical with tracing on or off), latency attribution, metrics
-   registry behaviour, and validity of the emitted JSON. *)
+   determinism (identical event streams run after run), zero overhead
+   (observed cycle counts bit-identical with tracing on or off), latency
+   attribution, metrics registry behaviour, and validity of the emitted
+   JSON. *)
 
 module T = Obs.Trace
 module M = Obs.Metrics
@@ -219,19 +219,6 @@ let test_determinism () =
       check_bool (KM.entry_name entry ^ ": event streams identical") true
         (e1 = e2))
     [ KM.Syscall; KM.Interrupt ]
-
-let test_serial_parallel () =
-  let with_serial b f =
-    Sel4_rt.Parallel.set_serial b;
-    Fun.protect ~finally:(fun () -> Sel4_rt.Parallel.set_serial false) f
-  in
-  let measure () =
-    W.observed_traced ~runs:3 Sel4_rt.Analysis_ctx.default KM.Interrupt
-  in
-  let w_serial, p_serial = with_serial true measure in
-  let w_par, p_par = with_serial false measure in
-  check_int "worst identical" w_serial w_par;
-  check_bool "provenance identical" true (p_serial = p_par)
 
 (* --- zero overhead: tracing must not change observed cycle counts --- *)
 
@@ -712,7 +699,6 @@ let () =
         [
           Alcotest.test_case "ring buffer" `Quick test_ring;
           Alcotest.test_case "deterministic streams" `Slow test_determinism;
-          Alcotest.test_case "serial equals parallel" `Slow test_serial_parallel;
           Alcotest.test_case "zero overhead" `Slow test_zero_overhead;
           Alcotest.test_case "chrome json" `Slow test_chrome_json;
         ] );

@@ -7,10 +7,11 @@ let check_int = Alcotest.(check int)
 
 (* One small two-scenario campaign, reused across the tests below (the
    engine is deterministic, so recomputing it is just wall-clock). *)
-let small ?seed () =
-  Sim.run_campaign ?seed ~entries:1_200
-    ~only:[ "ipc_pingpong"; "untyped_churn" ]
-    ()
+let small ?pool ?seed () =
+  fst
+    (Sim.run_campaign_timed ?pool ?seed ~entries:1_200
+       ~only:[ "ipc_pingpong"; "untyped_churn" ]
+       ())
 
 let test_gate_holds () =
   let r = small () in
@@ -105,31 +106,21 @@ let read_file path =
 
 let test_golden_smoke_report () =
   let golden = read_file golden_fixture in
-  let actual = Sim.report_json (Sim.run_campaign ~smoke:true ()) in
+  let actual = Sim.report_json (fst (Sim.run_campaign_timed ~smoke:true ())) in
   check_bool "seed-42 smoke report matches the committed golden bytes" true
     (actual = golden)
 
-(* The streaming ordered fold (constant memory) and the collect-everything
-   merge must agree to the byte, at one domain and at four. *)
-let test_stream_equals_collect () =
-  let report ~domains ~collect =
+(* The streaming ordered fold merges shards in submission order whatever
+   order they finish in: a pool of one domain and a pool of four must give
+   the same bytes. *)
+let test_one_equals_four_domains () =
+  let report domains =
     let pool = Sel4_rt.Parallel.create ~domains () in
     Fun.protect
       ~finally:(fun () -> Sel4_rt.Parallel.shutdown pool)
-      (fun () ->
-        Sim.report_json
-          (fst
-             (Sim.run_campaign_timed ~pool ~entries:1_200
-                ~only:[ "ipc_pingpong"; "untyped_churn" ]
-                ~collect ())))
+      (fun () -> Sim.report_json (small ~pool ()))
   in
-  let stream1 = report ~domains:1 ~collect:false in
-  let collect1 = report ~domains:1 ~collect:true in
-  check_bool "streamed = collected at 1 domain" true (stream1 = collect1);
-  let stream4 = report ~domains:4 ~collect:false in
-  let collect4 = report ~domains:4 ~collect:true in
-  check_bool "streamed = collected at 4 domains" true (stream4 = collect4);
-  check_bool "1 domain = 4 domains" true (stream1 = stream4)
+  check_bool "1 domain = 4 domains" true (report 1 = report 4)
 
 (* Invariant checks charge no simulated cycles: the sampling period must
    never leak into the report bytes. *)
@@ -263,7 +254,8 @@ let () =
             test_case "serial equals parallel" `Slow test_serial_equals_parallel;
             test_case "scheduler differential" `Quick test_scheduler_differential;
             test_case "golden smoke report" `Slow test_golden_smoke_report;
-            test_case "stream equals collect" `Slow test_stream_equals_collect;
+            test_case "1 domain equals 4 domains" `Slow
+              test_one_equals_four_domains;
             test_case "inv-every invisible" `Quick test_inv_every_invisible;
             test_case "forensics golden identity" `Slow
               test_forensics_golden_identity;
