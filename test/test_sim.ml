@@ -110,9 +110,10 @@ let test_golden_smoke_report () =
   check_bool "seed-42 smoke report matches the committed golden bytes" true
     (actual = golden)
 
-(* The streaming ordered fold merges shards in submission order whatever
-   order they finish in: a pool of one domain and a pool of four must give
-   the same bytes. *)
+(* "stream equals collect": the streaming ordered fold merges shards in
+   submission order whatever order they finish in, so a pool of four
+   domains must give the same bytes as a pool of one, which runs the
+   shards one after another. *)
 let test_one_equals_four_domains () =
   let report domains =
     let pool = Sel4_rt.Parallel.create ~domains () in
@@ -254,7 +255,7 @@ let () =
             test_case "serial equals parallel" `Slow test_serial_equals_parallel;
             test_case "scheduler differential" `Quick test_scheduler_differential;
             test_case "golden smoke report" `Slow test_golden_smoke_report;
-            test_case "1 domain equals 4 domains" `Slow
+            test_case "stream equals collect" `Slow
               test_one_equals_four_domains;
             test_case "inv-every invisible" `Quick test_inv_every_invisible;
             test_case "forensics golden identity" `Slow
