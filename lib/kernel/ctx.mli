@@ -1,27 +1,32 @@
-(** Execution context: how the kernel charges work to the hardware model
-    and observes pending interrupts at preemption points.  With no CPU
+(** Execution context: how the kernel charges work to the hardware model,
+    and the interrupt controller its preemption points poll.  With no CPU
     attached the kernel runs uninstrumented (fast functional testing). *)
 
-val no_irq : int
-(** Sentinel for [irq_arrival]: no interrupt pending. *)
+val num_irqs : int
+val timer_irq : int
 
 type t = {
   cpu : Hw.Cpu.t option;
   build : Build.t;
-  mutable irq_arrival : int;
-      (** arrival cycle of the earliest pending interrupt; [no_irq] when
-          none is pending *)
-  mutable timer_buf : int array;
-      (** armed timer expiry cycles; only the first [timer_count] slots are
-          live (use {!schedule_irq_at} to arm) *)
-  mutable timer_count : int;
-  mutable irq_latency_worst : int;
-  mutable irq_latency_last : int;
+  pending_buf : int array;  (** ring of raised, undelivered lines *)
+  mutable pending_head : int;
+  mutable pending_count : int;
+  mutable pending_mask : int;  (** bit per line: membership in the ring *)
+  irq_assert : int array;
+      (** per-line assert cycle of each pending line (stale for a line not
+          in the ring) *)
+  mutable armed_fire : int array;
+  mutable armed_line : int array;
+      (** (fire cycle, line) device timers not yet promoted, first
+          [armed_count] slots live *)
+  mutable armed_count : int;
+  mutable scratch_fire : int array;
+  mutable scratch_line : int array;
   mutable preempt_count : int;
   mutable preempt_polls : int;  (** preemption points polled (taken or not) *)
   mutable on_preempt_poll : (int -> bool) option;
       (** fault-injection hook: called with the 1-based poll index before
-          the pending check; returning [true] asserts an interrupt at
+          the pending check; returning [true] asserts [timer_irq] at
           exactly this poll (install via {!Kernel.set_injection_hook}) *)
   mutable on_access : (int -> int -> bool -> unit) option;
       (** access recorder: called with [(addr, bytes, is_write)] for every
@@ -71,22 +76,35 @@ val store_block : t -> int -> int -> unit
 
 val load_block : t -> int -> int -> unit
 
-val raise_irq : t -> unit
-val schedule_irq_at : t -> int -> unit
-(** Arm a timer: an interrupt becomes pending once the cycle counter
-    reaches the value.  Several timers may be armed at once; each expiry
-    is promoted with its own arrival cycle (earliest first). *)
+(** {1 The interrupt controller} *)
+
+val assert_irq : t -> int -> unit
+(** Assert a line now: it joins the pending ring, stamped with the current
+    cycle, unless it is already pending.  Emits [Irq_assert] either way. *)
+
+val arm_irq : t -> int -> fire:int -> unit
+(** Arm a device timer: the line is asserted once the cycle counter
+    reaches [fire].  Any number of timers may be armed at once.  Emits
+    [Irq_armed]. *)
+
+val promote_armed : t -> unit
+(** Move every fired timer's line into the pending ring, earliest fire
+    cycle first (ties by arming order), stamped with its fire cycle; a
+    line already pending absorbs the assertion.  Called on the interrupt
+    path only. *)
+
+val pop_irq : t -> int
+(** Remove and return the oldest pending line; its assert stamp stays
+    readable in [irq_assert] until the line is asserted again.  Requires
+    [pending_count > 0]. *)
+
+val next_armed_irq : t -> (int * int) option
+(** The earliest (fire cycle, line) among armed timers, if any. *)
 
 val irq_pending : t -> bool
-
-val note_irq_taken : t -> int option
-(** Called on the interrupt-dispatch path: record the response latency
-    from arrival to now, clear the pending state, and return the latency
-    (None when no interrupt was pending). *)
+(** A line is pending, or an armed timer has fired.  Promotes nothing. *)
 
 val preemption_point : t -> bool
-(** Poll the pending flag (charging the check).  Always [false] when the
-    build disables preemption points — the "before" kernel. *)
-
-val worst_irq_latency : t -> int
-val last_irq_latency : t -> int
+(** Poll {!irq_pending} (charging the check), after running the
+    preempt-poll hook.  Always [false] when the build disables preemption
+    points — the "before" kernel. *)
