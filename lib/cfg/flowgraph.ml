@@ -150,17 +150,3 @@ module Builder = struct
     validate fn;
     fn
 end
-
-let map_payload f fn =
-  { fn with blocks = Array.map (fun b -> { b with payload = f b }) fn.blocks }
-
-let pp_fn ppf fn =
-  Fmt.pf ppf "@[<v>function %s (entry %d)@," fn.name fn.entry;
-  Array.iter
-    (fun b ->
-      Fmt.pf ppf "  %d[%s]%s -> %a@," b.id b.label
-        (match b.call with Some f -> " call " ^ f | None -> "")
-        Fmt.(list ~sep:comma int)
-        b.succs)
-    fn.blocks;
-  Fmt.pf ppf "@]"

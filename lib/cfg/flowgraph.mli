@@ -52,6 +52,3 @@ module Builder : sig
   val finish : 'a t -> 'a fn
   (** @raise Malformed if the graph is structurally invalid. *)
 end
-
-val map_payload : ('a block -> 'b) -> 'a fn -> 'b fn
-val pp_fn : 'a fn Fmt.t

@@ -113,8 +113,3 @@ let is_reducible fn t =
              || Hashtbl.mem back (b.Flowgraph.id, s))
            b.Flowgraph.succs)
     fn.Flowgraph.blocks
-
-let pp_loop ppf l =
-  Fmt.pf ppf "loop@%d depth=%d body={%a}" l.header l.depth
-    Fmt.(list ~sep:comma int)
-    l.body

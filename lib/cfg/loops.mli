@@ -24,5 +24,3 @@ val entry_edges : 'a Flowgraph.fn -> loop -> (int * int) list
 
 val is_reducible : 'a Flowgraph.fn -> t -> bool
 (** True when every retreating edge is a natural back edge. *)
-
-val pp_loop : loop Fmt.t

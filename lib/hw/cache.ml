@@ -84,7 +84,6 @@ let create ?(policy = Lru) ~line_size ~sets ~ways () =
 let line_size t = t.line_size
 let sets t = t.sets
 let ways t = t.ways
-let size_bytes t = t.line_size * t.sets * t.ways
 
 let lock_ways t k =
   if k < 0 || k >= t.ways then
@@ -95,7 +94,6 @@ let locked_ways t = t.locked_ways
 
 let set_index t addr = (addr lsr t.line_shift) land t.set_mask
 let tag_of t addr = addr lsr t.idx_shift
-let line_addr t addr = addr land lnot (t.line_size - 1)
 let addr_of t ~tag ~set = ((tag * t.sets) + set) * t.line_size
 
 let set_pin_evict_hook t f = t.on_pin_evict <- f
@@ -283,12 +281,6 @@ let stats (t : t) =
     evictions = t.evictions;
     dirty_evictions = t.dirty_evictions;
   }
-
-let reset_stats (t : t) =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.evictions <- 0;
-  t.dirty_evictions <- 0
 
 let pp_stats ppf s =
   Fmt.pf ppf "hits=%d misses=%d evictions=%d dirty=%d" s.hits s.misses

@@ -19,7 +19,6 @@ val create : ?policy:policy -> line_size:int -> sets:int -> ways:int -> unit -> 
 val line_size : t -> int
 val sets : t -> int
 val ways : t -> int
-val size_bytes : t -> int
 
 val lock_ways : t -> int -> unit
 (** Reserve the first [k] ways of every set for pinned lines.  At least one
@@ -29,9 +28,6 @@ val locked_ways : t -> int
 
 val set_index : t -> int -> int
 (** Set index of an address (for conflict reasoning in tests/analysis). *)
-
-val line_addr : t -> int -> int
-(** Address rounded down to its line boundary. *)
 
 val access : t -> write:bool -> int -> outcome
 (** Perform an access, updating LRU state and inserting the line on a miss
@@ -81,5 +77,4 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 val pp_stats : stats Fmt.t

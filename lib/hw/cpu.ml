@@ -49,20 +49,6 @@ let create config =
     events = None;
   }
 
-let of_machine machine =
-  {
-    machine;
-    l1_hit = (Machine.config machine).Config.l1_hit_cycles;
-    cycles = 0;
-    stall = 0;
-    instructions = 0;
-    loads = 0;
-    stores = 0;
-    branches = 0;
-    tracer = None;
-    events = None;
-  }
-
 let set_tracer t f = t.tracer <- Some f
 let clear_tracer t = t.tracer <- None
 
@@ -85,7 +71,6 @@ let clear_trace_buffer t =
   t.events <- None;
   Machine.set_pin_evict_hook t.machine None
 
-let trace_buffer t = t.events
 let tracing t = match t.events with Some _ -> true | None -> false
 
 let machine t = t.machine
@@ -155,7 +140,3 @@ let reset t =
   t.loads <- 0;
   t.stores <- 0;
   t.branches <- 0
-
-let pp_counters ppf (c : counters) =
-  Fmt.pf ppf "instrs=%d loads=%d stores=%d branches=%d cycles=%d"
-    c.instructions c.loads c.stores c.branches c.cycles

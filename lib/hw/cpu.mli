@@ -15,7 +15,6 @@ type counters = {
 }
 
 val create : Config.t -> t
-val of_machine : Machine.t -> t
 val machine : t -> Machine.t
 val config : t -> Config.t
 
@@ -52,7 +51,6 @@ val set_trace_buffer : t -> Obs.Trace.t -> unit
     routes cache pin-eviction observations into the buffer. *)
 
 val clear_trace_buffer : t -> unit
-val trace_buffer : t -> Obs.Trace.t option
 
 val tracing : t -> bool
 (** A trace buffer is attached.  Emission sites on hot paths check this
@@ -63,4 +61,3 @@ val emit : t -> Obs.Trace.kind -> unit
 
 val counters : t -> counters
 val reset : t -> unit
-val pp_counters : counters Fmt.t

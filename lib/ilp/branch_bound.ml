@@ -26,7 +26,9 @@ let fractional_var (solution : Simplex.solution) =
   in
   scan 0
 
-let solve ?(max_nodes = 100_000) ?stats problem =
+let max_nodes = 100_000
+
+let solve ?stats problem =
   let stats = match stats with Some s -> s | None -> { nodes = 0; lp_solves = 0 } in
   let incumbent = ref None in
   let better objective =

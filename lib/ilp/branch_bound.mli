@@ -13,9 +13,9 @@ type outcome =
 
 type stats = { mutable nodes : int; mutable lp_solves : int }
 
-val solve : ?max_nodes:int -> ?stats:stats -> Problem.t -> outcome
+val solve : ?stats:stats -> Problem.t -> outcome
 (** Depth-first search from an empty incumbent; IPET relaxations are
     usually integral, so the root node typically ends it.
-    @raise Node_limit if the search exceeds [max_nodes] (default 100_000). *)
+    @raise Node_limit if the search exceeds 100_000 nodes. *)
 
 val pp_outcome : outcome Fmt.t

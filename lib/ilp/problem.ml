@@ -94,7 +94,6 @@ let to_lp ?(extra = []) t : Simplex.lp =
 let solve_relaxation ?extra t = Simplex.solve (to_lp ?extra t)
 
 let vars t = List.init t.count Fun.id
-let solution_value (s : Simplex.solution) v = s.values.(v)
 
 let eval_terms terms point =
   List.fold_left (fun acc (c, v) -> acc + (c * point.(v))) 0 terms

@@ -49,8 +49,6 @@ val solve_relaxation : ?extra:cstr list -> t -> Simplex.result
 val vars : t -> var list
 (** All variables, in creation order. *)
 
-val solution_value : Simplex.solution -> var -> Rat.t
-
 val eval_terms : (int * var) list -> int array -> int
 (** Value of a linear form at an integer point (indexed by variable). *)
 

@@ -84,7 +84,6 @@ let is_zero a = a.num = 0
 let is_integer a = a.den = 1
 let lt a b = compare a b < 0
 let le a b = compare a b <= 0
-let gt a b = compare a b > 0
 let ge a b = compare a b >= 0
 let min a b = if le a b then a else b
 let max a b = if ge a b then a else b

@@ -31,7 +31,6 @@ val is_zero : t -> bool
 val is_integer : t -> bool
 val lt : t -> t -> bool
 val le : t -> t -> bool
-val gt : t -> t -> bool
 val ge : t -> t -> bool
 val min : t -> t -> t
 val max : t -> t -> t

@@ -77,8 +77,6 @@ let boot ?cpu ?cpu_id ?(root_priority = 100) (build : Build.t) =
 
 (* Slot indices 0-2 are reserved by [boot]. *)
 let ut_cptr = cptr 0
-let root_cnode_cptr = cptr 1
-let root_tcb_cptr = cptr 2
 let first_free_slot = 3
 
 (* Convenience: retype via the real syscall path into root cnode slots

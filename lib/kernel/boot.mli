@@ -26,8 +26,6 @@ val boot : ?cpu:Hw.Cpu.t -> ?cpu_id:int -> ?root_priority:int -> Build.t -> env
     the booted system creates is pinned to that core. *)
 
 val ut_cptr : int
-val root_cnode_cptr : int
-val root_tcb_cptr : int
 val first_free_slot : int
 
 val retype_syscall : env -> obj_type -> count:int -> dest:int -> int list

@@ -211,8 +211,5 @@ let queued_threads t prio =
   in
   walk [] (queue t prio).head
 
-let all_queued t =
-  List.concat (List.init num_priorities (fun p -> queued_threads t p))
-
 let bitmap_bit_set t prio =
   t.buckets.(prio / bucket_bits) land (1 lsl (prio mod bucket_bits)) <> 0

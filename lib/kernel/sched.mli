@@ -32,5 +32,4 @@ val choose_thread : Ctx.t -> t -> tcb
     Benno scan, or the two-load/two-CLZ bitmap lookup. *)
 
 val queued_threads : t -> prio -> tcb list
-val all_queued : t -> tcb list
 val bitmap_bit_set : t -> prio -> bool

@@ -172,20 +172,3 @@ let section_profile events ~from ~until =
   List.rev !order
   |> List.map (fun s -> (s, Hashtbl.find tbl s))
   |> List.stable_sort (fun (_, a) (_, b) -> compare b a)
-
-let pp_irq_breakdown ppf b =
-  (* core prefix only when tagged: single-core output is unchanged *)
-  if b.core > 0 then Fmt.pf ppf "[core %d] " b.core;
-  Fmt.pf ppf
-    "irq%d: asserted @%d in %s, delivered @%d (latency %d = %d stall + %d \
-     compute%a)"
-    b.line b.asserted_at b.section b.delivered_at b.latency b.stall_cycles
-    b.compute_cycles
-    (fun ppf -> function
-      | Some c -> Fmt.pf ppf ", %d cycles to preemption point" c
-      | None -> Fmt.pf ppf ", delivered on exit path")
-    b.cycles_to_preempt
-
-let pp_section ppf s =
-  Fmt.pf ppf "%s: %d cycles non-preemptible (%d stall)" s.sec_label s.sec_cycles
-    s.sec_stall

@@ -41,6 +41,3 @@ val longest_nonpreemptible : Trace.event list -> section option
 (** The longest stretch between consecutive preemption opportunities
     (kernel entry, polled preemption points, kernel exit), labelled with
     the kernel event executing it. *)
-
-val pp_irq_breakdown : irq_breakdown Fmt.t
-val pp_section : section Fmt.t

@@ -112,8 +112,6 @@ let pp_kind ppf = function
   | Pin_evict { cache; addr } -> Fmt.pf ppf "pin-evict %s %#x" cache addr
   | Marker m -> Fmt.pf ppf "marker %s" m
 
-let pp_event ppf e = Fmt.pf ppf "@%d(stall %d) %a" e.at e.stall pp_kind e.kind
-
 (* Human-readable timeline: absolute cycle, delta to the previous event,
    cumulative stall, event. *)
 let pp_timeline ppf t =

@@ -61,7 +61,6 @@ val of_events : ?core:int -> event list -> t
 
 val kind_name : kind -> string
 val pp_kind : kind Fmt.t
-val pp_event : event Fmt.t
 
 val pp_timeline : Format.formatter -> t -> unit
 (** Human-readable timeline: cycle, delta, cumulative stall, event. *)

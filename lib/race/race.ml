@@ -57,13 +57,6 @@ type cls =
   | Irq_state
   | Kernel_stack
 
-let all_classes =
-  [
-    Tcb; Endpoint; Notification; Cap; Cdt_links; Untyped; Frame; Page_table;
-    Page_dir; Asid_pool; Asid_table; Sched_queues; Cur_thread; Irq_state;
-    Kernel_stack;
-  ]
-
 let cls_name = function
   | Tcb -> "tcb"
   | Endpoint -> "endpoint"
@@ -104,12 +97,6 @@ type footprint = access list
 let r ?obj cls = { a_cls = cls; a_obj = obj; a_write = false }
 let w ?obj cls = { a_cls = cls; a_obj = obj; a_write = true }
 let rw ?obj cls = [ r ?obj cls; w ?obj cls ]
-
-let pp_access ppf a =
-  Fmt.pf ppf "%s %s%s"
-    (if a.a_write then "W" else "R")
-    (cls_name a.a_cls)
-    (match a.a_obj with Some i -> Fmt.str "#%d" i | None -> "")
 
 (* Two accesses touch the same variable when the class matches and the
    instances can coincide ([None] = any instance). *)

@@ -33,7 +33,6 @@ type cls =
   | Irq_state  (** pending word and handler table *)
   | Kernel_stack  (** the single kernel stack *)
 
-val all_classes : cls list
 val cls_name : cls -> string
 
 val semantic : cls -> bool
@@ -53,7 +52,6 @@ type footprint = access list
 val r : ?obj:int -> cls -> access
 val w : ?obj:int -> cls -> access
 val rw : ?obj:int -> cls -> footprint
-val pp_access : access Fmt.t
 
 val conflicts :
   ?semantic_only:bool -> footprint -> footprint -> (access * access) list

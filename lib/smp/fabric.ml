@@ -95,7 +95,6 @@ let in_flight t =
   Array.iter (Array.iter (fun o -> if o then incr n)) t.outstanding;
   !n
 
-let sent_by_kind t kind = t.sent_kind.(kind_index kind)
 let sent_to t ~dst = t.sent_to.(dst)
 let delivered_on t ~dst = t.delivered_on.(dst)
 

@@ -53,7 +53,6 @@ val coalesced : t -> int
 val delivered : t -> int
 val cancelled : t -> int
 val in_flight : t -> int
-val sent_by_kind : t -> kind -> int
 val sent_to : t -> dst:int -> int
 val delivered_on : t -> dst:int -> int
 

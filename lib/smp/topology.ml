@@ -8,11 +8,6 @@ let make ~cores ~policy =
 
 let policy_name = function Spread -> "spread" | Shielded -> "shielded"
 
-let policy_of_string = function
-  | "spread" -> Ok Spread
-  | "shielded" -> Ok Shielded
-  | s -> Error (Fmt.str "unknown affinity policy %S (spread|shielded)" s)
-
 let tenant_cores t =
   match t.policy with
   | Spread -> List.init t.cores Fun.id

@@ -26,7 +26,6 @@ val make : cores:int -> policy:policy -> t
 (** @raise Invalid_argument when [cores < 1]. *)
 
 val policy_name : policy -> string
-val policy_of_string : string -> (policy, string) result
 
 val tenant_cores : t -> int list
 (** The cores that run tenant workload threads.  Under [Shielded] with

@@ -177,7 +177,10 @@ let apply_phis d (block : Ssa.ssa_block) ~pred env =
   in
   List.fold_left (fun e (r, v) -> Smap.add r v e) env bindings
 
-let analyse_ssa ?(widen_delay = 2) (ssa : Ssa.t) =
+(* Visits of a loop header before its join widens. *)
+let widen_delay = 2
+
+let analyse_ssa (ssa : Ssa.t) =
   let skeleton =
     {
       Lang.entry = ssa.entry;
@@ -334,9 +337,9 @@ let analyse_ssa ?(widen_delay = 2) (ssa : Ssa.t) =
       };
   }
 
-let analyse ?widen_delay p =
+let analyse p =
   Lang.validate p;
-  analyse_ssa ?widen_delay (Ssa.convert p)
+  analyse_ssa (Ssa.convert p)
 
 let id_opt t label =
   match Hashtbl.find_opt t.skel.id_of_label label with
@@ -358,10 +361,6 @@ let reg_value t ~block reg =
       match t.in_env.(i) with
       | None -> VD.bot
       | Some env -> lookup (default_of t.ssa) env reg)
-
-let value_of t ~block = function
-  | Lang.Imm n -> VD.const n
-  | Lang.Reg r -> reg_value t ~block r
 
 let tracked_regs t ~block =
   let params =
@@ -568,15 +567,6 @@ let trip_bound t ~header =
                             (swap ccmp)
                       | Lang.Imm _ -> None)))
           | _ -> None))
-
-let loop_trips t =
-  List.filter_map
-    (fun h ->
-      let header = t.skel.label_of_id.(h) in
-      if t.in_env.(h) = None then None
-      else
-        trip_bound t ~header |> Option.map (fun n -> (header, n)))
-    (Cfg.Loops.headers t.loops)
 
 let block_visit_bound t label =
   if not t.reducible then None

@@ -20,10 +20,10 @@ type stats = {
 
 type t
 
-val analyse : ?widen_delay:int -> Lang.program -> t
+val analyse : Lang.program -> t
 (** SSA-convert and analyse.  @raise Lang.Malformed on invalid programs. *)
 
-val analyse_ssa : ?widen_delay:int -> Ssa.t -> t
+val analyse_ssa : Ssa.t -> t
 
 val ssa : t -> Ssa.t
 val stats : t -> stats
@@ -44,8 +44,6 @@ val reg_value : t -> block:string -> Lang.reg -> Value_domain.t
     evaluation and edge refinement, joined over incoming edges);
     {!Value_domain.bot} when the block is unreachable. *)
 
-val value_of : t -> block:string -> Lang.operand -> Value_domain.t
-
 val tracked_regs : t -> block:string -> Lang.reg list
 (** Registers with an explicit (non-default) value in the in-state of
     [block], plus the parameters' [".0"] registers. *)
@@ -59,13 +57,11 @@ val exactly_once : t -> string -> bool
     loop-free (hence terminating) and the block dominates every
     reachable exit. *)
 
-val loop_trips : t -> (string * int) list
-(** For each loop header whose induction variable the analysis can
-    bound: the maximum number of loop-body iterations per entry into the
-    loop.  Generalises syntactic counter analysis: the step and limit
-    may be arbitrary intervals (e.g. a parameter-dependent decrement). *)
-
 val trip_bound : t -> header:string -> int option
+(** The maximum number of loop-body iterations per entry into the loop
+    headed by [header], when the analysis can bound its induction
+    variable.  Generalises syntactic counter analysis: the step and limit
+    may be arbitrary intervals (e.g. a parameter-dependent decrement). *)
 
 val block_visit_bound : t -> string -> int option
 (** Sound upper bound on executions of the block per program run, when

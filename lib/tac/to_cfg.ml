@@ -38,8 +38,3 @@ let lower (program : Lang.program) =
 
 let id t label = Hashtbl.find t.id_of_label label
 let label t id = t.label_of_id.(id)
-
-(* Loop headers of the program with their label. *)
-let loop_headers t =
-  let loops = Cfg.Loops.compute t.fn in
-  List.map (fun l -> label t l.Cfg.Loops.header) (Cfg.Loops.loops loops)

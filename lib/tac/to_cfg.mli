@@ -12,6 +12,3 @@ val lower : Lang.program -> t
 
 val id : t -> string -> int
 val label : t -> int -> string
-
-val loop_headers : t -> string list
-(** Labels of all natural-loop headers. *)

@@ -52,13 +52,3 @@ let join a b =
   { a with tags }
 
 let equal a b = a.tags = b.tags
-
-let bottom_like t = { t with tags = Array.make t.sets (-1) }
-
-let guaranteed_lines t =
-  let acc = ref [] in
-  Array.iteri
-    (fun set tag ->
-      if tag >= 0 then acc := ((tag * t.sets) + set) * t.line_size :: !acc)
-    t.tags;
-  List.rev !acc

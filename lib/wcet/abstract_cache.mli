@@ -23,8 +23,4 @@ val join : t -> t -> t
 (** Intersection: guaranteed only if guaranteed on both paths. *)
 
 val equal : t -> t -> bool
-val bottom_like : t -> t
 val is_pinned : t -> int -> bool
-
-val guaranteed_lines : t -> int list
-(** Line addresses currently guaranteed (excluding pinned lines). *)

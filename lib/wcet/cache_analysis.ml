@@ -36,7 +36,6 @@ type t = {
 }
 
 let cost t id = t.costs.(id)
-let total_fetch_misses t = Array.fold_left (fun a c -> a + c.fetch_misses) 0 t.costs
 
 let transfer ~config ~(payload : Timing.t) ~num_succs istate dstate =
   let miss_penalty = Hw.Config.worst_miss_cycles config in

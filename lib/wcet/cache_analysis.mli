@@ -26,4 +26,3 @@ val analyse :
     Pinned lines are always guaranteed present. *)
 
 val cost : t -> int -> block_cost
-val total_fetch_misses : t -> int

@@ -6,8 +6,6 @@
    wall clock instead; the C stub below (shipped with bechamel's
    monotonic_clock library) wraps clock_gettime(CLOCK_MONOTONIC). *)
 
-let now_ns () = Monotonic_clock.now ()
-
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let elapsed_s ~since = now_s () -. since

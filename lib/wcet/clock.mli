@@ -2,6 +2,5 @@
     run concurrently on several domains — [Sys.time] is CPU time and would
     over-count there. *)
 
-val now_ns : unit -> int64
 val now_s : unit -> float
 val elapsed_s : since:float -> float

@@ -33,8 +33,6 @@ let make ?(accesses = []) ?branch ~base ~instrs () =
   assert (instrs >= 0 && base >= 0);
   { base; instrs; accesses; branch }
 
-let nop = { base = 0; instrs = 0; accesses = []; branch = Some false }
-
 (* Code lines occupied by this block's instructions, for a given I-cache
    line size (ARM: 4-byte instructions). *)
 let code_lines t ~line_size =

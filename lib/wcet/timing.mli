@@ -21,8 +21,6 @@ type t = {
 val make :
   ?accesses:access list -> ?branch:bool -> base:int -> instrs:int -> unit -> t
 
-val nop : t
-
 val code_lines : t -> line_size:int -> int list
 (** I-cache line addresses this block's instructions occupy. *)
 
