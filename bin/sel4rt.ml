@@ -161,7 +161,10 @@ let observe_cmd =
   let run entry build l2 runs =
     let ctx = Sel4_rt.Pinning.context ~l2 build in
     let config = ctx.Sel4_rt.Analysis_ctx.config in
-    let observed = Sel4_rt.Workloads.observed ~runs ctx entry in
+    let observed =
+      try Sel4_rt.Workloads.observed ~runs ctx entry
+      with Invalid_argument msg -> usage_error msg
+    in
     Fmt.pr "%s, %a, %d runs@." (Sel4_rt.Kernel_model.entry_name entry)
       Sel4.Build.pp build runs;
     Fmt.pr "observed worst case: %d cycles (%.1f us)@." observed
@@ -353,7 +356,10 @@ let trace_cmd =
   let run scenario build l2 seed format capacity out =
     let ctx = Sel4_rt.Pinning.context ~l2 build in
     let config = ctx.Sel4_rt.Analysis_ctx.config in
-    let buf = Obs.Trace.create ?capacity () in
+    let buf =
+      try Obs.Trace.create ?capacity ()
+      with Invalid_argument msg -> usage_error msg
+    in
     (match scenario with
     | `Quickstart -> run_quickstart_traced ~config build buf
     | `Entry entry -> (
@@ -438,10 +444,12 @@ let metrics_cmd =
         let target = Q.Entry e in
         ignore (exec (Q.Analyse { target; build; l2; pin = false })))
       Sel4_rt.Kernel_model.entry_points;
-    ignore
-      (Sel4_rt.Workloads.observed ~runs
-         (Sel4_rt.Pinning.context ~l2 build)
-         Sel4_rt.Kernel_model.Interrupt);
+    (try
+       ignore
+         (Sel4_rt.Workloads.observed ~runs
+            (Sel4_rt.Pinning.context ~l2 build)
+            Sel4_rt.Kernel_model.Interrupt)
+     with Invalid_argument msg -> usage_error msg);
     query ~json Q.Metrics
   in
   let runs_arg =

@@ -12,7 +12,9 @@ let () =
   let build = Sel4.Build.improved in
   let ctx = Sel4_rt.Analysis_ctx.make ~config ~build () in
 
-  Fmt.pr "1. Automatically computed loop bounds (slicing + model checking)@.";
+  Fmt.pr
+    "1. Automatically computed loop bounds (interval analysis, then slicing \
+     + model checking)@.";
   List.iter
     (fun r -> Fmt.pr "   %a@." Sel4_rt.Kernel_loops.pp_result r)
     (Sel4_rt.Experiments.loop_bounds ());

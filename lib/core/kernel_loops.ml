@@ -3,7 +3,7 @@
    asserted by hand.
 
    Each entry pairs a loop program with the kernel parameter that bounds
-   it; the WCET skeletons consume the computed bounds.  Loops the counter
+   it; the WCET skeletons consume the computed bounds.  Loops the interval
    analysis cannot handle (the paper's memory-carried loops) fall back to
    the slicing + model-checking pipeline. *)
 
@@ -13,7 +13,8 @@ type loop_spec = {
   name : string;
   program : L.program;
   header : string;
-  (* The bound the kernel source annotates, for cross-checking. *)
+  (* The bound the kernel source annotates: the fallback when neither
+     method bounds the loop. *)
   annotated : int;
 }
 
@@ -117,10 +118,10 @@ let priority_scan_loop =
   }
 
 (* ASID allocation scan (Section 3.6): the free-slot search over a pool,
-   with the occupancy read from memory — exactly the kind of loop the
-   paper's counter analysis cannot bound without pointer analysis, and the
-   model checker can (we scale the pool to keep the state space small; the
-   real pool is 1024 entries). *)
+   with the occupancy read from memory.  The early exit depends on memory,
+   but the search index is a plain counter, so the interval analysis bounds
+   it (the pool is scaled down to keep the tests' exhaustive checks small;
+   the real pool is 1024 entries). *)
 let asid_search_loop ~pool_size =
   {
     name = Fmt.str "asid_search(%d)" pool_size;
@@ -182,7 +183,7 @@ let asid_search_loop ~pool_size =
 (* The badged-abort scan of Section 3.4: walk the endpoint's wait list —
    a linked list in memory — up to the end marker captured when the abort
    began.  The trip count is carried entirely through loads, so the
-   counter analysis must abstain and the bound comes from slicing + model
+   interval analysis must abstain and the bound comes from slicing + model
    checking, which is precisely the split the paper describes. *)
 let badge_scan_loop ~max_waiters =
   {
@@ -243,78 +244,47 @@ let badge_scan_loop ~max_waiters =
     annotated = max_waiters + 1;
   }
 
-type method_used =
-  | Counter_analysis
-  | Model_checking
-  | Abstract_interpretation
-  | Annotation_only
+type method_used = Abstract_interpretation | Model_checking | Annotation_only
 
 type result = {
   spec : loop_spec;
   computed : int option;
   method_used : method_used;
-  absint_bound : int option;
   slice_stats : Tac.Slice.stats option;
 }
 
-(* Independent cross-check: the abstract interpreter's induction-variable
-   analysis, which handles interval-valued steps (the decode loop) but
-   abstains on memory-carried trip counts (the badge scan).  Converts the
-   per-entry body-iteration count to header visits, the convention the
-   other methods use. *)
-let absint_header_bound (spec : loop_spec) =
-  let ai = Tac.Absint.analyse spec.program in
-  Tac.Absint.trip_bound ai ~header:spec.header |> Option.map (fun t -> t + 1)
-
-(* Try the counter analysis first; fall back to slicing + bounded model
-   checking, as the paper's toolchain does; take the abstract
-   interpreter's bound when it is available and tighter (or when nothing
-   else worked). *)
+(* The paper's chain (Section 5.3).  The abstract interpreter's
+   induction-variable analysis bounds the counter loops, interval-valued
+   steps included (the decode loop); its per-entry body-iteration count is
+   converted to header visits, the model checker's convention.  Where it
+   abstains (memory-carried trip counts) the program is sliced and the
+   bound found by bounded model checking with binary search; where that
+   fails too, the annotation stands. *)
 let compute_bound (spec : loop_spec) =
-  let absint_bound = absint_header_bound spec in
-  let primary =
-    match Loopbound.Counter.analyse spec.program ~header:spec.header with
-    | Some bound ->
-        {
-          spec;
-          computed = Some bound;
-          method_used = Counter_analysis;
-          absint_bound;
-          slice_stats = None;
-        }
-    | None -> (
-        let ssa = Tac.Ssa.convert spec.program in
-        let _sliced, stats = Tac.Slice.compute ssa in
-        match
-          Loopbound.Checker.find_bound spec.program ~header:spec.header
-            ~upper:(4 * spec.annotated)
-        with
-        | Some bound ->
-            {
-              spec;
-              computed = Some bound;
-              method_used = Model_checking;
-              absint_bound;
-              slice_stats = Some stats;
-            }
-        | None ->
-            {
-              spec;
-              computed = None;
-              method_used = Annotation_only;
-              absint_bound;
-              slice_stats = None;
-            })
+  let result ?slice_stats method_used computed =
+    { spec; computed; method_used; slice_stats }
   in
-  match (primary.computed, absint_bound) with
-  | Some b, Some a when a < b -> { primary with computed = Some a }
-  | None, Some a ->
-      { primary with computed = Some a; method_used = Abstract_interpretation }
-  | _ -> primary
+  let ai = Tac.Absint.analyse spec.program in
+  match Tac.Absint.trip_bound ai ~header:spec.header with
+  | Some trips -> result Abstract_interpretation (Some (trips + 1))
+  | None -> (
+      let _sliced, stats = Tac.Slice.compute (Tac.Absint.ssa ai) in
+      match
+        Loopbound.Checker.find_bound spec.program ~header:spec.header
+          ~upper:(4 * spec.annotated)
+      with
+      | Some bound -> result ~slice_stats:stats Model_checking (Some bound)
+      | None -> result Annotation_only None)
 
-(* The standard catalogue used by the analysis and the loop-bound
-   benchmark.  The clear loop is scaled to the analysis scenario's largest
-   object; the ASID pool is scaled down for the (exhaustive) checker. *)
+let bound spec =
+  match (compute_bound spec).computed with
+  | Some b -> b
+  | None -> spec.annotated
+
+(* Every kernel loop, for the [loopbounds] section, the WCET tour and the
+   tests; the IPET asks {!bound} for the three it reads.  The clear loop
+   is scaled to the analysis scenario's largest object; the ASID pool is
+   scaled down for the (exhaustive) checker. *)
 let catalogue ~max_frame_bytes ~chunk =
   [
     compute_bound (clear_loop ~max_bytes:max_frame_bytes ~chunk);
@@ -325,16 +295,14 @@ let catalogue ~max_frame_bytes ~chunk =
   ]
 
 let pp_method ppf = function
-  | Counter_analysis -> Fmt.string ppf "counter analysis"
-  | Model_checking -> Fmt.string ppf "slice + model checking"
   | Abstract_interpretation -> Fmt.string ppf "abstract interpretation"
+  | Model_checking -> Fmt.string ppf "slice + model checking"
   | Annotation_only -> Fmt.string ppf "manual annotation"
 
 let pp_result ppf r =
-  Fmt.pf ppf "%-24s annotated=%-6d computed=%-6s absint=%-6s via %a%s"
-    r.spec.name r.spec.annotated
+  Fmt.pf ppf "%-24s annotated=%-6d computed=%-6s via %a%s" r.spec.name
+    r.spec.annotated
     (match r.computed with Some b -> string_of_int b | None -> "-")
-    (match r.absint_bound with Some b -> string_of_int b | None -> "-")
     pp_method r.method_used
     (match r.slice_stats with
     | Some s ->

@@ -1,7 +1,8 @@
 (** The kernel's loops in the TAC mini-language, with their bounds
-    computed mechanically (Section 5.3): counter analysis where the shape
-    allows, slicing + bounded model checking otherwise, and the manual
-    annotation recorded for cross-checking. *)
+    computed mechanically (Section 5.3): the abstract interpreter's
+    interval analysis where it can bound the induction variable, slicing +
+    bounded model checking otherwise, and the manual annotation as the
+    last resort. *)
 
 module L := Tac.Lang
 
@@ -9,15 +10,17 @@ type loop_spec = {
   name : string;
   program : L.program;
   header : string;
-  annotated : int;  (** the bound the kernel source asserts *)
+  annotated : int;
+      (** the bound the kernel source asserts; used only when no method
+          bounds the loop *)
 }
 
 val clear_loop : max_bytes:int -> chunk:int -> loop_spec
 (** Object clearing: for (off = 0; off < size; off += chunk). *)
 
 val decode_loop : loop_spec
-(** Capability decode: bits consumed per level are an input parameter, so
-    only the model checker can bound it. *)
+(** Capability decode: bits consumed per level are an input parameter in
+    [1, 8]; the interval analysis bounds it with the interval-valued step. *)
 
 val priority_scan_loop : loop_spec
 (** The Figure 3 scheduler scan over 256 priorities. *)
@@ -30,29 +33,27 @@ val badge_scan_loop : max_waiters:int -> loop_spec
     trip count is carried through loads, so only the slice + model-check
     pipeline can bound it. *)
 
-type method_used =
-  | Counter_analysis
-  | Model_checking
-  | Abstract_interpretation
-  | Annotation_only
+type method_used = Abstract_interpretation | Model_checking | Annotation_only
 
 type result = {
   spec : loop_spec;
-  computed : int option;
-  method_used : method_used;
-  absint_bound : int option;
-      (** the {!Tac.Absint} induction-variable bound (header visits per
-          entry), computed independently as a cross-check; [None] where
-          the abstract interpreter abstains (memory-carried counts) *)
+  computed : int option;  (** header visits per loop entry *)
+  method_used : method_used;  (** the method that produced [computed] *)
   slice_stats : Tac.Slice.stats option;
 }
 
 val compute_bound : loop_spec -> result
-(** Counter analysis first, then slice + model-check, then give up.  The
-    abstract-interpretation bound is always computed alongside; it
-    replaces the primary result when tighter, and becomes the method of
-    record when every other method fails. *)
+(** {!Tac.Absint.trip_bound} first; where it abstains, slice +
+    model-check ({!Loopbound.Checker.find_bound}); where that fails too,
+    [computed = None] and [Annotation_only]. *)
+
+val bound : loop_spec -> int
+(** The [computed] bound, or the annotation when the chain gives none:
+    the number the IPET uses. *)
 
 val catalogue : max_frame_bytes:int -> chunk:int -> result list
+(** All five loops, for reports and tests ([asid_search] at a pool of 16,
+    [badge_scan] at 12 waiters). *)
+
 val pp_method : method_used Fmt.t
 val pp_result : result Fmt.t

@@ -666,40 +666,22 @@ let shared_functions build =
   let capxfer, _ = capxfer_fn () in
   [ lookup; msgcopy; capxfer; choose_fn build; ctxswitch_fn () ]
 
-(* Loop bounds.  Automatically computed bounds (Section 5.3) are used for
-   the loops the {!Kernel_loops} pipeline can analyse; the rest carry the
+(* Loop bounds.  The decode, priority-scan and clearing loops take their
+   bounds from the {!Kernel_loops} chain (Section 5.3); the rest carry the
    structural annotations described above. *)
 let bounds (build : Sel4.Build.t) (p : params) ~main =
-  let chunk = build.Sel4.Build.preempt_chunk in
-  let max_frame_bytes = 1 lsl p.max_frame_bits in
-  let computed =
-    Kernel_loops.catalogue ~max_frame_bytes ~chunk
-  in
-  let find name fallback =
-    match
-      List.find_opt
-        (fun (r : Kernel_loops.result) ->
-          String.length r.Kernel_loops.spec.Kernel_loops.name >= String.length name
-          && String.sub r.Kernel_loops.spec.Kernel_loops.name 0 (String.length name)
-             = name)
-        computed
-    with
-    | Some { Kernel_loops.computed = Some b; _ } -> b
-    | _ -> fallback
-  in
-  let decode_bound = find "cspace_decode" (p.decode_depth + 1) in
-  let scan_bound = find "priority_scan" 257 in
-  let full_chunks = find "clear_object" ((max_frame_bytes / chunk) + 1) - 1 in
   let mk func header bound = { Wcet.Ipet.func; header; bound } in
+  let scan () = Kernel_loops.bound Kernel_loops.priority_scan_loop in
   [
-    mk "lookup" "l_head" decode_bound;
+    mk "lookup" "l_head" (Kernel_loops.bound Kernel_loops.decode_loop);
     mk "msgcopy" "m_head" (((p.msg_words + words_per_line - 1) / words_per_line) + 1);
     mk "capxfer" "x_head" (p.extra_caps + 1);
   ]
   @ (match build.Sel4.Build.sched with
     | Sel4.Build.Benno_bitmap -> []
-    | Sel4.Build.Benno -> [ mk "choose" "ch_head" scan_bound ]
+    | Sel4.Build.Benno -> [ mk "choose" "ch_head" (scan ()) ]
     | Sel4.Build.Lazy ->
+        let scan_bound = scan () in
         [
           mk "choose" "ch_head" scan_bound;
           mk "choose" "ch_scan" (scan_bound + p.max_parked);
@@ -707,6 +689,12 @@ let bounds (build : Sel4.Build.t) (p : params) ~main =
   @
   if main <> "syscall" then []
   else
+    let full_chunks =
+      Kernel_loops.bound
+        (Kernel_loops.clear_loop ~max_bytes:(1 lsl p.max_frame_bits)
+           ~chunk:build.Sel4.Build.preempt_chunk)
+      - 1
+    in
     [
       mk "syscall" "clear_head"
         (preemptible_bound build ~full:full_chunks + 1);

@@ -38,11 +38,6 @@ val spec : ?params:params -> Sel4.Build.t -> entry_point -> Wcet.Ipet.spec
     Section 5.2, and the constraints {!Wcet.Derive_constraints} derives
     from the decision models. *)
 
-val decision_models : params -> main:string -> Wcet.Derive_constraints.model list
-(** The TAC decision models covering the kernel's manual constraints:
-    the lazy-scheduler stale-dequeue loop always, plus the Figure 6
-    delivery-path switch pair when [main] is ["syscall"]. *)
-
 val constraint_report :
   ?params:params -> main:string -> unit -> Wcet.Derive_constraints.report
 (** Derive constraints from the decision models and audit every manual

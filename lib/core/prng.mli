@@ -19,10 +19,6 @@ val create : int -> t
 (** A stream seeded with [seed]: [Int64.of_int seed] is the initial
     state. *)
 
-val of_state : int64 -> t
-(** A stream starting from a raw 64-bit state (for replaying a child
-    stream recorded by {!state}). *)
-
 val state : t -> int64
 (** The current raw state (advances with every draw). *)
 

@@ -218,10 +218,15 @@ let check_outcome entry ~seed outcome =
            { entry = Kernel_model.entry_name entry; seed; reason = e })
   | K.Completed | K.Preempted -> ()
 
+let check_runs fn runs =
+  if runs < 1 then
+    invalid_arg (Fmt.str "Workloads.%s: runs must be at least 1" fn)
+
 (* Observed worst case: maximum over polluted runs.  Every run must leave
    the system able to repeat the measurement, so the syscall scenario
    rebuilds the rendezvous between runs. *)
 let observed ?(runs = 25) ctx entry =
+  check_runs "observed" runs;
   let worst = ref 0 in
   for seed = 1 to runs do
     let s = scenario ctx entry in
@@ -293,6 +298,7 @@ let attribute entry events =
    run — which section it sat in, how far the next preemption point was,
    and the stall/compute split. *)
 let observed_traced ?(runs = 25) ctx entry =
+  check_runs "observed_traced" runs;
   let name = Kernel_model.entry_name entry in
   let worst = ref 0 in
   let prov =

@@ -16,16 +16,6 @@ exception Scenario_failed of { entry : string; seed : int; reason : string }
 (** A measured event failed outright: which entry point, under which
     pollution seed, and the kernel's error message. *)
 
-val build_deep_cspace :
-  Sel4.Boot.env -> depth:int -> Sel4.Ktypes.cap * Sel4.Ktypes.cnode array
-(** The Figure 7 capability space: a chain of radix-1 CNodes, one decode
-    level per address bit.  Returns the root capability and the chain. *)
-
-val place_leaf :
-  Sel4.Kernel.t -> Sel4.Ktypes.cnode array -> level:int -> Sel4.Ktypes.cap -> int
-(** Install a leaf capability reachable through [level+1] decode levels;
-    returns its capability address. *)
-
 val scenario : Analysis_ctx.t -> Kernel_model.entry_point -> scenario
 (** Construct the worst-case scenario for one entry point: full-depth
     decodes, maximum message, granted capabilities, waiting receiver /
@@ -36,7 +26,8 @@ val measure_once : scenario -> seed:int -> Sel4.Kernel.outcome * int
 
 val observed : ?runs:int -> Analysis_ctx.t -> Kernel_model.entry_point -> int
 (** Maximum observed cycles over [runs] freshly built scenarios.
-    @raise Scenario_failed if the measured event fails outright. *)
+    @raise Scenario_failed if the measured event fails outright.
+    @raise Invalid_argument if [runs] < 1. *)
 
 type provenance = {
   workload : string;  (** entry-point name *)
@@ -68,4 +59,5 @@ val observed_traced :
   int * provenance
 (** Same maximum as {!observed} (tracing never charges cycles), plus the
     latency attribution of the worst run.
-    @raise Scenario_failed if the measured event fails outright. *)
+    @raise Scenario_failed if the measured event fails outright.
+    @raise Invalid_argument if [runs] < 1. *)

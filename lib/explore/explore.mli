@@ -43,12 +43,6 @@ val actions_for : Inject.op -> action list
     {!Inject.Retype_clear} and {!Inject.Vspace_delete}: they get the
     baselines and the sweep only. *)
 
-val op_sections : Inject.op -> Race.footprint list
-(** The operation's own sections instantiated for the scenario's concrete
-    objects (class-level catalogue sections for the operations without
-    client actions), plus the IRQ-delivery path: what an action must
-    commute with to be independent. *)
-
 val independent_actions : Inject.op -> action list -> string list
 (** Names of the globally-independent actions of an alphabet: those that
     commute, on digest-visible state, with every operation section and
@@ -70,25 +64,6 @@ val canonical : polls:int -> indep:string list -> sched -> bool
     independent action to its canonical poll crosses only sections and
     actions it commutes with, so every class keeps exactly one canonical
     member. *)
-
-type run = {
-  r_digest : string;  (** canonical final state ({!Sel4.Digest.of_kernel}) *)
-  r_polls : int;  (** preemption-point polls over the whole replay *)
-  r_restarts : int;  (** preempted kernel exits before completion *)
-}
-
-val run_sched :
-  ?cpu:Hw.Cpu.t ->
-  build:Sel4.Build.t ->
-  op:Inject.op ->
-  sz:Inject.sizes ->
-  schedule:sched ->
-  unit ->
-  (run, string) result
-(** Replay the operation firing the schedule's preemptions and running
-    each fired action in the window its preemption opens, with the
-    invariant and progress-measure oracles armed.  [cpu] (e.g. one with
-    a trace buffer attached) is the hardware model the replay boots on. *)
 
 (** {1 Reports} *)
 

@@ -90,8 +90,6 @@ let lock_ways t k =
     invalid_arg "Cache.lock_ways: must leave at least one unlocked way";
   t.locked_ways <- k
 
-let locked_ways t = t.locked_ways
-
 let set_index t addr = (addr lsr t.line_shift) land t.set_mask
 let tag_of t addr = addr lsr t.idx_shift
 let addr_of t ~tag ~set = ((tag * t.sets) + set) * t.line_size

@@ -24,11 +24,6 @@ val lock_ways : t -> int -> unit
 (** Reserve the first [k] ways of every set for pinned lines.  At least one
     way must remain unlocked. *)
 
-val locked_ways : t -> int
-
-val set_index : t -> int -> int
-(** Set index of an address (for conflict reasoning in tests/analysis). *)
-
 val access : t -> write:bool -> int -> outcome
 (** Perform an access, updating LRU state and inserting the line on a miss
     (into an unlocked way). *)

@@ -68,6 +68,5 @@ val worst_miss_cycles : t -> int
     at every cache level.  The sound per-miss charge of the static
     analysis. *)
 
-val l1_bytes : t -> int
 val cycles_to_us : t -> int -> float
 val pp : t Fmt.t

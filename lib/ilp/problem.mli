@@ -40,10 +40,6 @@ val num_constraints : t -> int
 val objective : t -> (int * var) list
 (** The current objective terms, as passed to {!set_objective}. *)
 
-val to_lp : ?extra:cstr list -> t -> Simplex.lp
-(** Render for the simplex; [extra] constraints are appended (used by branch
-    and bound and by path forcing). *)
-
 val solve_relaxation : ?extra:cstr list -> t -> Simplex.result
 
 val vars : t -> var list

@@ -42,7 +42,6 @@ let minus_one = { num = -1; den = 1 }
 let of_int n = { num = n; den = 1 }
 
 let num t = t.num
-let den t = t.den
 
 let add a b =
   (* Integer fast path: the simplex tableaux this module serves stay

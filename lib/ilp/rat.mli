@@ -15,7 +15,6 @@ val one : t
 val minus_one : t
 val of_int : int -> t
 val num : t -> int
-val den : t -> int
 
 val add : t -> t -> t
 val sub : t -> t -> t

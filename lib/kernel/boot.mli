@@ -15,9 +15,6 @@ type env = {
 
 exception Boot_failure of string
 
-val root_cnode_bits : int
-val root_guard_bits : int
-
 val cptr : int -> int
 (** Capability address of root CNode slot [i]. *)
 

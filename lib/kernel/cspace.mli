@@ -15,8 +15,6 @@ type error =
 
 type result = Ok_slot of slot * int  (** slot, levels traversed *) | Error of error
 
-val word_bits : int
-
 val resolve : Ctx.t -> root_cap:cap -> cptr:int -> result
 (** Resolve a capability address, charging one level's instructions and
     two loads per CNode traversed.  Resolution stops early at a non-CNode

@@ -21,9 +21,6 @@ val catalogue : (string * (Kernel.t -> unit)) list
 
 val check_run_queues : Kernel.t -> unit
 
-val check_queue_membership : Kernel.t -> unit
-(** A thread never appears on two run queues (nor twice in one). *)
-
 val check_affinity : Kernel.t -> unit
 (** SMP migration invariant: the current thread and every queued thread
     belong to this kernel's core ({!Kernel.t.cpu_id}); threads never

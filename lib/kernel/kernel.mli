@@ -48,7 +48,6 @@ val cycles : t -> int
 
 val fresh_id : t -> int
 val register : t -> any_object -> unit
-val unregister : t -> any_object -> unit
 
 val new_root_slot : t -> slot
 (** A harness-owned capability slot outside any CNode (boot caps). *)
@@ -56,7 +55,6 @@ val new_root_slot : t -> slot
 val boot_untyped : t -> size_bits:int -> slot
 (** Carve an untyped out of simulated physical memory at boot. *)
 
-val obj_of_cap : cap -> any_object option
 val incref : t -> cap -> unit
 
 (** {1 Scheduling} *)
@@ -187,13 +185,3 @@ val set_injection_hook : t -> (int -> bool) option -> unit
 
 val preempt_polls : t -> int
 (** Preemption-point polls since the injection hook was last installed. *)
-
-(** {1 Internal operations exposed for targeted tests} *)
-
-val delete_endpoint : t -> endpoint -> Vspace.progress
-val cancel_badged_sends :
-  t -> endpoint -> badge:badge -> initiator:tcb -> Vspace.progress
-val delete_cap : t -> slot -> Vspace.progress
-val revoke_cap : t -> slot -> Vspace.progress
-val signal_notification : t -> notification -> badge:badge -> unit
-val cancel_ipc : t -> tcb -> unit

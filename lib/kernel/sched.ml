@@ -204,12 +204,5 @@ let choose_thread ctx t =
 
 (* --- introspection for tests and invariants --- *)
 
-let queued_threads t prio =
-  let rec walk acc = function
-    | None -> List.rev acc
-    | Some tcb -> walk (tcb :: acc) tcb.sched_next
-  in
-  walk [] (queue t prio).head
-
 let bitmap_bit_set t prio =
   t.buckets.(prio / bucket_bits) land (1 lsl (prio mod bucket_bits)) <> 0

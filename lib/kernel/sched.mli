@@ -6,8 +6,6 @@
 open Ktypes
 
 val num_priorities : int
-val bucket_bits : int
-val num_buckets : int
 
 type t
 
@@ -31,5 +29,4 @@ val choose_thread : Ctx.t -> t -> tcb
 (** The scheduling decision, per variant: lazy scan with stale dequeues,
     Benno scan, or the two-load/two-CLZ bitmap lookup. *)
 
-val queued_threads : t -> prio -> tcb list
 val bitmap_bit_set : t -> prio -> bool

@@ -14,18 +14,13 @@ open Ktypes
 
 type progress = Done | Preempted
 
-val pd_index : int -> int
 val pt_index : int -> int
-val pde_addr : page_directory -> int -> int
-val pte_addr : page_table -> int -> int
 
 (** {1 ASID table (original design)} *)
 
 type asid_state = { table : asid_pool option array }
 
-val asid_top_slots : int
 val create_asid_state : unit -> asid_state
-val asid_lookup : Ctx.t -> asid_state -> int -> page_directory option
 
 val asid_alloc :
   Ctx.t -> asid_state -> asid_pool -> pool_slot:int -> page_directory ->

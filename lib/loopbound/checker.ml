@@ -1,9 +1,11 @@
 (* Bounded model checking of loop bounds with binary search, following the
-   architecture of Section 5.3: the program (usually first reduced by
-   slicing) is turned into a transition system whose states are
-   (block label, visit count) pairs; the property "the loop head executes
-   at most N times" is an LTL [always]; and the bound is found by binary
-   search over N using the checker as a yes/no oracle.
+   architecture of Section 5.3: the program is turned into a transition
+   system whose states are (block label, visit count) pairs; the property
+   "the loop head executes at most N times" is an LTL [always]; and the
+   bound is found by binary search over N using the checker as a yes/no
+   oracle.  The checked program is the full one: the caller measures the
+   slice (Tac.Slice keeps every branch decision, so the visit counts are
+   the same) but does not hand it over.
 
    The state space is the product of the declared finite input domains and
    the program's executions; both are exhausted, so a "verified" answer is
@@ -64,7 +66,7 @@ let find_bound ?(max_steps = 200_000) ?(upper = 65_536) program ~header =
 
 (* Ground truth by exhaustive execution: the maximum observed visit count
    of [header] over all inputs.  Used by tests to check soundness and
-   tightness of both the checker and the counter analysis. *)
+   tightness of the checker and of the interval analysis. *)
 let max_observed ?(max_steps = 200_000) program ~header =
   let best = ref 0 in
   let _ =

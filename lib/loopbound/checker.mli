@@ -8,8 +8,6 @@ type verdict = Verified | Violated of (Tac.Lang.reg * int) list | Diverged
 
 type trace_state = { label : string; visit : int }
 
-val bound_formula : header:string -> bound:int -> trace_state Ltl.t
-
 val verify :
   ?max_steps:int -> Tac.Lang.program -> header:string -> bound:int -> verdict
 (** Check [always (visits header <= bound)] over every input valuation.

@@ -60,7 +60,6 @@ val of_events : ?core:int -> event list -> t
     {!pp_timeline} and {!to_chrome_json}.  [core] as in {!create}. *)
 
 val kind_name : kind -> string
-val pp_kind : kind Fmt.t
 
 val pp_timeline : Format.formatter -> t -> unit
 (** Human-readable timeline: cycle, delta, cumulative stall, event. *)

@@ -33,8 +33,6 @@ type cls =
   | Irq_state  (** pending word and handler table *)
   | Kernel_stack  (** the single kernel stack *)
 
-val cls_name : cls -> string
-
 val semantic : cls -> bool
 (** Is the variable rendered into the canonical state digest
     ({!Sel4.Digest.of_kernel})?  Scheduler bookkeeping, the CDT link
@@ -93,10 +91,6 @@ val matrix : unit -> pair list
 (** {1 Owicki-Gries non-interference report} *)
 
 val ops : string list
-val measure_reads : string -> cls list
-(** The variable classes an operation's progress measure reads — the
-    state whose perturbation could break the strict-decrease restart
-    guarantee.  Raises [Invalid_argument] for unknown operations. *)
 
 type og_row = {
   og_op : string;

@@ -28,9 +28,6 @@ type status = Ok | Fail | Error
 val schema_version : int
 (** 1. Bump when the envelope shape (not a payload) changes. *)
 
-val status_to_string : status -> string
-(** ["ok"], ["fail"], ["error"]. *)
-
 val line : ?id:string -> status:status -> elapsed_s:float -> Json.t -> string
 (** The envelope around a payload value ([elapsed_s] with 6 decimals),
     rendered by {!Json.to_compact} and newline-terminated: the serve

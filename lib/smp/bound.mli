@@ -32,10 +32,6 @@ type t = {
   b_total : int;
 }
 
-val shared_classes : Race.cls list
-(** The state classes a remote core can contend on: [Sched_queues],
-    [Cur_thread], [Irq_state]. *)
-
 val interfering_pairs : unit -> Race.pair list
 (** Pairs of the interference matrix that conflict on a shared class. *)
 

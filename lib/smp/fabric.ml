@@ -95,9 +95,6 @@ let in_flight t =
   Array.iter (Array.iter (fun o -> if o then incr n)) t.outstanding;
   !n
 
-let sent_to t ~dst = t.sent_to.(dst)
-let delivered_on t ~dst = t.delivered_on.(dst)
-
 let check ~final t =
   let err fmt = Fmt.kstr Result.error fmt in
   let fl = in_flight t in

@@ -17,12 +17,6 @@
 
 type kind = Resched | Tlb_shootdown
 
-val resched_line : int
-(** Interrupt line carrying [Resched] (30). *)
-
-val shootdown_line : int
-(** Interrupt line carrying [Tlb_shootdown] (31). *)
-
 val line_of : kind -> int
 val kind_of_line : int -> kind option
 val kind_name : kind -> string
@@ -53,8 +47,6 @@ val coalesced : t -> int
 val delivered : t -> int
 val cancelled : t -> int
 val in_flight : t -> int
-val sent_to : t -> dst:int -> int
-val delivered_on : t -> dst:int -> int
 
 val check : final:bool -> t -> (unit, string) result
 (** The delivery invariant: [sent = delivered + cancelled + in_flight]

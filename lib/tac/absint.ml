@@ -2,8 +2,7 @@
 
    The CFG structure (dominators, natural loops, predecessors) comes from
    lowering an instruction-free skeleton of the SSA program through
-   To_cfg, the same trick Loopbound.Counter uses; block ids below are the
-   skeleton's. *)
+   To_cfg; block ids below are the skeleton's. *)
 
 module VD = Value_domain
 module Smap = Map.Make (String)
@@ -403,8 +402,10 @@ let exactly_once t label =
         (fun e -> t.in_env.(e) = None || Cfg.Dominators.dominates t.doms i e)
         (Cfg.Flowgraph.exits t.skel.fn)
 
-(* Induction-variable trip counting over the fixpoint.  Like
-   Loopbound.Counter but with interval-valued init, step and limit. *)
+(* Induction-variable trip counting over the fixpoint: a header phi
+   whose in-loop sources are the phi plus or minus a step, compared
+   against a limit, with init, step and limit all interval-valued.  This
+   is the first method of the kernel loop-bound chain (Kernel_loops). *)
 
 let find_def t reg =
   List.find_map

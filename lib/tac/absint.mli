@@ -23,8 +23,6 @@ type t
 val analyse : Lang.program -> t
 (** SSA-convert and analyse.  @raise Lang.Malformed on invalid programs. *)
 
-val analyse_ssa : Ssa.t -> t
-
 val ssa : t -> Ssa.t
 val stats : t -> stats
 

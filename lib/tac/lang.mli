@@ -49,7 +49,6 @@ val eval_cmp : cmp -> int -> int -> bool
 val eval_binop : binop -> int -> int -> int
 
 val pp_operand : operand Fmt.t
-val pp_binop : binop Fmt.t
 val pp_cmp : cmp Fmt.t
 val pp_instr : instr Fmt.t
 val pp_terminator : terminator Fmt.t

@@ -23,4 +23,3 @@ val join : t -> t -> t
 (** Intersection: guaranteed only if guaranteed on both paths. *)
 
 val equal : t -> t -> bool
-val is_pinned : t -> int -> bool

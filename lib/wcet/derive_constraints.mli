@@ -62,9 +62,5 @@ val audit : models:model list -> manual:User_constraint.t list -> report
     [constraints.*] and [absint.*] metrics counters. *)
 
 val rule_name : rule -> string
-val verdict_name : verdict -> string
-val pp_rule : rule Fmt.t
 val pp_verdict : verdict Fmt.t
-val pp_derived : (User_constraint.t * derivation) Fmt.t
-val pp_audit_line : audit_line Fmt.t
 val pp_report : report Fmt.t

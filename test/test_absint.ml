@@ -295,22 +295,23 @@ let test_memory_carried_abstains () =
     (AI.trip_bound ai ~header:"header" = None)
 
 let test_kernel_loops_cross_check () =
-  (* The absint bound must agree with the primary method on every loop it
-     can handle and abstain on the memory-carried badge scan. *)
-  let results = Sel4_rt.Kernel_loops.catalogue ~max_frame_bytes:4096 ~chunk:512 in
+  (* At these small sizes the model checker's exact bound is cheap: the
+     chain must match it on every catalogue loop, and only the
+     memory-carried badge scan may need the checker to get there. *)
+  let module K = Sel4_rt.Kernel_loops in
+  let results = K.catalogue ~max_frame_bytes:4096 ~chunk:512 in
   List.iter
-    (fun (r : Sel4_rt.Kernel_loops.result) ->
-      match (r.Sel4_rt.Kernel_loops.absint_bound, r.Sel4_rt.Kernel_loops.computed) with
-      | Some a, Some c ->
-          check_int
-            (Fmt.str "absint agrees on %s" r.Sel4_rt.Kernel_loops.spec.Sel4_rt.Kernel_loops.name)
-            c a
-      | None, _ ->
-          check_bool "only the badge scan abstains" true
-            (String.length r.Sel4_rt.Kernel_loops.spec.Sel4_rt.Kernel_loops.name >= 10
-            && String.sub r.Sel4_rt.Kernel_loops.spec.Sel4_rt.Kernel_loops.name 0 10
-               = "badge_scan")
-      | Some _, None -> Alcotest.fail "absint bounded a loop nothing else could")
+    (fun (r : K.result) ->
+      let name = r.K.spec.K.name in
+      Alcotest.(check (option int))
+        (Fmt.str "chain = checker on %s" name)
+        (Loopbound.Checker.find_bound r.K.spec.K.program
+           ~header:r.K.spec.K.header)
+        r.K.computed;
+      check_bool
+        (Fmt.str "%s: model checking only for the badge scan" name)
+        (String.starts_with ~prefix:"badge_scan" name)
+        (r.K.method_used = K.Model_checking))
     results;
   check_int "five loops catalogued" 5 (List.length results)
 

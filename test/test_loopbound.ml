@@ -1,7 +1,8 @@
 (* Tests for the loop-bound machinery: LTL finite-trace semantics, the
-   bounded model checker with binary search, and the syntactic counter
-   analysis.  The paper's claims (Section 5.3): counter loops are bounded
-   statically; the slice+model-check pipeline bounds the rest. *)
+   bounded model checker with binary search, and the one bound chain
+   ({!Sel4_rt.Kernel_loops.compute_bound}) on counter loops.  The paper's
+   claims (Section 5.3): counter loops are bounded statically; the
+   slice+model-check pipeline bounds the rest. *)
 
 module L = Tac.Lang
 
@@ -84,7 +85,7 @@ let countdown ~from_ =
       ];
   }
 
-(* Loop whose exit depends on memory: the counter analysis must give up,
+(* Loop whose exit depends on memory: the interval analysis must give up,
    the model checker still bounds it (matches the paper's split). *)
 let memory_loop ~limit =
   {
@@ -148,40 +149,60 @@ let test_find_bound_memory_loop () =
   check_opt "memory loop bounded by the checker" (Some 8)
     (Loopbound.Checker.find_bound (memory_loop ~limit:7) ~header:"header")
 
-(* --- counter analysis --- *)
+(* --- counter loops through the chain --- *)
+
+module K = Sel4_rt.Kernel_loops
+
+(* [compute_bound] on a test program; the annotation only sizes the
+   checker's search ([upper = 4 * annotated]). *)
+let chain program =
+  K.compute_bound
+    { K.name = "test"; program; header = "header"; annotated = 64 }
+
+let check_chain msg expected method_used program =
+  let r = chain program in
+  check_opt msg (Some expected) r.K.computed;
+  check_bool (msg ^ ": method") true (r.K.method_used = method_used)
 
 let test_counter_basic () =
-  check_opt "i < n, step 1, n <= 8" (Some 9)
-    (Loopbound.Counter.analyse (countup ~lo:0 ~hi:8 ()) ~header:"header")
+  check_chain "i < n, step 1, n <= 8" 9 K.Abstract_interpretation
+    (countup ~lo:0 ~hi:8 ())
 
 let test_counter_step () =
   (* i < n, i += 3, n <= 8: iterations = ceil(8/3) = 3, visits = 4. *)
-  check_opt "step 3" (Some 4)
-    (Loopbound.Counter.analyse (countup ~step:3 ~lo:0 ~hi:8 ()) ~header:"header")
+  check_chain "step 3" 4 K.Abstract_interpretation
+    (countup ~step:3 ~lo:0 ~hi:8 ())
 
 let test_counter_countdown () =
-  check_opt "count down from 5" (Some 6)
-    (Loopbound.Counter.analyse (countdown ~from_:5) ~header:"header")
+  check_chain "count down from 5" 6 K.Abstract_interpretation
+    (countdown ~from_:5)
 
 let test_counter_gives_up_on_memory () =
-  check_opt "memory loop: analysis abstains" None
-    (Loopbound.Counter.analyse (memory_loop ~limit:7) ~header:"header")
+  let program = memory_loop ~limit:7 in
+  check_opt "memory loop: interval analysis abstains" None
+    (Tac.Absint.trip_bound (Tac.Absint.analyse program) ~header:"header");
+  check_chain "memory loop: the checker bounds it" 8 K.Model_checking program
 
 let test_counter_agrees_with_checker () =
-  (* Where both methods apply they must agree (both are exact here). *)
+  (* Both methods are exact on these loops, so they must agree ([hi = 0]
+     reaches the checker through the chain). *)
   List.iter
-    (fun (program, header) ->
-      let counter = Loopbound.Counter.analyse program ~header in
-      let checked = Loopbound.Checker.find_bound program ~header in
-      Alcotest.(check (option int)) "counter = checker" checked counter)
+    (fun program ->
+      Alcotest.(check (option int))
+        "chain = checker"
+        (Loopbound.Checker.find_bound program ~header:"header")
+        (chain program).K.computed)
     [
-      (countup ~lo:0 ~hi:6 (), "header");
-      (countup ~step:2 ~lo:0 ~hi:7 (), "header");
-      (countdown ~from_:9, "header");
+      countup ~lo:0 ~hi:0 ();
+      countup ~lo:0 ~hi:6 ();
+      countup ~step:2 ~lo:0 ~hi:7 ();
+      countdown ~from_:9;
     ]
 
-(* Random counter loops: the syntactic bound, when produced, dominates the
-   exhaustive ground truth. *)
+(* Random counter loops: the chain always bounds them, and its bound
+   dominates the exhaustive ground truth.  At [hi = 0] the body is
+   unreachable and the interval analysis abstains; the model checker must
+   then give the exact bound. *)
 let gen_loop =
   QCheck.Gen.(
     let* step = int_range 1 4 in
@@ -195,21 +216,33 @@ let test_counter_sound_random =
        gen_loop)
     (fun (step, hi) ->
       let program = countup ~step ~lo:0 ~hi () in
-      match Loopbound.Counter.analyse program ~header:"header" with
-      | None -> false (* this family must always be analysable *)
+      let truth = Loopbound.Checker.max_observed program ~header:"header" in
+      let r = chain program in
+      match r.K.computed with
+      | None -> false (* this family must always be bounded *)
       | Some bound ->
-          bound >= Loopbound.Checker.max_observed program ~header:"header")
+          bound >= truth
+          && (hi > 0 || (r.K.method_used = K.Model_checking && bound = truth)))
 
-(* Sliced model checking: slicing first must not change the bound. *)
+(* Sliced model checking: slicing must not change the bound.  The slice
+   preserves every branch decision, so on every input the sliced SSA
+   visits the header exactly as often as the full program does. *)
 let test_slice_then_check () =
-  let program = memory_loop ~limit:7 in
-  let ssa = Tac.Ssa.convert program in
-  let _sliced, stats = Tac.Slice.compute ssa in
-  (* The slice keeps everything relevant; the checker on the original
-     program and the ground truth agree. *)
-  check_bool "slice ran" true (stats.Tac.Slice.total_instrs > 0);
-  check_int "bound matches ground truth" 8
-    (Loopbound.Checker.max_observed program ~header:"header")
+  List.iter
+    (fun (name, program, header, kept) ->
+      let sliced, stats = Tac.Slice.compute (Tac.Ssa.convert program) in
+      check_int (name ^ ": instructions kept") kept stats.Tac.Slice.kept_instrs;
+      check_bool (name ^ ": sliced visits = full visits on every input") true
+        (Tac.Interp.for_all_inputs program (fun inputs ->
+             let _, trace = Tac.Interp.run program ~inputs in
+             let counts = Tac.Ssa.run sliced ~inputs in
+             Option.value ~default:0 (Hashtbl.find_opt counts header)
+             = Tac.Interp.visits trace header)))
+    [
+      ("memory_loop", memory_loop ~limit:7, "header", 4);
+      (let s = K.badge_scan_loop ~max_waiters:12 in
+       ("badge_scan", s.K.program, s.K.header, 7));
+    ]
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
