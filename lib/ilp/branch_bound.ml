@@ -1,4 +1,4 @@
-(* Branch-and-bound integer programming over the rational simplex.
+(* Branch-and-bound integer programming over the certified simplex.
 
    All variables are required to take integer values.  Depth-first search
    with an incumbent bound: a node is pruned when its LP relaxation cannot
@@ -15,7 +15,11 @@ type outcome =
   | Infeasible
   | Unbounded
 
-type stats = { mutable nodes : int; mutable lp_solves : int }
+type stats = {
+  mutable nodes : int;
+  mutable lp_solves : int;
+  mutable fallbacks : int;
+}
 
 let fractional_var (solution : Simplex.solution) =
   let n = Array.length solution.values in
@@ -29,7 +33,12 @@ let fractional_var (solution : Simplex.solution) =
 let max_nodes = 100_000
 
 let solve ?stats problem =
-  let stats = match stats with Some s -> s | None -> { nodes = 0; lp_solves = 0 } in
+  let stats =
+    match stats with
+    | Some s -> s
+    | None -> { nodes = 0; lp_solves = 0; fallbacks = 0 }
+  in
+  let on_fallback () = stats.fallbacks <- stats.fallbacks + 1 in
   let incumbent = ref None in
   let better objective =
     match !incumbent with
@@ -42,7 +51,7 @@ let solve ?stats problem =
     stats.nodes <- stats.nodes + 1;
     if stats.nodes > max_nodes then raise Node_limit;
     stats.lp_solves <- stats.lp_solves + 1;
-    match Problem.solve_relaxation ~extra:bounds problem with
+    match Problem.solve_relaxation ~extra:bounds ~on_fallback problem with
     | Simplex.Infeasible -> ()
     | Simplex.Unbounded ->
         (* An unbounded relaxation at any node makes the ILP unbounded or

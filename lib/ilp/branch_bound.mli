@@ -11,7 +11,13 @@ type outcome =
   | Infeasible
   | Unbounded
 
-type stats = { mutable nodes : int; mutable lp_solves : int }
+type stats = {
+  mutable nodes : int;
+  mutable lp_solves : int;
+  mutable fallbacks : int;
+      (** LP solves the float path could not certify, answered by
+          {!Simplex.solve_exact} *)
+}
 
 val solve : ?stats:stats -> Problem.t -> outcome
 (** Depth-first search from an empty incumbent; IPET relaxations are

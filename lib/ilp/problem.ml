@@ -91,7 +91,8 @@ let to_lp ?(extra = []) t : Simplex.lp =
     constraints = List.rev_map convert t.constraints @ List.map convert extra;
   }
 
-let solve_relaxation ?extra t = Simplex.solve (to_lp ?extra t)
+let solve_relaxation ?extra ?on_fallback t =
+  Simplex.solve ?on_fallback (to_lp ?extra t)
 
 let vars t = List.init t.count Fun.id
 

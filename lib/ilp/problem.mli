@@ -40,7 +40,9 @@ val num_constraints : t -> int
 val objective : t -> (int * var) list
 (** The current objective terms, as passed to {!set_objective}. *)
 
-val solve_relaxation : ?extra:cstr list -> t -> Simplex.result
+val solve_relaxation :
+  ?extra:cstr list -> ?on_fallback:(unit -> unit) -> t -> Simplex.result
+(** {!Simplex.solve} on the problem plus [extra] rows. *)
 
 val vars : t -> var list
 (** All variables, in creation order. *)

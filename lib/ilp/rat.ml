@@ -4,7 +4,11 @@
    variables, coefficients bounded by cycle counts around 10^5), so native
    integers with gcd normalisation suffice.  All operations detect overflow
    and raise [Overflow] rather than silently wrapping; this keeps the solver
-   sound (an exception, never a wrong answer).  zarith is not available in
+   sound (an exception, never a wrong answer).  [min_int] counts as
+   overflow wherever it could appear (a sum, a product, [make], [of_int],
+   [neg]): its negation wraps to itself, so admitting it would let [neg],
+   [sub], [mul] by -1 and [div] return wrong-signed values or break the
+   [den > 0] invariant.  zarith is not available in
    this environment, which DESIGN.md records as the reason for this module. *)
 
 exception Overflow
@@ -18,17 +22,18 @@ let checked_mul a b =
   if a = 0 || b = 0 then 0
   else
     let p = a * b in
-    if p / b <> a then raise Overflow else p
+    if p / b <> a || p = min_int then raise Overflow else p
 
 let checked_add a b =
   let s = a + b in
   (* Overflow iff operands share a sign and the sum's sign differs. *)
-  if (a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0) then
-    raise Overflow
+  if (a >= 0 && b >= 0 && s < 0) || (a < 0 && b < 0 && s >= 0) || s = min_int
+  then raise Overflow
   else s
 
 let make num den =
   if den = 0 then invalid_arg "Rat.make: zero denominator";
+  if num = min_int || den = min_int then raise Overflow;
   let sign = if den < 0 then -1 else 1 in
   let num = num * sign and den = den * sign in
   if num = 0 then { num = 0; den = 1 }
@@ -39,7 +44,7 @@ let make num den =
 let zero = { num = 0; den = 1 }
 let one = { num = 1; den = 1 }
 let minus_one = { num = -1; den = 1 }
-let of_int n = { num = n; den = 1 }
+let of_int n = if n = min_int then raise Overflow else { num = n; den = 1 }
 
 let num t = t.num
 
@@ -54,7 +59,7 @@ let add a b =
     let num = checked_add (checked_mul a.num db) (checked_mul b.num da) in
     make num (checked_mul a.den db)
 
-let neg a = { a with num = -a.num }
+let neg a = if a.num = min_int then raise Overflow else { a with num = -a.num }
 let sub a b = add a (neg b)
 
 let mul a b =

@@ -1,19 +1,24 @@
 (** Exact rational arithmetic over native integers with overflow detection.
 
     Sufficient for the small IPET problems of the WCET analysis; any
-    overflow raises {!Overflow} rather than producing a wrong answer. *)
+    overflow raises {!Overflow} rather than producing a wrong answer.
+    [min_int] counts as overflow: no value has it as numerator or
+    denominator. *)
 
 exception Overflow
 
 type t
 
 val make : int -> int -> t
-(** [make num den] in lowest terms.  @raise Invalid_argument on [den = 0]. *)
+(** [make num den] in lowest terms.  @raise Invalid_argument on [den = 0];
+    @raise Overflow if either is [min_int]. *)
 
 val zero : t
 val one : t
 val minus_one : t
 val of_int : int -> t
+(** @raise Overflow on [min_int]. *)
+
 val num : t -> int
 
 val add : t -> t -> t

@@ -114,6 +114,10 @@ let span_cache = Obs.Metrics.histogram "ipet.cache_analysis"
 let span_build = Obs.Metrics.histogram "ipet.ilp_build"
 let span_solve = Obs.Metrics.histogram "ipet.ilp_solve"
 
+(* LP solves whose float answer failed its certificate and were re-solved
+   exactly; not part of the result, so cached and fresh results agree. *)
+let m_fallbacks = Obs.Metrics.counter "ipet.exact_fallbacks"
+
 let prepare ~config ?(pinned_code = []) ?(pinned_data = []) (spec : spec) =
   Obs.Metrics.span span_prepare @@ fun () ->
   let started = Clock.now_s () in
@@ -315,11 +319,12 @@ let analyse_prepared ?(sources : sources = `All)
   Ilp.Problem.set_objective problem
     (Array.to_list
        (Array.mapi (fun b v -> ((Cache_analysis.cost costs b).cycles, v)) x));
-  let stats = { Ilp.Branch_bound.nodes = 0; lp_solves = 0 } in
+  let stats = { Ilp.Branch_bound.nodes = 0; lp_solves = 0; fallbacks = 0 } in
   Obs.Metrics.observe span_build (Clock.elapsed_s ~since:started);
   let solve_started = Clock.now_s () in
   let solved = Ilp.Branch_bound.solve ~stats problem in
   Obs.Metrics.observe span_solve (Clock.elapsed_s ~since:solve_started);
+  Obs.Metrics.incr ~by:stats.Ilp.Branch_bound.fallbacks m_fallbacks;
   match solved with
   | Ilp.Branch_bound.Optimal { objective; values } ->
       (* The optimal basis, kept rather than discarded: per-edge traversal
