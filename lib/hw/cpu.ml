@@ -20,6 +20,7 @@ type t = {
   machine : Machine.t;
   l1_hit : int;  (* cached Config.l1_hit_cycles: avoids re-reading the
                     config record on every load/store *)
+  l1_line_mask : int;  (* lnot (l1_line - 1): same-line test in {!scan} *)
   mutable cycles : int;
   mutable stall : int;
       (* cycles spent in the memory hierarchy (fetch/load/store latency
@@ -39,6 +40,7 @@ let create config =
   {
     machine = Machine.create config;
     l1_hit = config.Config.l1_hit_cycles;
+    l1_line_mask = lnot (config.Config.l1_line - 1);
     cycles = 0;
     stall = 0;
     instructions = 0;
@@ -117,6 +119,55 @@ let store t addr =
   let lat = Machine.write t.machine addr in
   t.cycles <- t.cycles + lat;
   t.stall <- t.stall + max 0 (lat - t.l1_hit)
+
+(* [steps] repetitions of "execute [count] instructions from [base], then
+   load [addr + i * stride]" (i = 0 .. steps - 1): the shape of a
+   priority scan.  Cycle-, counter- and state-identical to calling
+   {!exec} and {!load} in that order, but only the first step's fetch run
+   and one load per D-cache line touch the caches:
+
+   - after the first step, every fetch run repeats the immediately
+     preceding one with only data accesses in between, which never touch
+     I-stream state: {!Machine.fetch_run}'s replay case, [count] hits with
+     zero stall each, counted here in one {!Cache.note_seq_hits} (the
+     replay memo already holds this run, as it would after each step);
+   - a load to the line the previous load just made most-recently-used
+     (the fetches in between touch only the I-cache and the L2) is an L1
+     hit that cannot change any future replacement decision, so it costs
+     [l1_hit] cycles and is counted rather than probed.
+
+   Loads that leave the line are real accesses, made in order with the
+   cycle counter at the value the step-by-step charge would show, so
+   pin-eviction events keep their stamps.  With a tracer attached every
+   access is reported, so the steps run one by one. *)
+let scan t ~base ~count ~addr ~stride ~steps =
+  assert (steps >= 0);
+  match t.tracer with
+  | Some _ ->
+      for i = 0 to steps - 1 do
+        exec t ~base ~count;
+        load t (addr + (i * stride))
+      done
+  | None ->
+      if steps > 0 then begin
+        exec t ~base ~count;
+        load t addr;
+        let mask = t.l1_line_mask in
+        let same_line = ref 0 in
+        for i = 1 to steps - 1 do
+          t.instructions <- t.instructions + count;
+          t.cycles <- t.cycles + count;
+          let a = addr + (i * stride) in
+          if a land mask = (a - stride) land mask then begin
+            incr same_line;
+            t.loads <- t.loads + 1;
+            t.cycles <- t.cycles + t.l1_hit
+          end
+          else load t a
+        done;
+        Cache.note_seq_hits (Machine.icache t.machine) (count * (steps - 1));
+        Cache.note_seq_hits (Machine.dcache t.machine) !same_line
+      end
 
 let branch t ~pc ~taken =
   t.branches <- t.branches + 1;

@@ -32,6 +32,17 @@ val load : t -> int -> unit
 val store : t -> int -> unit
 val branch : t -> pc:int -> taken:bool -> unit
 
+val scan :
+  t -> base:int -> count:int -> addr:int -> stride:int -> steps:int -> unit
+(** [steps] repetitions of [exec ~base ~count] followed by
+    [load (addr + i * stride)], [i] counting from 0: a scan loop's charge.
+    Cycle-, counter-, cache-state- and trace-identical to that sequence of
+    {!exec} and {!load} calls, but after the first step the fetch runs are
+    replays and a load on the previous load's line is a guaranteed L1 hit,
+    so only the first fetch run and one load per D-cache line probe the
+    caches.  With a tracer attached the steps run one by one, reporting
+    every access in order. *)
+
 type access_kind = Fetch | Load | Store
 
 val set_tracer : t -> (access_kind -> int -> unit) -> unit

@@ -163,6 +163,24 @@ let store t addr =
   note_access t addr 4 true;
   match t.cpu with None -> () | Some cpu -> Hw.Cpu.store cpu addr
 
+(* [steps] repetitions of "[exec t name count], then [load] the next
+   address" (from [addr], [stride] bytes apart): a scan loop charged in
+   one call, the region resolved once.  With an access recorder attached
+   the steps run one by one so it sees every load in order. *)
+let scan t name count ~addr ~stride ~steps =
+  match t.on_access with
+  | Some _ ->
+      for i = 0 to steps - 1 do
+        exec t name count;
+        load t (addr + (i * stride))
+      done
+  | None -> (
+      match t.cpu with
+      | None -> ()
+      | Some cpu ->
+          let region = region_of t name in
+          Hw.Cpu.scan cpu ~base:region.Layout.base ~count ~addr ~stride ~steps)
+
 let branch t name ~taken =
   match t.cpu with
   | None -> ()

@@ -70,6 +70,13 @@ val load : t -> int -> unit
 val store : t -> int -> unit
 val branch : t -> string -> taken:bool -> unit
 
+val scan : t -> string -> int -> addr:int -> stride:int -> steps:int -> unit
+(** [scan t region n ~addr ~stride ~steps]: [steps] repetitions of
+    [exec t region n] followed by [load t (addr + i * stride)], [i]
+    counting from 0, charged through {!Hw.Cpu.scan} (identical cycles,
+    counters and cache state).  An access recorder still sees every load,
+    in order. *)
+
 val store_block : t -> int -> int -> unit
 (** Bulk store, one access per cache line (object clearing, the kernel
     mapping copy). *)

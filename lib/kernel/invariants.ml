@@ -24,31 +24,50 @@ exception Violation of string
 let fail fmt = Fmt.kstr (fun s -> raise (Violation s)) fmt
 
 (* Walk an intrusive doubly-linked list checking back-pointers and
-   detecting cycles; returns the member list. *)
+   detecting cycles; returns the member list.  [what] names the list in a
+   violation: a thunk, so the label is only formatted on failure (the
+   sampler walks hundreds of lists per check). *)
 let check_linked_list ~what ~head ~next ~prev =
   let rec walk seen node_prev node =
     match node with
     | None -> List.rev seen
     | Some tcb ->
-        if List.memq tcb seen then fail "%s: cycle at tcb%d" what tcb.tcb_id;
+        if List.memq tcb seen then
+          fail "%s: cycle at tcb%d" (what ()) tcb.tcb_id;
         (match (prev tcb, node_prev) with
         | None, None -> ()
         | Some p, Some q when p == q -> ()
-        | _ -> fail "%s: bad back-pointer at tcb%d" what tcb.tcb_id);
+        | _ -> fail "%s: bad back-pointer at tcb%d" (what ()) tcb.tcb_id);
         walk (tcb :: seen) node (next tcb)
   in
   walk [] None head
+
+(* Every member of run queue [prio] is flagged queued and has that
+   priority.  Recursive rather than [List.iter] over a closure: it runs
+   for all 256 queues on every sampled entry. *)
+let rec check_queued prio = function
+  | [] -> ()
+  | tcb :: rest ->
+      if not tcb.in_run_queue then
+        fail "tcb%d queued but not flagged" tcb.tcb_id;
+      if tcb.priority <> prio then
+        fail "tcb%d in queue %d but has priority %d" tcb.tcb_id prio
+          tcb.priority;
+      check_queued prio rest
 
 let check_run_queues (k : Kernel.t) =
   let sched = k.Kernel.sched in
   for prio = 0 to Sched.num_priorities - 1 do
     let q = Sched.queue sched prio in
     let members =
-      check_linked_list
-        ~what:(Fmt.str "run queue %d" prio)
-        ~head:q.head
-        ~next:(fun tcb -> tcb.sched_next)
-        ~prev:(fun tcb -> tcb.sched_prev)
+      match q.head with
+      | None -> [] (* most queues: nothing to walk, nothing allocated *)
+      | head ->
+          check_linked_list
+            ~what:(fun () -> Fmt.str "run queue %d" prio)
+            ~head
+            ~next:(fun tcb -> tcb.sched_next)
+            ~prev:(fun tcb -> tcb.sched_prev)
     in
     (match (members, q.tail) with
     | [], None -> ()
@@ -57,14 +76,7 @@ let check_run_queues (k : Kernel.t) =
         if not (List.nth members (List.length members - 1) == tail) then
           fail "run queue %d: tail mismatch" prio
     | _ :: _, None -> fail "run queue %d: missing tail" prio);
-    List.iter
-      (fun tcb ->
-        if not tcb.in_run_queue then
-          fail "tcb%d queued but not flagged" tcb.tcb_id;
-        if tcb.priority <> prio then
-          fail "tcb%d in queue %d but has priority %d" tcb.tcb_id prio
-            tcb.priority)
-      members;
+    check_queued prio members;
     (* The bitmap mirrors queue occupancy exactly (Section 3.2). *)
     if k.Kernel.build.Build.sched = Build.Benno_bitmap then begin
       let bit = Sched.bitmap_bit_set sched prio in
@@ -105,7 +117,7 @@ let check_notifications (k : Kernel.t) =
       | Any_notification ntfn ->
           let members =
             check_linked_list
-              ~what:(Fmt.str "ntfn%d queue" ntfn.ntfn_id)
+              ~what:(fun () -> Fmt.str "ntfn%d queue" ntfn.ntfn_id)
               ~head:ntfn.ntfn_queue.head
               ~next:(fun tcb -> tcb.ep_next)
               ~prev:(fun tcb -> tcb.ep_prev)
@@ -132,7 +144,7 @@ let check_endpoints (k : Kernel.t) =
       | Any_endpoint ep ->
           let members =
             check_linked_list
-              ~what:(Fmt.str "ep%d queue" ep.ep_id)
+              ~what:(fun () -> Fmt.str "ep%d queue" ep.ep_id)
               ~head:ep.ep_queue.head
               ~next:(fun tcb -> tcb.ep_next)
               ~prev:(fun tcb -> tcb.ep_prev)
@@ -190,26 +202,25 @@ let check_alignment (k : Kernel.t) =
   in
   scan sorted
 
-let all_slots (k : Kernel.t) =
-  k.Kernel.root_slots
-  @ List.concat_map
-      (fun obj ->
-        match obj with
-        | Any_cnode cn -> Array.to_list cn.cn_slots
-        | _ -> [])
-      k.Kernel.objects
+let check_cdt_slot slot =
+  if not (Cdt.check_well_formed slot) then
+    fail "CDT ill-formed below slot %d" slot.sl_index;
+  (* A slot participating in the tree must hold a capability. *)
+  if
+    cap_is_null slot.cap
+    && (slot.cdt_parent <> None || slot.cdt_first_child <> None)
+  then fail "empty slot %d threaded into the CDT" slot.sl_index
 
+(* Every slot: the root CNode's, then each CNode object's in object
+   order, walked in place rather than gathered into one list. *)
 let check_cdt (k : Kernel.t) =
+  List.iter check_cdt_slot k.Kernel.root_slots;
   List.iter
-    (fun slot ->
-      if not (Cdt.check_well_formed slot) then
-        fail "CDT ill-formed below slot %d" slot.sl_index;
-      (* A slot participating in the tree must hold a capability. *)
-      if
-        cap_is_null slot.cap
-        && (slot.cdt_parent <> None || slot.cdt_first_child <> None)
-      then fail "empty slot %d threaded into the CDT" slot.sl_index)
-    (all_slots k)
+    (fun obj ->
+      match obj with
+      | Any_cnode cn -> Array.iter check_cdt_slot cn.cn_slots
+      | _ -> ())
+    k.Kernel.objects
 
 let check_shadow_tables (k : Kernel.t) =
   if k.Kernel.build.Build.vspace = Build.Shadow_tables then
@@ -280,29 +291,41 @@ let check_cleared (k : Kernel.t) =
    leaving the damage to surface as a cycle or bad back-pointer
    elsewhere.  Revisiting a TCB also bounds the walk, so a cyclic queue
    (reported precisely by [check_run_queues]) cannot hang this check. *)
+let rec walk_membership seen prio = function
+  | None -> ()
+  | Some tcb -> (
+      match Hashtbl.find_opt seen tcb.tcb_id with
+      | Some first ->
+          fail "tcb%d on two run queues (priorities %d and %d)" tcb.tcb_id
+            first prio
+      | None ->
+          Hashtbl.add seen tcb.tcb_id prio;
+          walk_membership seen prio tcb.sched_next)
+
 let check_queue_membership (k : Kernel.t) =
   let seen = Hashtbl.create 64 in
   let sched = k.Kernel.sched in
   for prio = 0 to Sched.num_priorities - 1 do
-    let q = Sched.queue sched prio in
-    let rec walk = function
-      | None -> ()
-      | Some tcb -> (
-          match Hashtbl.find_opt seen tcb.tcb_id with
-          | Some first ->
-              fail "tcb%d on two run queues (priorities %d and %d)" tcb.tcb_id
-                first prio
-          | None ->
-              Hashtbl.add seen tcb.tcb_id prio;
-              walk tcb.sched_next)
-    in
-    walk q.head
+    walk_membership seen prio (Sched.queue sched prio).head
   done
 
 (* Migration/affinity invariant (SMP model): threads never migrate, so a
    thread only executes on — and only queues on — the core it was
    created on.  Trivially satisfied on the single-core model (everything
    has affinity 0); the per-core kernels of the SMP soak give it teeth. *)
+let rec walk_affinity home seen = function
+  | None -> ()
+  | Some tcb ->
+      (* A cyclic queue is [check_run_queues]'s violation to report;
+         just bound the walk here. *)
+      if List.memq tcb seen then ()
+      else begin
+        if tcb.tcb_affinity <> home then
+          fail "tcb%d (affinity %d) queued on core %d" tcb.tcb_id
+            tcb.tcb_affinity home;
+        walk_affinity home (tcb :: seen) tcb.sched_next
+      end
+
 let check_affinity (k : Kernel.t) =
   let home = k.Kernel.cpu_id in
   let cur = k.Kernel.current in
@@ -311,21 +334,7 @@ let check_affinity (k : Kernel.t) =
       home;
   let sched = k.Kernel.sched in
   for prio = 0 to Sched.num_priorities - 1 do
-    let q = Sched.queue sched prio in
-    let rec walk seen = function
-      | None -> ()
-      | Some tcb ->
-          (* A cyclic queue is [check_run_queues]'s violation to report;
-             just bound the walk here. *)
-          if List.memq tcb seen then ()
-          else begin
-            if tcb.tcb_affinity <> home then
-              fail "tcb%d (affinity %d) queued on core %d" tcb.tcb_id
-                tcb.tcb_affinity home;
-            walk (tcb :: seen) tcb.sched_next
-          end
-    in
-    walk [] q.head
+    walk_affinity home [] (Sched.queue sched prio).head
   done
 
 (* The catalogue, named for reporting. *)

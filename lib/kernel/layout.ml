@@ -19,7 +19,8 @@ let data_base = 0xF020_0000
 
 (* Scheduler run-queue heads: 256 priorities * 8 bytes (head/tail). *)
 let run_queue_base = data_base
-let run_queue_entry addr_prio = run_queue_base + (addr_prio * 8)
+let run_queue_entry_bytes = 8
+let run_queue_entry prio = run_queue_base + (prio * run_queue_entry_bytes)
 
 (* Two-level priority bitmap: one top word + 8 bucket words. *)
 let bitmap_top = data_base + 0x1000

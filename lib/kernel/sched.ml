@@ -121,50 +121,68 @@ let make_runnable ctx t tcb =
 
 (* --- chooseThread, per variant --- *)
 
-(* Figure 2: scan down; dequeue blocked leftovers as encountered. *)
-let choose_lazy ctx t =
-  let rec scan prio =
+(* Highest non-empty priority at or below [prio], or -1.  A host-side
+   lookup that charges nothing: the scan it stands for is charged by
+   [charge_scan]. *)
+let rec next_nonempty t prio =
+  if prio < 0 then prio
+  else
+    match t.queues.(prio).head with
+    | Some _ -> prio
+    | None -> next_nonempty t (prio - 1)
+
+(* Charge the scan loop over priorities [from] down to [upto] (inclusive,
+   [upto] >= 0): per priority, the loop body and the load of its
+   run-queue entry, in one bulk call. *)
+let charge_scan ctx ~from ~upto =
+  Ctx.scan ctx "sched_choose" Costs.choose_thread_scan_per_prio_instrs
+    ~addr:(Layout.run_queue_entry from) ~stride:(-Layout.run_queue_entry_bytes)
+    ~steps:(from - upto + 1)
+
+(* The first runnable thread at the head of [q], dequeueing the stale
+   blocked threads lazy scheduling left in front of it. *)
+let rec lazy_head ctx t q =
+  match q.head with
+  | None -> None
+  | Some tcb ->
+      Ctx.load ctx tcb.tcb_addr;
+      if is_runnable tcb then Some tcb
+      else begin
+        (* Stale blocked thread left by lazy scheduling. *)
+        Ctx.exec ctx "sched_choose" Costs.lazy_dequeue_blocked_instrs;
+        dequeue ctx t tcb;
+        lazy_head ctx t q
+      end
+
+(* Figure 2: scan down; dequeue blocked leftovers as encountered.  Each
+   run of empty priorities, and the non-empty one that ends it, is
+   charged in one call; a queue that held only blocked threads is left
+   empty and the scan resumes below it. *)
+let rec choose_lazy ctx t from =
+  if from < 0 then t.idle
+  else begin
+    let prio = next_nonempty t from in
+    charge_scan ctx ~from ~upto:(max prio 0);
     if prio < 0 then t.idle
-    else begin
-      Ctx.exec ctx "sched_choose" Costs.choose_thread_scan_per_prio_instrs;
-      charge_queue_touch ctx prio;
-      let q = queue t prio in
-      let rec head_loop () =
-        match q.head with
-        | None -> None
-        | Some tcb ->
-            Ctx.load ctx tcb.tcb_addr;
-            if is_runnable tcb then Some tcb
-            else begin
-              (* Stale blocked thread left by lazy scheduling. *)
-              Ctx.exec ctx "sched_choose" Costs.lazy_dequeue_blocked_instrs;
-              dequeue ctx t tcb;
-              head_loop ()
-            end
-      in
-      match head_loop () with
+    else
+      match lazy_head ctx t (queue t prio) with
       | Some tcb -> tcb
-      | None -> scan (prio - 1)
-    end
-  in
-  scan (num_priorities - 1)
+      | None -> choose_lazy ctx t (prio - 1)
+  end
 
 (* Figure 3: the head of the highest non-empty queue is runnable. *)
 let choose_benno ctx t =
-  let rec scan prio =
-    if prio < 0 then t.idle
-    else begin
-      Ctx.exec ctx "sched_choose" Costs.choose_thread_scan_per_prio_instrs;
-      charge_queue_touch ctx prio;
-      match (queue t prio).head with
-      | Some tcb ->
-          Ctx.load ctx tcb.tcb_addr;
-          assert (is_runnable tcb);
-          tcb
-      | None -> scan (prio - 1)
-    end
-  in
-  scan (num_priorities - 1)
+  let from = num_priorities - 1 in
+  let prio = next_nonempty t from in
+  charge_scan ctx ~from ~upto:(max prio 0);
+  if prio < 0 then t.idle
+  else
+    match (queue t prio).head with
+    | Some tcb ->
+        Ctx.load ctx tcb.tcb_addr;
+        assert (is_runnable tcb);
+        tcb
+    | None -> assert false (* [next_nonempty] found it non-empty *)
 
 (* Section 3.2: two loads and two CLZ instructions. *)
 let choose_bitmap ctx t =
@@ -192,7 +210,7 @@ let choose_bitmap ctx t =
 let choose_thread ctx t =
   let chosen =
     match t.build.Build.sched with
-    | Build.Lazy -> choose_lazy ctx t
+    | Build.Lazy -> choose_lazy ctx t (num_priorities - 1)
     | Build.Benno -> choose_benno ctx t
     | Build.Benno_bitmap -> choose_bitmap ctx t
   in

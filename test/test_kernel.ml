@@ -1563,6 +1563,357 @@ let test_check_result_collects_all () =
       check_bool "cleared reported" true
         (List.exists (starts_with ~prefix:"cleared") ms)
 
+(* The exact violation text for planted list corruptions.  The labels
+   naming the broken list ("run queue 120", "ep3 queue", ...) are
+   formatted only when a check fails; these pin what a failure reports,
+   and that every other check stays quiet. *)
+
+let expect_violations what env expected =
+  match Sel4.Invariants.check_result env.B.k with
+  | Ok () -> Alcotest.failf "%s: corruption missed" what
+  | Error ms -> Alcotest.(check (list string)) what expected ms
+
+let clean what env =
+  match Sel4.Invariants.check_result env.B.k with
+  | Ok () -> ()
+  | Error ms -> Alcotest.failf "%s: not clean: %s" what (String.concat "; " ms)
+
+let test_violation_text_run_queue () =
+  let pair () =
+    let env = B.boot improved in
+    let a = B.spawn_thread env ~priority:120 ~dest:80 in
+    let b = B.spawn_thread env ~priority:120 ~dest:81 in
+    List.iter (B.make_runnable env) [ a; b ];
+    clean "run queue pair" env;
+    (env, a, b)
+  in
+  let env, _, b = pair () in
+  b.sched_prev <- None;
+  expect_violations "run queue back-pointer" env
+    [ Fmt.str "run_queues: run queue 120: bad back-pointer at tcb%d" b.tcb_id ];
+  let env, _, b = pair () in
+  b.sched_next <- Some b;
+  expect_violations "run queue cycle" env
+    [
+      Fmt.str "run_queues: run queue 120: cycle at tcb%d" b.tcb_id;
+      Fmt.str
+        "queue_membership: tcb%d on two run queues (priorities 120 and 120)"
+        b.tcb_id;
+    ]
+
+let test_violation_text_endpoint () =
+  let env = B.boot improved in
+  let ep = B.spawn_endpoint env ~dest:10 in
+  let _ = park_one_sender env ~ep_cptr:(B.cptr 10) ~dest:20 in
+  let second = park_one_sender env ~ep_cptr:(B.cptr 10) ~dest:21 in
+  clean "two senders parked" env;
+  second.ep_prev <- None;
+  expect_violations "endpoint back-pointer" env
+    [
+      Fmt.str "endpoints: ep%d queue: bad back-pointer at tcb%d" ep.ep_id
+        second.tcb_id;
+    ];
+  second.ep_prev <- ep.ep_queue.head;
+  second.ep_next <- Some second;
+  expect_violations "endpoint cycle" env
+    [ Fmt.str "endpoints: ep%d queue: cycle at tcb%d" ep.ep_id second.tcb_id ]
+
+let test_violation_text_notification () =
+  let env = B.boot improved in
+  let n = B.spawn_notification env ~dest:10 in
+  let w1 = B.spawn_thread env ~priority:150 ~dest:11 in
+  let w2 = B.spawn_thread env ~priority:150 ~dest:12 in
+  List.iter
+    (fun w ->
+      B.make_runnable env w;
+      expect_completed "wait" (as_thread env w (K.Ev_wait { ntfn = 10 })))
+    [ w1; w2 ];
+  K.force_run env.B.k env.B.root_tcb;
+  clean "two waiters" env;
+  w2.ep_next <- Some w1;
+  expect_violations "notification cycle" env
+    [ Fmt.str "notifications: ntfn%d queue: cycle at tcb%d" n.ntfn_id w1.tcb_id ];
+  w2.ep_next <- None;
+  w2.ep_prev <- Some w2;
+  expect_violations "notification back-pointer" env
+    [
+      Fmt.str "notifications: ntfn%d queue: bad back-pointer at tcb%d"
+        n.ntfn_id w2.tcb_id;
+    ]
+
+(* --- the bulk priority-scan charge --- *)
+
+(* Lazy and Benno chooseThread charge each run of scanned priorities with
+   one {!Sel4.Ctx.scan} call.  The reference below is the per-priority
+   loop it replaces — one [Ctx.exec] and one [Ctx.load] per scanned
+   priority — and the two must leave identical counters, stall cycles,
+   cache statistics and cache state (probed by a fixed access sequence
+   afterwards), and report identical access sequences to the Ctx access
+   recorder and the Cpu tracer. *)
+
+module Sched = Sel4.Sched
+module Ctx = Sel4.Ctx
+
+(* [~skip_top] plants an off-by-one: priority 255 goes uncharged. *)
+let reference_choose ?(skip_top = false) ctx sched (build : Sel4.Build.t) =
+  let charge prio =
+    if not (skip_top && prio = Sched.num_priorities - 1) then begin
+      Ctx.exec ctx "sched_choose" Sel4.Costs.choose_thread_scan_per_prio_instrs;
+      Ctx.load ctx (Sel4.Layout.run_queue_entry prio)
+    end
+  in
+  let rec lazy_scan prio =
+    if prio < 0 then None
+    else begin
+      charge prio;
+      let q = Sched.queue sched prio in
+      let rec head () =
+        match q.head with
+        | None -> None
+        | Some tcb ->
+            Ctx.load ctx tcb.tcb_addr;
+            if is_runnable tcb then Some tcb
+            else begin
+              Ctx.exec ctx "sched_choose" Sel4.Costs.lazy_dequeue_blocked_instrs;
+              Sched.dequeue ctx sched tcb;
+              head ()
+            end
+      in
+      match head () with Some tcb -> Some tcb | None -> lazy_scan (prio - 1)
+    end
+  in
+  let rec benno_scan prio =
+    if prio < 0 then None
+    else begin
+      charge prio;
+      match (Sched.queue sched prio).head with
+      | Some tcb ->
+          Ctx.load ctx tcb.tcb_addr;
+          Some tcb
+      | None -> benno_scan (prio - 1)
+    end
+  in
+  match build.Sel4.Build.sched with
+  | Sel4.Build.Lazy -> lazy_scan (Sched.num_priorities - 1)
+  | Sel4.Build.Benno -> benno_scan (Sched.num_priorities - 1)
+  | Sel4.Build.Benno_bitmap -> Some (Sched.choose_thread ctx sched)
+
+type scan_mode = Plain | Access_hook | Cpu_tracer
+
+(* A booted kernel with threads queued at the given priorities; under
+   lazy scheduling a [blocked] thread stays parked in its queue. *)
+let scan_kernel config build occupancy ~pollute =
+  let cpu = Hw.Cpu.create config in
+  let env = B.boot ~cpu build in
+  List.iteri
+    (fun i (prio, blocked) ->
+      let t = B.spawn_thread env ~priority:prio ~dest:(40 + i) in
+      B.make_runnable env t;
+      if blocked then t.state <- Inactive)
+    occupancy;
+  if pollute then Hw.Machine.pollute (Hw.Cpu.machine cpu) ~seed:7;
+  (env, cpu)
+
+(* Latency of every access in a fixed sequence: the run-queue and TCB
+   lines, then lines conflicting with them in the L1 and L2 sets, then
+   the same lines again (hit or miss now depends on the replacement
+   state the scan left), and fetch runs over the scheduler's code. *)
+let probe_latencies cpu tcb_addrs =
+  let lat f =
+    let c0 = Hw.Cpu.cycles cpu in
+    f ();
+    Hw.Cpu.cycles cpu - c0
+  in
+  let rq_lines = List.init 64 (fun i -> Sel4.Layout.run_queue_entry (i * 4)) in
+  let lines = rq_lines @ tcb_addrs in
+  let loads addrs = List.map (fun a -> lat (fun () -> Hw.Cpu.load cpu a)) addrs in
+  let code r = (Sel4.Layout.code r).Sel4.Layout.base in
+  let execs =
+    List.concat_map
+      (fun base ->
+        List.map
+          (fun off -> lat (fun () -> Hw.Cpu.exec cpu ~base:(base + off) ~count:8))
+          [ 0; 16384; 0; 32768; 49152; 0 ])
+      [ code "sched_choose"; code "sched_dequeue"; code "vector_entry" ]
+  in
+  let first = loads lines in
+  let conflicts =
+    List.concat_map
+      (fun k -> loads (List.map (fun a -> a + (k * 16384)) lines))
+      [ 1; 2 ]
+  in
+  first @ conflicts @ loads lines @ execs
+
+let cache_stats cpu =
+  let m = Hw.Cpu.machine cpu in
+  List.map Hw.Cache.stats
+    ([ Hw.Machine.icache m; Hw.Machine.dcache m ]
+    @ Option.to_list (Hw.Machine.l2 m))
+
+type scan_outcome = {
+  chosen : int;
+  counters : Hw.Cpu.counters;
+  stall : int;
+  stats : Hw.Cache.stats list;
+  accesses : string list;
+  latencies : int list;
+  stats_after : Hw.Cache.stats list;
+}
+
+let run_scan ~choose config build occupancy ~pollute mode =
+  let env, cpu = scan_kernel config build occupancy ~pollute in
+  let ctx = K.ctx env.B.k in
+  let log = ref [] in
+  (match mode with
+  | Plain -> ()
+  | Access_hook ->
+      Ctx.set_access_hook ctx
+        (Some (fun addr _ _ -> log := Fmt.str "%x" addr :: !log))
+  | Cpu_tracer ->
+      Hw.Cpu.set_tracer cpu (fun kind addr ->
+          let k =
+            match kind with Hw.Cpu.Fetch -> "F" | Load -> "L" | Store -> "S"
+          in
+          log := Fmt.str "%s%x" k addr :: !log));
+  let chosen = choose ctx env.B.k.K.sched in
+  Ctx.set_access_hook ctx None;
+  Hw.Cpu.clear_tracer cpu;
+  let counters = Hw.Cpu.counters cpu and stall = Hw.Cpu.stall_cycles cpu in
+  let stats = cache_stats cpu in
+  let tcb_addrs =
+    List.filter_map
+      (function Any_tcb t -> Some t.tcb_addr | _ -> None)
+      env.B.k.K.objects
+  in
+  let latencies = probe_latencies cpu tcb_addrs in
+  {
+    chosen =
+      (match chosen with
+      | Some t when not (t == env.B.k.K.idle) -> t.tcb_id
+      | _ -> -1 (* idle *));
+    counters;
+    stall;
+    stats;
+    accesses = List.rev !log;
+    latencies;
+    stats_after = cache_stats cpu;
+  }
+
+(* The fields where the bulk charge and the reference disagree. *)
+let scan_mismatches ?skip_top config build occupancy ~pollute mode =
+  let run choose = run_scan ~choose config build occupancy ~pollute mode in
+  let bulk = run (fun ctx sched -> Some (Sched.choose_thread ctx sched)) in
+  let refr = run (fun ctx sched -> reference_choose ?skip_top ctx sched build) in
+  List.filter_map
+    (fun (name, same) -> if same then None else Some name)
+    [
+      ("chosen", bulk.chosen = refr.chosen);
+      ("counters", bulk.counters = refr.counters);
+      ("stall_cycles", bulk.stall = refr.stall);
+      ("cache stats", bulk.stats = refr.stats);
+      ("access sequence", bulk.accesses = refr.accesses);
+      ("probe latencies", bulk.latencies = refr.latencies);
+      ("cache stats after probe", bulk.stats_after = refr.stats_after);
+    ]
+
+let scan_configs =
+  [
+    ("default", Hw.Config.default);
+    ("l2", Hw.Config.with_l2);
+    ("round-robin", { Hw.Config.default with replacement = Hw.Config.Round_robin });
+    ("locked ways", Hw.Config.with_pinning Hw.Config.default);
+  ]
+
+let scan_builds =
+  [
+    ("lazy", { improved with Sel4.Build.sched = Sel4.Build.Lazy });
+    ("benno", { improved with Sel4.Build.sched = Sel4.Build.Benno });
+    ("bitmap", improved);
+  ]
+
+(* Random queue occupancy: up to six threads, priorities spread over the
+   whole range or clustered at the top, blocked leftovers only where lazy
+   scheduling keeps them; plus the empty system (the scan runs to idle). *)
+let random_occupancy rng (build : Sel4.Build.t) =
+  let n = Random.State.int rng 7 in
+  let clustered = Random.State.bool rng in
+  List.init n (fun _ ->
+      let prio =
+        if clustered then 255 - Random.State.int rng 12
+        else Random.State.int rng 256
+      in
+      let blocked =
+        build.Sel4.Build.sched = Sel4.Build.Lazy && Random.State.int rng 3 = 0
+      in
+      (prio, blocked))
+
+let test_scan_matches_reference () =
+  let rng = Random.State.make [| 42 |] in
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (bname, build) ->
+          for case = 0 to 11 do
+            let occupancy = if case = 0 then [] else random_occupancy rng build in
+            let pollute = case mod 2 = 1 in
+            List.iter
+              (fun (mname, mode) ->
+                match scan_mismatches config build occupancy ~pollute mode with
+                | [] -> ()
+                | fields ->
+                    Alcotest.failf "%s/%s case %d (%s, occupancy %a): %s differ"
+                      cname bname case mname
+                      Fmt.(Dump.list (Dump.pair int bool))
+                      occupancy (String.concat ", " fields))
+              [ ("plain", Plain); ("access hook", Access_hook);
+                ("cpu tracer", Cpu_tracer) ]
+          done)
+        scan_builds)
+    scan_configs
+
+(* The comparison has teeth: a reference that skips one priority's charge
+   disagrees with the bulk charge in every configuration and mode. *)
+let test_scan_planted_off_by_one () =
+  List.iter
+    (fun (cname, config) ->
+      List.iter
+        (fun (bname, build) ->
+          List.iter
+            (fun mode ->
+              if
+                scan_mismatches ~skip_top:true config build [ (90, false) ]
+                  ~pollute:false mode
+                = []
+              then Alcotest.failf "%s/%s: planted off-by-one not detected" cname bname)
+            [ Plain; Access_hook; Cpu_tracer ])
+        (List.filter (fun (n, _) -> n <> "bitmap") scan_builds))
+    scan_configs
+
+(* Scanning empty queues allocates nothing per priority: 1,000 Lazy and
+   Benno decisions over all-empty queues (256 scanned priorities each)
+   stay under one minor word per scanned priority. *)
+let test_scan_allocation () =
+  List.iter
+    (fun (bname, build) ->
+      if build.Sel4.Build.sched <> Sel4.Build.Benno_bitmap then begin
+        let cpu = Hw.Cpu.create Hw.Config.default in
+        let env = B.boot ~cpu build in
+        let ctx = K.ctx env.B.k and sched = env.B.k.K.sched in
+        ignore (Sched.choose_thread ctx sched);
+        let calls = 1000 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to calls do
+          ignore (Sched.choose_thread ctx sched)
+        done;
+        let words = Gc.minor_words () -. w0 in
+        let scanned = float (calls * Sched.num_priorities) in
+        check_bool
+          (Fmt.str "%s: %.0f minor words over %.0f scanned priorities" bname
+             words scanned)
+          true (words < scanned)
+      end)
+    scan_builds
+
 (* --- hook composition safety --- *)
 
 (* The injection hook and the access recorder are both single-slot hooks
@@ -1739,6 +2090,21 @@ let () =
             test_case "cleared" `Quick test_detect_cleared;
             test_case "check_result collects all" `Quick
               test_check_result_collects_all;
+            test_case "violation text: run queue" `Quick
+              test_violation_text_run_queue;
+            test_case "violation text: endpoint" `Quick
+              test_violation_text_endpoint;
+            test_case "violation text: notification" `Quick
+              test_violation_text_notification;
+          ] );
+      ( "sched-scan",
+        Alcotest.
+          [
+            test_case "bulk scan matches per-priority loop" `Quick
+              test_scan_matches_reference;
+            test_case "planted off-by-one detected" `Quick
+              test_scan_planted_off_by_one;
+            test_case "empty scan allocation" `Quick test_scan_allocation;
           ] );
       ( "hooks-and-digest",
         Alcotest.
