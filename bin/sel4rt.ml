@@ -555,12 +555,10 @@ let sim_cmd =
   let run smoke seed entries scenarios inv_every forensics forensics_out cores
       shielded compare =
     let forensics = forensics || forensics_out <> None in
-    if shielded && (cores = 1 || compare) then
-      usage_error "--shielded needs --cores above 1 and no --compare";
     if forensics && (cores <> 1 || compare) then
       usage_error "--forensics records the single-core campaign only";
     let req =
-      if cores = 1 && not compare then
+      if cores = 1 && not (compare || shielded) then
         Q.Sim { smoke; seed; entries; scenarios; inv_every }
       else
         (* A comparison needs two cores: plain --compare runs on two. *)

@@ -163,10 +163,7 @@ let render_prefix (ctx : Analysis_ctx.t) entry =
     build
   in
   add "build sched=%s vspace=%s preempt=%b chunk=%d\n"
-    (match sched with
-    | Sel4.Build.Lazy -> "lazy"
-    | Sel4.Build.Benno -> "benno"
-    | Sel4.Build.Benno_bitmap -> "benno_bitmap")
+    (Sel4.Build.sched_name sched)
     (match vspace with
     | Sel4.Build.Asid_table -> "asid_table"
     | Sel4.Build.Shadow_tables -> "shadow_tables")

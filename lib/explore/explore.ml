@@ -417,7 +417,7 @@ let m_max_restarts = Obs.Metrics.counter "explore.max_restarts"
 
 (* --- the campaign --- *)
 
-let vname (b : Sel4.Build.t) = Inject.variant_name b.sched
+let vname (b : Sel4.Build.t) = Sel4.Build.sched_name b.sched
 
 let run_op ?(naive = false) ?(planted = fun _ -> None) ~smoke ~depth
     (actx : Sel4_rt.Analysis_ctx.t) op =

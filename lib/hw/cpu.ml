@@ -51,7 +51,14 @@ let create config =
     events = None;
   }
 
-let set_tracer t f = t.tracer <- Some f
+(* Refuse to silently replace a live tracer: two observers sharing one
+   CPU would otherwise drop each other's accesses without a trace. *)
+let set_tracer t f =
+  if Option.is_some t.tracer then
+    invalid_arg
+      "Hw.Cpu.set_tracer: a tracer is already installed (clear it first)";
+  t.tracer <- Some f
+
 let clear_tracer t = t.tracer <- None
 
 let trace t kind addr =

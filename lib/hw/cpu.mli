@@ -46,8 +46,11 @@ val scan :
 type access_kind = Fetch | Load | Store
 
 val set_tracer : t -> (access_kind -> int -> unit) -> unit
-(** Observe every access (before it hits the caches); used to derive
-    cache-pinning candidates from execution traces (Section 4). *)
+(** Observe every access, in order, before it hits the caches: derives
+    cache-pinning candidates from execution traces (Section 4) and feeds
+    the race analyser's footprint audit.  Raises [Invalid_argument] when
+    a tracer is already installed: observers do not compose, so
+    {!clear_tracer} first. *)
 
 val clear_tracer : t -> unit
 

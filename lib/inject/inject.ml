@@ -40,11 +40,6 @@ let sizes ~smoke =
 
 (* --- scheduler variants under differential test --- *)
 
-let variant_name = function
-  | Sel4.Build.Lazy -> "lazy"
-  | Sel4.Build.Benno -> "benno"
-  | Sel4.Build.Benno_bitmap -> "benno_bitmap"
-
 let variants ~(base : Sel4.Build.t) op =
   let vspace =
     (* Preemptible address-space teardown exists only in the shadow

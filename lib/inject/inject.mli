@@ -8,7 +8,7 @@
     preemptions (Sections 3.3-3.6).
 
     {!Explore} replays these drivers under preemption schedules and judges
-    them; {!Race} replays them with an access recorder attached.  Both
+    them; {!Race} replays them with the CPU access tracer attached.  Both
     reuse the exact same workloads, so their conclusions transfer.
     Schedules are indexed by preemption-point poll, not by cycle, so a
     schedule replays identically across scheduler variants. *)
@@ -48,8 +48,6 @@ val setup : Sel4.Boot.env -> sizes -> op -> driver
 (** Populate a freshly booted environment with the operation's workload
     (parked senders, badged caps, mapped frames, ...) and return its
     driver.  Raises [Sel4.Boot.Boot_failure] if the setup syscalls fail. *)
-
-val variant_name : Sel4.Build.sched_variant -> string
 
 val variants : base:Sel4.Build.t -> op -> Sel4.Build.t list
 (** The scheduler variants a schedule is differentially replayed under

@@ -42,6 +42,12 @@ let improved =
     preempt_chunk = 1024;
   }
 
+(* The one spelling of each scheduler variant in labels and cache keys. *)
+let sched_name = function
+  | Lazy -> "lazy"
+  | Benno -> "benno"
+  | Benno_bitmap -> "benno_bitmap"
+
 let pp ppf t =
   Fmt.pf ppf "sched=%s vspace=%s preempt=%b chunk=%d"
     (match t.sched with

@@ -25,4 +25,9 @@ val original : t
 val improved : t
 (** The "after" kernel: Benno + bitmap, shadow tables, preemption points. *)
 
+val sched_name : sched_variant -> string
+(** ["lazy"], ["benno"], ["benno_bitmap"]: the name a variant goes by in
+    campaign labels, soak run labels and analysis-cache keys.  {!pp}
+    keeps its own display text. *)
+
 val pp : t Fmt.t

@@ -44,13 +44,8 @@ type t = {
          [true] asserts [timer_irq] at exactly this poll — the mechanism
          the schedule campaign uses to hit the k-th preemption point
          deterministically, independent of cycle counts.  Install via
-         {!set_preempt_poll_hook}, which refuses to overwrite a live
+         {!Kernel.set_injection_hook}, which refuses to overwrite a live
          hook. *)
-  mutable on_access : (int -> int -> bool -> unit) option;
-      (* Access-recorder hook: called with [(addr, bytes, is_write)] for
-         every charged data access, before the cache model (and even with
-         no CPU attached).  The footprint-audit mode of the race analyser
-         uses it to check declared read/write sets against reality. *)
   region_names : string array;
       (* Physical-equality memo over {!Layout.code}: [exec]/[branch] call
          sites pass string literals, so a pointer scan resolves the region
@@ -80,7 +75,6 @@ let create ?cpu build =
     preempt_count = 0;
     preempt_polls = 0;
     on_preempt_poll = None;
-    on_access = None;
     region_names = Array.make region_memo_cap "";
     region_memo = Array.make region_memo_cap (snd (List.hd Layout.regions));
     region_count = 0;
@@ -128,58 +122,21 @@ let exec t name count =
       let region = region_of t name in
       Hw.Cpu.exec cpu ~base:region.Layout.base ~count
 
-(* Hook installers: refuse to silently replace a live hook.  Two engines
-   (the schedule campaign, the audit recorder) composing over one context
-   would otherwise drop each other's instrumentation without a trace. *)
-
-let set_preempt_poll_hook t hook =
-  (match (t.on_preempt_poll, hook) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Ctx.set_preempt_poll_hook: a preempt-poll hook is already \
-         installed (clear it with None first)"
-  | _ -> ());
-  t.on_preempt_poll <- hook
-
-let set_access_hook t hook =
-  (match (t.on_access, hook) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Ctx.set_access_hook: an access hook is already installed (clear \
-         it with None first)"
-  | _ -> ());
-  t.on_access <- hook
-
-(* The recorder check is one field load and a compare on the soak hot
-   path; the call only happens with an audit attached. *)
-let[@inline] note_access t addr bytes write =
-  match t.on_access with None -> () | Some f -> f addr bytes write
-
 let load t addr =
-  note_access t addr 4 false;
   match t.cpu with None -> () | Some cpu -> Hw.Cpu.load cpu addr
 
 let store t addr =
-  note_access t addr 4 true;
   match t.cpu with None -> () | Some cpu -> Hw.Cpu.store cpu addr
 
 (* [steps] repetitions of "[exec t name count], then [load] the next
    address" (from [addr], [stride] bytes apart): a scan loop charged in
-   one call, the region resolved once.  With an access recorder attached
-   the steps run one by one so it sees every load in order. *)
+   one call, the region resolved once. *)
 let scan t name count ~addr ~stride ~steps =
-  match t.on_access with
-  | Some _ ->
-      for i = 0 to steps - 1 do
-        exec t name count;
-        load t (addr + (i * stride))
-      done
-  | None -> (
-      match t.cpu with
-      | None -> ()
-      | Some cpu ->
-          let region = region_of t name in
-          Hw.Cpu.scan cpu ~base:region.Layout.base ~count ~addr ~stride ~steps)
+  match t.cpu with
+  | None -> ()
+  | Some cpu ->
+      let region = region_of t name in
+      Hw.Cpu.scan cpu ~base:region.Layout.base ~count ~addr ~stride ~steps
 
 let branch t name ~taken =
   match t.cpu with
@@ -192,7 +149,6 @@ let branch t name ~taken =
    (write-allocate), as used by object clearing and the kernel-mapping
    copy. *)
 let store_block t addr bytes =
-  note_access t addr bytes true;
   match t.cpu with
   | None -> ()
   | Some cpu ->
@@ -203,7 +159,6 @@ let store_block t addr bytes =
       done
 
 let load_block t addr bytes =
-  note_access t addr bytes false;
   match t.cpu with
   | None -> ()
   | Some cpu ->

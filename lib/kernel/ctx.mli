@@ -28,9 +28,6 @@ type t = {
       (** fault-injection hook: called with the 1-based poll index before
           the pending check; returning [true] asserts [timer_irq] at
           exactly this poll (install via {!Kernel.set_injection_hook}) *)
-  mutable on_access : (int -> int -> bool -> unit) option;
-      (** access recorder: called with [(addr, bytes, is_write)] for every
-          charged data access (install via {!set_access_hook}) *)
   region_names : string array;
       (** physical-equality memo for {!Layout.code} lookups on the charge
           path; managed by {!exec}/{!branch} *)
@@ -40,19 +37,6 @@ type t = {
 
 val create : ?cpu:Hw.Cpu.t -> Build.t -> t
 val cycles : t -> int
-
-val set_preempt_poll_hook : t -> (int -> bool) option -> unit
-(** Install (or clear, with [None]) the preempt-poll hook.  Raises
-    [Invalid_argument] when a hook is already installed and the new value
-    is [Some _]: hooks do not compose, so silently replacing one would
-    drop another engine's instrumentation. *)
-
-val set_access_hook : t -> (int -> int -> bool -> unit) option -> unit
-(** Install (or clear) the access recorder, called with
-    [(addr, bytes, is_write)] for every charged data access — even with
-    no CPU attached, so footprint audits run at functional-test speed.
-    Raises [Invalid_argument] on double-set, like
-    {!set_preempt_poll_hook}. *)
 
 val emit : t -> Obs.Trace.kind -> unit
 (** Emit a structured trace event into the CPU's attached buffer (no-op
@@ -74,8 +58,7 @@ val scan : t -> string -> int -> addr:int -> stride:int -> steps:int -> unit
 (** [scan t region n ~addr ~stride ~steps]: [steps] repetitions of
     [exec t region n] followed by [load t (addr + i * stride)], [i]
     counting from 0, charged through {!Hw.Cpu.scan} (identical cycles,
-    counters and cache state).  An access recorder still sees every load,
-    in order. *)
+    counters, cache state and {!Hw.Cpu.set_tracer} reports). *)
 
 val store_block : t -> int -> int -> unit
 (** Bulk store, one access per cache line (object clearing, the kernel

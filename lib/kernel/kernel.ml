@@ -664,11 +664,17 @@ let set_irq_delivery_hook t hook = t.on_irq_deliver <- hook
    across scheduler variants, whose cycle counts differ but whose
    preemption-point structure does not.  Installation resets the poll
    counter, so indices are relative to that moment.
-   Installing over a live hook raises [Invalid_argument] (via
-   {!Ctx.set_preempt_poll_hook}): two campaigns sharing one kernel would
-   otherwise silently drop each other's schedules. *)
+   Installing over a live hook raises [Invalid_argument]: two campaigns
+   sharing one kernel would otherwise silently drop each other's
+   schedules. *)
 let set_injection_hook t hook =
-  Ctx.set_preempt_poll_hook t.ctx hook;
+  (match (t.ctx.Ctx.on_preempt_poll, hook) with
+  | Some _, Some _ ->
+      invalid_arg
+        "Kernel.set_injection_hook: an injection hook is already installed \
+         (clear it with None first)"
+  | _ -> ());
+  t.ctx.Ctx.on_preempt_poll <- hook;
   t.ctx.Ctx.preempt_polls <- 0
 
 let preempt_polls t = t.ctx.Ctx.preempt_polls

@@ -32,10 +32,11 @@
    interference relation is what the DPOR explorer prunes with; the full
    relation is reported alongside it.
 
-   The declared footprints are audited against reality: an access recorder
-   ({!Sel4.Ctx.set_access_hook}) replays each operation preempting at
-   every poll and fails if any recorded access classifies to a variable
-   outside the executing section's declared footprint. *)
+   The declared footprints are audited against reality: the audit replays
+   each operation on a simulated CPU, preempting at every poll, records
+   every data load and store its tracer ({!Hw.Cpu.set_tracer}) reports,
+   and fails if any of them classifies to a variable outside the
+   executing section's declared footprint. *)
 
 module K = Sel4.Kernel
 module B = Sel4.Boot
@@ -379,11 +380,14 @@ let audit_ok a = a.ar_violations = []
 
 (* Replay one operation under one build, preempting at *every* poll so
    each kernel entry executes exactly one preemption-delimited section.
-   The access recorder attributes everything before the poll fires to the
-   operation's section and everything after (the unwind, the interrupt
-   handler, the exit path) to the IRQ-delivery path. *)
+   The CPU tracer sees every data access in order, as the cache model
+   does (a block clear is one store per line); everything before the poll
+   fires is attributed to the operation's section and everything after
+   (the unwind, the interrupt handler, the exit path) to the IRQ-delivery
+   path.  Instruction fetches are not state accesses and are ignored. *)
 let audit_one ~catalogue ~sz ~build ~op ~violations ~entries ~accesses =
-  let env = B.boot build in
+  let cpu = Hw.Cpu.create Hw.Config.default in
+  let env = B.boot ~cpu build in
   let d = Inject.setup env sz op in
   let k = env.B.k in
   let op_name = Inject.op_name op in
@@ -399,12 +403,10 @@ let audit_one ~catalogue ~sz ~build ~op ~violations ~entries ~accesses =
   let recording = ref false in
   let entry = ref 0 in
   let in_tail = ref false in
-  let ctx = K.ctx k in
-  Sel4.Ctx.set_access_hook ctx
-    (Some
-       (fun addr _bytes write ->
-         if !recording then
-           log := (addr, write, (2 * !entry) + Bool.to_int !in_tail) :: !log));
+  Hw.Cpu.set_tracer cpu (fun kind addr ->
+      if !recording && kind <> Hw.Cpu.Fetch then
+        log :=
+          (addr, kind = Store, (2 * !entry) + Bool.to_int !in_tail) :: !log);
   K.set_injection_hook k
     (Some
        (fun _ ->
@@ -428,7 +430,7 @@ let audit_one ~catalogue ~sz ~build ~op ~violations ~entries ~accesses =
     end
   in
   let last = drive 0 in
-  Sel4.Ctx.set_access_hook ctx None;
+  Hw.Cpu.clear_tracer cpu;
   K.set_injection_hook k None;
   (* Classify against every object that existed at setup or at the end:
      retype creates objects mid-run, deletion retires them. *)

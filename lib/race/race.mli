@@ -10,9 +10,10 @@
     explorer ({!Explore}) prunes with.
 
     The declarations are not trusted: {!audit} replays every operation
-    with an access recorder attached ({!Sel4.Ctx.set_access_hook}),
-    preempting at every poll, and reports any recorded access that
-    escapes the executing section's declared footprint. *)
+    on a simulated CPU, preempting at every poll, records the data loads
+    and stores its tracer ({!Hw.Cpu.set_tracer}) reports, and reports
+    any access that escapes the executing section's declared
+    footprint. *)
 
 (** {1 State variables} *)
 
@@ -127,7 +128,7 @@ val audit :
   audit_report
 (** Replay each operation under every scheduler variant, preempting at
     every poll so each kernel entry executes exactly one section, with
-    the access recorder attached.  Every recorded access is classified
+    the CPU tracer attached.  Every data load and store is classified
     (globals by the {!Sel4.Layout} map, objects by registered address
     range, smallest containing range first) and checked against the
     executing section's declared footprint.  [catalogue] substitutes a

@@ -76,10 +76,8 @@ let build_of_string = function
 let build_name b =
   if b = Sel4.Build.improved then "improved"
   else if b = Sel4.Build.original then "original"
-  else if b = { Sel4.Build.improved with Sel4.Build.sched = Sel4.Build.Benno }
-  then "benno"
-  else if b = { Sel4.Build.improved with Sel4.Build.sched = Sel4.Build.Lazy }
-  then "lazy"
+  else if b = { Sel4.Build.improved with Sel4.Build.sched = b.Sel4.Build.sched }
+  then Sel4.Build.sched_name b.sched
   else Fmt.str "%a" Sel4.Build.pp b
 
 let validate req =
@@ -93,12 +91,17 @@ let validate req =
   in
   match req with
   | Sim { entries; inv_every; _ } -> campaign entries inv_every
-  | Smp { entries; cores; compare; scenarios; inv_every; _ } ->
+  | Smp { entries; cores; shielded; compare; scenarios; inv_every; _ } ->
       if compare && (scenarios <> [] || inv_every <> None) then
         Result.Error "compare takes neither scenarios nor inv_every"
       else
         Result.bind (campaign entries inv_every) (fun _ ->
-            at_least 1 "cores" (Some cores))
+            Result.bind (at_least 1 "cores" (Some cores)) (fun _ ->
+                if shielded && (cores < 2 || compare) then
+                  Result.Error "shielded needs cores >= 2 and no compare"
+                else if compare && cores < 2 then
+                  Result.Error "compare needs cores >= 2"
+                else Result.Ok req))
   | Analyse _ | Explain _ | Metrics | Race _ | Explore _ -> Result.Ok req
 
 let only = function [] -> None | l -> Some l
@@ -238,9 +241,9 @@ let run req =
   { status; payload = Json.to_compact payload }
 
 let respond ?id req =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Metrics.now_s () in
   let status, payload = run_json req in
-  let elapsed_s = Unix.gettimeofday () -. t0 in
+  let elapsed_s = Obs.Metrics.now_s () -. t0 in
   (Envelope.line ?id ~status ~elapsed_s payload, status)
 
 (* --- wire parsing --- *)

@@ -82,9 +82,11 @@ type result =
 
 val validate : request -> (request, string) Stdlib.result
 (** Reject [entries] or [cores] below 1 (a campaign that runs nothing),
-    a negative [inv_every] (which would silently turn sampling off) and
-    an SMP comparison given [scenarios] or [inv_every], which it cannot
-    honour.  {!of_json} and {!exec} both apply it. *)
+    a negative [inv_every] (which would silently turn sampling off), an
+    SMP comparison given [scenarios] or [inv_every], which it cannot
+    honour, and the soak rules: [shielded] needs [cores >= 2] and no
+    [compare]; [compare] needs [cores >= 2] (one core would compare
+    core 0 with itself).  {!of_json} and {!exec} both apply it. *)
 
 val exec : request -> (result, string) Stdlib.result
 (** Never raises: a request {!validate} rejects, or whose command raises

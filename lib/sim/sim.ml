@@ -825,11 +825,13 @@ type run_spec = {
 }
 
 let build_variants =
+  let name = Build.sched_name in
+  let v sched = { Build.improved with Build.sched } in
   [
-    ("lazy", { Build.improved with Build.sched = Build.Lazy }, false);
-    ("benno", { Build.improved with Build.sched = Build.Benno }, false);
-    ("benno_bitmap", Build.improved, false);
-    ("benno_bitmap+pin", Build.improved, true);
+    (name Build.Lazy, v Build.Lazy, false);
+    (name Build.Benno, v Build.Benno, false);
+    (name Build.Benno_bitmap, Build.improved, false);
+    (name Build.Benno_bitmap ^ "+pin", Build.improved, true);
   ]
 
 (* Per-run accumulator: shard outputs merge into it in submission order

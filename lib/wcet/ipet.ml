@@ -120,7 +120,7 @@ let m_fallbacks = Obs.Metrics.counter "ipet.exact_fallbacks"
 
 let prepare ~config ?(pinned_code = []) ?(pinned_data = []) (spec : spec) =
   Obs.Metrics.span span_prepare @@ fun () ->
-  let started = Clock.now_s () in
+  let started = Obs.Metrics.now_s () in
   let inlined = Cfg.Inline.inline spec.program in
   let fn = inlined.Cfg.Inline.fn in
   let costs =
@@ -140,7 +140,7 @@ let prepare ~config ?(pinned_code = []) ?(pinned_data = []) (spec : spec) =
     loops;
     preds;
     contexts;
-    prep_elapsed_s = Clock.elapsed_s ~since:started;
+    prep_elapsed_s = Obs.Metrics.now_s () -. started;
   }
 
 (* Constraints selected for one ILP variant, each tagged with its
@@ -166,7 +166,7 @@ let selected_constraints (spec : spec) (sources : sources) =
 
 let analyse_prepared ?(sources : sources = `All)
     ?(forced = ([] : (string * string * int) list)) (p : prepared) =
-  let started = Clock.now_s () in
+  let started = Obs.Metrics.now_s () in
   let spec = p.spec in
   let inlined = p.inlined in
   let fn = inlined.Cfg.Inline.fn in
@@ -320,10 +320,10 @@ let analyse_prepared ?(sources : sources = `All)
     (Array.to_list
        (Array.mapi (fun b v -> ((Cache_analysis.cost costs b).cycles, v)) x));
   let stats = { Ilp.Branch_bound.nodes = 0; lp_solves = 0; fallbacks = 0 } in
-  Obs.Metrics.observe span_build (Clock.elapsed_s ~since:started);
-  let solve_started = Clock.now_s () in
+  Obs.Metrics.observe span_build (Obs.Metrics.now_s () -. started);
+  let solve_started = Obs.Metrics.now_s () in
   let solved = Ilp.Branch_bound.solve ~stats problem in
-  Obs.Metrics.observe span_solve (Clock.elapsed_s ~since:solve_started);
+  Obs.Metrics.observe span_solve (Obs.Metrics.now_s () -. solve_started);
   Obs.Metrics.incr ~by:stats.Ilp.Branch_bound.fallbacks m_fallbacks;
   match solved with
   | Ilp.Branch_bound.Optimal { objective; values } ->
@@ -373,7 +373,7 @@ let analyse_prepared ?(sources : sources = `All)
         ilp_constraints = Ilp.Problem.num_constraints problem;
         bb_nodes = stats.Ilp.Branch_bound.nodes;
         lp_solves = stats.Ilp.Branch_bound.lp_solves;
-        elapsed_s = p.prep_elapsed_s +. Clock.elapsed_s ~since:started;
+        elapsed_s = p.prep_elapsed_s +. (Obs.Metrics.now_s () -. started);
         edge_counts;
         binding_constraints;
       }

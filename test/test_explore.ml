@@ -147,7 +147,8 @@ let test_pause_schedules_match_sweep () =
       List.iter
         (fun build ->
           let name =
-            Inject.op_name op ^ "/" ^ Inject.variant_name build.Sel4.Build.sched
+            Inject.op_name op ^ "/"
+            ^ Sel4.Build.sched_name build.Sel4.Build.sched
           in
           let exits schedule =
             incr runs;

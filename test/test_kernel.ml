@@ -1648,8 +1648,8 @@ let test_violation_text_notification () =
    loop it replaces — one [Ctx.exec] and one [Ctx.load] per scanned
    priority — and the two must leave identical counters, stall cycles,
    cache statistics and cache state (probed by a fixed access sequence
-   afterwards), and report identical access sequences to the Ctx access
-   recorder and the Cpu tracer. *)
+   afterwards), and report identical access sequences to the Cpu
+   tracer. *)
 
 module Sched = Sel4.Sched
 module Ctx = Sel4.Ctx
@@ -1698,7 +1698,7 @@ let reference_choose ?(skip_top = false) ctx sched (build : Sel4.Build.t) =
   | Sel4.Build.Benno -> benno_scan (Sched.num_priorities - 1)
   | Sel4.Build.Benno_bitmap -> Some (Sched.choose_thread ctx sched)
 
-type scan_mode = Plain | Access_hook | Cpu_tracer
+type scan_mode = Plain | Cpu_tracer
 
 (* A booted kernel with threads queued at the given priorities; under
    lazy scheduling a [blocked] thread stays parked in its queue. *)
@@ -1766,9 +1766,6 @@ let run_scan ~choose config build occupancy ~pollute mode =
   let log = ref [] in
   (match mode with
   | Plain -> ()
-  | Access_hook ->
-      Ctx.set_access_hook ctx
-        (Some (fun addr _ _ -> log := Fmt.str "%x" addr :: !log))
   | Cpu_tracer ->
       Hw.Cpu.set_tracer cpu (fun kind addr ->
           let k =
@@ -1776,7 +1773,6 @@ let run_scan ~choose config build occupancy ~pollute mode =
           in
           log := Fmt.str "%s%x" k addr :: !log));
   let chosen = choose ctx env.B.k.K.sched in
-  Ctx.set_access_hook ctx None;
   Hw.Cpu.clear_tracer cpu;
   let counters = Hw.Cpu.counters cpu and stall = Hw.Cpu.stall_cycles cpu in
   let stats = cache_stats cpu in
@@ -1865,8 +1861,7 @@ let test_scan_matches_reference () =
                       cname bname case mname
                       Fmt.(Dump.list (Dump.pair int bool))
                       occupancy (String.concat ", " fields))
-              [ ("plain", Plain); ("access hook", Access_hook);
-                ("cpu tracer", Cpu_tracer) ]
+              [ ("plain", Plain); ("cpu tracer", Cpu_tracer) ]
           done)
         scan_builds)
     scan_configs
@@ -1885,7 +1880,7 @@ let test_scan_planted_off_by_one () =
                   ~pollute:false mode
                 = []
               then Alcotest.failf "%s/%s: planted off-by-one not detected" cname bname)
-            [ Plain; Access_hook; Cpu_tracer ])
+            [ Plain; Cpu_tracer ])
         (List.filter (fun (n, _) -> n <> "bitmap") scan_builds))
     scan_configs
 
@@ -1916,9 +1911,10 @@ let test_scan_allocation () =
 
 (* --- hook composition safety --- *)
 
-(* The injection hook and the access recorder are both single-slot hooks
-   shared by several analysis clients (race, explore): installing
-   over a live hook must be an error, never a silent replacement. *)
+(* The injection hook and the Cpu tracer are both single-slot hooks
+   shared by several analysis clients (race, explore, pinning selection):
+   installing over a live hook must be an error, never a silent
+   replacement. *)
 
 let test_injection_hook_double_set () =
   let env = B.boot improved in
@@ -1934,29 +1930,17 @@ let test_injection_hook_double_set () =
   K.set_injection_hook k (Some (fun _ -> false));
   K.set_injection_hook k None
 
-let test_access_hook_double_set () =
-  let env = B.boot improved in
-  let ctx = K.ctx env.B.k in
-  Sel4.Ctx.set_access_hook ctx (Some (fun _ _ _ -> ()));
+let test_tracer_double_set () =
+  let cpu = Hw.Cpu.create Hw.Config.default in
+  Hw.Cpu.set_tracer cpu (fun _ _ -> ());
   check_bool "double install rejected" true
     (try
-       Sel4.Ctx.set_access_hook ctx (Some (fun _ _ _ -> ()));
+       Hw.Cpu.set_tracer cpu (fun _ _ -> ());
        false
      with Invalid_argument _ -> true);
-  Sel4.Ctx.set_access_hook ctx None;
-  Sel4.Ctx.set_access_hook ctx (Some (fun _ _ _ -> ()));
-  Sel4.Ctx.set_access_hook ctx None
-
-let test_preempt_poll_hook_double_set () =
-  let env = B.boot improved in
-  let ctx = K.ctx env.B.k in
-  Sel4.Ctx.set_preempt_poll_hook ctx (Some (fun _ -> false));
-  check_bool "double install rejected" true
-    (try
-       Sel4.Ctx.set_preempt_poll_hook ctx (Some (fun _ -> false));
-       false
-     with Invalid_argument _ -> true);
-  Sel4.Ctx.set_preempt_poll_hook ctx None
+  Hw.Cpu.clear_tracer cpu;
+  Hw.Cpu.set_tracer cpu (fun _ _ -> ());
+  Hw.Cpu.clear_tracer cpu
 
 (* --- digest order-insensitivity --- *)
 
@@ -2111,10 +2095,7 @@ let () =
           [
             test_case "injection hook double-set" `Quick
               test_injection_hook_double_set;
-            test_case "access hook double-set" `Quick
-              test_access_hook_double_set;
-            test_case "preempt-poll hook double-set" `Quick
-              test_preempt_poll_hook_double_set;
+            test_case "cpu tracer double-set" `Quick test_tracer_double_set;
             test_case "digest order-insensitivity" `Quick
               test_digest_order_insensitive;
           ] );
