@@ -466,13 +466,7 @@ let metrics_cmd =
     Term.(const run $ l2_arg $ runs_arg $ json_arg)
 
 let race_cmd =
-  let run smoke json = query ~json (Q.Race { smoke }) in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Audit against the small operation workloads (the CI run).")
-  in
+  let run json = query ~json Q.Race in
   Cmd.v
     (cmd_info "race"
        ~doc:
@@ -482,18 +476,10 @@ let race_cmd =
           and audit the declarations against recorded accesses by replaying \
           every long-running operation preempted at every poll. Exits \
           non-zero if any recorded access escapes its declared footprint.")
-    Term.(const run $ smoke_arg $ json_arg)
+    Term.(const run $ json_arg)
 
 let explore_cmd =
-  let run smoke depth json = query ~json (Q.Explore { smoke; depth }) in
-  let smoke_arg =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:
-            "Small operation workloads for the sweep and DPOR depth 2: the \
-             fast configuration.")
-  in
+  let run depth json = query ~json (Q.Explore { depth }) in
   let depth_arg =
     Arg.(
       value
@@ -501,7 +487,7 @@ let explore_cmd =
       & info [ "depth" ] ~docv:"N"
           ~doc:
             "Maximum preemptions (and client actions) per schedule (default \
-             3, or 2 under $(b,--smoke)).")
+             3).")
   in
   Cmd.v
     (cmd_info "explore"
@@ -516,7 +502,7 @@ let explore_cmd =
           restart progress and final-state agreement checked; failures \
           are shrunk to 1-minimal schedules. Exits non-zero on any \
           failure.")
-    Term.(const run $ smoke_arg $ depth_arg $ json_arg)
+    Term.(const run $ depth_arg $ json_arg)
 
 (* The forensics campaign is not a query: it writes to stderr and files
    around the same report the [sim] query prints. *)

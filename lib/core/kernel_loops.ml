@@ -257,9 +257,13 @@ type result = {
    induction-variable analysis bounds the counter loops, interval-valued
    steps included (the decode loop); its per-entry body-iteration count is
    converted to header visits, the model checker's convention.  Where it
-   abstains (memory-carried trip counts) the program is sliced and the
-   bound found by bounded model checking with binary search; where that
-   fails too, the annotation stands. *)
+   abstains (memory-carried trip counts) the loop is sliced and the slice
+   model-checked: one run per input valuation, keeping the most header
+   visits.  The inputs are exhausted, so that maximum is the least N for
+   which "the header runs at most N times" holds on every execution: what
+   a binary search over a yes/no oracle would find, in one pass.  A run
+   that diverges, or a count above four times the annotation, gives up,
+   and the annotation stands. *)
 let compute_bound (spec : loop_spec) =
   let result ?slice_stats method_used computed =
     { spec; computed; method_used; slice_stats }
@@ -267,14 +271,20 @@ let compute_bound (spec : loop_spec) =
   let ai = Tac.Absint.analyse spec.program in
   match Tac.Absint.trip_bound ai ~header:spec.header with
   | Some trips -> result Abstract_interpretation (Some (trips + 1))
-  | None -> (
-      let _sliced, stats = Tac.Slice.compute (Tac.Absint.ssa ai) in
-      match
-        Loopbound.Checker.find_bound spec.program ~header:spec.header
-          ~upper:(4 * spec.annotated)
-      with
-      | Some bound -> result ~slice_stats:stats Model_checking (Some bound)
-      | None -> result Annotation_only None)
+  | None ->
+      let sliced, stats = Tac.Slice.compute (Tac.Absint.ssa ai) in
+      let most = ref 0 in
+      let bounded =
+        Tac.Interp.for_all_inputs spec.program (fun inputs ->
+            match Tac.Ssa.run ~max_steps:200_000 sliced ~inputs with
+            | exception Tac.Interp.Step_limit -> false
+            | visits ->
+                Hashtbl.find_opt visits spec.header
+                |> Option.iter (fun n -> most := max !most n);
+                !most <= 4 * spec.annotated)
+      in
+      if bounded then result ~slice_stats:stats Model_checking (Some !most)
+      else result Annotation_only None
 
 let bound spec =
   match (compute_bound spec).computed with
@@ -283,8 +293,9 @@ let bound spec =
 
 (* Every kernel loop, for the [loopbounds] section, the WCET tour and the
    tests; the IPET asks {!bound} for the three it reads.  The clear loop
-   is scaled to the analysis scenario's largest object; the ASID pool is
-   scaled down for the (exhaustive) checker. *)
+   is scaled to the analysis scenario's largest object.  The interval
+   analysis bounds the ASID search at any pool size; the pool stays at 16
+   so the tests' exhaustive references over the catalogue stay small. *)
 let catalogue ~max_frame_bytes ~chunk =
   [
     compute_bound (clear_loop ~max_bytes:max_frame_bytes ~chunk);

@@ -12,7 +12,7 @@ type loop_spec = {
   header : string;
   annotated : int;
       (** the bound the kernel source asserts; used only when no method
-          bounds the loop *)
+          bounds the loop.  Four times it caps the model check. *)
 }
 
 val clear_loop : max_bytes:int -> chunk:int -> loop_spec
@@ -43,9 +43,11 @@ type result = {
 }
 
 val compute_bound : loop_spec -> result
-(** {!Tac.Absint.trip_bound} first; where it abstains, slice +
-    model-check ({!Loopbound.Checker.find_bound}); where that fails too,
-    [computed = None] and [Annotation_only]. *)
+(** {!Tac.Absint.trip_bound} first; where it abstains, slice the loop and
+    model-check the slice: run it ({!Tac.Ssa.run}) on every input
+    valuation and take the most header visits.  Where a run diverges or
+    the count exceeds [4 * annotated], [computed = None] and
+    [Annotation_only]. *)
 
 val bound : loop_spec -> int
 (** The [computed] bound, or the annotation when the chain gives none:

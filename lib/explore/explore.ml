@@ -127,10 +127,7 @@ let badged_abort_actions =
    every preemption: the environment an action must commute with. *)
 let op_sections op =
   let overhead = Race.rw Race.Kernel_stack @ [ Race.r Race.Irq_state ] in
-  let irq_deliver =
-    Race.rw Race.Kernel_stack @ Race.rw Race.Sched_queues @ Race.rw Race.Tcb
-    @ [ Race.r Race.Irq_state; Race.w Race.Cur_thread ]
-  in
+  let irq_deliver = (Race.section_exn "irq.deliver").Race.sec_fp in
   let ep_sections =
     overhead
     @ Race.rw ~obj:10 Race.Endpoint
@@ -397,7 +394,6 @@ type op_report = {
 }
 
 type report = {
-  x_smoke : bool;
   x_depth : int;
   x_ops : op_report list;
   x_total_runs : int;
@@ -419,7 +415,19 @@ let m_max_restarts = Obs.Metrics.counter "explore.max_restarts"
 
 let vname (b : Sel4.Build.t) = Sel4.Build.sched_name b.sched
 
-let run_op ?(naive = false) ?(planted = fun _ -> None) ~smoke ~depth
+(* DPOR's workload is smaller than {!Inject.sizes}: its breadth is the
+   schedule space, not the object counts, and poll indices must stay
+   enumerable. *)
+let dpor_sz =
+  {
+    Inject.sz_waiters = 5;
+    sz_abort_waiters = 6;
+    sz_frame_bits = 12;
+    sz_ptes = 4;
+    sz_sections = 1;
+  }
+
+let run_op ?(naive = false) ?(planted = fun _ -> None) ~depth
     (actx : Sel4_rt.Analysis_ctx.t) op =
   let builds = Inject.variants ~base:actx.build op in
   let runs = ref 0 in
@@ -491,11 +499,9 @@ let run_op ?(naive = false) ?(planted = fun _ -> None) ~smoke ~depth
   in
   let alphabet = actions_for op in
   let indep = independent_actions op alphabet in
-  (* DPOR keeps smoke sizes: its breadth is the schedule space, not the
-     object counts, and poll indices must stay enumerable.  Returns H,
+  (* DPOR from a reference run of [polls] polls at [dpor_sz]: returns H,
      the universe size, the explored count and each explored schedule's
      final digest. *)
-  let dpor_sz = Inject.sizes ~smoke:true in
   let dpor polls =
     let all = universe ~polls ~depth alphabet in
     let explored =
@@ -512,7 +518,7 @@ let run_op ?(naive = false) ?(planted = fun _ -> None) ~smoke ~depth
     (polls, List.length all, List.length explored, digests)
   in
   let no_dpor = (0, 0, 0, []) in
-  let sz = Inject.sizes ~smoke in
+  let sz = Inject.sizes in
   let points, (polls, universe, explored, digests) =
     match check ~sz ~builds ~expect:None [] with
     | None -> (0, no_dpor)
@@ -526,7 +532,6 @@ let run_op ?(naive = false) ?(planted = fun _ -> None) ~smoke ~depth
           (List.map (fun p -> pauses [ p ]) polls @ [ pauses polls ]);
         let reference =
           if alphabet = [] then None
-          else if smoke then Some base
           else check ~sz:dpor_sz ~builds ~expect:None []
         in
         (h, Option.fold ~none:no_dpor ~some:(fun r -> dpor r.r_polls) reference)
@@ -554,13 +559,12 @@ let scenario_depth ~depth = function
   | Inject.Badged_abort -> min depth 2
   | _ -> depth
 
-let run ?(smoke = false) ?depth (actx : Sel4_rt.Analysis_ctx.t) =
-  let depth = match depth with Some d -> d | None -> if smoke then 2 else 3 in
+let run ?(depth = 3) (actx : Sel4_rt.Analysis_ctx.t) =
   (* Depth 0 has an empty universe: nothing explored, trivially ok. *)
   if depth < 1 then invalid_arg (Fmt.str "explore depth %d: must be >= 1" depth);
   let ops =
     List.map
-      (fun op -> run_op ~smoke ~depth:(scenario_depth ~depth op) actx op)
+      (fun op -> run_op ~depth:(scenario_depth ~depth op) actx op)
       Inject.all_ops
   in
   List.iter
@@ -575,7 +579,6 @@ let run ?(smoke = false) ?depth (actx : Sel4_rt.Analysis_ctx.t) =
   Obs.Metrics.set_counter m_max_restarts
     (List.fold_left (fun a o -> max a o.e_max_restarts) 0 ops);
   {
-    x_smoke = smoke;
     x_depth = depth;
     x_ops = ops;
     x_total_runs = List.fold_left (fun a o -> a + o.e_runs) 0 ops;
@@ -590,8 +593,7 @@ let pp_sched ppf s =
     (String.concat "; " (List.map (fun (p, n) -> Fmt.str "%d:%s" p n) s))
 
 let pp_report ppf r =
-  Fmt.pf ppf "preemption-schedule campaign (%s, depth <= %d): %d runs@."
-    (if r.x_smoke then "smoke" else "full")
+  Fmt.pf ppf "preemption-schedule campaign (depth <= %d): %d runs@."
     r.x_depth r.x_total_runs;
   List.iter
     (fun o ->
@@ -644,7 +646,7 @@ let to_json r =
   in
   Obj
     [
-      ("campaign", Str "explore"); ("smoke", Bool r.x_smoke);
-      ("depth", int r.x_depth); ("ok", Bool (ok r));
-      ("total_runs", int r.x_total_runs); ("ops", list op r.x_ops);
+      ("campaign", Str "explore"); ("depth", int r.x_depth);
+      ("ok", Bool (ok r)); ("total_runs", int r.x_total_runs);
+      ("ops", list op r.x_ops);
     ]

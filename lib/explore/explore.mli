@@ -82,7 +82,7 @@ type op_report = {
   e_runs : int;  (** replays executed, shrinking included *)
   e_max_restarts : int;  (** worst restart count over all replays *)
   e_depth : int;  (** DPOR depth bound *)
-  e_polls : int;  (** polls of the DPOR reference run (smoke sizes) *)
+  e_polls : int;  (** polls of the DPOR reference run (DPOR's smaller sizes) *)
   e_alphabet : string list;
   e_independent : string list;
   e_universe : int;
@@ -96,7 +96,6 @@ type op_report = {
 }
 
 type report = {
-  x_smoke : bool;
   x_depth : int;
   x_ops : op_report list;  (** one per {!Inject.all_ops} *)
   x_total_runs : int;
@@ -105,13 +104,12 @@ type report = {
 val run_op :
   ?naive:bool ->
   ?planted:(sched -> string option) ->
-  smoke:bool ->
   depth:int ->
   Sel4_rt.Analysis_ctx.t ->
   Inject.op ->
   op_report
 (** The campaign for one operation: baselines, sweep (at
-    [Inject.sizes ~smoke]) and DPOR at [depth] (at smoke sizes).  The
+    {!Inject.sizes}) and DPOR at [depth] (at smaller sizes of its own).  The
     context supplies the base build (each scheduler variant is derived
     from it) and the hardware configuration failures are traced under.
     A failing baseline is a recorded failure and ends the operation's
@@ -121,15 +119,14 @@ val run_op :
     test-only fault oracle: a schedule it returns [Some reason] for is
     treated as failing, the hook the shrinker tests plant bugs with. *)
 
-val run : ?smoke:bool -> ?depth:int -> Sel4_rt.Analysis_ctx.t -> report
-(** The campaign over all four operations, DPOR at [depth] (default 3,
-    smoke 2; badged_abort at [<= 2]).  [smoke] shrinks the sweep's
-    workload sizes.
+val run : ?depth:int -> Sel4_rt.Analysis_ctx.t -> report
+(** The campaign over all four operations, DPOR at [depth] (default 3;
+    badged_abort at [<= 2]).
     @raise Invalid_argument if [depth < 1]. *)
 
 val ok : report -> bool
 val pp_report : report Fmt.t
 
 val to_json : report -> Obs.Json.t
-(** [campaign], [smoke], [depth], [ok], [total_runs], and an [ops] array
+(** [campaign], [depth], [ok], [total_runs], and an [ops] array
     with per-operation counts and [failures]. *)

@@ -32,11 +32,14 @@ type sizes = {
   sz_sections : int;  (* 1 MiB sections mapped in the directory *)
 }
 
-let sizes ~smoke =
-  if smoke then
-    { sz_waiters = 5; sz_abort_waiters = 6; sz_frame_bits = 12; sz_ptes = 4; sz_sections = 1 }
-  else
-    { sz_waiters = 12; sz_abort_waiters = 14; sz_frame_bits = 14; sz_ptes = 10; sz_sections = 2 }
+let sizes =
+  {
+    sz_waiters = 12;
+    sz_abort_waiters = 14;
+    sz_frame_bits = 14;
+    sz_ptes = 10;
+    sz_sections = 2;
+  }
 
 (* --- scheduler variants under differential test --- *)
 

@@ -34,7 +34,8 @@ type sizes = {
   sz_sections : int;  (** 1 MiB sections mapped in the directory *)
 }
 
-val sizes : smoke:bool -> sizes
+val sizes : sizes
+(** The campaign workload: what the audit replays and the sweep runs. *)
 
 type driver = {
   d_event : Sel4.Kernel.event;  (** the long-running operation *)

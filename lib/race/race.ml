@@ -385,10 +385,10 @@ let audit_ok a = a.ar_violations = []
    fires is attributed to the operation's section and everything after
    (the unwind, the interrupt handler, the exit path) to the IRQ-delivery
    path.  Instruction fetches are not state accesses and are ignored. *)
-let audit_one ~catalogue ~sz ~build ~op ~violations ~entries ~accesses =
+let audit_one ~catalogue ~build ~op ~violations ~entries ~accesses =
   let cpu = Hw.Cpu.create Hw.Config.default in
   let env = B.boot ~cpu build in
-  let d = Inject.setup env sz op in
+  let d = Inject.setup env Inject.sizes op in
   let k = env.B.k in
   let op_name = Inject.op_name op in
   let step_fp = (List.find (fun s -> s.sec_name = op_name ^ ".step") catalogue).sec_fp in
@@ -477,9 +477,8 @@ let audit_one ~catalogue ~sz ~build ~op ~violations ~entries ~accesses =
     !log;
   entries := !entries + ((2 * last) + 1)
 
-let audit ?(catalogue = catalogue) ?(ops = Inject.all_ops) ~smoke
+let audit ?(catalogue = catalogue) ?(ops = Inject.all_ops)
     (actx : Sel4_rt.Analysis_ctx.t) =
-  let sz = Inject.sizes ~smoke in
   let violations = ref [] in
   let entries = ref 0 in
   let accesses = ref 0 in
@@ -490,7 +489,7 @@ let audit ?(catalogue = catalogue) ?(ops = Inject.all_ops) ~smoke
         (fun build ->
           incr runs;
           Obs.Metrics.incr m_audit_runs;
-          audit_one ~catalogue ~sz ~build ~op ~violations ~entries ~accesses)
+          audit_one ~catalogue ~build ~op ~violations ~entries ~accesses)
         (Inject.variants ~base:actx.Sel4_rt.Analysis_ctx.build op))
     ops;
   Obs.Metrics.incr ~by:!accesses m_audit_accesses;

@@ -123,7 +123,6 @@ type audit_report = {
 val audit :
   ?catalogue:section list ->
   ?ops:Inject.op list ->
-  smoke:bool ->
   Sel4_rt.Analysis_ctx.t ->
   audit_report
 (** Replay each operation under every scheduler variant, preempting at

@@ -23,8 +23,8 @@ type request =
       scenarios : string list;
       inv_every : int option;
     }
-  | Race of { smoke : bool }
-  | Explore of { smoke : bool; depth : int option }
+  | Race
+  | Explore of { depth : int option }
 
 type result =
   | Bound of {
@@ -102,7 +102,7 @@ let validate req =
                 else if compare && cores < 2 then
                   Result.Error "compare needs cores >= 2"
                 else Result.Ok req))
-  | Analyse _ | Explain _ | Metrics | Race _ | Explore _ -> Result.Ok req
+  | Analyse _ | Explain _ | Metrics | Race | Explore _ -> Result.Ok req
 
 let only = function [] -> None | l -> Some l
 
@@ -141,10 +141,9 @@ let exec_exn = function
         Smp_soak
           (Smp.Soak.run ~seed ?entries ~smoke ?inv_every ?only:(only scenarios)
              ~cores ~policy ())
-  | Race { smoke } ->
-      Race_audit (Race.audit ~smoke Sel4_rt.Analysis_ctx.default)
-  | Explore { smoke; depth } ->
-      Explore_report (Explore.run ~smoke ?depth Sel4_rt.Analysis_ctx.default)
+  | Race -> Race_audit (Race.audit Sel4_rt.Analysis_ctx.default)
+  | Explore { depth } ->
+      Explore_report (Explore.run ?depth Sel4_rt.Analysis_ctx.default)
 
 let exec req =
   Result.bind (validate req) (fun req ->
@@ -338,13 +337,10 @@ let of_json v =
                    scenarios = [];
                    inv_every = None;
                  })
-        | "race" ->
-            let* smoke = bool_field "smoke" true in
-            Result.Ok (Race { smoke })
+        | "race" -> Result.Ok Race
         | "explore" ->
-            let* smoke = bool_field "smoke" true in
             let* depth = opt_field "depth" Json.to_int_opt "an integer" in
-            Result.Ok (Explore { smoke; depth })
+            Result.Ok (Explore { depth })
         | s -> Result.Error (Fmt.str "unknown query %S" s)
       in
       let* req = validate req in

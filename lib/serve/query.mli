@@ -23,12 +23,13 @@
     ["smoke"], ["seed"], ["entries"], ["scenarios"]; [smp] takes
     ["smoke"], ["seed"], ["entries"], ["cores"] (default 4),
     ["shielded"] and ["compare"] (run both affinity policies and gate
-    on the shielded tail being strictly lower); [race] takes
-    ["smoke"]; [explore] takes ["smoke"], ["depth"].  Booleans default
-    to [false] except campaign ["smoke"] which defaults to [true] (a
-    server should not run multi-minute campaigns unless explicitly
-    asked).  [smp]'s [scenarios] and either campaign's [inv_every] are
-    CLI-only: the wire runs every scenario at the default period.
+    on the shielded tail being strictly lower); [race] takes nothing;
+    [explore] takes ["depth"] (default 3).  Booleans default to
+    [false] except soak ["smoke"] which defaults to [true] (a server
+    should not run multi-minute campaigns unless explicitly asked).
+    Unknown members are ignored.  [smp]'s [scenarios] and either
+    soak's [inv_every] are CLI-only: the wire runs every scenario at
+    the default period.
 
     Analyse payloads carry no wall-clock fields — a warm-cache bound is
     byte-identical to the cold one, which is what the CI warm-cache gate
@@ -57,8 +58,8 @@ type request =
       scenarios : string list;
       inv_every : int option;
     }
-  | Race of { smoke : bool }
-  | Explore of { smoke : bool; depth : int option }
+  | Race
+  | Explore of { depth : int option }
 
 (** What a request produced: the report value its library builds. *)
 type result =

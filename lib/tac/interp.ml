@@ -40,22 +40,18 @@ let exec_instr state = function
   | Lang.Store (a, v) ->
       Hashtbl.replace state.memory (eval state a) (eval state v)
 
-(* Run to Halt (or raise [Step_limit]); returns final state and trace.
-   [on_visit label k] is called each time a block is entered, with [k] its
-   visit count so far — the model checker builds its traces from this. *)
-let run ?(max_steps = 1_000_000) ?(on_visit = fun _ _ -> ()) program ~inputs =
+let visits trace label =
+  try Hashtbl.find trace.visits label with Not_found -> 0
+
+(* Run to Halt (or raise [Step_limit]); returns final state and trace. *)
+let run ?(max_steps = 1_000_000) program ~inputs =
   Lang.validate program;
   let state = initial_state inputs in
   let trace = { visits = Hashtbl.create 16; steps = 0; halted = false } in
-  let visit label =
-    let k = 1 + try Hashtbl.find trace.visits label with Not_found -> 0 in
-    Hashtbl.replace trace.visits label k;
-    on_visit label k
-  in
   let rec go label =
     trace.steps <- trace.steps + 1;
     if trace.steps > max_steps then raise Step_limit;
-    visit label;
+    Hashtbl.replace trace.visits label (1 + visits trace label);
     let block = Lang.block_exn program label in
     List.iter (exec_instr state) block.Lang.instrs;
     match block.Lang.term with
@@ -68,12 +64,9 @@ let run ?(max_steps = 1_000_000) ?(on_visit = fun _ _ -> ()) program ~inputs =
   go program.Lang.entry;
   (state, trace)
 
-let visits trace label =
-  try Hashtbl.find trace.visits label with Not_found -> 0
-
 (* Enumerate all input valuations over the declared parameter domains and
-   apply [f] to each.  The state space this induces is what the bounded
-   model checker explores. *)
+   apply [f] to each, stopping at the first [false].  The state space this
+   induces is what the loop-bound model check explores. *)
 let for_all_inputs program f =
   let rec enum acc = function
     | [] -> f (List.rev acc)

@@ -16,12 +16,10 @@ exception Step_limit
 
 val run :
   ?max_steps:int ->
-  ?on_visit:(string -> int -> unit) ->
   Lang.program ->
   inputs:(Lang.reg * int) list ->
   state * trace
-(** Execute from the entry block to [Halt].  [on_visit label k] fires on
-    every block entry with its running visit count.
+(** Execute from the entry block to [Halt].
     @raise Step_limit if the program runs longer than [max_steps] blocks. *)
 
 val visits : trace -> string -> int

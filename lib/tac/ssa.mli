@@ -28,7 +28,10 @@ val block_exn : t -> string -> ssa_block
 val run :
   ?max_steps:int -> t -> inputs:(Lang.reg * int) list -> (string, int) Hashtbl.t
 (** Execute the SSA program directly (parallel phi semantics) and return
-    per-block visit counts — used to validate semantics preservation.
+    per-block visit counts.  The loop-bound model check
+    ([Kernel_loops.compute_bound]) runs a sliced loop this way once per
+    input valuation; the tests use it to check that SSA construction and
+    slicing preserve visit counts.
     @raise Interp.Step_limit on divergence. *)
 
 val pp : t Fmt.t

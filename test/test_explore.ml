@@ -14,7 +14,7 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_int_list = Alcotest.(check (list int))
 let ctx = Sel4_rt.Analysis_ctx.default
-let run_op = Explore.run_op ~smoke:true
+let run_op = Explore.run_op
 
 (* --- the static classification feeding the pruner --- *)
 
@@ -140,7 +140,7 @@ let preempted_exits ~build ~sz op schedule =
   result
 
 let test_pause_schedules_match_sweep () =
-  let sz = Inject.sizes ~smoke:true in
+  let sz = Inject.sizes in
   let runs = ref 0 in
   List.iter
     (fun op ->
@@ -204,8 +204,8 @@ let test_pause_schedules_match_sweep () =
 (* --- determinism and the campaign entry point --- *)
 
 let test_deterministic () =
-  let r1 = Explore.run ~smoke:true ctx in
-  let r2 = Explore.run ~smoke:true ctx in
+  let r1 = Explore.run ctx in
+  let r2 = Explore.run ctx in
   check_bool "identical reports" true (r1 = r2)
 
 let test_exhaustive_ep_delete () =
@@ -219,8 +219,8 @@ let test_exhaustive_ep_delete () =
   check_int "preempt-everywhere restarts at every point" o.Explore.e_points
     o.Explore.e_max_restarts
 
-let test_all_ops_smoke () =
-  let r = Explore.run ~smoke:true ctx in
+let test_all_ops () =
+  let r = Explore.run ctx in
   check_bool "all four ops pass" true (Explore.ok r);
   Alcotest.(check (list string))
     "four ops" (List.map Inject.op_name Inject.all_ops)
@@ -233,8 +233,8 @@ let test_all_ops_smoke () =
     r.Explore.x_ops
 
 let test_smoke_campaign () =
-  let r = Explore.run ~smoke:true ctx in
-  check_bool "smoke campaign is clean" true (Explore.ok r);
+  let r = Explore.run ctx in
+  check_bool "campaign is clean" true (Explore.ok r);
   check_int "runs add up" r.Explore.x_total_runs
     (List.fold_left (fun a o -> a + o.Explore.e_runs) 0 r.Explore.x_ops);
   List.iter
@@ -254,7 +254,7 @@ let test_smoke_campaign () =
   (* A depth below 1 has an empty universe: rejected, not a vacuous ok. *)
   List.iter
     (fun depth ->
-      match Explore.run ~smoke:true ~depth ctx with
+      match Explore.run ~depth ctx with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "depth %d accepted" depth)
     [ 0; -1 ]
@@ -283,7 +283,7 @@ let test_failing_baseline () =
   check_int "no sweep" 0 o.Explore.e_points;
   check_int "no DPOR" 0 o.Explore.e_explored;
   let r =
-    { Explore.x_smoke = true; x_depth = 2; x_ops = [ o ]; x_total_runs = 0 }
+    { Explore.x_depth = 2; x_ops = [ o ]; x_total_runs = 0 }
   in
   check_bool "the campaign fails" false (Explore.ok r)
 
@@ -337,7 +337,7 @@ let test_planted_failure_is_shrunk () =
     o.Explore.e_failures
 
 let test_json_envelope () =
-  let r = Explore.run ~smoke:true ctx in
+  let r = Explore.run ctx in
   let j = Obs.Json.to_string (Explore.to_json r) in
   check_bool "campaign key" true (contains j "\"campaign\": \"explore\"");
   check_bool "ok key" true (contains j "\"ok\": true");
@@ -369,7 +369,7 @@ let () =
           Alcotest.test_case "deterministic" `Slow test_deterministic;
           Alcotest.test_case "exhaustive ep-delete sweep" `Quick
             test_exhaustive_ep_delete;
-          Alcotest.test_case "all ops, smoke sizes" `Quick test_all_ops_smoke;
+          Alcotest.test_case "all ops" `Quick test_all_ops;
           Alcotest.test_case "smoke campaign" `Slow test_smoke_campaign;
           Alcotest.test_case "badged-abort requeue" `Slow
             test_badged_abort_requeue;

@@ -1,37 +1,14 @@
-(* Tests for the loop-bound machinery: LTL finite-trace semantics, the
-   bounded model checker with binary search, and the one bound chain
-   ({!Sel4_rt.Kernel_loops.compute_bound}) on counter loops.  The paper's
-   claims (Section 5.3): counter loops are bounded statically; the
-   slice+model-check pipeline bounds the rest. *)
+(* Tests for the one loop-bound chain
+   ({!Sel4_rt.Kernel_loops.compute_bound}): counter loops are bounded
+   statically by the interval analysis; the rest by slicing the loop and
+   model-checking the slice over every input (Section 5.3).  The ground
+   truth is an exhaustive interpretation of the full, unsliced program. *)
 
 module L = Tac.Lang
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_opt = Alcotest.(check (option int))
-
-(* --- LTL --- *)
-
-let test_ltl_basics () =
-  let ge n = Loopbound.Ltl.prop (Fmt.str ">=%d" n) (fun s -> s >= n) in
-  check_bool "G holds" true
-    (Loopbound.Ltl.check_trace Loopbound.Ltl.(always (ge 1)) [ 1; 2; 3 ]);
-  check_bool "G fails" false
-    (Loopbound.Ltl.check_trace Loopbound.Ltl.(always (ge 2)) [ 2; 1; 3 ]);
-  check_bool "F finds" true
-    (Loopbound.Ltl.check_trace Loopbound.Ltl.(eventually (ge 3)) [ 1; 2; 3 ]);
-  check_bool "X at last is false" false
-    (Loopbound.Ltl.check_trace Loopbound.Ltl.(next (ge 0)) [ 5 ]);
-  check_bool "until" true
-    (Loopbound.Ltl.check_trace
-       Loopbound.Ltl.(until (ge 1) (ge 9))
-       [ 1; 2; 9; 0 ]);
-  check_bool "until needs the goal" false
-    (Loopbound.Ltl.check_trace
-       Loopbound.Ltl.(until (ge 1) (ge 9))
-       [ 1; 2; 3 ]);
-  check_bool "empty trace satisfies G" true
-    (Loopbound.Ltl.check_trace Loopbound.Ltl.(always (ge 5)) [])
 
 (* --- programs under test --- *)
 
@@ -113,27 +90,39 @@ let memory_loop ~limit =
       ];
   }
 
-(* --- model checker --- *)
+(* Test reference: the most header visits over every input valuation of
+   the full program, by direct interpretation. *)
+let max_visits program ~header =
+  let best = ref 0 in
+  ignore
+    (Tac.Interp.for_all_inputs program (fun inputs ->
+         let _, trace = Tac.Interp.run program ~inputs in
+         best := max !best (Tac.Interp.visits trace header);
+         true));
+  !best
 
-let test_verify () =
-  let program = countup ~lo:0 ~hi:8 () in
-  check_bool "bound 9 verified" true
-    (Loopbound.Checker.verify program ~header:"header" ~bound:9
-    = Loopbound.Checker.Verified);
-  (match Loopbound.Checker.verify program ~header:"header" ~bound:8 with
-  | Loopbound.Checker.Violated witness ->
-      check_int "witness is the worst input" 8 (List.assoc "n" witness)
-  | v -> Alcotest.failf "expected violation, got %a" Loopbound.Checker.pp_verdict v);
-  ()
+(* --- the chain --- *)
 
-let test_find_bound_exact () =
-  let program = countup ~lo:0 ~hi:8 () in
-  check_opt "binary search finds 9" (Some 9)
-    (Loopbound.Checker.find_bound program ~header:"header");
-  check_int "matches ground truth" 9
-    (Loopbound.Checker.max_observed program ~header:"header")
+module K = Sel4_rt.Kernel_loops
 
-let test_find_bound_diverging () =
+(* [compute_bound] on a test program; the annotation only caps the model
+   check (at [4 * annotated] header visits). *)
+let chain ?(header = "header") ?(annotated = 64) program =
+  K.compute_bound { K.name = "test"; program; header; annotated }
+
+let check_chain msg expected method_used program =
+  let r = chain program in
+  check_opt msg (Some expected) r.K.computed;
+  check_bool (msg ^ ": method") true (r.K.method_used = method_used)
+
+(* --- the model-checking fallback --- *)
+
+let test_memory_loop () =
+  let program = memory_loop ~limit:7 in
+  check_chain "memory loop bounded by the checker" 8 K.Model_checking program;
+  check_int "matches ground truth" 8 (max_visits program ~header:"header")
+
+let test_diverging () =
   let forever =
     {
       L.entry = "spin";
@@ -141,28 +130,23 @@ let test_find_bound_diverging () =
       blocks = [ { L.label = "spin"; instrs = []; term = L.Jump "spin" } ];
     }
   in
-  check_opt "diverging loop unbounded" None
-    (Loopbound.Checker.find_bound ~max_steps:1000 ~upper:64 forever
-       ~header:"spin")
+  let r = chain ~header:"spin" ~annotated:16 forever in
+  check_opt "diverging loop unbounded" None r.K.computed;
+  check_bool "the annotation stands" true
+    (r.K.method_used = K.Annotation_only)
 
-let test_find_bound_memory_loop () =
-  check_opt "memory loop bounded by the checker" (Some 8)
-    (Loopbound.Checker.find_bound (memory_loop ~limit:7) ~header:"header")
+let test_cap () =
+  (* 8 header visits: within four times an annotation of 2, beyond four
+     times an annotation of 1. *)
+  let program = memory_loop ~limit:7 in
+  check_opt "8 <= 4 * 2 is bounded" (Some 8)
+    (chain ~annotated:2 program).K.computed;
+  let r = chain ~annotated:1 program in
+  check_opt "8 > 4 * 1 gives up" None r.K.computed;
+  check_bool "the annotation stands" true
+    (r.K.method_used = K.Annotation_only)
 
-(* --- counter loops through the chain --- *)
-
-module K = Sel4_rt.Kernel_loops
-
-(* [compute_bound] on a test program; the annotation only sizes the
-   checker's search ([upper = 4 * annotated]). *)
-let chain program =
-  K.compute_bound
-    { K.name = "test"; program; header = "header"; annotated = 64 }
-
-let check_chain msg expected method_used program =
-  let r = chain program in
-  check_opt msg (Some expected) r.K.computed;
-  check_bool (msg ^ ": method") true (r.K.method_used = method_used)
+(* --- counter loops --- *)
 
 let test_counter_basic () =
   check_chain "i < n, step 1, n <= 8" 9 K.Abstract_interpretation
@@ -184,13 +168,14 @@ let test_counter_gives_up_on_memory () =
   check_chain "memory loop: the checker bounds it" 8 K.Model_checking program
 
 let test_counter_agrees_with_checker () =
-  (* Both methods are exact on these loops, so they must agree ([hi = 0]
-     reaches the checker through the chain). *)
+  (* Both methods are exact on these loops, so the chain must agree with
+     the exhaustive check of the full program ([hi = 0] reaches the model
+     checker through the chain). *)
   List.iter
     (fun program ->
       Alcotest.(check (option int))
-        "chain = checker"
-        (Loopbound.Checker.find_bound program ~header:"header")
+        "chain = exhaustive check"
+        (Some (max_visits program ~header:"header"))
         (chain program).K.computed)
     [
       countup ~lo:0 ~hi:0 ();
@@ -216,7 +201,7 @@ let test_counter_sound_random =
        gen_loop)
     (fun (step, hi) ->
       let program = countup ~step ~lo:0 ~hi () in
-      let truth = Loopbound.Checker.max_observed program ~header:"header" in
+      let truth = max_visits program ~header:"header" in
       let r = chain program in
       match r.K.computed with
       | None -> false (* this family must always be bounded *)
@@ -249,14 +234,12 @@ let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 let () =
   Alcotest.run "loopbound"
     [
-      ("ltl", Alcotest.[ test_case "finite-trace semantics" `Quick test_ltl_basics ]);
       ( "checker",
         Alcotest.
           [
-            test_case "verify" `Quick test_verify;
-            test_case "binary search exact" `Quick test_find_bound_exact;
-            test_case "diverging" `Quick test_find_bound_diverging;
-            test_case "memory loop" `Quick test_find_bound_memory_loop;
+            test_case "diverging" `Quick test_diverging;
+            test_case "memory loop" `Quick test_memory_loop;
+            test_case "4x cap" `Quick test_cap;
           ] );
       ( "counter",
         Alcotest.

@@ -84,7 +84,7 @@ let test_og_report () =
 (* --- the soundness audit --- *)
 
 let test_audit_clean () =
-  let a = Race.audit ~smoke:true ctx in
+  let a = Race.audit ctx in
   check_bool "runs all ops x variants" true (a.Race.ar_runs >= 12);
   check_bool "recorded accesses" true (a.Race.ar_accesses > 1000);
   check_int "no access escapes its declared footprint" 0
@@ -111,7 +111,7 @@ let test_audit_catches_planted_corruption () =
       Race.catalogue
   in
   let a =
-    Race.audit ~catalogue:corrupted ~ops:[ Inject.Ep_delete ] ~smoke:true ctx
+    Race.audit ~catalogue:corrupted ~ops:[ Inject.Ep_delete ] ctx
   in
   check_bool "corruption detected" true (List.length a.Race.ar_violations > 0);
   List.iter
@@ -145,7 +145,7 @@ let test_audit_catches_missing_section_state () =
       Race.catalogue
   in
   let a =
-    Race.audit ~catalogue:corrupted ~ops:[ Inject.Ep_delete ] ~smoke:true ctx
+    Race.audit ~catalogue:corrupted ~ops:[ Inject.Ep_delete ] ctx
   in
   check_bool "finalise corruption detected" true
     (List.exists
@@ -158,7 +158,7 @@ let contains s sub =
   go 0
 
 let test_json_renders () =
-  let a = Race.audit ~smoke:true ctx in
+  let a = Race.audit ctx in
   let j = Obs.Json.to_string (Race.to_json a) in
   check_bool "mentions sections" true (contains j "\"sections\"");
   check_bool "mentions og" true (contains j "\"og\"");

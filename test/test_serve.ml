@@ -152,9 +152,13 @@ let test_query_of_json () =
     when build = Sel4.Build.original ->
       ()
   | _ -> Alcotest.fail "analyse full params");
+  (* A stale "smoke" member is ignored, like any unknown member. *)
   (match req {|{"query": "explore", "smoke": true, "depth": 2}|} with
-  | Ok (None, Q.Explore { smoke = true; depth = Some 2 }) -> ()
+  | Ok (None, Q.Explore { depth = Some 2 }) -> ()
   | _ -> Alcotest.fail "explore params");
+  (match req {|{"query": "race", "smoke": true}|} with
+  | Ok (None, Q.Race) -> ()
+  | _ -> Alcotest.fail "race params");
   (match req {|{"query": "sim", "scenarios": ["idle"], "entries": 100}|} with
   | Ok
       ( None,
