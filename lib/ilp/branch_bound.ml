@@ -46,6 +46,7 @@ let solve ?stats problem =
     | Some (best, _) -> objective > best
   in
   let unbounded = ref false in
+  let vars = Array.of_list (Problem.vars problem) in
   (* [bounds] is the list of extra branching constraints along this path. *)
   let rec node bounds =
     stats.nodes <- stats.nodes + 1;
@@ -68,14 +69,14 @@ let solve ?stats problem =
               let floor_c =
                 {
                   Problem.label = "branch-le";
-                  terms = [ (1, List.nth (Problem.vars problem) v) ];
+                  terms = [ (1, vars.(v)) ];
                   relation = Problem.Le;
                   bound = Rat.floor value;
                 }
               and ceil_c =
                 {
                   Problem.label = "branch-ge";
-                  terms = [ (1, List.nth (Problem.vars problem) v) ];
+                  terms = [ (1, vars.(v)) ];
                   relation = Problem.Ge;
                   bound = Rat.ceil value;
                 }

@@ -17,25 +17,27 @@ type cstr = {
 }
 
 type t = {
-  mutable names : string list;  (* reversed *)
+  mutable names : string array;  (* the first [count] are in use *)
   mutable count : int;
   mutable constraints : cstr list;  (* reversed *)
   mutable objective : (int * var) list;
 }
 
-let create () = { names = []; count = 0; constraints = []; objective = [] }
+let create () = { names = [||]; count = 0; constraints = []; objective = [] }
 
 let var t name =
   let v = t.count in
-  t.names <- name :: t.names;
-  t.count <- t.count + 1;
+  if v = Array.length t.names then begin
+    let grown = Array.make (max 16 (2 * v)) "" in
+    Array.blit t.names 0 grown 0 v;
+    t.names <- grown
+  end;
+  t.names.(v) <- name;
+  t.count <- v + 1;
   v
 
 let num_vars t = t.count
-
-let name t v =
-  let names = Array.of_list (List.rev t.names) in
-  names.(v)
+let name t v = t.names.(v)
 
 let add_constraint ?(label = "") t terms relation bound =
   List.iter (fun (_, v) -> assert (v >= 0 && v < t.count)) terms;

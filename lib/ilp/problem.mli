@@ -40,6 +40,9 @@ val num_constraints : t -> int
 val objective : t -> (int * var) list
 (** The current objective terms, as passed to {!set_objective}. *)
 
+val to_lp : ?extra:cstr list -> t -> Simplex.lp
+(** The LP relaxation of the problem plus [extra] rows, in row order. *)
+
 val solve_relaxation :
   ?extra:cstr list -> ?on_fallback:(unit -> unit) -> t -> Simplex.result
 (** {!Simplex.solve} on the problem plus [extra] rows. *)

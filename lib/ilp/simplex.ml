@@ -12,23 +12,30 @@
    - phase 2 reuses the phase-1 tableau: the user objective is installed
      and priced out in place, with artificial columns banned from entering.
 
-   [solve] runs it over unboxed [float array] rows, with scaled
-   tolerances standing in for exact zero tests and ties, then proves the
-   answer in [Rat] ([certify]).  The primal point x is the final basis
-   rounded to integers; the dual y is read from the reduced cost of each
-   row's unit column (its slack for Le, its artificial for Ge and Eq) and
-   reconstructed as small-denominator rationals.  If x >= 0 satisfies
-   every row exactly, y has the right sign per row (Le >= 0, Ge <= 0, Eq
-   free), A^T y >= c column by column and c.x = b.y, then every feasible
-   x' has c.x' <= y.Ax' <= y.b = c.x: no feasible point beats x, which is
-   the soundness claim an upper bound on execution time needs.  So the
-   tolerances decide only how often the proof fails, never what is
-   claimed.  When it fails -- or the float solve reports infeasible or
-   unbounded, rounds to a fractional point, or hits its pivot cap --
-   [solve_exact] answers: the same algorithm over exact rationals with
-   overflow detection, kept as the reference the tests compare against.
-   Duals are reported in the caller's row orientation, i.e. for the rows
-   of [lp.constraints] as given, before the rhs normalisation.
+   [solve] first presolves: variables tied by an equation c.x_p - c.x_q = 0
+   (the flow rows of blocks with one predecessor or one successor, most of
+   an IPET LP) are one class, solved as one column.  It runs the loop on
+   that reduced LP over unboxed [float array] rows, with scaled tolerances
+   standing in for exact zero tests and ties, lifts the answer back to the
+   original variables and rows, and proves it in [Rat] on the original LP
+   ([certify]), so the reduction is checked on every solve rather than
+   trusted.  The primal point x is the final basis rounded to integers; the
+   dual y is read from the reduced cost of each row's unit column (its
+   slack for Le, its artificial for Ge and Eq) and reconstructed as
+   small-denominator rationals.  If x >= 0 satisfies every row exactly, y
+   has the right sign per row (Le >= 0, Ge <= 0, Eq free), A^T y >= c
+   column by column and c.x = b.y, then every feasible x' has c.x' <= y.Ax'
+   <= y.b = c.x: no feasible point beats x, which is the soundness claim an
+   upper bound on execution time needs.  So the tolerances decide only how
+   often the proof fails, never what is claimed.  When it fails -- or the
+   float solve reports infeasible or unbounded, rounds to a fractional
+   point, or hits its pivot cap -- [solve_exact] answers on the original
+   LP: the same algorithm over exact rationals with overflow detection,
+   kept as the reference the tests compare against.  Both reach the same
+   optimum; on the reduced LP the pivots may end at a different optimal
+   vertex, which for the IPET LPs the tests rule out.  Duals are reported
+   in the caller's row orientation, i.e. for the rows of [lp.constraints]
+   as given, before the rhs normalisation.
 
    IPET flow matrices are ~95 % zeros (each flow-conservation row touches a
    handful of the hundreds of columns), so the tableau is built from sparse
@@ -644,12 +651,160 @@ module Float_path = struct
         { objective = !objective; values; duals }
 end
 
+(* --- The presolve --- *)
+
+module Presolve = struct
+  type t = {
+    lp : lp;  (* one column per class, the rows that still say something *)
+    class_of : int array;  (* original variable -> its class column *)
+    kept : int array;  (* original row -> its reduced row, or -1 *)
+    settle : (int * int * int * Rat.t) array;
+        (* the spanning-tree rows, leaf to root: (row, child, parent,
+           the row's coefficient on the child) *)
+  }
+
+  (* [terms] with duplicate variables summed and zero sums dropped, in
+     first-occurrence order, mapped through [col] and accumulated in
+     [acc] (all zero between calls). *)
+  let merge acc col terms =
+    let order =
+      List.fold_left
+        (fun order (v, c) ->
+          let k = col v in
+          let fresh = Rat.is_zero acc.(k) in
+          acc.(k) <- Rat.add acc.(k) c;
+          if fresh then k :: order else order)
+        [] terms
+    in
+    List.fold_left
+      (fun merged k ->
+        let c = acc.(k) in
+        acc.(k) <- Rat.zero;
+        if Rat.is_zero c then merged else (k, c) :: merged)
+      [] order
+
+  let rec find parent v =
+    let p = parent.(v) in
+    if p = v then v
+    else begin
+      let r = find parent p in
+      parent.(v) <- r;
+      r
+    end
+
+  let reduce (lp : lp) =
+    let n = lp.num_vars in
+    let rows = Array.of_list lp.constraints in
+    let acc = Array.make n Rat.zero in
+    (* Union-find over the tying rows c.x_p - c.x_q = 0; a row that joins
+       two classes is a spanning-tree edge, one inside a class says
+       nothing new. *)
+    let parent = Array.init n Fun.id and adj = Array.make n [] in
+    Array.iteri
+      (fun i (terms, op, rhs) ->
+        if op = Eq && Rat.is_zero rhs then
+          match merge acc Fun.id terms with
+          | [ (p, a); (q, b) ] when Rat.equal a (Rat.neg b) ->
+              let rp = find parent p and rq = find parent q in
+              if rp <> rq then begin
+                parent.(rq) <- rp;
+                adj.(p) <- (q, i, a) :: adj.(p);  (* a: p's coefficient *)
+                adj.(q) <- (p, i, b) :: adj.(q)
+              end
+          | _ -> ())
+      rows;
+    (* Columns in order of each class's smallest member; the tree is
+       walked breadth-first from that member, so reversing the walk
+       visits every child before its parent. *)
+    let class_of = Array.make n (-1) and classes = ref 0 in
+    let settle = ref [] and queue = Queue.create () in
+    for v = 0 to n - 1 do
+      if class_of.(v) < 0 then begin
+        let k = !classes in
+        incr classes;
+        class_of.(v) <- k;
+        Queue.add v queue;
+        while not (Queue.is_empty queue) do
+          let u = Queue.pop queue in
+          List.iter
+            (fun (w, i, a) ->
+              if class_of.(w) < 0 then begin
+                class_of.(w) <- k;
+                settle := (i, w, u, Rat.neg a) :: !settle;
+                Queue.add w queue
+              end)
+            adj.(u)
+        done
+      end
+    done;
+    let width = !classes in
+    let maximize = Array.make width Rat.zero in
+    Array.iteri
+      (fun v c -> maximize.(class_of.(v)) <- Rat.add maximize.(class_of.(v)) c)
+      lp.maximize;
+    (* Rewrite every row in class terms; one left empty with its relation
+       holding at 0 (every tying row, among others) is dropped. *)
+    let kept = Array.make (Array.length rows) (-1) and reduced = ref [] in
+    let next = ref 0 in
+    Array.iteri
+      (fun i (terms, op, rhs) ->
+        let terms = merge acc (fun v -> class_of.(v)) terms in
+        let holds =
+          match op with
+          | Le -> Rat.sign rhs >= 0
+          | Ge -> Rat.sign rhs <= 0
+          | Eq -> Rat.is_zero rhs
+        in
+        if terms <> [] || not holds then begin
+          kept.(i) <- !next;
+          incr next;
+          reduced := (terms, op, rhs) :: !reduced
+        end)
+      rows;
+    {
+      lp = { num_vars = width; maximize; constraints = List.rev !reduced };
+      class_of;
+      kept;
+      settle = Array.of_list !settle;
+    }
+
+  (* The reduced LP's answer read on the original columns and rows: each
+     member takes its class value; a kept row its reduced dual; a tree row
+     the dual that leaves its child's slack (A^T y)_j - c_j at 0, which
+     moves that slack onto the parent, so each class's total -- its
+     reduced column's slack, >= 0 -- ends on the root.  Every other row's
+     dual is 0. *)
+  let lift r (lp : lp) (s : solution) =
+    let values = Array.map (fun k -> s.values.(k)) r.class_of in
+    let duals =
+      Array.map (fun i -> if i < 0 then Rat.zero else s.duals.(i)) r.kept
+    in
+    let slack = Array.map Rat.neg lp.maximize in
+    List.iteri
+      (fun i (terms, _, _) ->
+        let y = duals.(i) in
+        if not (Rat.is_zero y) then
+          List.iter
+            (fun (v, c) -> slack.(v) <- Rat.add slack.(v) (Rat.mul c y))
+            terms)
+      lp.constraints;
+    Array.iter
+      (fun (i, child, parent, a) ->
+        duals.(i) <- Rat.neg (Rat.div slack.(child) a);
+        slack.(parent) <- Rat.add slack.(parent) slack.(child);
+        slack.(child) <- Rat.zero)
+      r.settle;
+    { s with values; duals }
+end
+
 let solve_exact lp = exact (layout lp) lp
 
 let solve ?(on_fallback = ignore) lp =
-  let lay = layout lp in
   let certified =
-    match Float_path.solve lay lp with
+    match
+      let r = Presolve.reduce lp in
+      Presolve.lift r lp (Float_path.solve (layout r.lp) r.lp)
+    with
     | s -> if certify lp s then Some s else None
     | exception (Float_path.Fallback | Rat.Overflow) -> None
   in
@@ -657,7 +812,7 @@ let solve ?(on_fallback = ignore) lp =
   | Some s -> Optimal s
   | None ->
       on_fallback ();
-      exact lay lp
+      solve_exact lp
 
 let pp_result ppf = function
   | Infeasible -> Fmt.string ppf "infeasible"

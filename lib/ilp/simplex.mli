@@ -1,5 +1,5 @@
-(** Two-phase simplex with Bland's rule and sparse constraint rows, solved
-    in floats and certified in exact rationals.
+(** Two-phase simplex with Bland's rule and sparse constraint rows,
+    presolved, solved in floats and certified in exact rationals.
 
     Solves [max c.x  s.t.  A x {<=,>=,=} b,  x >= 0].  Constraints are
     given sparsely — IPET flow matrices are ~95 % zeros — and pivots only
@@ -29,18 +29,23 @@ type solution = {
 type result = Optimal of solution | Infeasible | Unbounded
 
 val solve : ?on_fallback:(unit -> unit) -> lp -> result
-(** Solve over floats, read x (rounded to integers) and y from the final
-    basis, and return them if {!certify} accepts; otherwise — an
+(** Presolve — merge the variables tied by an [Eq] row [c.x_p - c.x_q = 0]
+    (exactly two terms once duplicates are summed, rhs 0) into one column
+    per class and drop the rows left [0 = 0] — then solve the reduced LP
+    over floats, read x (rounded to integers) and y from its final basis,
+    lift them to every original variable and row, and return them if
+    {!certify} accepts them on the original LP.  Otherwise — an
     infeasible, unbounded or fractional float answer, a dual with no
     small-denominator reading, a rejected certificate, a [Rat] overflow or
-    the pivot cap — call [on_fallback] and return {!solve_exact}'s answer.
-    Both loops follow the same pivoting rule, so they reach the same basis
-    unless a tolerance decides a tie differently; the tests compare the
-    two on random problems. *)
+    the pivot cap — call [on_fallback] and return {!solve_exact}'s answer
+    on the original LP.  The two agree on the result kind and objective;
+    on an LP with a tying row they may return different optimal points
+    (the tests pin the same point on the analysis's IPET LPs), and on one
+    without they pivot alike. *)
 
 val solve_exact : lp -> result
-(** The same algorithm over exact rationals (overflow raises
-    {!Rat.Overflow}); the reference {!solve} falls back to. *)
+(** The same algorithm over exact rationals on the LP as given (overflow
+    raises {!Rat.Overflow}); the reference {!solve} falls back to. *)
 
 val certify : lp -> solution -> bool
 (** The LP-duality proof that [solution] is optimal, checked in [Rat] in

@@ -164,9 +164,8 @@ let selected_constraints (spec : spec) (sources : sources) =
       manual
       @ List.filter (fun (c, _) -> not (List.mem c spec.constraints)) derived
 
-let analyse_prepared ?(sources : sources = `All)
+let ilp ?(sources : sources = `All)
     ?(forced = ([] : (string * string * int) list)) (p : prepared) =
-  let started = Obs.Metrics.now_s () in
   let spec = p.spec in
   let inlined = p.inlined in
   let fn = inlined.Cfg.Inline.fn in
@@ -319,6 +318,64 @@ let analyse_prepared ?(sources : sources = `All)
   Ilp.Problem.set_objective problem
     (Array.to_list
        (Array.mapi (fun b v -> ((Cache_analysis.cost costs b).cycles, v)) x));
+  let read values =
+    (* The optimal basis, kept rather than discarded: per-edge traversal
+       counts at the optimum (sorted for determinism) and the inequality
+       rows that are tight there — the loop bounds and provenance-labelled
+       user constraints that actually limit the bound.  Flow-conservation
+       [Eq] rows are tight by construction and carry no information, so
+       they are skipped. *)
+    let edge_counts =
+      Hashtbl.fold
+        (fun e v acc ->
+          let c = values.((v : Ilp.Problem.var :> int)) in
+          if c > 0 then (e, c) :: acc else acc)
+        edges []
+      |> List.sort compare
+    in
+    let binding_constraints =
+      List.filter_map
+        (fun (c : Ilp.Problem.cstr) ->
+          (* Vacuously binding rows — every variable in the row is zero
+             at the optimum (constraints on inlined contexts the
+             critical path never enters) — are noise, not explanation. *)
+          let touched =
+            List.exists
+              (fun (_, v) -> values.((v : Ilp.Problem.var :> int)) > 0)
+              c.Ilp.Problem.terms
+          in
+          if
+            c.Ilp.Problem.relation <> Ilp.Problem.Eq
+            && c.Ilp.Problem.label <> ""
+            && touched
+            && Ilp.Problem.binding c values
+          then
+            Some
+              ( c.Ilp.Problem.label,
+                Ilp.Problem.eval_terms c.Ilp.Problem.terms values )
+          else None)
+        (Ilp.Problem.constraints problem)
+    in
+    {
+      wcet = Ilp.Problem.eval_terms (Ilp.Problem.objective problem) values;
+      block_counts = Array.init n (fun b -> values.((x.(b) :> int)));
+      inlined;
+      costs;
+      ilp_vars = Ilp.Problem.num_vars problem;
+      ilp_constraints = Ilp.Problem.num_constraints problem;
+      bb_nodes = 0;
+      lp_solves = 0;
+      elapsed_s = p.prep_elapsed_s;
+      edge_counts;
+      binding_constraints;
+    }
+  in
+  (problem, read)
+
+let analyse_prepared ?(sources : sources = `All)
+    ?(forced = ([] : (string * string * int) list)) (p : prepared) =
+  let started = Obs.Metrics.now_s () in
+  let problem, read = ilp ~sources ~forced p in
   let stats = { Ilp.Branch_bound.nodes = 0; lp_solves = 0; fallbacks = 0 } in
   Obs.Metrics.observe span_build (Obs.Metrics.now_s () -. started);
   let solve_started = Obs.Metrics.now_s () in
@@ -327,55 +384,12 @@ let analyse_prepared ?(sources : sources = `All)
   Obs.Metrics.incr ~by:stats.Ilp.Branch_bound.fallbacks m_fallbacks;
   match solved with
   | Ilp.Branch_bound.Optimal { objective; values } ->
-      (* The optimal basis, kept rather than discarded: per-edge traversal
-         counts at the optimum (sorted for determinism) and the inequality
-         rows that are tight there — the loop bounds and provenance-labelled
-         user constraints that actually limit the bound.  Flow-conservation
-         [Eq] rows are tight by construction and carry no information, so
-         they are skipped. *)
-      let edge_counts =
-        Hashtbl.fold
-          (fun e v acc ->
-            let c = values.((v : Ilp.Problem.var :> int)) in
-            if c > 0 then (e, c) :: acc else acc)
-          edges []
-        |> List.sort compare
-      in
-      let binding_constraints =
-        List.filter_map
-          (fun (c : Ilp.Problem.cstr) ->
-            (* Vacuously binding rows — every variable in the row is zero
-               at the optimum (constraints on inlined contexts the
-               critical path never enters) — are noise, not explanation. *)
-            let touched =
-              List.exists
-                (fun (_, v) -> values.((v : Ilp.Problem.var :> int)) > 0)
-                c.Ilp.Problem.terms
-            in
-            if
-              c.Ilp.Problem.relation <> Ilp.Problem.Eq
-              && c.Ilp.Problem.label <> ""
-              && touched
-              && Ilp.Problem.binding c values
-            then
-              Some
-                ( c.Ilp.Problem.label,
-                  Ilp.Problem.eval_terms c.Ilp.Problem.terms values )
-            else None)
-          (Ilp.Problem.constraints problem)
-      in
       {
+        (read values) with
         wcet = objective;
-        block_counts = Array.init n (fun b -> values.((x.(b) :> int)));
-        inlined;
-        costs;
-        ilp_vars = Ilp.Problem.num_vars problem;
-        ilp_constraints = Ilp.Problem.num_constraints problem;
         bb_nodes = stats.Ilp.Branch_bound.nodes;
         lp_solves = stats.Ilp.Branch_bound.lp_solves;
         elapsed_s = p.prep_elapsed_s +. (Obs.Metrics.now_s () -. started);
-        edge_counts;
-        binding_constraints;
       }
   | Ilp.Branch_bound.Infeasible -> raise (No_solution "ILP infeasible")
   | Ilp.Branch_bound.Unbounded -> raise (No_solution "ILP unbounded")

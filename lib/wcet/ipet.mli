@@ -74,6 +74,18 @@ val analyse_prepared :
     counts of (function, block label) pairs, which is how Section 6.2
     computes the predicted time of a specific realisable path. *)
 
+val ilp :
+  ?sources:sources ->
+  ?forced:(string * string * int) list ->
+  prepared ->
+  Ilp.Problem.t * (int array -> result)
+(** The ILP {!analyse_prepared} builds and solves for the same arguments,
+    with the reading of an integral optimum (indexed by variable) into
+    the result it reports for that point: [wcet] is the objective there,
+    [bb_nodes] and [lp_solves] are 0 and [elapsed_s] is the prefix's.
+    Lets a test check the solver against a reference on the analysis's
+    own LPs. *)
+
 val analyse :
   config:Hw.Config.t ->
   ?pinned_code:int list ->

@@ -349,7 +349,8 @@ let test_lp_bounds_ilp =
       | _ -> false)
 
 (* Random LPs, boxed or not: the certified float path must agree with the
-   exact reference on the result kind, objective and point. *)
+   exact reference on the result kind and objective, and on the point
+   where the LP has no tying row. *)
 let random_lp_gen =
   QCheck.Gen.(
     let* boxed = bool in
@@ -369,12 +370,35 @@ let to_lp (boxed, (n, ub, objective, constraints)) =
         (fun (coeffs, relation, bound) -> (Array.of_list coeffs, op relation, bound))
         constraints)
 
-let same_result a b =
+(* Whether [problem] has a row the presolve merges: c.x_p - c.x_q = 0
+   once duplicate terms are summed. *)
+let ties (problem : Ilp.Simplex.lp) =
+  let merged terms =
+    List.fold_left
+      (fun acc (v, c) ->
+        let c0 = Option.value ~default:R.zero (List.assoc_opt v acc) in
+        (v, R.add c0 c) :: List.remove_assoc v acc)
+      [] terms
+    |> List.filter (fun (_, c) -> not (R.is_zero c))
+  in
+  List.exists
+    (fun (terms, op, b) ->
+      op = Ilp.Simplex.Eq && R.is_zero b
+      &&
+      match merged terms with
+      | [ (_, p); (_, q) ] -> R.equal p (R.neg q)
+      | _ -> false)
+    problem.constraints
+
+(* The same kind and objective; with [point], the same optimal point too,
+   which the two solvers promise only for an LP the presolve leaves as it
+   is (then both pivot alike). *)
+let same_result ?(point = true) a b =
   match (a, b) with
   | Ilp.Simplex.Optimal x, Ilp.Simplex.Optimal y ->
       R.equal x.objective y.objective
       && Array.length x.values = Array.length y.values
-      && Array.for_all2 R.equal x.values y.values
+      && ((not point) || Array.for_all2 R.equal x.values y.values)
   | Ilp.Simplex.Infeasible, Ilp.Simplex.Infeasible
   | Ilp.Simplex.Unbounded, Ilp.Simplex.Unbounded ->
       true
@@ -388,7 +412,7 @@ let test_solve_vs_exact =
     (fun instance ->
       let problem = to_lp instance in
       let r = Ilp.Simplex.solve problem in
-      same_result r (Ilp.Simplex.solve_exact problem)
+      same_result ~point:(not (ties problem)) r (Ilp.Simplex.solve_exact problem)
       &&
       match r with
       | Ilp.Simplex.Optimal s -> Ilp.Simplex.certify problem s
@@ -405,7 +429,8 @@ let test_fallbacks_exercised () =
     let problem = to_lp (QCheck.Gen.generate1 ~rand random_lp_gen) in
     let fell = ref false in
     let r = Ilp.Simplex.solve ~on_fallback:(fun () -> fell := true) problem in
-    check_bool "agrees with exact" true (same_result r (Ilp.Simplex.solve_exact problem));
+    check_bool "agrees with exact" true
+      (same_result ~point:(not (ties problem)) r (Ilp.Simplex.solve_exact problem));
     let kind =
       match r with
       | Ilp.Simplex.Infeasible -> "infeasible"
@@ -452,6 +477,179 @@ let test_bb_integrality () =
       check_int "value" 1 values.(0)
   | r -> Alcotest.failf "expected optimal, got %a" Ilp.Branch_bound.pp_outcome r
 
+(* --- The presolve --- *)
+
+(* Random LPs with planted doubleton chains: a boxed base over [n]
+   variables; [k] copies, each tied to an earlier variable by
+   c.x_copy - c.x_earlier = 0 (c of either sign, written plainly, with the
+   copy's term split in two, or with a pair of terms that cancel); maybe a
+   second tying row closing a cycle in the last copy's class; and a few
+   random rows over every variable, all shuffled.  Objective
+   coefficients may be negative. *)
+let planted_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 3 in
+    let* k = int_range 1 4 in
+    let total = n + k in
+    let coeff = int_range (-3) 3 in
+    let* maximize = array_repeat total coeff in
+    let* ub = int_range 1 5 in
+    let* ties =
+      flatten_l
+        (List.init k (fun i ->
+             let* p = int_range 0 (n + i - 1) in
+             let* c = oneofl [ -3; -2; -1; 1; 2; 3 ] in
+             let* form = int_range 0 2 in
+             return (n + i, p, c, form)))
+    in
+    let* cycle = bool in
+    let* extra =
+      list_size (int_range 0 3)
+        (let* coeffs = array_repeat total coeff in
+         let* op = oneofl Ilp.Simplex.[ Le; Le; Ge; Eq ] in
+         let* b = int_range 0 12 in
+         return (coeffs, op, b))
+    in
+    let tie (j, p, c, form) =
+      let terms =
+        match form with
+        | 0 -> [ (j, c); (p, -c) ]
+        | 1 -> [ (j, 2 * c); (p, -c); (j, -c) ]
+        | _ -> [ (j, c); (0, 1); (p, -c); (0, -1) ]
+      in
+      (List.map (fun (v, c) -> (v, R.of_int c)) terms, Ilp.Simplex.Eq, R.zero)
+    in
+    let parent = Array.init total Fun.id in
+    List.iter (fun (j, p, _, _) -> parent.(j) <- p) ties;
+    let rec root v = if parent.(v) = v then v else root parent.(v) in
+    let last = total - 1 in
+    let box =
+      List.init n (fun v -> ([ (v, R.one) ], Ilp.Simplex.Le, R.of_int ub))
+    in
+    let sparse (coeffs, op, b) =
+      ( Array.to_list coeffs
+        |> List.mapi (fun v c -> (v, c))
+        |> List.filter_map (fun (v, c) ->
+               if c = 0 then None else Some (v, R.of_int c)),
+        op,
+        R.of_int b )
+    in
+    let* constraints =
+      shuffle_l
+        (box @ List.map tie ties
+        @ (if cycle then [ tie (root last, last, 2, 0) ] else [])
+        @ List.map sparse extra)
+    in
+    return
+      {
+        Ilp.Simplex.num_vars = total;
+        maximize = Array.map R.of_int maximize;
+        constraints;
+      })
+
+let print_lp (lp : Ilp.Simplex.lp) =
+  let op = function
+    | Ilp.Simplex.Le -> "<="
+    | Ilp.Simplex.Ge -> ">="
+    | Ilp.Simplex.Eq -> "="
+  in
+  Fmt.str "max %a s.t. %s"
+    Fmt.(Dump.array R.pp)
+    lp.maximize
+    (String.concat "; "
+       (List.map
+          (fun (terms, o, b) ->
+            Fmt.str "%s %s %a"
+              (String.concat " + "
+                 (List.map (fun (v, c) -> Fmt.str "%a x%d" R.pp c v) terms))
+              (op o) R.pp b)
+          lp.constraints))
+
+(* Over a seeded sample of planted LPs, [solve] agrees with [solve_exact]
+   on the kind and objective, and every optimum it returns has one dual
+   per original row and certifies on the original LP.  Every integral
+   optimum must come through the lift on the float path. *)
+let test_presolve_planted () =
+  let rand = Random.State.make [| 5 |] in
+  let lifted = ref 0 and integral_fallbacks = ref 0 in
+  for _ = 1 to 500 do
+    let problem = QCheck.Gen.generate1 ~rand planted_gen in
+    let fell = ref false in
+    let r = Ilp.Simplex.solve ~on_fallback:(fun () -> fell := true) problem in
+    if not (same_result ~point:false r (Ilp.Simplex.solve_exact problem)) then
+      Alcotest.failf "disagrees with exact on %s" (print_lp problem);
+    match r with
+    | Ilp.Simplex.Optimal s ->
+        check_int "one dual per original row"
+          (List.length problem.constraints)
+          (Array.length s.duals);
+        if not (Ilp.Simplex.certify problem s) then
+          Alcotest.failf "uncertified optimum on %s" (print_lp problem);
+        if not !fell then incr lifted
+        else if Array.for_all R.is_integer s.values then
+          incr integral_fallbacks
+    | _ -> ()
+  done;
+  check_bool "float path answers planted LPs" true (!lifted > 0);
+  check_int "integral optima left to the exact path" 0 !integral_fallbacks
+
+(* Rows the presolve must leave alone: merging any of them would change
+   the LP, so the lifted answer would fail its certificate and the solve
+   would fall back.  Each must be answered on the float path with the
+   exact optimum; the last case, whose tying rows merge, too. *)
+let test_presolve_no_merge () =
+  let cases =
+    Ilp.Simplex.
+      [
+        ("rhs 1", lp 2 [| 1; 1 |] [ ([| 1; -1 |], Eq, 1); ([| 1; 0 |], Le, 5) ], 9);
+        ( "same-sign pair",
+          lp 3 [| 1; 1; 1 |] [ ([| 1; 1; 0 |], Eq, 0); ([| 0; 0; 1 |], Le, 3) ],
+          3 );
+        ( "unequal magnitudes",
+          lp 2 [| 1; 1 |] [ ([| 1; -2 |], Eq, 0); ([| 0; 1 |], Le, 2) ],
+          6 );
+        ( "Le doubleton",
+          lp 2 [| -1; 1 |] [ ([| 1; -1 |], Le, 0); ([| 0; 1 |], Le, 3) ],
+          3 );
+        ( "Ge doubleton",
+          lp 2 [| 1; -1 |] [ ([| 1; -1 |], Ge, 0); ([| 1; 0 |], Le, 3) ],
+          3 );
+        ( "tied chain",
+          lp 3 [| 2; -1; 3 |]
+            [
+              ([| 1; -1; 0 |], Eq, 0);
+              ([| 0; 2; -2 |], Eq, 0);
+              ([| 1; 0; 0 |], Le, 4);
+            ],
+          16 );
+      ]
+  in
+  List.iter
+    (fun (name, problem, expected) ->
+      let fell = ref false in
+      let r = Ilp.Simplex.solve ~on_fallback:(fun () -> fell := true) problem in
+      check_rat (name ^ ": optimum") (R.of_int expected) (objective_of r);
+      check_rat (name ^ ": exact optimum") (R.of_int expected)
+        (objective_of (Ilp.Simplex.solve_exact problem));
+      check_bool (name ^ ": float path") false !fell)
+    cases
+
+(* Tying rows that close a cycle with a nonzero rhs reduce to 0 = 2. *)
+let test_presolve_empty_row_infeasible () =
+  let problem =
+    lp 3 [| 1; 1; 1 |]
+      Ilp.Simplex.
+        [
+          ([| 1; -1; 0 |], Eq, 0);
+          ([| 0; 1; -1 |], Eq, 0);
+          ([| 1; 0; -1 |], Eq, 2);
+          ([| 1; 0; 0 |], Le, 4);
+        ]
+  in
+  check_bool "infeasible" true (Ilp.Simplex.solve problem = Ilp.Simplex.Infeasible);
+  check_bool "exact infeasible" true
+    (Ilp.Simplex.solve_exact problem = Ilp.Simplex.Infeasible)
+
 let contains_substring s sub =
   let n = String.length s and m = String.length sub in
   let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
@@ -464,7 +662,20 @@ let test_problem_pp () =
   Ilp.Problem.set_objective p [ (42, x) ];
   let rendered = Fmt.to_to_string Ilp.Problem.pp p in
   check_bool "mentions variable" true (contains_substring rendered "x_f");
-  check_bool "mentions label" true (contains_substring rendered "loop bound")
+  check_bool "mentions label" true (contains_substring rendered "loop bound");
+  (* The full rendering of a problem with more variables than one
+     allocation of the name table holds. *)
+  let q = Ilp.Problem.create () in
+  let v = Array.init 40 (fun i -> Ilp.Problem.var q (Fmt.str "v%d" i)) in
+  Ilp.Problem.add_eq ~label:"flow" q [ (1, v.(0)); (-1, v.(17)) ] 0;
+  Ilp.Problem.add_ge q [ (3, v.(39)); (1, v.(16)) ] 2;
+  Ilp.Problem.add_le ~label:"cap" q [ (2, v.(38)) ] 5;
+  Ilp.Problem.set_objective q [ (5, v.(0)); (1, v.(39)) ];
+  Alcotest.(check string)
+    "rendering"
+    "maximize 5 v0 + v39\nsubject to:\n  v0 + -1 v17 = 0    ; flow\n\
+    \  3 v39 + v16 >= 2\n  2 v38 <= 5    ; cap\n"
+    (Fmt.to_to_string Ilp.Problem.pp q)
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -505,6 +716,14 @@ let () =
             test_case "fallback count" `Quick test_bb_fallback_stats;
           ]
         @ qsuite [ test_bb_vs_brute_force; test_lp_bounds_ilp ] );
+      ( "presolve",
+        Alcotest.
+          [
+            test_case "planted chains match exact" `Quick test_presolve_planted;
+            test_case "rows that must not merge" `Quick test_presolve_no_merge;
+            test_case "0 = b stays infeasible" `Quick
+              test_presolve_empty_row_infeasible;
+          ] );
       ( "problem",
         Alcotest.[ test_case "pretty printing" `Quick test_problem_pp ] );
     ]

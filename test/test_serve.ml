@@ -539,6 +539,68 @@ let test_rehydrate_identity () =
   check_bool "rehydrated binding constraints" true
     (cold.Wcet.Ipet.binding_constraints = r.Wcet.Ipet.binding_constraints)
 
+(* --- the presolved solver on the wire grid's LPs --- *)
+
+(* Every IPET result behind the 80 analyse/explain wire keys (4 builds x
+   5 targets x L2 x pin; kernel_entry is its syscall and interrupt
+   results) is the one the unreduced LP's exact optimum reads as, and no
+   solve behind them left the presolved float path. *)
+let test_presolve_matches_exact () =
+  let fallbacks = Obs.Metrics.counter "ipet.exact_fallbacks" in
+  let before = Obs.Metrics.value fallbacks in
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  List.iter
+    (fun build_name ->
+      let build = ok (Q.build_of_string build_name) in
+      List.iter
+        (fun target_name ->
+          let entries =
+            match ok (Q.target_of_string target_name) with
+            | Q.Kernel_entry -> [ KM.Syscall; KM.Interrupt ]
+            | Q.Entry e -> [ e ]
+          in
+          List.iter
+            (fun (l2, pin) ->
+              let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
+              List.iter
+                (fun entry ->
+                  let key =
+                    Fmt.str "%s %s/%s l2=%b pin=%b" build_name target_name
+                      (KM.entry_name entry) l2 pin
+                  in
+                  let prepared =
+                    Wcet.Ipet.prepare ~config:ctx.Sel4_rt.Analysis_ctx.config
+                      ~pinned_code:ctx.pins.code ~pinned_data:ctx.pins.data
+                      (KM.spec ~params:ctx.params build entry)
+                  in
+                  let r = Wcet.Ipet.analyse_prepared prepared in
+                  let problem, read = Wcet.Ipet.ilp prepared in
+                  let lp = Ilp.Problem.to_lp problem in
+                  let e =
+                    match Ilp.Simplex.solve_exact lp with
+                    | Ilp.Simplex.Optimal s ->
+                        read (Array.map Ilp.Rat.to_int_exn s.values)
+                    | other ->
+                        Alcotest.failf "%s: exact %a" key Ilp.Simplex.pp_result
+                          other
+                  in
+                  check_int (key ^ " wcet") e.Wcet.Ipet.wcet r.Wcet.Ipet.wcet;
+                  check_bool (key ^ " block_counts") true
+                    (e.block_counts = r.block_counts);
+                  check_bool (key ^ " edge_counts") true
+                    (e.edge_counts = r.edge_counts);
+                  check_bool (key ^ " binding_constraints") true
+                    (e.binding_constraints = r.binding_constraints);
+                  check_int (key ^ " ilp_vars") lp.Ilp.Simplex.num_vars
+                    r.ilp_vars;
+                  check_int (key ^ " ilp_constraints")
+                    (List.length lp.constraints) r.ilp_constraints)
+                entries)
+            [ (false, false); (false, true); (true, false); (true, true) ])
+        [ "kernel_entry"; "syscall"; "interrupt"; "fault"; "undefined" ])
+    [ "improved"; "original"; "benno"; "lazy" ];
+  check_int "ipet.exact_fallbacks" before (Obs.Metrics.value fallbacks)
+
 let () =
   (* The cross-process test re-executes this binary as a cache-populate
      child; the guard must run before Alcotest takes over. *)
@@ -587,5 +649,10 @@ let () =
             test_cross_process_round_trip;
           Alcotest.test_case "rehydrate identity" `Quick
             test_rehydrate_identity;
+        ] );
+      ( "ilp",
+        [
+          Alcotest.test_case "presolve matches exact on the wire grid" `Quick
+            test_presolve_matches_exact;
         ] );
     ]
