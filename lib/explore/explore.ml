@@ -1,11 +1,17 @@
 (* The preemption-schedule campaign: every preemption point of the four
    long-running operations must restart safely (Sections 3.3-3.6).
 
-   A schedule places preemptions at chosen poll indices of an operation's
-   replay ([Inject] supplies the workloads) and runs a client {e action}
-   — a signal, a notification poll, a re-queueing send, or nothing (a
-   "pause") — in the window each preemption opens, before the operation
-   restarts.  Per operation the campaign runs
+   Each operation has a workload: a populated environment, a driver that
+   issues (and restarts) the operation, and a progress measure.  A
+   schedule places preemptions at chosen poll indices of its replay and
+   runs a client {e action} — a signal, a notification poll, a
+   re-queueing send, or nothing (a "pause") — in the window each
+   preemption opens, before the operation restarts.  Schedules are
+   indexed by poll, not by cycle: the poll sequence of an operation is a
+   pure function of the work it has left, so a schedule means the same
+   thing under lazy, Benno and Benno+bitmap scheduling, and the three
+   final states can be compared byte for byte.  Per operation the
+   campaign runs
 
    - the uninterrupted baselines under the three scheduler variants,
      which must agree on poll count H and final-state digest;
@@ -43,11 +49,229 @@
    cover every pause-only interleaving.  The pruning-soundness test
    checks the DPOR construction empirically: naive full enumeration and
    DPOR exploration must reach exactly the same set of final-state
-   digests, with a substantial fraction pruned. *)
+   digests, with a substantial fraction pruned.
+
+   The same replay serves [Race]'s footprint audit ({!audit}): an
+   observer on the driver's kernel entries logs the CPU tracer's loads
+   and stores under the preempt-everywhere schedule. *)
 
 open Sel4.Ktypes
 module K = Sel4.Kernel
 module B = Sel4.Boot
+
+(* --- workload sizes --- *)
+
+type sizes = {
+  sz_waiters : int;  (* blocked senders queued for deletion *)
+  sz_abort_waiters : int;  (* blocked badged senders *)
+  sz_frame_bits : int;  (* retyped frame size (cleared in chunks) *)
+  sz_ptes : int;  (* small pages mapped through the page table *)
+  sz_sections : int;  (* 1 MiB sections mapped in the directory *)
+}
+
+let sizes =
+  {
+    sz_waiters = 12;
+    sz_abort_waiters = 14;
+    sz_frame_bits = 14;
+    sz_ptes = 10;
+    sz_sections = 2;
+  }
+
+(* --- scheduler variants under differential test --- *)
+
+let variants ~(base : Sel4.Build.t) (op : Race.op) =
+  let vspace =
+    (* Preemptible address-space teardown exists only in the shadow
+       design; the ASID design deletes in O(1) with nothing to inject
+       into. *)
+    match op with
+    | Race.Vspace_delete -> Sel4.Build.Shadow_tables
+    | _ -> base.Sel4.Build.vspace
+  in
+  List.map
+    (fun sched ->
+      { base with Sel4.Build.sched; vspace; preemption_points = true })
+    [ Sel4.Build.Lazy; Sel4.Build.Benno; Sel4.Build.Benno_bitmap ]
+
+(* --- operation drivers --- *)
+
+type driver = {
+  d_event : K.event;
+  d_initiator : tcb;
+  d_measure : unit -> int;
+      (* Progress toward completion; must strictly decrease between
+         consecutive preemptions and reach 0 on completion. *)
+}
+
+let expect_done what = function
+  | K.Completed -> ()
+  | K.Preempted -> raise (B.Boot_failure (what ^ ": preempted during setup"))
+  | K.Failed e -> raise (B.Boot_failure (what ^ ": " ^ e))
+
+(* Park [n] low-priority senders on the endpoint at [ep_cptr], sending
+   through [cptr_of i] (a badged or plain endpoint cap). *)
+let park_senders env ~n ~first_slot ~cptr_of =
+  for i = 0 to n - 1 do
+    let sender = B.spawn_thread env ~priority:50 ~dest:(first_slot + i) in
+    B.make_runnable env sender;
+    K.force_run env.B.k sender;
+    expect_done "park sender"
+      (K.kernel_entry env.B.k
+         (K.Ev_send
+            { ep = cptr_of i; msg_len = 1; extra_caps = []; blocking = true }))
+  done;
+  K.force_run env.B.k env.B.root_tcb
+
+let setup_ep_delete env sz =
+  let ep = B.spawn_endpoint env ~dest:10 in
+  park_senders env ~n:sz.sz_waiters ~first_slot:20 ~cptr_of:(fun _ -> B.cptr 10);
+  {
+    d_event = K.Ev_invoke (K.Inv_delete { target = B.cptr 10 });
+    d_initiator = env.B.root_tcb;
+    d_measure =
+      (fun () -> (if ep.ep_active then 1 else 0) + Sel4.Ep_queue.length ep);
+  }
+
+let setup_badged_abort env sz =
+  let ep = B.spawn_endpoint env ~dest:10 in
+  let mint dest badge =
+    expect_done "mint badged cap"
+      (K.run_to_completion env.B.k
+         (K.Ev_invoke
+            (K.Inv_copy
+               {
+                 src = B.cptr 10;
+                 dest_slot = env.B.root_cnode.cn_slots.(dest);
+                 badge = Some badge;
+               })))
+  in
+  mint 11 7;
+  mint 12 9;
+  (* Alternate badges so the abort must scan past non-matching waiters. *)
+  park_senders env ~n:sz.sz_abort_waiters ~first_slot:20 ~cptr_of:(fun i ->
+      B.cptr (if i mod 2 = 0 then 11 else 12));
+  {
+    d_event = K.Ev_invoke (K.Inv_cancel_badged_sends { ep = B.cptr 10; badge = 7 });
+    d_initiator = env.B.root_tcb;
+    d_measure = (fun () -> Sel4.Digest.abort_scan_len ep);
+  }
+
+let setup_retype_clear env sz =
+  let ut =
+    match env.B.ut_slot.cap with
+    | Untyped_cap ut -> ut
+    | _ -> raise (B.Boot_failure "no boot untyped")
+  in
+  let dest_slots =
+    [ env.B.root_cnode.cn_slots.(40); env.B.root_cnode.cn_slots.(41) ]
+  in
+  let uncleared () =
+    match ut.ut_creating with
+    | None -> 0
+    | Some cr ->
+        List.fold_left
+          (fun acc (_, obj) ->
+            acc + Sel4.Objects.size_of obj - Sel4.Objects.cleared_of obj)
+          0 cr.cr_entries
+  in
+  {
+    d_event =
+      K.Ev_invoke
+        (K.Inv_retype
+           {
+             ut = B.ut_cptr;
+             obj_type = Frame_object sz.sz_frame_bits;
+             count = 2;
+             dest_slots;
+           });
+    d_initiator = env.B.root_tcb;
+    d_measure = uncleared;
+  }
+
+let setup_vspace_delete env sz =
+  let slot i = env.B.root_cnode.cn_slots.(i) in
+  ignore (B.retype_syscall env Page_directory_object ~count:1 ~dest:30);
+  ignore (B.retype_syscall env Page_table_object ~count:1 ~dest:31);
+  ignore (B.retype_syscall env (Frame_object 12) ~count:sz.sz_ptes ~dest:32);
+  ignore
+    (B.retype_syscall env (Frame_object 20) ~count:sz.sz_sections
+       ~dest:(32 + sz.sz_ptes));
+  let pd =
+    match (slot 30).cap with
+    | Page_directory_cap { pd; _ } -> pd
+    | _ -> raise (B.Boot_failure "no pd")
+  in
+  expect_done "map pt"
+    (K.run_to_completion env.B.k
+       (K.Ev_invoke
+          (K.Inv_map_page_table { pt = B.cptr 31; pd = B.cptr 30; vaddr = 0 })));
+  for i = 0 to sz.sz_ptes - 1 do
+    expect_done "map frame"
+      (K.run_to_completion env.B.k
+         (K.Ev_invoke
+            (K.Inv_map_frame
+               { frame = B.cptr (32 + i); pd = B.cptr 30; vaddr = i * 4096 })))
+  done;
+  for i = 0 to sz.sz_sections - 1 do
+    expect_done "map section"
+      (K.run_to_completion env.B.k
+         (K.Ev_invoke
+            (K.Inv_map_frame
+               {
+                 frame = B.cptr (32 + sz.sz_ptes + i);
+                 pd = B.cptr 30;
+                 vaddr = (1 + i) * 0x100000;
+               })))
+  done;
+  let live_mappings () =
+    let pt_live pt =
+      let n = ref 0 in
+      for j = 0 to pt_entries_count - 1 do
+        if pt.pt_entries.(j) <> Pte_invalid || pt.pt_shadow.(j) <> None then
+          incr n
+      done;
+      !n
+    in
+    let n = ref 0 in
+    for i = 0 to kernel_pde_first - 1 do
+      match pd.pd_entries.(i) with
+      | Pde_invalid -> if pd.pd_shadow.(i) <> None then incr n
+      | Pde_section _ -> incr n
+      | Pde_page_table pt -> n := !n + 1 + pt_live pt
+      | Pde_kernel -> ()
+    done;
+    !n
+  in
+  {
+    d_event = K.Ev_invoke (K.Inv_delete { target = B.cptr 30 });
+    d_initiator = env.B.root_tcb;
+    d_measure = live_mappings;
+  }
+
+let setup env sz : Race.op -> driver = function
+  | Ep_delete -> setup_ep_delete env sz
+  | Badged_abort -> setup_badged_abort env sz
+  | Retype_clear -> setup_retype_clear env sz
+  | Vspace_delete -> setup_vspace_delete env sz
+
+(* --- shrinking --- *)
+
+(* Greedy one-at-a-time removal, restarting the scan after every
+   successful removal: the result is 1-minimal (removing any single
+   remaining element no longer reproduces the failure). *)
+let shrink ~fails schedule =
+  let remove_nth i l = List.filteri (fun j _ -> j <> i) l in
+  let rec minimise sched =
+    let rec scan i =
+      if i >= List.length sched then sched
+      else
+        let cand = remove_nth i sched in
+        if fails cand then minimise cand else scan (i + 1)
+    in
+    scan 0
+  in
+  minimise schedule
 
 (* --- actions --- *)
 
@@ -139,21 +363,21 @@ let op_sections op =
       ]
   in
   match op with
-  | Inject.Ep_delete | Inject.Badged_abort -> [ ep_sections; irq_deliver ]
-  | Inject.Retype_clear | Inject.Vspace_delete ->
+  | Race.Ep_delete | Race.Badged_abort -> [ ep_sections; irq_deliver ]
+  | Race.Retype_clear | Race.Vspace_delete ->
       (* No client-action scenario names these operations' objects: take
          the class-level catalogue sections, which name no instance and
          so conflict with every one. *)
       List.filter_map
         (fun (s : Race.section) ->
-          if s.sec_op = Some (Inject.op_name op) then Some s.sec_fp else None)
+          if s.sec_op = Some op then Some s.sec_fp else None)
         Race.catalogue
       @ [ irq_deliver ]
 
 let actions_for = function
-  | Inject.Ep_delete -> ep_delete_actions
-  | Inject.Badged_abort -> badged_abort_actions
-  | Inject.Retype_clear | Inject.Vspace_delete -> []
+  | Race.Ep_delete -> ep_delete_actions
+  | Race.Badged_abort -> badged_abort_actions
+  | Race.Retype_clear | Race.Vspace_delete -> []
 
 (* Globally independent: commutes (on digest-visible state) with the
    operation's sections, the IRQ path, and every other action. *)
@@ -174,7 +398,7 @@ let independent_actions op alphabet =
 
 (* --- scenario workload extras --- *)
 
-(* Spawned after [Inject.setup] when the alphabet is not empty: the
+(* Spawned after [setup] when the alphabet is not empty: the
    notifications the actions target and a runnable actor thread per
    acting slot.  Slots 50+ are disjoint from the operation workloads
    (endpoint at 10, badged caps at 11/12, parked senders from 20). *)
@@ -279,11 +503,13 @@ type run = { r_digest : string; r_polls : int; r_restarts : int }
 (* Replay [op] under [build], firing the preemptions of [schedule] and
    running each fired action in the window its preemption opens.  After
    every kernel exit the invariant catalogue runs and the progress
-   measure is checked. *)
-let run_sched ?cpu ~build ~op ~sz ~(schedule : sched) () =
+   measure is checked.  [observe k enter] wraps each of the driver's
+   kernel entries: it must call [enter] once and return its outcome. *)
+let run_sched ?cpu ?(observe = fun _ enter -> enter ()) ~build ~op ~sz
+    ~(schedule : sched) () =
   match
     let env = B.boot ?cpu build in
-    let d = Inject.setup env sz op in
+    let d = setup env sz op in
     extra_setup op env;
     let k = env.B.k in
     K.set_injection_hook k
@@ -306,7 +532,7 @@ let run_sched ?cpu ~build ~op ~sz ~(schedule : sched) () =
         Error "runaway restart loop (no forward progress?)"
       else begin
         K.force_run k d.d_initiator;
-        let outcome = K.kernel_entry k d.d_event in
+        let outcome = observe k (fun () -> K.kernel_entry k d.d_event) in
         let* () = check_invariants k in
         match outcome with
         | K.Failed e -> Error ("kernel reported: " ^ e)
@@ -376,7 +602,7 @@ type failure = {
 }
 
 type op_report = {
-  e_op : Inject.op;
+  e_op : Race.op;
   e_points : int;
   e_runs : int;
   e_max_restarts : int;
@@ -415,12 +641,12 @@ let m_max_restarts = Obs.Metrics.counter "explore.max_restarts"
 
 let vname (b : Sel4.Build.t) = Sel4.Build.sched_name b.sched
 
-(* DPOR's workload is smaller than {!Inject.sizes}: its breadth is the
+(* DPOR's workload is smaller than {!sizes}: its breadth is the
    schedule space, not the object counts, and poll indices must stay
    enumerable. *)
 let dpor_sz =
   {
-    Inject.sz_waiters = 5;
+    sz_waiters = 5;
     sz_abort_waiters = 6;
     sz_frame_bits = 12;
     sz_ptes = 4;
@@ -429,7 +655,7 @@ let dpor_sz =
 
 let run_op ?(naive = false) ?(planted = fun _ -> None) ~depth
     (actx : Sel4_rt.Analysis_ctx.t) op =
-  let builds = Inject.variants ~base:actx.build op in
+  let builds = variants ~base:actx.build op in
   let runs = ref 0 in
   let max_restarts = ref 0 in
   let failures = ref [] in
@@ -484,7 +710,7 @@ let run_op ?(naive = false) ?(planted = fun _ -> None) ~depth
           Obs.Metrics.incr m_shrink_runs;
           Result.is_error (judge ~sz ~builds ~expect cand)
         in
-        let min_schedule = Inject.shrink ~fails schedule in
+        let min_schedule = shrink ~fails schedule in
         failures :=
           {
             x_variant = variant;
@@ -518,7 +744,7 @@ let run_op ?(naive = false) ?(planted = fun _ -> None) ~depth
     (polls, List.length all, List.length explored, digests)
   in
   let no_dpor = (0, 0, 0, []) in
-  let sz = Inject.sizes in
+  let sz = sizes in
   let points, (polls, universe, explored, digests) =
     match check ~sz ~builds ~expect:None [] with
     | None -> (0, no_dpor)
@@ -556,7 +782,7 @@ let run_op ?(naive = false) ?(planted = fun _ -> None) ~depth
   }
 
 let scenario_depth ~depth = function
-  | Inject.Badged_abort -> min depth 2
+  | Race.Badged_abort -> min depth 2
   | _ -> depth
 
 let run ?(depth = 3) (actx : Sel4_rt.Analysis_ctx.t) =
@@ -565,7 +791,7 @@ let run ?(depth = 3) (actx : Sel4_rt.Analysis_ctx.t) =
   let ops =
     List.map
       (fun op -> run_op ~depth:(scenario_depth ~depth op) actx op)
-      Inject.all_ops
+      Race.ops
   in
   List.iter
     (fun o ->
@@ -586,6 +812,58 @@ let run ?(depth = 3) (actx : Sel4_rt.Analysis_ctx.t) =
 
 let ok r = List.for_all (fun o -> o.e_failures = []) r.x_ops
 
+(* --- footprint audit --- *)
+
+(* The audit observes the preempt-everywhere schedule of the sweep under
+   every scheduler variant, on a CPU whose tracer records data loads and
+   stores only inside the driver's kernel entries (never in [force_run]'s
+   context switch or an action).  An entry's accesses belong to the
+   operation's section until its poll fires, and to the IRQ-delivery path
+   after it.  Objects are classified as they stood before the first entry
+   and after the last: retype creates objects mid-run, deletion retires
+   them. *)
+let audit ?catalogue ?(ops = Race.ops) (actx : Sel4_rt.Analysis_ctx.t) =
+  let replay ~build ~op ?cpu ?observe schedule =
+    match run_sched ?cpu ?observe ~build ~op ~sz:sizes ~schedule () with
+    | Ok r -> r
+    | Error e ->
+        invalid_arg (Fmt.str "Explore.audit: %s: %s" (Race.op_name op) e)
+  in
+  List.fold_left
+    (fun report op ->
+      List.fold_left
+        (fun report build ->
+          let h = (replay ~build ~op []).r_polls in
+          let cpu = Hw.Cpu.create Hw.Config.default in
+          let before = ref None and after = ref [] and entries = ref [] in
+          let observe k enter =
+            if Option.is_none !before then before := Some k.K.objects;
+            let polls = K.preempt_polls k in
+            let section = ref [] and irq = ref [] in
+            Hw.Cpu.set_tracer cpu (fun kind addr ->
+                if kind <> Hw.Cpu.Fetch then
+                  let window =
+                    if K.preempt_polls k = polls then section else irq
+                  in
+                  window := (addr, kind = Hw.Cpu.Store) :: !window);
+            let outcome = enter () in
+            Hw.Cpu.clear_tracer cpu;
+            entries :=
+              { Race.el_section = List.rev !section; el_irq = List.rev !irq }
+              :: !entries;
+            after := Any_tcb k.K.idle :: k.K.objects;
+            outcome
+          in
+          ignore
+            (replay ~build ~op ~cpu ~observe
+               (List.init h (fun i -> (i + 1, pause))));
+          Race.audit_add ?catalogue report op
+            ~objects:(Option.value ~default:[] !before @ !after)
+            (List.rev !entries))
+        report
+        (variants ~base:actx.build op))
+    Race.audit_empty ops
+
 (* --- rendering --- *)
 
 let pp_sched ppf s =
@@ -598,7 +876,7 @@ let pp_report ppf r =
   List.iter
     (fun o ->
       Fmt.pf ppf "  %-14s %3d points, %4d runs, max %d restarts: %s@."
-        (Inject.op_name o.e_op) o.e_points o.e_runs o.e_max_restarts
+        (Race.op_name o.e_op) o.e_points o.e_runs o.e_max_restarts
         (if o.e_failures = [] then "ok"
          else Fmt.str "%d FAILURES" (List.length o.e_failures));
       if o.e_alphabet <> [] then
@@ -635,7 +913,7 @@ let to_json r =
   let op o =
     Obj
       [
-        ("name", Str (Inject.op_name o.e_op)); ("points", int o.e_points);
+        ("name", Str (Race.op_name o.e_op)); ("points", int o.e_points);
         ("runs", int o.e_runs); ("max_restarts", int o.e_max_restarts);
         ("depth", int o.e_depth); ("polls", int o.e_polls);
         ("universe", int o.e_universe); ("explored", int o.e_explored);

@@ -7,9 +7,9 @@
     differs across scheduler variants by design.  Two kernel states with
     the same digest are indistinguishable to user level.
 
-    Shared by lib/explore (the differential final-state oracle and
-    schedule deduplication), lib/inject (the badged-abort progress
-    measure, {!abort_scan_len}) and lib/sim (violation forensics). *)
+    Shared by lib/explore (the differential final-state oracle, schedule
+    deduplication and the badged-abort progress measure,
+    {!abort_scan_len}) and lib/sim (violation forensics). *)
 
 val of_kernel : Kernel.t -> string
 (** Render the canonical state.  Insensitive to hash-table iteration

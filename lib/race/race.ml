@@ -32,14 +32,23 @@
    interference relation is what the DPOR explorer prunes with; the full
    relation is reported alongside it.
 
-   The declared footprints are audited against reality: the audit replays
-   each operation on a simulated CPU, preempting at every poll, records
-   every data load and store its tracer ({!Hw.Cpu.set_tracer}) reports,
-   and fails if any of them classifies to a variable outside the
-   executing section's declared footprint. *)
+   The declared footprints are audited against reality: the campaign's
+   preempt-everywhere replay of each operation ({!Explore.audit}) logs
+   every data load and store of its kernel entries, and {!audit_add}
+   fails any that classifies to a variable outside the executing
+   section's declared footprint. *)
 
-module K = Sel4.Kernel
-module B = Sel4.Boot
+(* --- the operations --- *)
+
+type op = Ep_delete | Badged_abort | Retype_clear | Vspace_delete
+
+let ops = [ Ep_delete; Badged_abort; Retype_clear; Vspace_delete ]
+
+let op_name = function
+  | Ep_delete -> "ep_delete"
+  | Badged_abort -> "badged_abort"
+  | Retype_clear -> "retype_clear"
+  | Vspace_delete -> "vspace_delete"
 
 type cls =
   | Tcb
@@ -126,7 +135,13 @@ let independent ?semantic_only f1 f2 = conflicts ?semantic_only f1 f2 = []
 
 (* --- the section catalogue --- *)
 
-type section = { sec_name : string; sec_op : string option; sec_fp : footprint }
+type section = { sec_name : string; sec_op : op option; sec_fp : footprint }
+
+let step op fp =
+  { sec_name = op_name op ^ ".step"; sec_op = Some op; sec_fp = fp }
+
+let finalise op fp =
+  { sec_name = op_name op ^ ".finalise"; sec_op = Some op; sec_fp = fp }
 
 (* Every kernel entry shares the entry/exit overhead: the stack save and
    restore, a capability lookup during decode, and the pending-word load
@@ -136,60 +151,29 @@ let overhead = rw Kernel_stack @ [ r Cap; r Irq_state ]
 let catalogue : section list =
   [
     (* §3.3: one waiter dequeued and woken per preemption point. *)
-    {
-      sec_name = "ep_delete.step";
-      sec_op = Some "ep_delete";
-      sec_fp = overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues;
-    };
+    step Ep_delete (overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues);
     (* The final entry also retires the capability: slot cleared, CDT
        unlinked. *)
-    {
-      sec_name = "ep_delete.finalise";
-      sec_op = Some "ep_delete";
-      sec_fp =
-        overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues
-        @ [ w Cap; w Cdt_links ];
-    };
+    finalise Ep_delete
+      (overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues
+      @ [ w Cap; w Cdt_links ]);
     (* §3.4: the abort cursor scans one queued sender per point, waking
        badge matches. *)
-    {
-      sec_name = "badged_abort.step";
-      sec_op = Some "badged_abort";
-      sec_fp = overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues;
-    };
-    {
-      sec_name = "badged_abort.finalise";
-      sec_op = Some "badged_abort";
-      sec_fp = overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues;
-    };
+    step Badged_abort (overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues);
+    finalise Badged_abort (overhead @ rw Endpoint @ rw Tcb @ rw Sched_queues);
     (* §3.5: one chunk of the new objects cleared per point; the watermark
        and creation cursor live in the untyped. *)
-    {
-      sec_name = "retype_clear.step";
-      sec_op = Some "retype_clear";
-      sec_fp = overhead @ rw Untyped @ [ w Frame ];
-    };
+    step Retype_clear (overhead @ rw Untyped @ [ w Frame ]);
     (* The final entry installs the created caps into their slots. *)
-    {
-      sec_name = "retype_clear.finalise";
-      sec_op = Some "retype_clear";
-      sec_fp = overhead @ rw Untyped @ [ w Frame; w Cap; w Cdt_links ];
-    };
+    finalise Retype_clear
+      (overhead @ rw Untyped @ [ w Frame; w Cap; w Cdt_links ]);
     (* §3.6: one mapping entry unwound per point (shadow design); frame
        caps' mapping slots are rewritten as entries die. *)
-    {
-      sec_name = "vspace_delete.step";
-      sec_op = Some "vspace_delete";
-      sec_fp = overhead @ rw Page_dir @ rw Page_table @ [ w Cap ];
-    };
+    step Vspace_delete (overhead @ rw Page_dir @ rw Page_table @ [ w Cap ]);
     (* Completion releases the ASID and retires the PD cap. *)
-    {
-      sec_name = "vspace_delete.finalise";
-      sec_op = Some "vspace_delete";
-      sec_fp =
-        overhead @ rw Page_dir @ rw Page_table @ rw Asid_pool @ rw Asid_table
-        @ [ w Cap; w Cdt_links ];
-    };
+    finalise Vspace_delete
+      (overhead @ rw Page_dir @ rw Page_table @ rw Asid_pool @ rw Asid_table
+      @ [ w Cap; w Cdt_links ]);
     (* The IRQ-delivery path taken after a preemption: acknowledge, requeue
        the preempted thread (timer tick), reschedule, restore the stack.
        With no handler registered it touches no semantic state beyond the
@@ -258,18 +242,15 @@ let matrix () =
 (* --- Owicki-Gries non-interference report --- *)
 
 (* What each operation's progress measure reads (the [d_measure] closures
-   of the injection drivers): the variables whose perturbation could break
-   the strict-decrease restart guarantee. *)
+   of the campaign's drivers): the variables whose perturbation could
+   break the strict-decrease restart guarantee. *)
 let measure_reads = function
-  | "ep_delete" | "badged_abort" -> [ Endpoint ]
-  | "retype_clear" -> [ Untyped; Frame ]
-  | "vspace_delete" -> [ Page_table; Page_dir ]
-  | op -> invalid_arg ("Race.measure_reads: unknown op " ^ op)
-
-let ops = [ "ep_delete"; "badged_abort"; "retype_clear"; "vspace_delete" ]
+  | Ep_delete | Badged_abort -> [ Endpoint ]
+  | Retype_clear -> [ Untyped; Frame ]
+  | Vspace_delete -> [ Page_table; Page_dir ]
 
 type og_row = {
-  og_op : string;
+  og_op : op;
   og_reads : cls list;  (* the progress measure's read set *)
   og_perturbers : string list;
       (* foreign sections writing into it: the interference an O-G proof
@@ -378,129 +359,83 @@ type audit_report = {
 
 let audit_ok a = a.ar_violations = []
 
-(* Replay one operation under one build, preempting at *every* poll so
-   each kernel entry executes exactly one preemption-delimited section.
-   The CPU tracer sees every data access in order, as the cache model
-   does (a block clear is one store per line); everything before the poll
-   fires is attributed to the operation's section and everything after
-   (the unwind, the interrupt handler, the exit path) to the IRQ-delivery
-   path.  Instruction fetches are not state accesses and are ignored. *)
-let audit_one ~catalogue ~build ~op ~violations ~entries ~accesses =
-  let cpu = Hw.Cpu.create Hw.Config.default in
-  let env = B.boot ~cpu build in
-  let d = Inject.setup env Inject.sizes op in
-  let k = env.B.k in
-  let op_name = Inject.op_name op in
-  let step_fp = (List.find (fun s -> s.sec_name = op_name ^ ".step") catalogue).sec_fp in
-  let final_fp =
-    step_fp
-    @ (List.find (fun s -> s.sec_name = op_name ^ ".finalise") catalogue).sec_fp
-  in
-  let irq_fp = (List.find (fun s -> s.sec_name = "irq.deliver") catalogue).sec_fp in
-  (* Raw access log: (addr, is_write, window).  Windows are numbered
-     2*entry for the section and 2*entry+1 for the IRQ tail. *)
-  let log = ref [] in
-  let recording = ref false in
-  let entry = ref 0 in
-  let in_tail = ref false in
-  Hw.Cpu.set_tracer cpu (fun kind addr ->
-      if !recording && kind <> Hw.Cpu.Fetch then
-        log :=
-          (addr, kind = Store, (2 * !entry) + Bool.to_int !in_tail) :: !log);
-  K.set_injection_hook k
-    (Some
-       (fun _ ->
-         in_tail := true;
-         true));
-  let pre_objects = k.K.objects in
-  let max_entries = 4096 in
-  let rec drive n =
-    if n > max_entries then invalid_arg "Race.audit: runaway restart loop"
-    else begin
-      K.force_run k d.d_initiator;
-      entry := n;
-      in_tail := false;
-      recording := true;
-      let outcome = K.kernel_entry k d.d_event in
-      recording := false;
-      match outcome with
-      | K.Preempted -> drive (n + 1)
-      | K.Completed -> n
-      | K.Failed e -> invalid_arg ("Race.audit: op failed: " ^ e)
-    end
-  in
-  let last = drive 0 in
-  Hw.Cpu.clear_tracer cpu;
-  K.set_injection_hook k None;
-  (* Classify against every object that existed at setup or at the end:
-     retype creates objects mid-run, deletion retires them. *)
+let audit_empty =
+  { ar_runs = 0; ar_entries = 0; ar_accesses = 0; ar_violations = [] }
+
+type entry_log = { el_section : (int * bool) list; el_irq : (int * bool) list }
+
+(* One replay of [op] preempted at *every* poll, so each kernel entry
+   executes exactly one preemption-delimited section.  What an entry
+   accessed before its poll fired belongs to the operation's section (the
+   finalise section on the last entry, which completes); everything after
+   it (the unwind, the interrupt handler, the exit path) to the
+   IRQ-delivery path.  Windows are numbered 2*entry for the section and
+   2*entry+1 for the IRQ tail; each (window, address, direction) counts
+   once. *)
+let audit_add ?(catalogue = catalogue) report op ~objects entries =
+  let fp name = (List.find (fun s -> s.sec_name = name) catalogue).sec_fp in
+  let step_name = op_name op ^ ".step" in
+  let final_name = op_name op ^ ".finalise" in
+  let step_fp = fp step_name in
+  let final_fp = step_fp @ fp final_name in
+  let irq_fp = fp "irq.deliver" in
   let ranges =
     let seen = Hashtbl.create 64 in
-    let add acc obj =
-      let id = Sel4.Objects.id_of obj in
-      if Hashtbl.mem seen id then acc
-      else begin
-        Hashtbl.add seen id ();
-        range_of_object obj :: acc
-      end
-    in
-    let acc = List.fold_left add [] pre_objects in
-    let acc = List.fold_left add acc k.K.objects in
-    range_of_object (Sel4.Ktypes.Any_tcb k.K.idle) :: (globals @ acc)
+    globals
+    @ List.filter_map
+        (fun obj ->
+          let id = Sel4.Objects.id_of obj in
+          if Hashtbl.mem seen id then None
+          else begin
+            Hashtbl.add seen id ();
+            Some (range_of_object obj)
+          end)
+        objects
   in
-  let dedup = Hashtbl.create 256 in
-  List.iter
-    (fun (addr, write, window) ->
-      if not (Hashtbl.mem dedup (addr, write, window)) then begin
-        Hashtbl.add dedup (addr, write, window) ();
-        incr accesses;
-        let ent = window / 2 in
-        let tail = window land 1 = 1 in
-        let fp, name =
-          if tail then (irq_fp, "irq.deliver")
-          else if ent = last then (final_fp, op_name ^ ".finalise")
-          else (step_fp, op_name ^ ".step")
-        in
-        match classify ranges addr with
-        | None ->
-            violations :=
-              { av_section = name; av_cls = Kernel_stack; av_write = write;
-                av_addr = addr }
-              :: !violations
-        | Some r ->
-            if not (covers fp r.r_cls ~write) then
-              violations :=
-                { av_section = name; av_cls = r.r_cls; av_write = write;
-                  av_addr = addr }
-                :: !violations
-      end)
-    !log;
-  entries := !entries + ((2 * last) + 1)
-
-let audit ?(catalogue = catalogue) ?(ops = Inject.all_ops)
-    (actx : Sel4_rt.Analysis_ctx.t) =
-  let violations = ref [] in
-  let entries = ref 0 in
+  let last = List.length entries - 1 in
+  let seen = Hashtbl.create 256 in
   let accesses = ref 0 in
-  let runs = ref 0 in
-  List.iter
-    (fun op ->
-      List.iter
-        (fun build ->
-          incr runs;
-          Obs.Metrics.incr m_audit_runs;
-          audit_one ~catalogue ~build ~op ~violations ~entries ~accesses)
-        (Inject.variants ~base:actx.Sel4_rt.Analysis_ctx.build op))
-    ops;
+  let violations = ref [] in
+  let check window (name, fp) (addr, write) =
+    if not (Hashtbl.mem seen (window, addr, write)) then begin
+      Hashtbl.add seen (window, addr, write) ();
+      incr accesses;
+      let escaped =
+        match classify ranges addr with
+        | None -> Some Kernel_stack
+        | Some r -> if covers fp r.r_cls ~write then None else Some r.r_cls
+      in
+      Option.iter
+        (fun cls ->
+          violations :=
+            {
+              av_section = name;
+              av_cls = cls;
+              av_write = write;
+              av_addr = addr;
+            }
+            :: !violations)
+        escaped
+    end
+  in
+  List.iteri
+    (fun i e ->
+      let section =
+        if i = last then (final_name, final_fp) else (step_name, step_fp)
+      in
+      List.iter (check (2 * i) section) e.el_section;
+      List.iter (check ((2 * i) + 1) ("irq.deliver", irq_fp)) e.el_irq)
+    entries;
+  Obs.Metrics.incr m_audit_runs;
   Obs.Metrics.incr ~by:!accesses m_audit_accesses;
   Obs.Metrics.incr ~by:(List.length !violations) m_audit_violations;
   Obs.Metrics.set_counter m_sections (List.length catalogue);
   Obs.Metrics.set_counter m_pairs (List.length (matrix ()));
   {
-    ar_runs = !runs;
-    ar_entries = !entries;
-    ar_accesses = !accesses;
-    ar_violations = List.rev !violations;
+    ar_runs = report.ar_runs + 1;
+    ar_entries = report.ar_entries + (2 * last) + 1;
+    ar_accesses = report.ar_accesses + !accesses;
+    ar_violations = report.ar_violations @ List.rev !violations;
   }
 
 (* --- rendering --- *)
@@ -524,7 +459,7 @@ let pp_og ppf () =
   Fmt.pf ppf "progress-measure non-interference (Owicki-Gries):@.";
   List.iter
     (fun row ->
-      Fmt.pf ppf "  %-14s measure reads {%s}@." row.og_op
+      Fmt.pf ppf "  %-14s measure reads {%s}@." (op_name row.og_op)
         (String.concat "," (List.map cls_name row.og_reads));
       Fmt.pf ppf "    can perturb:   %s@."
         (if row.og_perturbers = [] then "-"
@@ -560,7 +495,8 @@ let to_json audit_report =
     in
     Obj
       [
-        ("name", Str s.sec_name); ("op", option (fun op -> Str op) s.sec_op);
+        ("name", Str s.sec_name);
+        ("op", option (fun op -> Str (op_name op)) s.sec_op);
         ("reads", fp false); ("writes", fp true);
       ]
   in
@@ -574,7 +510,8 @@ let to_json audit_report =
   let og_row row =
     Obj
       [
-        ("op", Str row.og_op); ("measure_reads", classes row.og_reads);
+        ("op", Str (op_name row.og_op));
+        ("measure_reads", classes row.og_reads);
         ("perturbers", strings row.og_perturbers); ("safe", strings row.og_safe);
       ]
   in

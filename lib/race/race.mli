@@ -9,11 +9,25 @@
     digest-visible ({e semantic}) state commute, which is what the DPOR
     explorer ({!Explore}) prunes with.
 
-    The declarations are not trusted: {!audit} replays every operation
-    on a simulated CPU, preempting at every poll, records the data loads
-    and stores its tracer ({!Hw.Cpu.set_tracer}) reports, and reports
+    The declarations are not trusted: [Explore.audit] observes the
+    campaign's preempt-everywhere replay of every operation, logging the
+    data loads and stores of each kernel entry, and {!audit_add} reports
     any access that escapes the executing section's declared
     footprint. *)
+
+(** {1 Operations} *)
+
+type op =
+  | Ep_delete  (** endpoint deletion, one dequeue per point (§3.3) *)
+  | Badged_abort  (** badged-send cancellation, cursor on the endpoint (§3.4) *)
+  | Retype_clear  (** retype with chunked object clearing (§3.5) *)
+  | Vspace_delete  (** shadow address-space teardown, per-entry points (§3.6) *)
+
+val ops : op list
+
+val op_name : op -> string
+(** The one printed name of each operation: section names, reports and
+    JSON all use it. *)
 
 (** {1 State variables} *)
 
@@ -64,7 +78,7 @@ val independent : ?semantic_only:bool -> footprint -> footprint -> bool
 
 type section = {
   sec_name : string;  (** e.g. ["ep_delete.step"], ["irq.deliver"] *)
-  sec_op : string option;  (** owning operation, [None] for the IRQ path *)
+  sec_op : op option;  (** owning operation, [None] for the IRQ path *)
   sec_fp : footprint;
 }
 
@@ -91,10 +105,8 @@ val matrix : unit -> pair list
 
 (** {1 Owicki-Gries non-interference report} *)
 
-val ops : string list
-
 type og_row = {
-  og_op : string;
+  og_op : op;
   og_reads : cls list;
   og_perturbers : string list;
       (** foreign sections writing into the measure's read set: the
@@ -120,15 +132,30 @@ type audit_report = {
   ar_violations : audit_violation list;
 }
 
-val audit :
+val audit_empty : audit_report
+(** No runs yet: what {!audit_add} folds from. *)
+
+type entry_log = {
+  el_section : (int * bool) list;
+      (** (address, is store) before the entry's poll fired, in order *)
+  el_irq : (int * bool) list;
+      (** the rest: unwind, interrupt path and exit *)
+}
+(** The data loads and stores of one kernel entry of a replay that
+    preempts at every poll. *)
+
+val audit_add :
   ?catalogue:section list ->
-  ?ops:Inject.op list ->
-  Sel4_rt.Analysis_ctx.t ->
+  audit_report ->
+  op ->
+  objects:Sel4.Ktypes.any_object list ->
+  entry_log list ->
   audit_report
-(** Replay each operation under every scheduler variant, preempting at
-    every poll so each kernel entry executes exactly one section, with
-    the CPU tracer attached.  Every data load and store is classified
-    (globals by the {!Sel4.Layout} map, objects by registered address
+(** Add one replay of the operation, its kernel entries in order: each
+    one but the last executes the operation's step section until its
+    poll fires and the IRQ-delivery path after it; the last, which
+    completes, executes the finalise section.  Every distinct access is
+    classified (globals by the {!Sel4.Layout} map, [objects] by address
     range, smallest containing range first) and checked against the
     executing section's declared footprint.  [catalogue] substitutes a
     corrupted table — the hook the planted-violation tests use. *)

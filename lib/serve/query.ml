@@ -141,7 +141,7 @@ let exec_exn = function
         Smp_soak
           (Smp.Soak.run ~seed ?entries ~smoke ?inv_every ?only:(only scenarios)
              ~cores ~policy ())
-  | Race -> Race_audit (Race.audit Sel4_rt.Analysis_ctx.default)
+  | Race -> Race_audit (Explore.audit Sel4_rt.Analysis_ctx.default)
   | Explore { depth } ->
       Explore_report (Explore.run ?depth Sel4_rt.Analysis_ctx.default)
 

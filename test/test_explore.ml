@@ -19,27 +19,27 @@ let run_op = Explore.run_op
 (* --- the static classification feeding the pruner --- *)
 
 let test_independent_actions () =
-  let alphabet = Explore.actions_for Inject.Ep_delete in
-  let indep = Explore.independent_actions Inject.Ep_delete alphabet in
+  let alphabet = Explore.actions_for Race.Ep_delete in
+  let indep = Explore.independent_actions Race.Ep_delete alphabet in
   check_bool "pause is independent" true (List.mem "pause" indep);
   check_bool "signal_b is independent" true (List.mem "signal_b" indep);
   (* The planted non-commuting pair must be classified as decisions. *)
   check_bool "signal_a is a decision" false (List.mem "signal_a" indep);
   check_bool "poll_a is a decision" false (List.mem "poll_a" indep);
-  let ab = Explore.actions_for Inject.Badged_abort in
-  let ab_indep = Explore.independent_actions Inject.Badged_abort ab in
+  let ab = Explore.actions_for Race.Badged_abort in
+  let ab_indep = Explore.independent_actions Race.Badged_abort ab in
   check_bool "requeue conflicts with the abort" false
     (List.mem "requeue" ab_indep);
   List.iter
     (fun op ->
       check_int
-        (Inject.op_name op ^ " has no client actions")
+        (Race.op_name op ^ " has no client actions")
         0
         (List.length (Explore.actions_for op)))
-    [ Inject.Retype_clear; Inject.Vspace_delete ]
+    [ Race.Retype_clear; Race.Vspace_delete ]
 
 let test_universe_counts () =
-  let alphabet = Explore.actions_for Inject.Ep_delete in
+  let alphabet = Explore.actions_for Race.Ep_delete in
   (* sum over d of C(polls, d) * P(|A|, d) *)
   check_int "depth 1" 16 (List.length (Explore.universe ~polls:4 ~depth:1 alphabet));
   check_int "depth 2" (16 + 72)
@@ -52,8 +52,8 @@ let test_universe_counts () =
     (List.length (Explore.universe ~polls:4 ~depth:5 alphabet))
 
 let test_canonical_counts () =
-  let alphabet = Explore.actions_for Inject.Ep_delete in
-  let indep = Explore.independent_actions Inject.Ep_delete alphabet in
+  let alphabet = Explore.actions_for Race.Ep_delete in
+  let indep = Explore.independent_actions Race.Ep_delete alphabet in
   let all = Explore.universe ~polls:4 ~depth:3 alphabet in
   let canon = List.filter (Explore.canonical ~polls:4 ~indep) all in
   (* Every schedule has exactly one canonical representative, so pruning
@@ -76,8 +76,8 @@ let test_canonical_counts () =
 (* --- pruning soundness: naive and DPOR reach the same digest set --- *)
 
 let test_pruning_soundness_depth3 () =
-  let naive = run_op ~naive:true ~depth:3 ctx Inject.Ep_delete in
-  let dpor = run_op ~depth:3 ctx Inject.Ep_delete in
+  let naive = run_op ~naive:true ~depth:3 ctx Race.Ep_delete in
+  let dpor = run_op ~depth:3 ctx Race.Ep_delete in
   check_bool "naive run is clean" true (naive.Explore.e_failures = []);
   check_bool "dpor run is clean" true (dpor.Explore.e_failures = []);
   check_int "naive explores the whole universe" naive.Explore.e_universe
@@ -96,7 +96,7 @@ let test_pruning_soundness_depth3 () =
 (* --- the planted non-commuting pair is never pruned --- *)
 
 let test_non_commuting_pair_explored () =
-  let dpor = run_op ~depth:2 ctx Inject.Ep_delete in
+  let dpor = run_op ~depth:2 ctx Race.Ep_delete in
   let digest_of sched =
     match List.assoc_opt sched dpor.Explore.e_digests with
     | Some d -> d
@@ -120,34 +120,34 @@ let test_non_commuting_pair_explored () =
    exit, and the polls of the whole run. *)
 let preempted_exits ~build ~sz op schedule =
   let env = Sel4.Boot.boot build in
-  let d = Inject.setup env sz op in
+  let d = Explore.setup env sz op in
   let k = env.Sel4.Boot.k in
   Sel4.Kernel.set_injection_hook k (Some (fun poll -> List.mem poll schedule));
   let rec go acc =
-    Sel4.Kernel.force_run k d.Inject.d_initiator;
-    match Sel4.Kernel.kernel_entry k d.Inject.d_event with
+    Sel4.Kernel.force_run k d.Explore.d_initiator;
+    match Sel4.Kernel.kernel_entry k d.Explore.d_event with
     | Sel4.Kernel.Preempted ->
         go
           (( Sel4.Kernel.preempt_polls k,
              Sel4.Digest.of_kernel k,
-             d.Inject.d_measure () )
+             d.Explore.d_measure () )
           :: acc)
     | Sel4.Kernel.Completed -> (List.rev acc, Sel4.Kernel.preempt_polls k)
-    | Sel4.Kernel.Failed e -> Alcotest.failf "%s failed: %s" (Inject.op_name op) e
+    | Sel4.Kernel.Failed e -> Alcotest.failf "%s failed: %s" (Race.op_name op) e
   in
   let result = go [] in
   Sel4.Kernel.set_injection_hook k None;
   result
 
 let test_pause_schedules_match_sweep () =
-  let sz = Inject.sizes in
+  let sz = Explore.sizes in
   let runs = ref 0 in
   List.iter
     (fun op ->
       List.iter
         (fun build ->
           let name =
-            Inject.op_name op ^ "/"
+            Race.op_name op ^ "/"
             ^ Sel4.Build.sched_name build.Sel4.Build.sched
           in
           let exits schedule =
@@ -197,8 +197,8 @@ let test_pause_schedules_match_sweep () =
                   true
                   (m < List.nth measures (i - 1)))
             measures)
-        (Inject.variants ~base:ctx.Sel4_rt.Analysis_ctx.build op))
-    Inject.all_ops;
+        (Explore.variants ~base:ctx.Sel4_rt.Analysis_ctx.build op))
+    Race.ops;
   check_bool "covers every 2- and 3-pause schedule" true (!runs > 500)
 
 (* --- determinism and the campaign entry point --- *)
@@ -209,7 +209,7 @@ let test_deterministic () =
   check_bool "identical reports" true (r1 = r2)
 
 let test_exhaustive_ep_delete () =
-  let o = run_op ~depth:2 ctx Inject.Ep_delete in
+  let o = run_op ~depth:2 ctx Race.Ep_delete in
   check_bool "no failures" true (o.Explore.e_failures = []);
   check_bool "covers preemption points" true (o.Explore.e_points > 0);
   (* 3 uninterrupted baselines + (each point alone + all at once) x 3
@@ -223,11 +223,11 @@ let test_all_ops () =
   let r = Explore.run ctx in
   check_bool "all four ops pass" true (Explore.ok r);
   Alcotest.(check (list string))
-    "four ops" (List.map Inject.op_name Inject.all_ops)
-    (List.map (fun o -> Inject.op_name o.Explore.e_op) r.Explore.x_ops);
+    "four ops" (List.map Race.op_name Race.ops)
+    (List.map (fun o -> Race.op_name o.Explore.e_op) r.Explore.x_ops);
   List.iter
     (fun o ->
-      let name = Inject.op_name o.Explore.e_op in
+      let name = Race.op_name o.Explore.e_op in
       check_bool (name ^ " polls preemption points") true (o.Explore.e_points > 0);
       check_bool (name ^ " forced restarts") true (o.Explore.e_max_restarts > 0))
     r.Explore.x_ops
@@ -263,7 +263,7 @@ let test_badged_abort_requeue () =
   (* The cross-op interference scenario: a client re-queues on the
      endpoint mid-abort.  Every schedule must satisfy the measure oracle
      (the scan bound was captured at start) and the differential oracle. *)
-  let r = run_op ~depth:2 ctx Inject.Badged_abort in
+  let r = run_op ~depth:2 ctx Race.Badged_abort in
   check_bool "badged_abort scenario is clean" true (r.Explore.e_failures = []);
   check_bool "explored requeue schedules" true
     (List.exists
@@ -274,7 +274,7 @@ let test_failing_baseline () =
   (* A failing uninterrupted run is a recorded failure of the campaign,
      not an exception: nothing else runs for that operation. *)
   let planted s = if s = [] then Some "planted: reference broken" else None in
-  let o = run_op ~planted ~depth:2 ctx Inject.Ep_delete in
+  let o = run_op ~planted ~depth:2 ctx Race.Ep_delete in
   (match o.Explore.e_failures with
   | [ f ] ->
       Alcotest.(check string) "planted verdict" "planted" f.Explore.x_variant;
@@ -298,10 +298,10 @@ let test_shrink_minimal () =
   (* The failure needs 3 and 7 together; everything else is noise. *)
   let fails s = List.mem 3 s && List.mem 7 s in
   check_int_list "noise removed" [ 3; 7 ]
-    (Inject.shrink ~fails [ 1; 3; 5; 7; 9 ]);
-  check_int_list "already minimal" [ 2 ] (Inject.shrink ~fails:(List.mem 2) [ 2 ]);
+    (Explore.shrink ~fails [ 1; 3; 5; 7; 9 ]);
+  check_int_list "already minimal" [ 2 ] (Explore.shrink ~fails:(List.mem 2) [ 2 ]);
   (* 1-minimality: removing any element of the result must not fail. *)
-  let result = Inject.shrink ~fails [ 9; 7; 5; 3; 1 ] in
+  let result = Explore.shrink ~fails [ 9; 7; 5; 3; 1 ] in
   check_bool "result still fails" true (fails result);
   List.iteri
     (fun i _ ->
@@ -318,7 +318,7 @@ let test_planted_failure_is_shrunk () =
     if List.length s >= 2 then Some "planted: double preemption mishandled"
     else None
   in
-  let o = run_op ~planted ~depth:2 ctx Inject.Ep_delete in
+  let o = run_op ~planted ~depth:2 ctx Race.Ep_delete in
   check_bool "at least one failure" true (o.Explore.e_failures <> []);
   let everywhere = List.init o.Explore.e_points (fun i -> (i + 1, "pause")) in
   check_bool "preempt-everywhere schedule caught it" true

@@ -34,8 +34,8 @@ let test_catalogue_shape () =
   check_int "ten sections" 10 (List.length Race.catalogue);
   List.iter
     (fun op ->
-      ignore (Race.section_exn (op ^ ".step"));
-      ignore (Race.section_exn (op ^ ".finalise")))
+      ignore (Race.section_exn (Race.op_name op ^ ".step"));
+      ignore (Race.section_exn (Race.op_name op ^ ".finalise")))
     Race.ops;
   ignore (Race.section_exn "irq.deliver");
   ignore (Race.section_exn "irq.deliver_bound");
@@ -71,11 +71,11 @@ let test_og_report () =
   (* The badged-abort sections write the endpoint state ep-delete's
      measure reads: an O-G proof must reason about that pair. *)
   check_bool "badged_abort perturbs ep_delete's measure" true
-    (List.mem "badged_abort.step" (row "ep_delete").Race.og_perturbers);
+    (List.mem "badged_abort.step" (row Race.Ep_delete).Race.og_perturbers);
   (* Retype's measure (watermark, cleared bytes) is untouched by every
      foreign section. *)
   check_int "retype_clear measure is isolated" 0
-    (List.length (row "retype_clear").Race.og_perturbers);
+    (List.length (row Race.Retype_clear).Race.og_perturbers);
   check_bool "irq.deliver never perturbs any measure" true
     (List.for_all
        (fun r -> not (List.mem "irq.deliver" r.Race.og_perturbers))
@@ -84,12 +84,29 @@ let test_og_report () =
 (* --- the soundness audit --- *)
 
 let test_audit_clean () =
-  let a = Race.audit ctx in
+  let a = Explore.audit ctx in
   check_bool "runs all ops x variants" true (a.Race.ar_runs >= 12);
   check_bool "recorded accesses" true (a.Race.ar_accesses > 1000);
   check_int "no access escapes its declared footprint" 0
     (List.length a.Race.ar_violations);
   check_bool "audit_ok" true (Race.audit_ok a)
+
+(* The audit observes the sweep's preempt-everywhere schedule: one run per
+   operation x scheduler variant, and 2H+1 windows in each (H step
+   sections, H IRQ tails, one finalise), H the sweep's point count. *)
+let test_audit_in_step_with_sweep () =
+  let a = Explore.audit ctx in
+  let sweep = Explore.run ctx in
+  check_int "one run per op x variant" 12 a.Race.ar_runs;
+  check_int "2H+1 windows per run, H from the sweep"
+    (List.fold_left
+       (fun acc o ->
+         let variants =
+           Explore.variants ~base:ctx.Sel4_rt.Analysis_ctx.build o.Explore.e_op
+         in
+         acc + (List.length variants * ((2 * o.Explore.e_points) + 1)))
+       0 sweep.Explore.x_ops)
+    a.Race.ar_entries
 
 let test_audit_catches_planted_corruption () =
   (* Drop a known write (Tcb, written when waking each dequeued waiter)
@@ -111,7 +128,7 @@ let test_audit_catches_planted_corruption () =
       Race.catalogue
   in
   let a =
-    Race.audit ~catalogue:corrupted ~ops:[ Inject.Ep_delete ] ctx
+    Explore.audit ~catalogue:corrupted ~ops:[ Race.Ep_delete ] ctx
   in
   check_bool "corruption detected" true (List.length a.Race.ar_violations > 0);
   List.iter
@@ -145,7 +162,7 @@ let test_audit_catches_missing_section_state () =
       Race.catalogue
   in
   let a =
-    Race.audit ~catalogue:corrupted ~ops:[ Inject.Ep_delete ] ctx
+    Explore.audit ~catalogue:corrupted ~ops:[ Race.Ep_delete ] ctx
   in
   check_bool "finalise corruption detected" true
     (List.exists
@@ -158,7 +175,7 @@ let contains s sub =
   go 0
 
 let test_json_renders () =
-  let a = Race.audit ctx in
+  let a = Explore.audit ctx in
   let j = Obs.Json.to_string (Race.to_json a) in
   check_bool "mentions sections" true (contains j "\"sections\"");
   check_bool "mentions og" true (contains j "\"og\"");
@@ -178,6 +195,8 @@ let () =
         [
           Alcotest.test_case "declared footprints cover reality" `Slow
             test_audit_clean;
+          Alcotest.test_case "audit stays in step with the sweep" `Slow
+            test_audit_in_step_with_sweep;
           Alcotest.test_case "planted step corruption is caught" `Slow
             test_audit_catches_planted_corruption;
           Alcotest.test_case "planted finalise corruption is caught" `Slow
