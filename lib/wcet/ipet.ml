@@ -195,10 +195,8 @@ let ilp ?(sources : sources = `All)
       (fun b -> (b, Ilp.Problem.var problem (Fmt.str "d_exit%d" b)))
       (Cfg.Flowgraph.exits fn)
   in
-  Ilp.Problem.add_eq ~label:"one entry" problem [ (1, entry_var) ] 1;
-  Ilp.Problem.add_eq ~label:"one exit" problem
-    (List.map (fun (_, v) -> (1, v)) exit_vars)
-    1;
+  Ilp.Problem.add_eq problem [ (1, entry_var) ] 1;
+  Ilp.Problem.add_eq problem (List.map (fun (_, v) -> (1, v)) exit_vars) 1;
   let preds = p.preds in
   Array.iter
     (fun (b : Timing.t Cfg.Flowgraph.block) ->
@@ -214,14 +212,10 @@ let ilp ?(sources : sources = `All)
         | Some v -> [ (1, v) ]
         | None -> []
       in
-      Ilp.Problem.add_eq
-        ~label:(Fmt.str "flow in %d" id)
-        problem
+      Ilp.Problem.add_eq problem
         ((1, x.(id)) :: List.map (fun (c, v) -> (-c, v)) inflow)
         0;
-      Ilp.Problem.add_eq
-        ~label:(Fmt.str "flow out %d" id)
-        problem
+      Ilp.Problem.add_eq problem
         ((1, x.(id)) :: List.map (fun (c, v) -> (-c, v)) outflow)
         0)
     fn.Cfg.Flowgraph.blocks;
