@@ -36,7 +36,7 @@ let predict_and_update t ~pc ~taken =
   t.predictions <- t.predictions + 1;
   if not correct then t.mispredictions <- t.mispredictions + 1;
   let counter' =
-    if taken then min 3 (counter + 1) else max 0 (counter - 1)
+    if taken then Int.min 3 (counter + 1) else Int.max 0 (counter - 1)
   in
   t.table.(i) <- counter';
   correct

@@ -118,14 +118,14 @@ let load t addr =
   let lat = Machine.read t.machine addr in
   t.cycles <- t.cycles + lat;
   (* The L1-hit cost is the pipeline's load-use cost, not a stall. *)
-  t.stall <- t.stall + max 0 (lat - t.l1_hit)
+  t.stall <- t.stall + Int.max 0 (lat - t.l1_hit)
 
 let store t addr =
   t.stores <- t.stores + 1;
   trace t Store addr;
   let lat = Machine.write t.machine addr in
   t.cycles <- t.cycles + lat;
-  t.stall <- t.stall + max 0 (lat - t.l1_hit)
+  t.stall <- t.stall + Int.max 0 (lat - t.l1_hit)
 
 (* [steps] repetitions of "execute [count] instructions from [base], then
    load [addr + i * stride]" (i = 0 .. steps - 1): the shape of a

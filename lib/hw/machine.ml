@@ -80,7 +80,7 @@ let data_access t ~write addr =
        write is absorbed by the L2 and its buffers); only without an L2
        does it pay the memory-latency write-back. *)
     below_l1 t ~write addr
-    + if e = 2 && t.l2 = None then writeback_cost t else 0
+    + if e = 2 && Option.is_none t.l2 then writeback_cost t else 0
 
 let read t addr = data_access t ~write:false addr
 let write t addr = data_access t ~write:true addr
@@ -91,7 +91,7 @@ let fetch t addr =
   if e = 0 then 0 (* fetch overlaps with execution on a hit *)
   else
     below_l1 t ~write:false addr
-    + if e = 2 && t.l2 = None then writeback_cost t else 0
+    + if e = 2 && Option.is_none t.l2 then writeback_cost t else 0
 
 (* Stall cycles for [count] sequential 4-byte instruction fetches starting
    at [base], equivalent to summing [fetch] over every address but probing
@@ -124,13 +124,13 @@ let fetch_run t ~base ~count =
     while !i < count do
       let addr = base + (4 * !i) in
       let left_on_line = (line - (addr land (line - 1))) / 4 in
-      let n = min (count - !i) (max 1 left_on_line) in
+      let n = Int.min (count - !i) (Int.max 1 left_on_line) in
       (* not [fetch]: it must not clear the replay memo set below *)
       let e = Cache.access_enc t.icache ~write:false addr in
       if e <> 0 then
         total :=
           !total + below_l1 t ~write:false addr
-          + if e = 2 && t.l2 = None then writeback_cost t else 0;
+          + if e = 2 && Option.is_none t.l2 then writeback_cost t else 0;
       if n > 1 then Cache.note_seq_hits t.icache (n - 1);
       i := !i + n
     done;

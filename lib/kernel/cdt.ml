@@ -18,7 +18,7 @@ let slot_addr slot =
 (* Link [child] as a derivation child of [parent]. *)
 let insert_child ctx ~parent ~child =
   assert (child.cdt_parent = None);
-  Ctx.exec ctx "cdt_ops" Costs.cdt_insert_instrs;
+  Ctx.exec ctx Layout.R.cdt_ops Costs.cdt_insert_instrs;
   Ctx.store ctx (slot_addr parent);
   Ctx.store ctx (slot_addr child);
   child.cdt_parent <- Some parent;
@@ -34,7 +34,7 @@ let insert_child ctx ~parent ~child =
    slot's parent and spliced into the sibling list in the slot's place
    (seL4 keeps derivation ancestry transitive on delete). *)
 let remove ctx slot =
-  Ctx.exec ctx "cdt_ops" Costs.cdt_remove_instrs;
+  Ctx.exec ctx Layout.R.cdt_ops Costs.cdt_remove_instrs;
   Ctx.store ctx (slot_addr slot);
   let parent = slot.cdt_parent in
   let before = slot.cdt_prev and after = slot.cdt_next in
@@ -77,7 +77,7 @@ let remove ctx slot =
    new slot takes over parent, siblings and children (capability moves
    keep their place in the tree, unlike copies which derive). *)
 let replace ctx ~old_slot ~new_slot =
-  Ctx.exec ctx "cdt_ops" Costs.cdt_insert_instrs;
+  Ctx.exec ctx Layout.R.cdt_ops Costs.cdt_insert_instrs;
   Ctx.store ctx (slot_addr old_slot);
   Ctx.store ctx (slot_addr new_slot);
   assert (new_slot.cdt_parent = None && new_slot.cdt_first_child = None);

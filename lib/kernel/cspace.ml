@@ -24,7 +24,7 @@ let word_bits = 32
    slot addressed, charging one level's work per CNode traversed. *)
 let resolve ctx ~root_cap ~cptr =
   let rec level cap remaining depth =
-    Ctx.exec ctx "cspace_lookup" Costs.cspace_level_instrs;
+    Ctx.exec ctx Layout.R.cspace_lookup Costs.cspace_level_instrs;
     match cap with
     | Cnode_cap { cnode; guard; guard_bits } ->
         Ctx.load ctx cnode.cn_addr;
@@ -48,7 +48,7 @@ let resolve ctx ~root_cap ~cptr =
             else
               match slot.cap with
               | Cnode_cap _ as next ->
-                  Ctx.branch ctx "cspace_lookup" ~taken:true;
+                  Ctx.branch ctx Layout.R.cspace_lookup ~taken:true;
                   level next remaining (depth + 1)
               | Null_cap -> Error (Empty_slot depth)
               | _ ->

@@ -46,17 +46,7 @@ type t = {
          deterministically, independent of cycle counts.  Install via
          {!Kernel.set_injection_hook}, which refuses to overwrite a live
          hook. *)
-  region_names : string array;
-      (* Physical-equality memo over {!Layout.code}: [exec]/[branch] call
-         sites pass string literals, so a pointer scan resolves the region
-         without hashing the name on every charge.  Slots beyond
-         [region_count] are unused; overflow falls back to the hashed
-         lookup. *)
-  region_memo : Layout.code_region array;
-  mutable region_count : int;
 }
-
-let region_memo_cap = 64
 
 let create ?cpu build =
   {
@@ -75,31 +65,7 @@ let create ?cpu build =
     preempt_count = 0;
     preempt_polls = 0;
     on_preempt_poll = None;
-    region_names = Array.make region_memo_cap "";
-    region_memo = Array.make region_memo_cap (snd (List.hd Layout.regions));
-    region_count = 0;
   }
-
-(* Resolve a region name by pointer comparison against previously seen
-   names before falling back to the hashed lookup.  Call sites pass
-   literals, so after warm-up every charge resolves in a few compares. *)
-let region_of t name =
-  let n = t.region_count in
-  let names = t.region_names in
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get names !i != name do
-    incr i
-  done;
-  if !i < n then Array.unsafe_get t.region_memo !i
-  else begin
-    let r = Layout.code name in
-    if n < region_memo_cap then begin
-      names.(n) <- name;
-      t.region_memo.(n) <- r;
-      t.region_count <- n + 1
-    end;
-    r
-  end
 
 let cycles t = match t.cpu with Some cpu -> Hw.Cpu.cycles cpu | None -> 0
 
@@ -113,14 +79,12 @@ let emit t kind = match t.cpu with Some cpu -> Hw.Cpu.emit cpu kind | None -> ()
    even with no buffer attached. *)
 let tracing t = match t.cpu with Some cpu -> Hw.Cpu.tracing cpu | None -> false
 
-(* Charge [count] instructions from the code region [name].  The region's
-   base gives the fetch addresses. *)
-let exec t name count =
+(* Charge [count] instructions from [region] (a {!Layout.R} value).  The
+   region's base gives the fetch addresses. *)
+let exec t (region : Layout.code_region) count =
   match t.cpu with
   | None -> ()
-  | Some cpu ->
-      let region = region_of t name in
-      Hw.Cpu.exec cpu ~base:region.Layout.base ~count
+  | Some cpu -> Hw.Cpu.exec cpu ~base:region.base ~count
 
 let load t addr =
   match t.cpu with None -> () | Some cpu -> Hw.Cpu.load cpu addr
@@ -128,22 +92,18 @@ let load t addr =
 let store t addr =
   match t.cpu with None -> () | Some cpu -> Hw.Cpu.store cpu addr
 
-(* [steps] repetitions of "[exec t name count], then [load] the next
+(* [steps] repetitions of "[exec t region count], then [load] the next
    address" (from [addr], [stride] bytes apart): a scan loop charged in
-   one call, the region resolved once. *)
-let scan t name count ~addr ~stride ~steps =
+   one call. *)
+let scan t (region : Layout.code_region) count ~addr ~stride ~steps =
   match t.cpu with
   | None -> ()
-  | Some cpu ->
-      let region = region_of t name in
-      Hw.Cpu.scan cpu ~base:region.Layout.base ~count ~addr ~stride ~steps
+  | Some cpu -> Hw.Cpu.scan cpu ~base:region.base ~count ~addr ~stride ~steps
 
-let branch t name ~taken =
+let branch t (region : Layout.code_region) ~taken =
   match t.cpu with
   | None -> ()
-  | Some cpu ->
-      let region = region_of t name in
-      Hw.Cpu.branch cpu ~pc:region.Layout.base ~taken
+  | Some cpu -> Hw.Cpu.branch cpu ~pc:region.base ~taken
 
 (* Bulk store over [bytes] starting at [addr]: one store per cache line
    (write-allocate), as used by object clearing and the kernel-mapping
@@ -286,7 +246,7 @@ let irq_pending t =
    Returns [false] always when the build has preemption points disabled —
    the "before" kernel of Table 2. *)
 let preemption_point t =
-  exec t "preempt_check" Costs.preempt_check_instrs;
+  exec t Layout.R.preempt_check Costs.preempt_check_instrs;
   load t Layout.irq_pending_word;
   t.preempt_polls <- t.preempt_polls + 1;
   (match t.on_preempt_poll with

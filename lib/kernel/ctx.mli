@@ -28,11 +28,6 @@ type t = {
       (** fault-injection hook: called with the 1-based poll index before
           the pending check; returning [true] asserts [timer_irq] at
           exactly this poll (install via {!Kernel.set_injection_hook}) *)
-  region_names : string array;
-      (** physical-equality memo for {!Layout.code} lookups on the charge
-          path; managed by {!exec}/{!branch} *)
-  region_memo : Layout.code_region array;
-  mutable region_count : int;
 }
 
 val create : ?cpu:Hw.Cpu.t -> Build.t -> t
@@ -46,15 +41,16 @@ val tracing : t -> bool
 (** A CPU with a trace buffer is attached — check before building an
     event for {!emit} on a hot path (the event itself allocates). *)
 
-val exec : t -> string -> int -> unit
-(** [exec t region n]: charge [n] instructions fetched from the named code
-    region (see {!Layout.code}). *)
+val exec : t -> Layout.code_region -> int -> unit
+(** [exec t region n]: charge [n] instructions fetched from [region], one
+    of the {!Layout.R} values. *)
 
 val load : t -> int -> unit
 val store : t -> int -> unit
-val branch : t -> string -> taken:bool -> unit
+val branch : t -> Layout.code_region -> taken:bool -> unit
 
-val scan : t -> string -> int -> addr:int -> stride:int -> steps:int -> unit
+val scan :
+  t -> Layout.code_region -> int -> addr:int -> stride:int -> steps:int -> unit
 (** [scan t region n ~addr ~stride ~steps]: [steps] repetitions of
     [exec t region n] followed by [load t (addr + i * stride)], [i]
     counting from 0, charged through {!Hw.Cpu.scan} (identical cycles,

@@ -145,7 +145,7 @@ let of_kernel (k : Kernel.t) =
      the digest. *)
   let refs =
     Hashtbl.fold (fun id n acc -> (id, n) :: acc) k.Kernel.cap_refs []
-    |> List.sort compare
+    |> List.sort Stdlib.compare
   in
   List.iter (fun (id, n) -> if n > 0 then add "refs[%d] = %d@." id n) refs;
   Buffer.contents b

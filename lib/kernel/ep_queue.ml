@@ -10,7 +10,7 @@ open Ktypes
 let enqueue ctx (ep : endpoint) tcb =
   if Ctx.tracing ctx then
     Ctx.emit ctx (Obs.Trace.Ep_enqueue { ep = ep.ep_id; tcb = tcb.tcb_id });
-  Ctx.exec ctx "endpoint_queue" Costs.ep_enqueue_instrs;
+  Ctx.exec ctx Layout.R.endpoint_queue Costs.ep_enqueue_instrs;
   Ctx.store ctx ep.ep_addr;
   Ctx.store ctx tcb.tcb_addr;
   assert (tcb.ep_next = None && tcb.ep_prev = None);
@@ -28,7 +28,7 @@ let enqueue ctx (ep : endpoint) tcb =
 let dequeue ctx (ep : endpoint) tcb =
   if Ctx.tracing ctx then
     Ctx.emit ctx (Obs.Trace.Ep_dequeue { ep = ep.ep_id; tcb = tcb.tcb_id });
-  Ctx.exec ctx "endpoint_queue" Costs.ep_dequeue_instrs;
+  Ctx.exec ctx Layout.R.endpoint_queue Costs.ep_dequeue_instrs;
   Ctx.store ctx ep.ep_addr;
   Ctx.store ctx tcb.tcb_addr;
   (* Keep any in-flight badged-abort cursor valid: if it points at the

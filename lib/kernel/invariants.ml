@@ -190,7 +190,7 @@ let check_alignment (k : Kernel.t) =
      comparison must never reach them. *)
   let sorted =
     List.sort
-      (fun (a1, s1, _) (a2, s2, _) -> compare (a1, s1) (a2, s2))
+      (fun (a1, s1, _) (a2, s2, _) -> Stdlib.compare (a1, s1) (a2, s2))
       solid
   in
   let rec scan = function

@@ -153,14 +153,14 @@ let decref t cap =
 (* --- thread state and scheduling --- *)
 
 let set_state t tcb state =
-  Ctx.exec t.ctx "set_thread_state" Costs.set_state_instrs;
+  Ctx.exec t.ctx Layout.R.set_thread_state Costs.set_state_instrs;
   Ctx.store t.ctx tcb.tcb_addr;
   let was_runnable = is_runnable tcb in
   tcb.state <- state;
   if was_runnable && not (is_runnable tcb) then Sched.on_block t.ctx t.sched tcb
 
 let switch_to t tcb =
-  Ctx.exec t.ctx "context_switch" Costs.context_switch_instrs;
+  Ctx.exec t.ctx Layout.R.context_switch Costs.context_switch_instrs;
   Ctx.store t.ctx Layout.cur_thread_ptr;
   Ctx.load t.ctx tcb.tcb_addr;
   (* Under Benno scheduling the running thread is never in the run queue;
@@ -217,8 +217,8 @@ let wake t ?(direct = true) tcb =
 (* --- IPC --- *)
 
 let transfer_message t ~sender ~receiver ~msg_len ~badge =
-  let words = min msg_len Costs.max_msg_len in
-  Ctx.exec t.ctx "slowpath_ipc" (Costs.per_message_word_instrs * words);
+  let words = Int.min msg_len Costs.max_msg_len in
+  Ctx.exec t.ctx Layout.R.slowpath_ipc (Costs.per_message_word_instrs * words);
   for i = 0 to words - 1 do
     Ctx.load t.ctx (sender.tcb_addr + 64 + (4 * i));
     Ctx.store t.ctx (receiver.tcb_addr + 64 + (4 * i));
@@ -236,7 +236,7 @@ let transfer_message t ~sender ~receiver ~msg_len ~badge =
 let transfer_caps t ~sender ~receiver ~extra_caps =
   List.iteri
     (fun i cptr ->
-      Ctx.exec t.ctx "transfer_caps" Costs.cap_transfer_instrs;
+      Ctx.exec t.ctx Layout.R.transfer_caps Costs.cap_transfer_instrs;
       match Cspace.resolve t.ctx ~root_cap:sender.cspace_root ~cptr with
       | Cspace.Error _ -> ()
       | Cspace.Ok_slot (src_slot, _) -> (
@@ -251,7 +251,7 @@ let transfer_caps t ~sender ~receiver ~extra_caps =
 (* Send on an endpoint.  Returns [false] if the sender blocked. *)
 let send_ipc t ~(ep : endpoint) ~badge ~msg_len ~extra_caps ~can_grant ~is_call
     ~blocking ~sender =
-  Ctx.exec t.ctx "slowpath_ipc" Costs.slowpath_ipc_instrs;
+  Ctx.exec t.ctx Layout.R.slowpath_ipc Costs.slowpath_ipc_instrs;
   Ctx.load t.ctx ep.ep_addr;
   match ep.ep_queue_kind with
   | Ep_receivers -> (
@@ -284,7 +284,7 @@ let send_ipc t ~(ep : endpoint) ~badge ~msg_len ~extra_caps ~can_grant ~is_call
 
 (* Receive on an endpoint.  Returns [false] if the receiver blocked. *)
 let recv_ipc t ~(ep : endpoint) ~receiver =
-  Ctx.exec t.ctx "slowpath_ipc" Costs.slowpath_ipc_instrs;
+  Ctx.exec t.ctx Layout.R.slowpath_ipc Costs.slowpath_ipc_instrs;
   Ctx.load t.ctx ep.ep_addr;
   match ep.ep_queue_kind with
   | Ep_senders -> (
@@ -333,7 +333,7 @@ let fastpath_eligible t ~ep ~msg_len ~extra_caps =
   | None -> false
 
 let fastpath_call t ~ep ~badge ~msg_len =
-  Ctx.exec t.ctx "fastpath" Costs.fastpath_instrs;
+  Ctx.exec t.ctx Layout.R.fastpath Costs.fastpath_instrs;
   let sender = t.current in
   match Ep_queue.pop t.ctx ep with
   | None -> assert false
@@ -357,7 +357,7 @@ let fastpath_call t ~ep ~badge ~msg_len =
 (* Abort all waiters: one dequeue per preemption point.  The endpoint is
    deactivated first so no new IPC can start — forward progress. *)
 let delete_endpoint t (ep : endpoint) =
-  Ctx.exec t.ctx "endpoint_delete" Costs.ep_dequeue_instrs;
+  Ctx.exec t.ctx Layout.R.endpoint_delete Costs.ep_dequeue_instrs;
   ep.ep_active <- false;
   Ctx.store t.ctx ep.ep_addr;
   let rec drain () =
@@ -392,7 +392,7 @@ let cancel_badged_sends t (ep : endpoint) ~badge ~initiator =
     progress
   in
   let rec run (progress : abort_progress) =
-    Ctx.exec t.ctx "badge_abort" Costs.badge_scan_instrs;
+    Ctx.exec t.ctx Layout.R.badge_abort Costs.badge_scan_instrs;
     match progress.ab_cursor with
     | None ->
         ep.ep_abort <- None;
@@ -430,7 +430,7 @@ let cancel_badged_sends t (ep : endpoint) ~badge ~initiator =
 (* Signal: OR the badge into the word, or hand it directly to one waiter.
    Never blocks — this is the operation device interrupts use. *)
 let signal_notification t (ntfn : notification) ~badge =
-  Ctx.exec t.ctx "irq_path" Costs.set_state_instrs;
+  Ctx.exec t.ctx Layout.R.irq_path Costs.set_state_instrs;
   Ctx.load t.ctx ntfn.ntfn_addr;
   match Ntfn_queue.pop t.ctx ntfn with
   | Some waiter ->
@@ -444,7 +444,7 @@ let signal_notification t (ntfn : notification) ~badge =
 
 (* Wait: take all pending signals, or block. *)
 let wait_notification t (ntfn : notification) ~waiter =
-  Ctx.exec t.ctx "slowpath_ipc" Costs.set_state_instrs;
+  Ctx.exec t.ctx Layout.R.slowpath_ipc Costs.set_state_instrs;
   Ctx.load t.ctx ntfn.ntfn_addr;
   if ntfn.ntfn_word <> 0 then begin
     waiter.regs.(0) <- ntfn.ntfn_word;
@@ -460,7 +460,7 @@ let wait_notification t (ntfn : notification) ~waiter =
 
 (* Poll: non-blocking wait; returns the word (0 = nothing pending). *)
 let poll_notification t (ntfn : notification) ~waiter =
-  Ctx.exec t.ctx "slowpath_ipc" Costs.set_state_instrs;
+  Ctx.exec t.ctx Layout.R.slowpath_ipc Costs.set_state_instrs;
   Ctx.load t.ctx ntfn.ntfn_addr;
   waiter.regs.(0) <- ntfn.ntfn_word;
   let word = ntfn.ntfn_word in
@@ -575,7 +575,7 @@ let destroy_object t obj =
    destructor; the slot is only emptied once destruction completed, so a
    restarted delete resumes the destructor. *)
 let delete_cap t (slot : slot) =
-  Ctx.exec t.ctx "cnode_ops" Costs.cdt_remove_instrs;
+  Ctx.exec t.ctx Layout.R.cnode_ops Costs.cdt_remove_instrs;
   match slot.cap with
   | Null_cap -> Vspace.Done
   | Frame_cap fc when fc.fc_mapping <> None ->
@@ -627,7 +627,7 @@ let delete_cap t (slot : slot) =
    deletion per preemption point. *)
 let revoke_cap t (slot : slot) =
   let rec loop () =
-    Ctx.exec t.ctx "cnode_ops" Costs.cdt_remove_instrs;
+    Ctx.exec t.ctx Layout.R.cnode_ops Costs.cdt_remove_instrs;
     match Cdt.deepest_descendant slot with
     | None -> Vspace.Done
     | Some victim -> (
@@ -686,7 +686,7 @@ let preempt_polls t = t.ctx.Ctx.preempt_polls
    remaining pending lines stay in the ring and are taken on subsequent
    entries, exactly as a real controller re-raises its output. *)
 let handle_interrupt_internal t =
-  Ctx.exec t.ctx "irq_path" Costs.irq_path_instrs;
+  Ctx.exec t.ctx Layout.R.irq_path Costs.irq_path_instrs;
   Ctx.load t.ctx Layout.irq_pending_word;
   Ctx.promote_armed t.ctx;
   if has_pending_irq t then begin
@@ -864,7 +864,7 @@ let dispatch_invocation t inv =
         match src_slot.cap with
         | Null_cap -> Failed "source empty"
         | cap ->
-            Ctx.exec t.ctx "cnode_ops" Costs.cdt_insert_instrs;
+            Ctx.exec t.ctx Layout.R.cnode_ops Costs.cdt_insert_instrs;
             dest_slot.cap <- cap;
             src_slot.cap <- Null_cap;
             Cdt.replace t.ctx ~old_slot:src_slot ~new_slot:dest_slot;
@@ -886,7 +886,7 @@ let dispatch_invocation t inv =
       let* slot = lookup_cap t target in
       match slot.cap with
       | Tcb_cap tcb ->
-          Ctx.exec t.ctx "tcb_ops" Costs.set_state_instrs;
+          Ctx.exec t.ctx Layout.R.tcb_ops Costs.set_state_instrs;
           if tcb.in_run_queue then begin
             Sched.dequeue t.ctx t.sched tcb;
             tcb.priority <- prio;
@@ -899,7 +899,7 @@ let dispatch_invocation t inv =
       let* slot = lookup_cap t target in
       match slot.cap with
       | Tcb_cap tcb ->
-          Ctx.exec t.ctx "tcb_ops" (3 * Costs.set_state_instrs);
+          Ctx.exec t.ctx Layout.R.tcb_ops (3 * Costs.set_state_instrs);
           let* cspace_slot = lookup_cap t cspace in
           let* vspace_slot = lookup_cap t vspace in
           tcb.cspace_root <- cspace_slot.cap;
@@ -911,7 +911,7 @@ let dispatch_invocation t inv =
       let* slot = lookup_cap t target in
       match slot.cap with
       | Tcb_cap tcb ->
-          Ctx.exec t.ctx "tcb_ops" Costs.set_state_instrs;
+          Ctx.exec t.ctx Layout.R.tcb_ops Costs.set_state_instrs;
           cancel_ipc t tcb;
           set_state t tcb Inactive;
           if tcb.in_run_queue then Sched.dequeue t.ctx t.sched tcb;
@@ -922,7 +922,7 @@ let dispatch_invocation t inv =
       let* slot = lookup_cap t target in
       match slot.cap with
       | Tcb_cap tcb ->
-          Ctx.exec t.ctx "tcb_ops" Costs.set_state_instrs;
+          Ctx.exec t.ctx Layout.R.tcb_ops Costs.set_state_instrs;
           (* seL4's Resume restarts the thread: any pending IPC is
              cancelled (dequeued) before it becomes runnable. *)
           if not (is_runnable tcb) then begin
@@ -1008,7 +1008,7 @@ let dispatch_invocation t inv =
       let* ep_slot = lookup_cap t ep in
       match ep_slot.cap with
       | (Endpoint_cap _ | Notification_cap _) as cap ->
-          Ctx.exec t.ctx "irq_control" Costs.set_state_instrs;
+          Ctx.exec t.ctx Layout.R.irq_control Costs.set_state_instrs;
           t.irq_handlers.(line) <- Some cap;
           Ctx.store t.ctx (Layout.irq_handler_table + (4 * line));
           Completed
@@ -1017,14 +1017,14 @@ let dispatch_invocation t inv =
       let* slot = lookup_cap t ntfn in
       match slot.cap with
       | Notification_cap _ as cap ->
-          Ctx.exec t.ctx "irq_control" Costs.set_state_instrs;
+          Ctx.exec t.ctx Layout.R.irq_control Costs.set_state_instrs;
           t.irq_handlers.(line) <- Some cap;
           Ctx.store t.ctx (Layout.irq_handler_table + (4 * line));
           Completed
       | _ -> Failed "not a notification")
 
 let deliver_fault t ~fault_code =
-  Ctx.exec t.ctx "fault_path" Costs.slowpath_ipc_instrs;
+  Ctx.exec t.ctx Layout.R.fault_path Costs.slowpath_ipc_instrs;
   let handler_cap =
     match t.current.fault_handler_cptr with
     | None -> Null_cap
@@ -1066,7 +1066,7 @@ let deliver_fault t ~fault_code =
 let dispatch t event =
   match event with
   | Ev_yield ->
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       if is_runnable t.current && not (t.current == t.idle) then begin
         if t.current.in_run_queue then Sched.dequeue t.ctx t.sched t.current;
         Sched.enqueue t.ctx t.sched t.current
@@ -1079,7 +1079,7 @@ let dispatch t event =
   | Ev_page_fault _ -> deliver_fault t ~fault_code:1
   | Ev_undefined_instruction -> deliver_fault t ~fault_code:2
   | Ev_signal { ntfn } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ntfn in
       match slot.cap with
       | Notification_cap { ntfn; badge; _ } ->
@@ -1090,7 +1090,7 @@ let dispatch t event =
           end
       | _ -> Failed "not a notification")
   | Ev_wait { ntfn } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ntfn in
       match slot.cap with
       | Notification_cap { ntfn; _ } ->
@@ -1102,7 +1102,7 @@ let dispatch t event =
           end
       | _ -> Failed "not a notification")
   | Ev_poll { ntfn } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ntfn in
       match slot.cap with
       | Notification_cap { ntfn; _ } ->
@@ -1110,7 +1110,7 @@ let dispatch t event =
           Completed
       | _ -> Failed "not a notification")
   | Ev_call { ep; badge_hint = _; msg_len; extra_caps } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ep in
       match slot.cap with
       | Endpoint_cap { ep; badge; rights } ->
@@ -1130,7 +1130,7 @@ let dispatch t event =
           end
       | _ -> Failed "not an endpoint")
   | Ev_send { ep; msg_len; extra_caps; blocking } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ep in
       match slot.cap with
       | Endpoint_cap { ep; badge; rights } ->
@@ -1146,7 +1146,7 @@ let dispatch t event =
           end
       | _ -> Failed "not an endpoint")
   | Ev_recv { ep } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ep in
       match slot.cap with
       | Endpoint_cap { ep; _ } ->
@@ -1158,7 +1158,7 @@ let dispatch t event =
           end
       | _ -> Failed "not an endpoint")
   | Ev_reply_recv { ep; msg_len } -> (
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       let* slot = lookup_cap t ep in
       match slot.cap with
       | Endpoint_cap { ep; _ } ->
@@ -1169,7 +1169,7 @@ let dispatch t event =
           Completed
       | _ -> Failed "not an endpoint")
   | Ev_invoke inv ->
-      Ctx.exec t.ctx "decode" Costs.decode_instrs;
+      Ctx.exec t.ctx Layout.R.decode Costs.decode_instrs;
       dispatch_invocation t inv
 
 (* One kernel entry: exception vector in, event handling, and either a
@@ -1180,7 +1180,7 @@ let dispatch t event =
 let kernel_entry t event =
   if Ctx.tracing t.ctx then
     Ctx.emit t.ctx (Obs.Trace.Kernel_enter { event = event_label event });
-  Ctx.exec t.ctx "vector_entry" Costs.entry_instrs;
+  Ctx.exec t.ctx Layout.R.vector_entry Costs.entry_instrs;
   Ctx.store_block t.ctx Layout.stack_base 64;
   if t.current.restart_syscall then begin
     t.current.restart_syscall <- false;
@@ -1196,7 +1196,7 @@ let kernel_entry t event =
       (* Interrupts that arrived during this entry are taken on the exit
          path, before control reaches user mode again. *)
       if Ctx.irq_pending t.ctx then handle_interrupt_internal t);
-  Ctx.exec t.ctx "vector_exit" Costs.exit_instrs;
+  Ctx.exec t.ctx Layout.R.vector_exit Costs.exit_instrs;
   Ctx.load_block t.ctx Layout.stack_base 64;
   if Ctx.tracing t.ctx then
     Ctx.emit t.ctx (Obs.Trace.Kernel_exit { outcome = outcome_label outcome });

@@ -91,9 +91,8 @@ let regions : (string * code_region) list =
       (name, { name; base; instrs }))
     declared
 
-(* [code] sits on the simulator's per-entry hot path (every charged
-   instruction block names its region), so the lookup is a hash table
-   rather than a walk of the assoc list. *)
+(* Lookup by name, for the analysis side (timing skeletons name their
+   regions); the simulator's charge sites use {!R} instead. *)
 let by_name : (string, code_region) Hashtbl.t =
   let tbl = Hashtbl.create 64 in
   List.iter (fun (name, r) -> Hashtbl.replace tbl name r) regions;
@@ -103,7 +102,41 @@ let code name =
   try Hashtbl.find by_name name
   with Not_found -> invalid_arg ("Layout.code: unknown region " ^ name)
 
-let all_regions () = List.map snd regions
+(* One resolved region per entry of [declared], bound once at module
+   initialisation: the kernel's charge sites pass these values, so no
+   charge looks a region up by name. *)
+module R = struct
+  let vector_entry = code "vector_entry"
+  let vector_exit = code "vector_exit"
+  let decode = code "decode"
+  let cspace_lookup = code "cspace_lookup"
+  let fastpath = code "fastpath"
+  let slowpath_ipc = code "slowpath_ipc"
+  let transfer_caps = code "transfer_caps"
+  let sched_enqueue = code "sched_enqueue"
+  let sched_dequeue = code "sched_dequeue"
+  let sched_choose = code "sched_choose"
+  let sched_bitmap = code "sched_bitmap"
+  let context_switch = code "context_switch"
+  let set_thread_state = code "set_thread_state"
+  let endpoint_queue = code "endpoint_queue"
+  let endpoint_delete = code "endpoint_delete"
+  let badge_abort = code "badge_abort"
+  let untyped_retype = code "untyped_retype"
+  let clear_memory = code "clear_memory"
+  let vspace_map = code "vspace_map"
+  let vspace_unmap = code "vspace_unmap"
+  let vspace_delete = code "vspace_delete"
+  let asid_ops = code "asid_ops"
+  let pd_create = code "pd_create"
+  let cdt_ops = code "cdt_ops"
+  let cnode_ops = code "cnode_ops"
+  let tcb_ops = code "tcb_ops"
+  let irq_path = code "irq_path"
+  let irq_control = code "irq_control"
+  let preempt_check = code "preempt_check"
+  let fault_path = code "fault_path"
+end
 
 let text_bytes =
   List.fold_left (fun acc (_, r) -> acc + (((r.instrs * 4) + 31) / 32 * 32)) 0

@@ -4,7 +4,7 @@
 open Ktypes
 
 let enqueue ctx (n : notification) tcb =
-  Ctx.exec ctx "endpoint_queue" Costs.ep_enqueue_instrs;
+  Ctx.exec ctx Layout.R.endpoint_queue Costs.ep_enqueue_instrs;
   Ctx.store ctx n.ntfn_addr;
   Ctx.store ctx tcb.tcb_addr;
   assert (tcb.ep_next = None && tcb.ep_prev = None);
@@ -20,7 +20,7 @@ let enqueue ctx (n : notification) tcb =
       q.tail <- Some tcb
 
 let dequeue ctx (n : notification) tcb =
-  Ctx.exec ctx "endpoint_queue" Costs.ep_dequeue_instrs;
+  Ctx.exec ctx Layout.R.endpoint_queue Costs.ep_dequeue_instrs;
   Ctx.store ctx n.ntfn_addr;
   Ctx.store ctx tcb.tcb_addr;
   let q = n.ntfn_queue in

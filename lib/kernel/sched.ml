@@ -46,7 +46,7 @@ let charge_queue_touch ctx prio =
 
 let bitmap_set ctx t prio =
   if t.build.Build.sched = Build.Benno_bitmap then begin
-    Ctx.exec ctx "sched_bitmap" Costs.bitmap_update_instrs;
+    Ctx.exec ctx Layout.R.sched_bitmap Costs.bitmap_update_instrs;
     let bucket = prio / bucket_bits and bit = prio mod bucket_bits in
     t.buckets.(bucket) <- t.buckets.(bucket) lor (1 lsl bit);
     t.top <- t.top lor (1 lsl bucket);
@@ -56,7 +56,7 @@ let bitmap_set ctx t prio =
 
 let bitmap_clear ctx t prio =
   if t.build.Build.sched = Build.Benno_bitmap then begin
-    Ctx.exec ctx "sched_bitmap" Costs.bitmap_update_instrs;
+    Ctx.exec ctx Layout.R.sched_bitmap Costs.bitmap_update_instrs;
     let bucket = prio / bucket_bits and bit = prio mod bucket_bits in
     t.buckets.(bucket) <- t.buckets.(bucket) land lnot (1 lsl bit);
     if t.buckets.(bucket) = 0 then t.top <- t.top land lnot (1 lsl bucket);
@@ -67,7 +67,7 @@ let bitmap_clear ctx t prio =
 (* Append at the tail (FIFO within a priority). *)
 let enqueue ctx t tcb =
   assert (not tcb.in_run_queue);
-  Ctx.exec ctx "sched_enqueue" Costs.enqueue_instrs;
+  Ctx.exec ctx Layout.R.sched_enqueue Costs.enqueue_instrs;
   charge_queue_touch ctx tcb.priority;
   Ctx.store ctx tcb.tcb_addr;
   let q = queue t tcb.priority in
@@ -85,7 +85,7 @@ let enqueue ctx t tcb =
 
 let dequeue ctx t tcb =
   assert tcb.in_run_queue;
-  Ctx.exec ctx "sched_dequeue" Costs.dequeue_instrs;
+  Ctx.exec ctx Layout.R.sched_dequeue Costs.dequeue_instrs;
   charge_queue_touch ctx tcb.priority;
   Ctx.store ctx tcb.tcb_addr;
   let q = queue t tcb.priority in
@@ -135,7 +135,7 @@ let rec next_nonempty t prio =
    [upto] >= 0): per priority, the loop body and the load of its
    run-queue entry, in one bulk call. *)
 let charge_scan ctx ~from ~upto =
-  Ctx.scan ctx "sched_choose" Costs.choose_thread_scan_per_prio_instrs
+  Ctx.scan ctx Layout.R.sched_choose Costs.choose_thread_scan_per_prio_instrs
     ~addr:(Layout.run_queue_entry from) ~stride:(-Layout.run_queue_entry_bytes)
     ~steps:(from - upto + 1)
 
@@ -149,7 +149,7 @@ let rec lazy_head ctx t q =
       if is_runnable tcb then Some tcb
       else begin
         (* Stale blocked thread left by lazy scheduling. *)
-        Ctx.exec ctx "sched_choose" Costs.lazy_dequeue_blocked_instrs;
+        Ctx.exec ctx Layout.R.sched_choose Costs.lazy_dequeue_blocked_instrs;
         dequeue ctx t tcb;
         lazy_head ctx t q
       end
@@ -162,7 +162,7 @@ let rec choose_lazy ctx t from =
   if from < 0 then t.idle
   else begin
     let prio = next_nonempty t from in
-    charge_scan ctx ~from ~upto:(max prio 0);
+    charge_scan ctx ~from ~upto:(Int.max prio 0);
     if prio < 0 then t.idle
     else
       match lazy_head ctx t (queue t prio) with
@@ -174,7 +174,7 @@ let rec choose_lazy ctx t from =
 let choose_benno ctx t =
   let from = num_priorities - 1 in
   let prio = next_nonempty t from in
-  charge_scan ctx ~from ~upto:(max prio 0);
+  charge_scan ctx ~from ~upto:(Int.max prio 0);
   if prio < 0 then t.idle
   else
     match (queue t prio).head with
@@ -186,7 +186,7 @@ let choose_benno ctx t =
 
 (* Section 3.2: two loads and two CLZ instructions. *)
 let choose_bitmap ctx t =
-  Ctx.exec ctx "sched_choose" Costs.choose_thread_bitmap_instrs;
+  Ctx.exec ctx Layout.R.sched_choose Costs.choose_thread_bitmap_instrs;
   Ctx.load ctx Layout.bitmap_top;
   if t.top = 0 then t.idle
   else begin

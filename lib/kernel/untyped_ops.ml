@@ -76,8 +76,8 @@ let clear_step ctx (creating : creating) =
           obj_loop ()
         end
         else begin
-          let bytes = min chunk (size - done_) in
-          Ctx.exec ctx "clear_memory"
+          let bytes = Int.min chunk (size - done_) in
+          Ctx.exec ctx Layout.R.clear_memory
             (Costs.clear_line_instrs * ((bytes + 31) / 32));
           Ctx.store_block ctx (Objects.addr_of obj + done_) bytes;
           if Ctx.tracing ctx then
@@ -142,7 +142,7 @@ let retype ctx ~fresh_id ~register ~(ut_slot : slot) obj_type ~count ~dest_slots
           | Vspace.Preempted -> Preempted
           | Vspace.Done ->
               (* Atomic bookkeeping pass. *)
-              Ctx.exec ctx "untyped_retype"
+              Ctx.exec ctx Layout.R.untyped_retype
                 (Costs.retype_fixed_instrs * count);
               let caps =
                 List.map

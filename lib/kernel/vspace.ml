@@ -41,7 +41,7 @@ let asid_pool_index asid = asid / asid_pool_size
 let asid_entry_index asid = asid mod asid_pool_size
 
 let asid_lookup ctx st asid =
-  Ctx.exec ctx "asid_ops" Costs.asid_lookup_instrs;
+  Ctx.exec ctx Layout.R.asid_ops Costs.asid_lookup_instrs;
   Ctx.load ctx (Layout.asid_table_base + (4 * asid_pool_index asid));
   match st.table.(asid_pool_index asid) with
   | None -> None
@@ -56,7 +56,7 @@ let asid_alloc ctx st pool ~pool_slot pd =
   let rec search i =
     if i >= asid_pool_size then None
     else begin
-      Ctx.exec ctx "asid_ops" Costs.asid_search_per_slot_instrs;
+      Ctx.exec ctx Layout.R.asid_ops Costs.asid_search_per_slot_instrs;
       Ctx.load ctx (pool.ap_addr + (4 * i));
       match pool.ap_entries.(i) with
       | None ->
@@ -78,7 +78,7 @@ let asid_delete_vspace ctx st pd =
   match pd.pd_asid with
   | None -> ()
   | Some asid -> (
-      Ctx.exec ctx "asid_ops" Costs.asid_lookup_instrs;
+      Ctx.exec ctx Layout.R.asid_ops Costs.asid_lookup_instrs;
       match st.table.(asid_pool_index asid) with
       | None -> ()
       | Some pool ->
@@ -86,7 +86,7 @@ let asid_delete_vspace ctx st pd =
           Ctx.store ctx (pool.ap_addr + (4 * asid_entry_index asid));
           pd.pd_asid <- None;
           Ctx.store ctx pd.pd_addr;
-          Ctx.exec ctx "asid_ops" Costs.tlb_invalidate_instrs)
+          Ctx.exec ctx Layout.R.asid_ops Costs.tlb_invalidate_instrs)
 
 (* Deleting a whole pool visits every address space in it — unpreemptible
    in the original design (Section 3.6). *)
@@ -95,7 +95,7 @@ let asid_pool_delete ctx st ~pool_slot =
   | None -> ()
   | Some pool ->
       for i = 0 to asid_pool_size - 1 do
-        Ctx.exec ctx "asid_ops" Costs.asid_search_per_slot_instrs;
+        Ctx.exec ctx Layout.R.asid_ops Costs.asid_search_per_slot_instrs;
         Ctx.load ctx (pool.ap_addr + (4 * i));
         match pool.ap_entries.(i) with
         | None -> ()
@@ -105,7 +105,7 @@ let asid_pool_delete ctx st ~pool_slot =
             pool.ap_entries.(i) <- None;
             Ctx.store ctx (pool.ap_addr + (4 * i))
       done;
-      Ctx.exec ctx "asid_ops" Costs.tlb_invalidate_instrs;
+      Ctx.exec ctx Layout.R.asid_ops Costs.tlb_invalidate_instrs;
       st.table.(pool_slot) <- None;
       Ctx.store ctx (Layout.asid_table_base + (4 * pool_slot))
 
@@ -116,7 +116,7 @@ let asid_pool_delete ctx st ~pool_slot =
    latency the paper measured and tolerated (Section 3.5). *)
 let copy_kernel_mappings ctx pd =
   assert (not pd.pd_kernel_mapped);
-  Ctx.exec ctx "pd_create" (Costs.clear_line_instrs * (1024 / 32));
+  Ctx.exec ctx Layout.R.pd_create (Costs.clear_line_instrs * (1024 / 32));
   Ctx.load_block ctx Layout.data_base 1024;
   Ctx.store_block ctx (pde_addr pd kernel_pde_first) 1024;
   for i = kernel_pde_first to pd_entries_count - 1 do
@@ -150,7 +150,7 @@ let map_page_table ctx pd ~vaddr (pt_cap : pt_cap_data) =
   let i = pd_index vaddr in
   require (i < kernel_pde_first) Kernel_region;
   require (pt_cap.ptc_mapping = None) Already_mapped;
-  Ctx.exec ctx "vspace_map" Costs.pte_update_instrs;
+  Ctx.exec ctx Layout.R.vspace_map Costs.pte_update_instrs;
   Ctx.load ctx (pde_addr pd i);
   require (pd.pd_entries.(i) = Pde_invalid) Pde_occupied;
   pd.pd_entries.(i) <- Pde_page_table pt_cap.pt;
@@ -165,7 +165,7 @@ let map_page_table ctx pd ~vaddr (pt_cap : pt_cap_data) =
 let map_frame ctx build (fc : frame_cap_data) ~slot pd ~vaddr =
   require (fc.fc_mapping = None) Already_mapped;
   require (pd_index vaddr < kernel_pde_first) Kernel_region;
-  Ctx.exec ctx "vspace_map" Costs.pte_update_instrs;
+  Ctx.exec ctx Layout.R.vspace_map Costs.pte_update_instrs;
   let vref =
     match build.Build.vspace with
     | Build.Asid_table -> (
@@ -214,7 +214,7 @@ let unmap_frame ctx build asid_state (fc : frame_cap_data) =
   match fc.fc_mapping with
   | None -> ()
   | Some { fm_vspace; fm_vaddr } ->
-      Ctx.exec ctx "vspace_unmap" Costs.unmap_entry_instrs;
+      Ctx.exec ctx Layout.R.vspace_unmap Costs.unmap_entry_instrs;
       let pd_opt =
         match fm_vspace with
         | Via_asid asid -> asid_lookup ctx asid_state asid
@@ -233,7 +233,7 @@ let unmap_frame ctx build asid_state (fc : frame_cap_data) =
                 pd.pd_shadow.(i) <- None;
                 Ctx.store ctx (pde_shadow_addr pd i)
               end;
-              Ctx.exec ctx "vspace_unmap" Costs.tlb_invalidate_instrs
+              Ctx.exec ctx Layout.R.vspace_unmap Costs.tlb_invalidate_instrs
           | Pde_page_table pt -> (
               let j = pt_index fm_vaddr in
               Ctx.load ctx (pte_addr pt j);
@@ -245,7 +245,7 @@ let unmap_frame ctx build asid_state (fc : frame_cap_data) =
                     pt.pt_shadow.(j) <- None;
                     Ctx.store ctx (pte_shadow_addr pt j)
                   end;
-                  Ctx.exec ctx "vspace_unmap" Costs.tlb_invalidate_instrs
+                  Ctx.exec ctx Layout.R.vspace_unmap Costs.tlb_invalidate_instrs
               | _ -> () (* mapping disagrees: stale, ignore *))
           | _ -> ()));
       fc.fc_mapping <- None
@@ -253,7 +253,7 @@ let unmap_frame ctx build asid_state (fc : frame_cap_data) =
 (* Clear one page-table entry during teardown, following the shadow
    back-pointer to purge the frame cap's mapping info eagerly. *)
 let clear_pte ctx pt j =
-  Ctx.exec ctx "vspace_delete" Costs.unmap_entry_instrs;
+  Ctx.exec ctx Layout.R.vspace_delete Costs.unmap_entry_instrs;
   Ctx.load ctx (pte_addr pt j);
   (match pt.pt_shadow.(j) with
   | Some slot -> (
@@ -299,7 +299,7 @@ let delete_page_table_mappings ctx pt =
         pt.pt_mapped_in <- None
     | None -> ());
     pt.pt_lowest_mapped <- 0;
-    Ctx.exec ctx "vspace_delete" Costs.tlb_invalidate_instrs
+    Ctx.exec ctx Layout.R.vspace_delete Costs.tlb_invalidate_instrs
   end;
   r
 
@@ -332,7 +332,7 @@ let delete_vspace_shadow ctx pd =
     end
     else begin
       pd.pd_lowest_mapped <- i;
-      Ctx.exec ctx "vspace_delete" Costs.unmap_entry_instrs;
+      Ctx.exec ctx Layout.R.vspace_delete Costs.unmap_entry_instrs;
       Ctx.load ctx (pde_addr pd i);
       match pd.pd_entries.(i) with
       | Pde_kernel -> loop (i + 1)
@@ -359,7 +359,7 @@ let delete_vspace_shadow ctx pd =
   let r = loop pd.pd_lowest_mapped in
   if r = Done then begin
     pd.pd_lowest_mapped <- 0;
-    Ctx.exec ctx "vspace_delete" Costs.tlb_invalidate_instrs
+    Ctx.exec ctx Layout.R.vspace_delete Costs.tlb_invalidate_instrs
   end;
   r
 

@@ -160,7 +160,8 @@ let bucket_of v =
    engine never materialises the per-delivery latency list. *)
 let stats_of_hist tbl =
   let pairs =
-    List.sort compare (Hashtbl.fold (fun v c acc -> (v, c) :: acc) tbl [])
+    List.sort Stdlib.compare
+      (Hashtbl.fold (fun v c acc -> (v, c) :: acc) tbl [])
   in
   match pairs with
   | [] -> empty_stats
@@ -194,7 +195,7 @@ let stats_of_hist tbl =
         ls_p999 = q 0.999;
         ls_max = fst arr.(Array.length arr - 1);
         ls_buckets =
-          List.sort compare
+          List.sort Stdlib.compare
             (Hashtbl.fold (fun k c acc -> (k, c) :: acc) buckets []);
       }
 
@@ -766,7 +767,8 @@ let make_world ?(worst_n = 0) ?(cpu_id = 0) ?trace ?on_delivery ~build ~config
       so_deliveries = !deliveries;
       so_queued = !queued_deliveries;
       so_hist =
-        List.sort compare (Hashtbl.fold (fun v c acc -> (v, c) :: acc) hist []);
+        List.sort Stdlib.compare
+          (Hashtbl.fold (fun v c acc -> (v, c) :: acc) hist []);
       so_violations = List.rev !violations;
       so_inv = !inv;
       so_minor_words = Gc.minor_words () -. minor0;

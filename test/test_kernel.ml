@@ -1658,7 +1658,8 @@ module Ctx = Sel4.Ctx
 let reference_choose ?(skip_top = false) ctx sched (build : Sel4.Build.t) =
   let charge prio =
     if not (skip_top && prio = Sched.num_priorities - 1) then begin
-      Ctx.exec ctx "sched_choose" Sel4.Costs.choose_thread_scan_per_prio_instrs;
+      Ctx.exec ctx Sel4.Layout.R.sched_choose
+        Sel4.Costs.choose_thread_scan_per_prio_instrs;
       Ctx.load ctx (Sel4.Layout.run_queue_entry prio)
     end
   in
@@ -1674,7 +1675,8 @@ let reference_choose ?(skip_top = false) ctx sched (build : Sel4.Build.t) =
             Ctx.load ctx tcb.tcb_addr;
             if is_runnable tcb then Some tcb
             else begin
-              Ctx.exec ctx "sched_choose" Sel4.Costs.lazy_dequeue_blocked_instrs;
+              Ctx.exec ctx Sel4.Layout.R.sched_choose
+                Sel4.Costs.lazy_dequeue_blocked_instrs;
               Sched.dequeue ctx sched tcb;
               head ()
             end
@@ -1727,14 +1729,14 @@ let probe_latencies cpu tcb_addrs =
   let rq_lines = List.init 64 (fun i -> Sel4.Layout.run_queue_entry (i * 4)) in
   let lines = rq_lines @ tcb_addrs in
   let loads addrs = List.map (fun a -> lat (fun () -> Hw.Cpu.load cpu a)) addrs in
-  let code r = (Sel4.Layout.code r).Sel4.Layout.base in
   let execs =
     List.concat_map
-      (fun base ->
+      (fun (r : Sel4.Layout.code_region) ->
         List.map
-          (fun off -> lat (fun () -> Hw.Cpu.exec cpu ~base:(base + off) ~count:8))
+          (fun off ->
+            lat (fun () -> Hw.Cpu.exec cpu ~base:(r.base + off) ~count:8))
           [ 0; 16384; 0; 32768; 49152; 0 ])
-      [ code "sched_choose"; code "sched_dequeue"; code "vector_entry" ]
+      Sel4.Layout.R.[ sched_choose; sched_dequeue; vector_entry ]
   in
   let first = loads lines in
   let conflicts =
@@ -1908,6 +1910,29 @@ let test_scan_allocation () =
           true (words < scanned)
       end)
     scan_builds
+
+(* --- resolved code regions --- *)
+
+(* Charge sites pass {!Sel4.Layout.R} values, one per entry of
+   [Layout.declared].  A packed first-class module is a block with one
+   field per value in declaration order, so R can be enumerated: its
+   fields must be exactly [Layout.code name] for each declared name, in
+   order.  A region declared but missing from R, or a value R holds
+   beyond the declared list, fails here. *)
+module type R_sig = module type of Sel4.Layout.R
+
+let test_layout_r_covers_declared () =
+  let r = Obj.repr (module Sel4.Layout.R : R_sig) in
+  let declared = List.map fst Sel4.Layout.declared in
+  check_int "one R value per declared region" (List.length declared)
+    (Obj.size r);
+  List.iteri
+    (fun i name ->
+      check_bool
+        (Fmt.str "R value %d is Layout.code %S" i name)
+        true
+        (Obj.field r i == Obj.repr (Sel4.Layout.code name)))
+    declared
 
 (* --- hook composition safety --- *)
 
@@ -2089,6 +2114,12 @@ let () =
             test_case "planted off-by-one detected" `Quick
               test_scan_planted_off_by_one;
             test_case "empty scan allocation" `Quick test_scan_allocation;
+          ] );
+      ( "layout",
+        Alcotest.
+          [
+            test_case "R covers the declared regions" `Quick
+              test_layout_r_covers_declared;
           ] );
       ( "hooks-and-digest",
         Alcotest.
