@@ -18,7 +18,14 @@
    touches one or two host cache lines instead of chasing one boxed
    record per way.  [state] packs the LRU stamp with the dirty/pinned
    bits ([lru lsl 2 lor pinned lsl 1 lor dirty]); LRU comparisons use
-   [state asr 2] so flag bits never influence victim choice. *)
+   [state asr 2] so flag bits never influence victim choice.
+
+   Each set also remembers the tag-word index of the line it touched
+   last ([mru]).  That line holds its set's strictly largest stamp, so a
+   hit on it needs no way scan and no re-touch: re-touching would leave
+   the line the newest, changing no future victim choice (a pinned hit
+   is never touched anyway, and round-robin ignores stamps).  Most hits
+   of the soak simulator land there. *)
 
 type policy = Lru | Round_robin
 
@@ -38,7 +45,14 @@ type t = {
       (* line [set * ways + way]: tag at [2 * line] (-1 = invalid), packed
          state at [2 * line + 1] *)
   rr_next : int array;  (* round-robin victim cursor, per set *)
-  mutable clock : int;  (* monotonic counter driving LRU ordering *)
+  mru : int array;
+      (* per set, the tag-word index of the line it touched last; -1 when
+         unknown (after a flush or pollute) *)
+  mutable clock : int;
+      (* monotonic counter driving LRU ordering, and the cache's
+         generation: every touch, install, flush and pollute bumps it, so
+         an unchanged value means no line changed residency and no set
+         changed its MRU line *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -73,6 +87,7 @@ let create ?(policy = Lru) ~line_size ~sets ~ways () =
     locked_ways = 0;
     data;
     rr_next = Array.make sets 0;
+    mru = Array.make sets (-1);
     clock = 0;
     hits = 0;
     misses = 0;
@@ -104,10 +119,13 @@ let notify_pin_evict t si p =
 
 (* Word indices below always come from a set's own word range, bounded by
    the geometry, so the hot paths use unchecked array access. *)
-let touch t p =
+let touch t si p =
   t.clock <- t.clock + 1;
   let flags = Array.unsafe_get t.data (p + 1) land 3 in
-  Array.unsafe_set t.data (p + 1) ((t.clock lsl 2) lor flags)
+  Array.unsafe_set t.data (p + 1) ((t.clock lsl 2) lor flags);
+  Array.unsafe_set t.mru si p
+
+let generation t = t.clock
 
 (* Word index of the tag matching [tag] in the set whose words start at
    [base], or -1.  Plain loop over unboxed locals: an inner [let rec]
@@ -155,16 +173,17 @@ let hit_enc = 0
 let miss_clean_enc = 1
 let miss_dirty_enc = 2
 
-let access_enc t ~write addr =
-  let si = set_index t addr in
+(* The probe after an MRU miss: scan the set, touch a hit, install on a
+   miss.  Kept out of [access_enc] so the MRU check inlines at its call
+   sites. *)
+let access_set t ~write si tag =
   let base = si * t.ways * 2 in
-  let tag = tag_of t addr in
   let p = find_tag t ~base ~tag in
   if p >= 0 then begin
     t.hits <- t.hits + 1;
     let s = Array.unsafe_get t.data (p + 1) in
     if write then Array.unsafe_set t.data (p + 1) (s lor s_dirty);
-    if s land s_pinned = 0 then touch t p;
+    if s land s_pinned = 0 then touch t si p;
     hit_enc
   end
   else begin
@@ -184,10 +203,26 @@ let access_enc t ~write addr =
       if s land s_pinned <> 0 then notify_pin_evict t si p;
       Array.unsafe_set t.data p tag;
       Array.unsafe_set t.data (p + 1) (if write then s_dirty else 0);
-      touch t p;
+      touch t si p;
       if evicted_dirty then miss_dirty_enc else miss_clean_enc
     end
   end
+
+(* A hit on the set's MRU line changes nothing but the hit count and, on
+   a store, the dirty bit (see the header). *)
+let access_enc t ~write addr =
+  let si = set_index t addr in
+  let tag = tag_of t addr in
+  let m = Array.unsafe_get t.mru si in
+  if m >= 0 && Array.unsafe_get t.data m = tag then begin
+    t.hits <- t.hits + 1;
+    if write then begin
+      let s = Array.unsafe_get t.data (m + 1) in
+      Array.unsafe_set t.data (m + 1) (s lor s_dirty)
+    end;
+    hit_enc
+  end
+  else access_set t ~write si tag
 
 let access t ~write addr =
   match access_enc t ~write addr with
@@ -227,7 +262,7 @@ let pin t addr =
             notify_pin_evict t si p;
             t.data.(p) <- tag;
             t.data.(p + 1) <- s_pinned;
-            touch t p;
+            touch t si p;
             true
           end
           else place (way + 1)
@@ -241,13 +276,20 @@ let pinned t addr =
   let p = find_tag t ~base:(set_index t addr * t.ways * 2) ~tag:(tag_of t addr) in
   p >= 0 && t.data.(p + 1) land s_pinned <> 0
 
+(* Forget every set's MRU line and start a new generation: after a flush
+   or pollute the newest line of a set is no longer known. *)
+let new_generation t =
+  Array.fill t.mru 0 t.sets (-1);
+  t.clock <- t.clock + 1
+
 let flush ?(keep_pinned = true) t =
   for l = 0 to (t.sets * t.ways) - 1 do
     if not (keep_pinned && t.data.((2 * l) + 1) land s_pinned <> 0) then begin
       t.data.(2 * l) <- -1;
       t.data.((2 * l) + 1) <- 0
     end
-  done
+  done;
+  new_generation t
 
 (* Fill every non-pinned way of every set with dirty junk lines whose tags
    cannot collide with real addresses (tags beyond the address space).  Used
@@ -263,7 +305,13 @@ let pollute ?(dirty = true) t ~seed =
         t.data.(p + 1) <- (if dirty then s_dirty else 0)
       end
     done
-  done
+  done;
+  new_generation t
+
+let line t ~set ~way =
+  let p = ((set * t.ways) + way) * 2 in
+  let tag = t.data.(p) and s = t.data.(p + 1) in
+  if tag < 0 then None else Some (tag, s land s_dirty <> 0, s land s_pinned <> 0)
 
 type stats = {
   hits : int;

@@ -32,7 +32,14 @@ val access_enc : t -> write:bool -> int -> int
 (** Allocation-free variant of {!access} for the simulator's hot loop:
     returns [0] for a hit, [1] for a miss with no dirty eviction, [2] for a
     miss that evicted a dirty line.  Identical state evolution to
-    {!access}. *)
+    {!access}.  A hit on the line its set touched last is answered
+    without scanning the set or re-touching the line. *)
+
+val generation : t -> int
+(** A counter bumped by every touch, install, {!flush} and {!pollute}.
+    While it is unchanged, no line has changed residency and no set has
+    changed its most-recently-used line: the condition under which
+    [Machine.fetch_run] replays a run it has already probed. *)
 
 val note_seq_hits : t -> int -> unit
 (** Account [n] hits without probing the cache.  Only sound when the caller
@@ -63,6 +70,10 @@ val pollute : ?dirty:bool -> t -> seed:int -> unit
 (** Fill all unpinned ways with junk lines (dirty by default), recreating
     the cold polluted-cache state used for worst-case measurements
     (Section 5.4). *)
+
+val line : t -> set:int -> way:int -> (int * bool * bool) option
+(** The line in a way of a set: [Some (tag, dirty, pinned)], or [None]
+    when the way is invalid.  For tests that compare cache contents. *)
 
 type stats = {
   hits : int;

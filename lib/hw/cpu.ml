@@ -20,7 +20,7 @@ type t = {
   machine : Machine.t;
   l1_hit : int;  (* cached Config.l1_hit_cycles: avoids re-reading the
                     config record on every load/store *)
-  l1_line_mask : int;  (* lnot (l1_line - 1): same-line test in {!scan} *)
+  l1_line : int;  (* cached Config.l1_line: {!scan} and the block charges *)
   mutable cycles : int;
   mutable stall : int;
       (* cycles spent in the memory hierarchy (fetch/load/store latency
@@ -40,7 +40,7 @@ let create config =
   {
     machine = Machine.create config;
     l1_hit = config.Config.l1_hit_cycles;
-    l1_line_mask = lnot (config.Config.l1_line - 1);
+    l1_line = config.Config.l1_line;
     cycles = 0;
     stall = 0;
     instructions = 0;
@@ -127,6 +127,21 @@ let store t addr =
   t.cycles <- t.cycles + lat;
   t.stall <- t.stall + Int.max 0 (lat - t.l1_hit)
 
+(* Bulk stores (loads) over [bytes] from [addr]: one access per L1 line
+   (write-allocate), as object clearing and the kernel-mapping copy
+   charge them. *)
+let store_block t addr bytes =
+  let line = t.l1_line in
+  for i = 0 to ((bytes + line - 1) / line) - 1 do
+    store t (addr + (i * line))
+  done
+
+let load_block t addr bytes =
+  let line = t.l1_line in
+  for i = 0 to ((bytes + line - 1) / line) - 1 do
+    load t (addr + (i * line))
+  done
+
 (* [steps] repetitions of "execute [count] instructions from [base], then
    load [addr + i * stride]" (i = 0 .. steps - 1): the shape of a
    priority scan.  Cycle-, counter- and state-identical to calling
@@ -135,18 +150,20 @@ let store t addr =
 
    - after the first step, every fetch run repeats the immediately
      preceding one with only data accesses in between, which never touch
-     I-stream state: {!Machine.fetch_run}'s replay case, [count] hits with
-     zero stall each, counted here in one {!Cache.note_seq_hits} (the
-     replay memo already holds this run, as it would after each step);
+     the I-cache: {!Machine.fetch_run}'s replay case, [count] hits with
+     zero stall each, counted here in one {!Cache.note_seq_hits};
    - a load to the line the previous load just made most-recently-used
      (the fetches in between touch only the I-cache and the L2) is an L1
      hit that cannot change any future replacement decision, so it costs
      [l1_hit] cycles and is counted rather than probed.
 
-   Loads that leave the line are real accesses, made in order with the
-   cycle counter at the value the step-by-step charge would show, so
-   pin-eviction events keep their stamps.  With a tracer attached every
-   access is reported, so the steps run one by one. *)
+   The loop steps from one line crossing to the next in closed form:
+   from a load at [a], the first later load off [a]'s line comes [k]
+   steps on, where [k] follows from [a]'s offset in its line and the
+   stride.  Loads that leave the line are real accesses, made in order
+   with the cycle counter at the value the step-by-step charge would
+   show, so pin-eviction events keep their stamps.  With a tracer
+   attached every access is reported, so the steps run one by one. *)
 let scan t ~base ~count ~addr ~stride ~steps =
   assert (steps >= 0);
   match t.tracer with
@@ -159,18 +176,29 @@ let scan t ~base ~count ~addr ~stride ~steps =
       if steps > 0 then begin
         exec t ~base ~count;
         load t addr;
-        let mask = t.l1_line_mask in
+        let line = t.l1_line in
         let same_line = ref 0 in
-        for i = 1 to steps - 1 do
-          t.instructions <- t.instructions + count;
-          t.cycles <- t.cycles + count;
-          let a = addr + (i * stride) in
-          if a land mask = (a - stride) land mask then begin
-            incr same_line;
-            t.loads <- t.loads + 1;
-            t.cycles <- t.cycles + t.l1_hit
-          end
-          else load t a
+        let i = ref 0 in
+        (* [!i]: the last step charged; its load is on the line at hand *)
+        while !i < steps - 1 do
+          let off = (addr + (!i * stride)) land (line - 1) in
+          let k =
+            if stride > 0 then (line - off + stride - 1) / stride
+            else if stride < 0 then (off / -stride) + 1
+            else steps
+          in
+          let next = Int.min (!i + k) steps in
+          let hits = next - !i - 1 in
+          t.instructions <- t.instructions + (count * hits);
+          t.cycles <- t.cycles + ((count + t.l1_hit) * hits);
+          t.loads <- t.loads + hits;
+          same_line := !same_line + hits;
+          if next < steps then begin
+            t.instructions <- t.instructions + count;
+            t.cycles <- t.cycles + count;
+            load t (addr + (next * stride))
+          end;
+          i := next
         done;
         Cache.note_seq_hits (Machine.icache t.machine) (count * (steps - 1));
         Cache.note_seq_hits (Machine.dcache t.machine) !same_line

@@ -43,6 +43,13 @@ val scan :
     caches.  With a tracer attached the steps run one by one, reporting
     every access in order. *)
 
+val store_block : t -> int -> int -> unit
+(** [store_block t addr bytes]: one {!store} per L1 line over [bytes]
+    from [addr] (write-allocate), in address order. *)
+
+val load_block : t -> int -> int -> unit
+(** The {!load} counterpart of {!store_block}. *)
+
 type access_kind = Fetch | Load | Store
 
 val set_tracer : t -> (access_kind -> int -> unit) -> unit

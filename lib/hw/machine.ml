@@ -9,17 +9,20 @@
    Branches cost a constant [branch_cost_static] cycles with the predictor
    disabled, otherwise [branch_cost_predicted] / [branch_cost_mispredicted]. *)
 
+(* Run memo: a direct-mapped table of probed fetch runs, keyed by base.
+   Slot [i] holds (base, count, I-cache generation) at words [3i .. 3i+2];
+   an empty slot holds -1s, which no run matches. *)
+let memo_slots = 256
+
 type t = {
   config : Config.t;
   icache : Cache.t;
   dcache : Cache.t;
   l2 : Cache.t option;
   bpred : Branch_predictor.t;
-  mutable last_run_base : int;
-      (* The immediately preceding {!fetch_run}, when nothing else has
-         touched I-stream state since (-1 = none): repeating it is
-         guaranteed all-hits and replayed without probing. *)
-  mutable last_run_count : int;
+  mem : int;  (* Config.mem_cycles *)
+  writeback : int;  (* Config.writeback_cycles: a division, done once *)
+  runs : int array;  (* the run memo *)
 }
 
 let create (config : Config.t) =
@@ -48,8 +51,9 @@ let create (config : Config.t) =
     dcache;
     l2;
     bpred = Branch_predictor.create ();
-    last_run_base = -1;
-    last_run_count = 0;
+    mem = Config.mem_cycles config;
+    writeback = Config.writeback_cycles config;
+    runs = Array.make (3 * memo_slots) (-1);
   }
 
 let config t = t.config
@@ -57,20 +61,17 @@ let icache t = t.icache
 let dcache t = t.dcache
 let l2 t = t.l2
 
-let mem_latency t = Config.mem_cycles t.config
-let writeback_cost t = Config.writeback_cycles t.config
-
 (* Cost of an access that missed in L1, possibly serviced by the L2.
    Addresses inside the L2-locked range are always resident there
    (Section 8), so they cost an L2 hit and touch no L2 state. *)
 let below_l1 t ~write addr =
   match t.l2 with
-  | None -> mem_latency t
+  | None -> t.mem
   | Some _ when Config.l2_locked t.config addr -> t.config.l2_hit_cycles
   | Some l2 ->
       let e = Cache.access_enc l2 ~write addr in
       if e = 0 then t.config.l2_hit_cycles
-      else mem_latency t + if e = 2 then writeback_cost t else 0
+      else t.mem + if e = 2 then t.writeback else 0
 
 let data_access t ~write addr =
   let e = Cache.access_enc t.dcache ~write addr in
@@ -80,18 +81,17 @@ let data_access t ~write addr =
        write is absorbed by the L2 and its buffers); only without an L2
        does it pay the memory-latency write-back. *)
     below_l1 t ~write addr
-    + if e = 2 && Option.is_none t.l2 then writeback_cost t else 0
+    + if e = 2 && Option.is_none t.l2 then t.writeback else 0
 
 let read t addr = data_access t ~write:false addr
 let write t addr = data_access t ~write:true addr
 
 let fetch t addr =
-  t.last_run_base <- -1;
   let e = Cache.access_enc t.icache ~write:false addr in
   if e = 0 then 0 (* fetch overlaps with execution on a hit *)
   else
     below_l1 t ~write:false addr
-    + if e = 2 && Option.is_none t.l2 then writeback_cost t else 0
+    + if e = 2 && Option.is_none t.l2 then t.writeback else 0
 
 (* Stall cycles for [count] sequential 4-byte instruction fetches starting
    at [base], equivalent to summing [fetch] over every address but probing
@@ -100,43 +100,59 @@ let fetch t addr =
    unlocked way), the remaining fetches on that line are guaranteed hits
    with zero stall, and re-touching the line the previous fetch just made
    most-recently-used cannot change any future replacement decision; they
-   are therefore accounted in bulk via {!Cache.note_seq_hits}.
+   are accounted in bulk via {!Cache.note_seq_hits}.
 
-   The same argument covers replaying the run as a whole: if this run is
-   identical to the immediately preceding one and nothing else touched
-   I-stream state in between, every line is still resident (a hit kept
-   it, a miss installed it) and re-touching them in the same order leaves
-   the relative LRU order of every set unchanged — so the repeat is
-   accounted as [count] hits with zero stall and no probes.  Data
-   accesses never touch the I-cache, so polling loops (a preemption-point
-   check fetching the same region between loads) replay this way for the
-   bulk of the soak simulator's fetch work. *)
+   The run memo replays a whole run without probing.  After a probed run
+   of at most [sets] lines (so no two of them share a set), each of its
+   lines is resident and is its set's MRU line, or a pinned line, which a
+   hit never touches.  While the I-cache generation stays unchanged no
+   line has been installed, evicted or touched, so that still holds; a
+   later run from the same base with no more instructions fetches a
+   prefix of those lines, and fetching them again is all hits that
+   change no replacement state.  It is accounted as [count] hits with
+   zero stall.  Data accesses never touch the I-cache, so polling loops
+   (a preemption-point check fetching the same region between loads)
+   replay this way. *)
 let fetch_run t ~base ~count =
   if count <= 0 then 0
-  else if base = t.last_run_base && count = t.last_run_count then begin
-    Cache.note_seq_hits t.icache count;
-    0
-  end
   else begin
-    let line = t.config.Config.l1_line in
-    let total = ref 0 in
-    let i = ref 0 in
-    while !i < count do
-      let addr = base + (4 * !i) in
-      let left_on_line = (line - (addr land (line - 1))) / 4 in
-      let n = Int.min (count - !i) (Int.max 1 left_on_line) in
-      (* not [fetch]: it must not clear the replay memo set below *)
-      let e = Cache.access_enc t.icache ~write:false addr in
-      if e <> 0 then
-        total :=
-          !total + below_l1 t ~write:false addr
-          + if e = 2 && Option.is_none t.l2 then writeback_cost t else 0;
-      if n > 1 then Cache.note_seq_hits t.icache (n - 1);
-      i := !i + n
-    done;
-    t.last_run_base <- base;
-    t.last_run_count <- count;
-    !total
+    let ic = t.icache in
+    let slot = 3 * ((base lsr 5) land (memo_slots - 1)) in
+    let runs = t.runs in
+    if
+      Array.unsafe_get runs slot = base
+      && count <= Array.unsafe_get runs (slot + 1)
+      && Array.unsafe_get runs (slot + 2) = Cache.generation ic
+    then begin
+      Cache.note_seq_hits ic count;
+      0
+    end
+    else begin
+      let line = t.config.Config.l1_line in
+      let total = ref 0 in
+      let seq = ref 0 in
+      let i = ref 0 in
+      while !i < count do
+        let addr = base + (4 * !i) in
+        let left_on_line = (line - (addr land (line - 1))) / 4 in
+        let n = Int.min (count - !i) (Int.max 1 left_on_line) in
+        let e = Cache.access_enc ic ~write:false addr in
+        if e <> 0 then
+          total :=
+            !total + below_l1 t ~write:false addr
+            + if e = 2 && Option.is_none t.l2 then t.writeback else 0;
+        seq := !seq + (n - 1);
+        i := !i + n
+      done;
+      Cache.note_seq_hits ic !seq;
+      let lines = ((base + (4 * (count - 1))) / line) - (base / line) + 1 in
+      if lines <= Cache.sets ic then begin
+        Array.unsafe_set runs slot base;
+        Array.unsafe_set runs (slot + 1) count;
+        Array.unsafe_set runs (slot + 2) (Cache.generation ic)
+      end;
+      !total
+    end
   end
 
 let branch t ~pc ~taken =
@@ -145,9 +161,7 @@ let branch t ~pc ~taken =
     t.config.branch_cost_predicted
   else t.config.branch_cost_mispredicted
 
-let pin_icache t addr =
-  t.last_run_base <- -1;
-  Cache.pin t.icache addr
+let pin_icache t addr = Cache.pin t.icache addr
 let pin_dcache t addr = Cache.pin t.dcache addr
 
 (* Route pin-eviction observations from both L1 caches through one
@@ -162,7 +176,6 @@ let set_pin_evict_hook t hook =
       Cache.set_pin_evict_hook t.dcache (Some (fun addr -> f "dcache" addr))
 
 let pollute t ~seed =
-  t.last_run_base <- -1;
   Cache.pollute t.icache ~seed;
   Cache.pollute t.dcache ~seed:(seed + 1);
   (* The L2's junk is clean: its write-back traffic is not part of the
@@ -171,7 +184,6 @@ let pollute t ~seed =
   Branch_predictor.reset t.bpred
 
 let flush t =
-  t.last_run_base <- -1;
   Cache.flush t.icache;
   Cache.flush t.dcache;
   Option.iter Cache.flush t.l2;

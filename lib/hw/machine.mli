@@ -26,7 +26,9 @@ val fetch_run : t -> base:int -> count:int -> int
 (** Total fetch stall for [count] sequential 4-byte instruction fetches
     starting at [base].  Cycle- and state-identical to summing {!fetch}
     over each address, but probes the I-cache only once per line (the
-    remaining fetches on a line are guaranteed hits). *)
+    remaining fetches on a line are guaranteed hits), and not at all when
+    it repeats a prefix of a run from the same base that it probed while
+    the I-cache was in its current {!Cache.generation}. *)
 
 val branch : t -> pc:int -> taken:bool -> int
 (** Branch cost: constant with the predictor disabled, outcome-dependent

@@ -109,24 +109,10 @@ let branch t (region : Layout.code_region) ~taken =
    (write-allocate), as used by object clearing and the kernel-mapping
    copy. *)
 let store_block t addr bytes =
-  match t.cpu with
-  | None -> ()
-  | Some cpu ->
-      let line = (Hw.Cpu.config cpu).Hw.Config.l1_line in
-      let lines = (bytes + line - 1) / line in
-      for i = 0 to lines - 1 do
-        Hw.Cpu.store cpu (addr + (i * line))
-      done
+  match t.cpu with None -> () | Some cpu -> Hw.Cpu.store_block cpu addr bytes
 
 let load_block t addr bytes =
-  match t.cpu with
-  | None -> ()
-  | Some cpu ->
-      let line = (Hw.Cpu.config cpu).Hw.Config.l1_line in
-      let lines = (bytes + line - 1) / line in
-      for i = 0 to lines - 1 do
-        Hw.Cpu.load cpu (addr + (i * line))
-      done
+  match t.cpu with None -> () | Some cpu -> Hw.Cpu.load_block cpu addr bytes
 
 (* --- the interrupt controller --- *)
 

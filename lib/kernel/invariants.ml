@@ -11,7 +11,8 @@
      runnable (Section 3.1), with the existing invariant that every
      runnable thread is queued or currently executing;
    - the bitmap invariant: the priority bitmap precisely mirrors run-queue
-     occupancy (Section 3.2);
+     occupancy (Section 3.2), in every build (the scanning schedulers find
+     the next non-empty priority there);
    - book-keeping: the derivation tree is well formed, and — in the shadow
      design — mapping entries and frame-cap back-pointers agree in both
      directions (Section 3.6);
@@ -77,13 +78,13 @@ let check_run_queues (k : Kernel.t) =
           fail "run queue %d: tail mismatch" prio
     | _ :: _, None -> fail "run queue %d: missing tail" prio);
     check_queued prio members;
-    (* The bitmap mirrors queue occupancy exactly (Section 3.2). *)
-    if k.Kernel.build.Build.sched = Build.Benno_bitmap then begin
-      let bit = Sched.bitmap_bit_set sched prio in
-      if bit <> (members <> []) then
-        fail "bitmap bit for priority %d is %b but queue has %d members" prio
-          bit (List.length members)
-    end;
+    (* The bitmap mirrors queue occupancy exactly (Section 3.2).  Every
+       build keeps it on the host: the scanning schedulers look up the
+       next non-empty priority there. *)
+    let bit = Sched.bitmap_bit_set sched prio in
+    if bit <> (members <> []) then
+      fail "bitmap bit for priority %d is %b but queue has %d members" prio
+        bit (List.length members);
     (* The Benno invariant: all queued threads are runnable. *)
     (match k.Kernel.build.Build.sched with
     | Build.Benno | Build.Benno_bitmap ->

@@ -44,22 +44,25 @@ let queue t prio = t.queues.(prio)
 let charge_queue_touch ctx prio =
   Ctx.load ctx (Layout.run_queue_entry prio)
 
+(* The bitmap is kept on the host in every build: it answers
+   [next_nonempty] for the scanning schedulers.  Only [Benno_bitmap]
+   keeps it in simulated memory, so only there is its update charged. *)
 let bitmap_set ctx t prio =
+  let bucket = prio / bucket_bits and bit = prio mod bucket_bits in
+  t.buckets.(bucket) <- t.buckets.(bucket) lor (1 lsl bit);
+  t.top <- t.top lor (1 lsl bucket);
   if t.build.Build.sched = Build.Benno_bitmap then begin
     Ctx.exec ctx Layout.R.sched_bitmap Costs.bitmap_update_instrs;
-    let bucket = prio / bucket_bits and bit = prio mod bucket_bits in
-    t.buckets.(bucket) <- t.buckets.(bucket) lor (1 lsl bit);
-    t.top <- t.top lor (1 lsl bucket);
     Ctx.store ctx (Layout.bitmap_bucket bucket);
     Ctx.store ctx Layout.bitmap_top
   end
 
 let bitmap_clear ctx t prio =
+  let bucket = prio / bucket_bits and bit = prio mod bucket_bits in
+  t.buckets.(bucket) <- t.buckets.(bucket) land lnot (1 lsl bit);
+  if t.buckets.(bucket) = 0 then t.top <- t.top land lnot (1 lsl bucket);
   if t.build.Build.sched = Build.Benno_bitmap then begin
     Ctx.exec ctx Layout.R.sched_bitmap Costs.bitmap_update_instrs;
-    let bucket = prio / bucket_bits and bit = prio mod bucket_bits in
-    t.buckets.(bucket) <- t.buckets.(bucket) land lnot (1 lsl bit);
-    if t.buckets.(bucket) = 0 then t.top <- t.top land lnot (1 lsl bucket);
     Ctx.store ctx (Layout.bitmap_bucket bucket);
     Ctx.store ctx Layout.bitmap_top
   end
@@ -121,15 +124,35 @@ let make_runnable ctx t tcb =
 
 (* --- chooseThread, per variant --- *)
 
-(* Highest non-empty priority at or below [prio], or -1.  A host-side
-   lookup that charges nothing: the scan it stands for is charged by
-   [charge_scan]. *)
-let rec next_nonempty t prio =
-  if prio < 0 then prio
-  else
-    match t.queues.(prio).head with
-    | Some _ -> prio
-    | None -> next_nonempty t (prio - 1)
+(* Index of the highest set bit of a non-zero word of at most 32 bits:
+   the CLZ the bitmap scheduler models, by binary search. *)
+let msb word =
+  let r = ref 0 and w = ref word in
+  if !w lsr 16 <> 0 then (w := !w lsr 16; r := 16);
+  if !w lsr 8 <> 0 then (w := !w lsr 8; r := !r + 8);
+  if !w lsr 4 <> 0 then (w := !w lsr 4; r := !r + 4);
+  if !w lsr 2 <> 0 then (w := !w lsr 2; r := !r + 2);
+  if !w lsr 1 <> 0 then r := !r + 1;
+  !r
+
+(* Highest non-empty priority at or below [prio], or -1, from the host
+   bitmap: the bucket of [prio] masked to bits at or below it, else the
+   highest non-empty bucket below.  Charges nothing: the scan it stands
+   for is charged by [charge_scan]. *)
+let next_nonempty t prio =
+  if prio < 0 then -1
+  else begin
+    let bucket = prio / bucket_bits in
+    let below = t.buckets.(bucket) land ((2 lsl (prio mod bucket_bits)) - 1) in
+    if below <> 0 then (bucket * bucket_bits) + msb below
+    else begin
+      let lower = t.top land ((1 lsl bucket) - 1) in
+      if lower = 0 then -1
+      else
+        let b = msb lower in
+        (b * bucket_bits) + msb t.buckets.(b)
+    end
+  end
 
 (* Charge the scan loop over priorities [from] down to [upto] (inclusive,
    [upto] >= 0): per priority, the loop body and the load of its
@@ -190,10 +213,6 @@ let choose_bitmap ctx t =
   Ctx.load ctx Layout.bitmap_top;
   if t.top = 0 then t.idle
   else begin
-    let msb word =
-      let rec go i = if word land (1 lsl i) <> 0 then i else go (i - 1) in
-      go 31
-    in
     let bucket = msb t.top in
     Ctx.load ctx (Layout.bitmap_bucket bucket);
     let bit = msb t.buckets.(bucket) in
@@ -224,3 +243,4 @@ let choose_thread ctx t =
 
 let bitmap_bit_set t prio =
   t.buckets.(prio / bucket_bits) land (1 lsl (prio mod bucket_bits)) <> 0
+  && t.top land (1 lsl (prio / bucket_bits)) <> 0

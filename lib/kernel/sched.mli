@@ -29,4 +29,11 @@ val choose_thread : Ctx.t -> t -> tcb
 (** The scheduling decision, per variant: lazy scan with stale dequeues,
     Benno scan, or the two-load/two-CLZ bitmap lookup. *)
 
+val next_nonempty : t -> prio -> prio
+(** The highest priority at or below the given one whose run queue is
+    non-empty, or -1: found from the priority bitmap, which the host keeps
+    in every build.  Charges nothing. *)
+
 val bitmap_bit_set : t -> prio -> bool
+(** The priority's bit is set in its bucket word, and the bucket's bit in
+    the top-level word. *)

@@ -1911,6 +1911,41 @@ let test_scan_allocation () =
       end)
     scan_builds
 
+(* [Sched.next_nonempty] reads the host bitmap: over random enqueue and
+   dequeue sequences it agrees with a linear walk down the run queues
+   from every priority, in every build. *)
+let test_next_nonempty_matches_walk () =
+  let rng = Random.State.make [| 28 |] in
+  List.iter
+    (fun (bname, build) ->
+      let env = B.boot build in
+      let ctx = K.ctx env.B.k and sched = env.B.k.K.sched in
+      let threads =
+        Array.init 24 (fun i ->
+            let priority =
+              if i mod 3 = 0 then 224 + Random.State.int rng 32
+              else Random.State.int rng 256
+            in
+            B.spawn_thread env ~priority ~dest:(40 + i))
+      in
+      let rec walk prio =
+        if prio < 0 then -1
+        else if Option.is_some (Sched.queue sched prio).head then prio
+        else walk (prio - 1)
+      in
+      for op = 1 to 400 do
+        let t = threads.(Random.State.int rng (Array.length threads)) in
+        if t.in_run_queue then Sched.dequeue ctx sched t
+        else Sched.enqueue ctx sched t;
+        for prio = -1 to Sched.num_priorities - 1 do
+          let got = Sched.next_nonempty sched prio and want = walk prio in
+          if got <> want then
+            Alcotest.failf "%s op %d: next_nonempty %d = %d, walk gives %d"
+              bname op prio got want
+        done
+      done)
+    scan_builds
+
 (* --- resolved code regions --- *)
 
 (* Charge sites pass {!Sel4.Layout.R} values, one per entry of
@@ -2114,6 +2149,8 @@ let () =
             test_case "planted off-by-one detected" `Quick
               test_scan_planted_off_by_one;
             test_case "empty scan allocation" `Quick test_scan_allocation;
+            test_case "next non-empty priority matches the walk" `Quick
+              test_next_nonempty_matches_walk;
           ] );
       ( "layout",
         Alcotest.
