@@ -5,67 +5,56 @@
    tests); with a CPU attached, every instruction, load, store and branch
    goes through the cache/memory hierarchy and accumulates cycles. *)
 
-(* Interrupt-controller state is int-encoded in preallocated arrays: the
-   pending set is a FIFO ring (delivery order) shadowed by a membership
-   bitmask, armed device timers live in parallel fire/line arrays
-   compacted in place, and each line's assert stamp is a plain int.  The
-   soak simulator polls [irq_pending] at every preemption point and kernel
-   exit across hundreds of millions of entries; option boxes and lists
-   here would dominate its allocation profile. *)
+(* The interrupt controller keeps its state per line, in preallocated int
+   arrays and two bitmasks, as a hardware controller keeps a pending bit
+   per line and chooses among the pending lines.  The soak simulator polls
+   [irq_pending] at every preemption point and kernel exit across hundreds
+   of millions of entries; option boxes and lists here would dominate its
+   allocation profile. *)
 let num_irqs = 32
 let timer_irq = 0
 
 type t = {
   cpu : Hw.Cpu.t option;
   build : Build.t;
-  pending_buf : int array;  (* ring of raised, undelivered lines *)
-  mutable pending_head : int;
-  mutable pending_count : int;
-  mutable pending_mask : int;  (* bit per line: membership in the ring *)
-  irq_assert : int array;
-      (* per-line cycle at which the pending assertion happened — the
-         device's view — so each delivery's latency is measured from its
-         own line's assert, not from the earliest of all pending lines;
-         meaningful only while the line is in the ring *)
-  mutable armed_fire : int array;
-  mutable armed_line : int array;
-      (* (fire cycle, line) device timers not yet promoted, first
-         [armed_count] slots live; promoted into the pending ring
-         earliest-first on the interrupt path once the cycle counter
-         passes the fire cycle *)
-  mutable armed_count : int;
-  mutable scratch_fire : int array;
-  mutable scratch_line : int array;  (* promote_armed expired-timer buffer *)
-  mutable preempt_count : int;  (* preemption points taken (not checks) *)
+  mutable pending : int;  (* bit per line: asserted, not yet delivered *)
+  mutable armed : int;  (* bit per line: a device timer not yet promoted *)
+  asserted_at : int array;
+      (* per pending line, its raise or fire cycle: delivery picks the
+         earliest and measures the line's latency from it *)
+  armed_at : int array;  (* per armed line, its fire cycle *)
+  pending_ticket : int array;
+  armed_ticket : int array;
+      (* per line, the tie-break ticket drawn when it was raised or armed;
+         a promoted line carries its armed ticket into pending *)
+  mutable tickets : int;  (* tickets drawn so far *)
+  mutable next_fire : int;
+      (* the earliest [armed_at] of an armed line, [max_int] when none is
+         armed: keeps [irq_pending] O(1) *)
   mutable preempt_polls : int;  (* preemption points polled (taken or not) *)
   mutable on_preempt_poll : (int -> bool) option;
-      (* Fault-injection hook: called with the 1-based poll index at every
-         preemption-point poll, *before* the pending check.  Returning
-         [true] asserts [timer_irq] at exactly this poll — the mechanism
-         the schedule campaign uses to hit the k-th preemption point
-         deterministically, independent of cycle counts.  Install via
-         {!Kernel.set_injection_hook}, which refuses to overwrite a live
-         hook. *)
+      (* fault-injection hook: called with the 1-based poll index before
+         the pending check; [true] asserts [timer_irq] at this poll, so a
+         campaign hits the k-th preemption point whatever the cycles *)
 }
 
 let create ?cpu build =
   {
     cpu;
     build;
-    pending_buf = Array.make num_irqs 0;
-    pending_head = 0;
-    pending_count = 0;
-    pending_mask = 0;
-    irq_assert = Array.make num_irqs 0;
-    armed_fire = Array.make 8 0;
-    armed_line = Array.make 8 0;
-    armed_count = 0;
-    scratch_fire = Array.make 8 0;
-    scratch_line = Array.make 8 0;
-    preempt_count = 0;
+    pending = 0;
+    armed = 0;
+    asserted_at = Array.make num_irqs 0;
+    armed_at = Array.make num_irqs 0;
+    pending_ticket = Array.make num_irqs 0;
+    armed_ticket = Array.make num_irqs 0;
+    tickets = 0;
+    next_fire = max_int;
     preempt_polls = 0;
     on_preempt_poll = None;
   }
+
+let build t = t.build
 
 let cycles t = match t.cpu with Some cpu -> Hw.Cpu.cycles cpu | None -> 0
 
@@ -116,116 +105,98 @@ let load_block t addr bytes =
 
 (* --- the interrupt controller --- *)
 
-let line_pending t line = t.pending_mask land (1 lsl line) <> 0
+let has_pending t = t.pending <> 0
+let assert_cycle t line = t.asserted_at.(line)
 
-(* Append [line] to the pending FIFO and stamp its assert cycle; the
-   caller has already checked membership via the mask.  The ring never
-   overflows: the mask bounds it at [num_irqs] distinct lines. *)
-let pending_push t line ~asserted =
-  t.pending_buf.((t.pending_head + t.pending_count) land (num_irqs - 1)) <-
-    line;
-  t.pending_count <- t.pending_count + 1;
-  t.pending_mask <- t.pending_mask lor (1 lsl line);
-  t.irq_assert.(line) <- asserted
+let draw_ticket t =
+  t.tickets <- t.tickets + 1;
+  t.tickets
+
+(* The line in [mask] with the smallest (stamp, ticket), scanning from
+   [line]; [best] is -1 or the best line so far.  Tickets are unique, so
+   the order is total and delivery deterministic. *)
+let rec earliest mask stamps tickets line best =
+  if mask lsr line = 0 then best
+  else if
+    mask land (1 lsl line) <> 0
+    && (best < 0
+       || stamps.(line) < stamps.(best)
+       || (stamps.(line) = stamps.(best) && tickets.(line) < tickets.(best)))
+  then earliest mask stamps tickets (line + 1) line
+  else earliest mask stamps tickets (line + 1) best
+
+let earliest_armed t = earliest t.armed t.armed_at t.armed_ticket 0 (-1)
+
+let make_pending t line ~at ~ticket =
+  t.pending <- t.pending lor (1 lsl line);
+  t.asserted_at.(line) <- at;
+  t.pending_ticket.(line) <- ticket
 
 (* An already-pending line absorbs a new assertion, as a real interrupt
    controller's level-triggered pending bit would; the assertion is still
    traced. *)
 let assert_irq t line =
-  if not (line_pending t line) then pending_push t line ~asserted:(cycles t);
+  if t.pending land (1 lsl line) = 0 then
+    make_pending t line ~at:(cycles t) ~ticket:(draw_ticket t);
   if tracing t then emit t (Obs.Trace.Irq_assert { line })
 
 let pop_irq t =
-  let line = t.pending_buf.(t.pending_head) in
-  t.pending_head <- (t.pending_head + 1) land (num_irqs - 1);
-  t.pending_count <- t.pending_count - 1;
-  t.pending_mask <- t.pending_mask land lnot (1 lsl line);
+  let line = earliest t.pending t.asserted_at t.pending_ticket 0 (-1) in
+  t.pending <- t.pending land lnot (1 lsl line);
   line
 
+(* A line holds one fire cycle: re-arming an armed line keeps the earlier
+   one. *)
 let arm_irq t line ~fire =
-  (if t.armed_count = Array.length t.armed_fire then begin
-     let cap = 2 * Array.length t.armed_fire in
-     let grow a = Array.append a (Array.make (cap - Array.length a) 0) in
-     t.armed_fire <- grow t.armed_fire;
-     t.armed_line <- grow t.armed_line;
-     t.scratch_fire <- grow t.scratch_fire;
-     t.scratch_line <- grow t.scratch_line
-   end);
-  t.armed_fire.(t.armed_count) <- fire;
-  t.armed_line.(t.armed_count) <- line;
-  t.armed_count <- t.armed_count + 1;
+  if t.armed land (1 lsl line) = 0 || fire < t.armed_at.(line) then begin
+    t.armed <- t.armed lor (1 lsl line);
+    t.armed_at.(line) <- fire;
+    t.armed_ticket.(line) <- draw_ticket t;
+    if fire < t.next_fire then t.next_fire <- fire
+  end;
   if tracing t then emit t (Obs.Trace.Irq_armed { line; fire_at = fire })
 
-(* Promote armed lines whose fire cycle has passed into the pending set,
-   earliest first (stable for equal fire cycles, so delivery order is
-   deterministic), stamping each line's assert cycle with the cycle its
-   (virtual) device raised it.  Expired slots are gathered into the
-   scratch buffer and insertion-sorted (stable) by fire cycle; live timers
-   compact in place, preserving arming order. *)
-let promote_armed t =
-  if t.armed_count > 0 then begin
-    let now = cycles t in
-    let expired = ref 0 in
-    let kept = ref 0 in
-    for i = 0 to t.armed_count - 1 do
-      let fire = t.armed_fire.(i) in
-      if now >= fire then begin
-        t.scratch_fire.(!expired) <- fire;
-        t.scratch_line.(!expired) <- t.armed_line.(i);
-        incr expired
-      end
-      else begin
-        t.armed_fire.(!kept) <- fire;
-        t.armed_line.(!kept) <- t.armed_line.(i);
-        incr kept
-      end
-    done;
-    if !expired > 0 then begin
-      t.armed_count <- !kept;
-      for i = 1 to !expired - 1 do
-        let f = t.scratch_fire.(i) and l = t.scratch_line.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && t.scratch_fire.(!j) > f do
-          t.scratch_fire.(!j + 1) <- t.scratch_fire.(!j);
-          t.scratch_line.(!j + 1) <- t.scratch_line.(!j);
-          decr j
-        done;
-        t.scratch_fire.(!j + 1) <- f;
-        t.scratch_line.(!j + 1) <- l
-      done;
-      for i = 0 to !expired - 1 do
-        let line = t.scratch_line.(i) in
-        if not (line_pending t line) then begin
-          pending_push t line ~asserted:t.scratch_fire.(i);
-          (* Flight-recorder visibility: a timer-armed line becoming
-             pending is an assertion; without this the replayed worst-
-             delivery windows would show armed->deliver with no assert
-             edge.  Emission charges no cycles. *)
-          if tracing t then emit t (Obs.Trace.Irq_assert { line })
-        end
-      done
-    end
+(* Promote armed lines whose fire cycle has passed into pending, earliest
+   first, each stamped with the cycle its (virtual) device raised it.  A
+   line already pending absorbs the assertion.  A promoted line emits
+   [Irq_assert] for the flight recorder, whose replayed worst-delivery
+   windows would otherwise show armed->deliver with no assert edge;
+   emission charges no cycles. *)
+let rec promote_armed t =
+  if cycles t >= t.next_fire then begin
+    let line = earliest_armed t in
+    t.armed <- t.armed land lnot (1 lsl line);
+    t.next_fire <-
+      (if t.armed = 0 then max_int else t.armed_at.(earliest_armed t));
+    if t.pending land (1 lsl line) = 0 then begin
+      make_pending t line ~at:t.armed_at.(line) ~ticket:t.armed_ticket.(line);
+      if tracing t then emit t (Obs.Trace.Irq_assert { line })
+    end;
+    promote_armed t
   end
 
-(* Earliest armed timer (ties resolved to the earliest-armed slot). *)
 let next_armed_irq t =
-  if t.armed_count = 0 then None
-  else begin
-    let best = ref 0 in
-    for i = 1 to t.armed_count - 1 do
-      if t.armed_fire.(i) < t.armed_fire.(!best) then best := i
-    done;
-    Some (t.armed_fire.(!best), t.armed_line.(!best))
-  end
+  if t.armed = 0 then None
+  else
+    let line = earliest_armed t in
+    Some (t.armed_at.(line), line)
 
-let rec armed_fired t now i =
-  i < t.armed_count && (t.armed_fire.(i) <= now || armed_fired t now (i + 1))
+(* What a preemption point polls: a line is pending, or an armed timer
+   has fired.  Nothing is promoted here; promotion, and the [Irq_assert]
+   events it emits, happen on the interrupt path. *)
+let irq_pending t = t.pending <> 0 || cycles t >= t.next_fire
 
-(* What a preemption point polls: a raised line waits in the ring, or an
-   armed timer has fired.  Nothing is promoted here; promotion, and the
-   [Irq_assert] events it emits, happen on the interrupt path. *)
-let irq_pending t =
-  t.pending_count > 0 || (t.armed_count > 0 && armed_fired t (cycles t) 0)
+let preempt_polls t = t.preempt_polls
+
+let set_injection_hook t hook =
+  (match (t.on_preempt_poll, hook) with
+  | Some _, Some _ ->
+      invalid_arg
+        "Kernel.set_injection_hook: an injection hook is already installed \
+         (clear it with None first)"
+  | _ -> ());
+  t.on_preempt_poll <- hook;
+  t.preempt_polls <- 0
 
 (* A preemption point: polls the pending flag (charging the check) and
    reports whether the current long-running operation must give way.
@@ -238,12 +209,6 @@ let preemption_point t =
   (match t.on_preempt_poll with
   | Some hook -> if hook t.preempt_polls then assert_irq t timer_irq
   | None -> ());
-  let taken =
-    if t.build.Build.preemption_points && irq_pending t then begin
-      t.preempt_count <- t.preempt_count + 1;
-      true
-    end
-    else false
-  in
+  let taken = t.build.Build.preemption_points && irq_pending t in
   if tracing t then emit t (Obs.Trace.Preempt_point { taken });
   taken

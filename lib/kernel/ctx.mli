@@ -5,32 +5,12 @@
 val num_irqs : int
 val timer_irq : int
 
-type t = {
-  cpu : Hw.Cpu.t option;
-  build : Build.t;
-  pending_buf : int array;  (** ring of raised, undelivered lines *)
-  mutable pending_head : int;
-  mutable pending_count : int;
-  mutable pending_mask : int;  (** bit per line: membership in the ring *)
-  irq_assert : int array;
-      (** per-line assert cycle of each pending line (stale for a line not
-          in the ring) *)
-  mutable armed_fire : int array;
-  mutable armed_line : int array;
-      (** (fire cycle, line) device timers not yet promoted, first
-          [armed_count] slots live *)
-  mutable armed_count : int;
-  mutable scratch_fire : int array;
-  mutable scratch_line : int array;
-  mutable preempt_count : int;
-  mutable preempt_polls : int;  (** preemption points polled (taken or not) *)
-  mutable on_preempt_poll : (int -> bool) option;
-      (** fault-injection hook: called with the 1-based poll index before
-          the pending check; returning [true] asserts [timer_irq] at
-          exactly this poll (install via {!Kernel.set_injection_hook}) *)
-}
+type t
+(** The cost-charging target plus the interrupt controller's state; both
+    stay private to this module. *)
 
 val create : ?cpu:Hw.Cpu.t -> Build.t -> t
+val build : t -> Build.t
 val cycles : t -> int
 
 val emit : t -> Obs.Trace.kind -> unit
@@ -62,35 +42,59 @@ val store_block : t -> int -> int -> unit
 
 val load_block : t -> int -> int -> unit
 
-(** {1 The interrupt controller} *)
+(** {1 The interrupt controller}
+
+    Per line: a pending bit with its assert cycle, and an armed bit with
+    its fire cycle.  Every raise and arm draws a tie-break ticket from one
+    counter, so lines asserted at the same cycle are delivered in the
+    order they were raised or armed.  Raising, arming, polling and
+    delivering allocate nothing. *)
 
 val assert_irq : t -> int -> unit
-(** Assert a line now: it joins the pending ring, stamped with the current
-    cycle, unless it is already pending.  Emits [Irq_assert] either way. *)
+(** Assert a line now: it becomes pending, stamped with the current
+    cycle, unless it is already pending.  Emits [Irq_assert] either
+    way. *)
 
 val arm_irq : t -> int -> fire:int -> unit
-(** Arm a device timer: the line is asserted once the cycle counter
-    reaches [fire].  Any number of timers may be armed at once.  Emits
-    [Irq_armed]. *)
+(** Arm a line's device timer: the line is asserted once the cycle
+    counter reaches [fire].  Each line holds one fire cycle; re-arming an
+    armed line keeps the earlier one.  Emits [Irq_armed]. *)
 
 val promote_armed : t -> unit
-(** Move every fired timer's line into the pending ring, earliest fire
-    cycle first (ties by arming order), stamped with its fire cycle; a
-    line already pending absorbs the assertion.  Called on the interrupt
-    path only. *)
+(** Make every fired timer's line pending, stamped with its fire cycle
+    and carrying the ticket it was armed with; a line already pending
+    absorbs the assertion.  Emits [Irq_assert] per promoted line, earliest
+    first.  Called on the interrupt path only. *)
+
+val has_pending : t -> bool
+(** Some line is pending.  A fired timer counts only once
+    {!promote_armed} has run. *)
 
 val pop_irq : t -> int
-(** Remove and return the oldest pending line; its assert stamp stays
-    readable in [irq_assert] until the line is asserted again.  Requires
-    [pending_count > 0]. *)
+(** Remove and return the pending line with the earliest (assert cycle,
+    ticket).  Requires {!has_pending}. *)
+
+val assert_cycle : t -> int -> int
+(** The assert cycle of a line, valid while it is pending and after
+    {!pop_irq} returns it, until it is asserted again. *)
 
 val next_armed_irq : t -> (int * int) option
-(** The earliest (fire cycle, line) among armed timers, if any. *)
+(** The earliest (fire cycle, line) among armed timers, ties by ticket. *)
 
 val irq_pending : t -> bool
-(** A line is pending, or an armed timer has fired.  Promotes nothing. *)
+(** A line is pending, or an armed timer has fired.  Promotes nothing;
+    O(1). *)
 
 val preemption_point : t -> bool
 (** Poll {!irq_pending} (charging the check), after running the
     preempt-poll hook.  Always [false] when the build disables preemption
     points — the "before" kernel. *)
+
+val set_injection_hook : t -> (int -> bool) option -> unit
+(** Install or clear the preempt-poll hook ({!Kernel.set_injection_hook}
+    documents it) and reset the poll counter.  Raises [Invalid_argument]
+    over a live hook: two campaigns sharing one kernel would otherwise
+    silently drop each other's schedules. *)
+
+val preempt_polls : t -> int
+(** Preemption points polled since the hook was last installed. *)

@@ -646,44 +646,24 @@ let raise_irq t line =
 
 (* Arrange for [line] to be asserted once the cycle counter reaches
    now + delay: the interrupt will land in the middle of whatever kernel
-   operation is then executing.  Any number of device timers may be armed
-   at once; each line becomes pending at its own fire cycle. *)
+   operation is then executing.  Each line holds one armed fire cycle;
+   every armed line becomes pending at its own. *)
 let schedule_irq t line ~delay =
   assert (line >= 0 && line < num_irqs);
   Ctx.arm_irq t.ctx line ~fire:(Ctx.cycles t.ctx + delay)
 
 let next_armed_irq t = Ctx.next_armed_irq t.ctx
-let has_pending_irq t = t.ctx.Ctx.pending_count > 0
+let has_pending_irq t = Ctx.has_pending t.ctx
 let set_irq_delivery_hook t hook = t.on_irq_deliver <- hook
 
-(* Install (or clear, with [None]) a deterministic fault-injection hook:
-   [f] receives the 1-based index of every preemption-point poll and
-   returning [true] asserts the timer line at exactly that poll
-   ({!Ctx.preemption_point} does the assertion).  Injecting by poll index
-   rather than by cycle count makes a campaign schedule reproducible
-   across scheduler variants, whose cycle counts differ but whose
-   preemption-point structure does not.  Installation resets the poll
-   counter, so indices are relative to that moment.
-   Installing over a live hook raises [Invalid_argument]: two campaigns
-   sharing one kernel would otherwise silently drop each other's
-   schedules. *)
-let set_injection_hook t hook =
-  (match (t.ctx.Ctx.on_preempt_poll, hook) with
-  | Some _, Some _ ->
-      invalid_arg
-        "Kernel.set_injection_hook: an injection hook is already installed \
-         (clear it with None first)"
-  | _ -> ());
-  t.ctx.Ctx.on_preempt_poll <- hook;
-  t.ctx.Ctx.preempt_polls <- 0
-
-let preempt_polls t = t.ctx.Ctx.preempt_polls
+let set_injection_hook t hook = Ctx.set_injection_hook t.ctx hook
+let preempt_polls t = Ctx.preempt_polls t.ctx
 
 (* The in-kernel interrupt path: promote fired timers, acknowledge the
-   oldest pending line, record its response latency from the line's own
-   assert cycle, deliver to the registered handler endpoint, and for the
-   timer, preempt the current thread.  One line is delivered per call;
-   remaining pending lines stay in the ring and are taken on subsequent
+   earliest-asserted pending line, record its response latency from the
+   line's own assert cycle, deliver to the registered handler endpoint,
+   and for the timer, preempt the current thread.  One line is delivered
+   per call; remaining lines stay pending and are taken on subsequent
    entries, exactly as a real controller re-raises its output. *)
 let handle_interrupt_internal t =
   Ctx.exec t.ctx Layout.R.irq_path Costs.irq_path_instrs;
@@ -691,7 +671,7 @@ let handle_interrupt_internal t =
   Ctx.promote_armed t.ctx;
   if has_pending_irq t then begin
     let line = Ctx.pop_irq t.ctx in
-    let latency = Ctx.cycles t.ctx - t.ctx.Ctx.irq_assert.(line) in
+    let latency = Ctx.cycles t.ctx - Ctx.assert_cycle t.ctx line in
     if latency > t.irq_line_worst then t.irq_line_worst <- latency;
     if Ctx.tracing t.ctx then
       Ctx.emit t.ctx (Obs.Trace.Irq_deliver { line; latency });

@@ -135,19 +135,19 @@ val run_to_completion : t -> event -> outcome
 
 (** {1 Interrupts}
 
-    The interrupt controller (pending ring, assert stamps, armed timers)
-    lives in the kernel's {!Ctx.t}, where the preemption points poll it;
-    these functions drive it. *)
+    The interrupt controller (per-line pending and armed state with their
+    assert and fire cycles) lives in the kernel's {!Ctx.t}, where the
+    preemption points poll it; these functions drive it. *)
 
 val raise_irq : t -> int -> unit
 (** Assert an interrupt line now ({!Ctx.assert_irq}). *)
 
 val schedule_irq : t -> int -> delay:int -> unit
 (** Assert a line once the cycle counter advances by [delay] — the
-    interrupt lands mid-operation.  Any number of device timers may be
-    armed concurrently; expiries are promoted to pending earliest-first
-    (ties broken by arming order), each stamped with its own fire cycle
-    as the line's assert time. *)
+    interrupt lands mid-operation.  Each line holds one armed fire cycle
+    (re-arming an armed line keeps the earlier); any number of lines may
+    be armed at once.  A fired line becomes pending stamped with its fire
+    cycle as its assert time. *)
 
 val next_armed_irq : t -> (int * int) option
 (** The earliest (fire cycle, line) among armed device timers, if any —
@@ -155,10 +155,11 @@ val next_armed_irq : t -> (int * int) option
     interrupt to fire. *)
 
 val has_pending_irq : t -> bool
-(** Is any line in the pending ring?  A fired timer joins the ring only
-    on the interrupt path, so it is not counted here until then (the
-    preemption points poll {!Ctx.irq_pending}, which does count it).
-    Allocation-free. *)
+(** Is any line pending?  A fired timer becomes pending only on the
+    interrupt path, so it is not counted here until then (the preemption
+    points poll {!Ctx.irq_pending}, which does count it).  Delivery takes
+    the pending line asserted earliest (ties in the order the lines were
+    raised or armed).  Allocation-free. *)
 
 val set_irq_delivery_hook : t -> (int -> int -> unit) option -> unit
 (** Install (or clear) an observer called with [(line, latency)] at every

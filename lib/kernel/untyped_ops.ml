@@ -61,7 +61,7 @@ let allocate ~fresh_id (ut : untyped) obj_type ~count ~dest_slots =
 (* Clear the remaining memory of the in-flight creation, one chunk per
    preemption point. *)
 let clear_step ctx (creating : creating) =
-  let chunk = ctx.Ctx.build.Build.preempt_chunk in
+  let chunk = (Ctx.build ctx).Build.preempt_chunk in
   let entries = Array.of_list creating.cr_entries in
   let n = Array.length entries in
   let rec obj_loop () =

@@ -80,29 +80,46 @@ let build_name b =
   then Sel4.Build.sched_name b.sched
   else Fmt.str "%a" Sel4.Build.pp b
 
+(* Every scenario has at most 6 tenants and device lines 1-5, so cores
+   past 8 are parked; the cap stops one request sizing per-core arrays at
+   will. *)
+let max_cores = 64
+
+(* The full single-core campaign's entries per run: a wire request may
+   not hold the exec mutex for longer than that campaign does.  The CLI
+   keeps larger counts (the profiling recipe runs a million). *)
+let max_wire_entries = Sim.full_entries
+
+let ( let* ) = Result.bind
+
+(* [Error] naming [name] when the value lies outside [lo, hi]. *)
+let in_range ?(hi = max_int) lo name = function
+  | Some n when n < lo -> Result.Error (Fmt.str "%S must be >= %d" name lo)
+  | Some n when n > hi -> Result.Error (Fmt.str "%S must be <= %d" name hi)
+  | _ -> Result.Ok ()
+
 let validate req =
-  let at_least lo name = function
-    | Some n when n < lo -> Result.Error (Fmt.str "%S must be >= %d" name lo)
-    | _ -> Result.Ok req
-  in
   let campaign entries inv_every =
-    Result.bind (at_least 1 "entries" entries) (fun _ ->
-        at_least 0 "inv_every" inv_every)
+    let* () = in_range 1 "entries" entries in
+    in_range 0 "inv_every" inv_every
   in
-  match req with
-  | Sim { entries; inv_every; _ } -> campaign entries inv_every
-  | Smp { entries; cores; shielded; compare; scenarios; inv_every; _ } ->
-      if compare && (scenarios <> [] || inv_every <> None) then
-        Result.Error "compare takes neither scenarios nor inv_every"
-      else
-        Result.bind (campaign entries inv_every) (fun _ ->
-            Result.bind (at_least 1 "cores" (Some cores)) (fun _ ->
-                if shielded && (cores < 2 || compare) then
-                  Result.Error "shielded needs cores >= 2 and no compare"
-                else if compare && cores < 2 then
-                  Result.Error "compare needs cores >= 2"
-                else Result.Ok req))
-  | Analyse _ | Explain _ | Metrics | Race | Explore _ -> Result.Ok req
+  let* () =
+    match req with
+    | Sim { entries; inv_every; _ } -> campaign entries inv_every
+    | Smp { entries; cores; shielded; compare; scenarios; inv_every; _ } ->
+        if compare && (scenarios <> [] || inv_every <> None) then
+          Result.Error "compare takes neither scenarios nor inv_every"
+        else
+          let* () = campaign entries inv_every in
+          let* () = in_range 1 ~hi:max_cores "cores" (Some cores) in
+          if shielded && (cores < 2 || compare) then
+            Result.Error "shielded needs cores >= 2 and no compare"
+          else if compare && cores < 2 then
+            Result.Error "compare needs cores >= 2"
+          else Result.Ok ()
+    | Analyse _ | Explain _ | Metrics | Race | Explore _ -> Result.Ok ()
+  in
+  Result.Ok req
 
 let only = function [] -> None | l -> Some l
 
@@ -247,8 +264,6 @@ let respond ?id req =
 
 (* --- wire parsing --- *)
 
-let ( let* ) = Result.bind
-
 let of_json v =
   match v with
   | Json.Obj _ -> (
@@ -344,5 +359,11 @@ let of_json v =
         | s -> Result.Error (Fmt.str "unknown query %S" s)
       in
       let* req = validate req in
+      let* () =
+        match req with
+        | Sim { entries; _ } | Smp { entries; _ } ->
+            in_range 1 ~hi:max_wire_entries "entries" entries
+        | _ -> Result.Ok ()
+      in
       Result.Ok (id, req))
   | _ -> Result.Error "request must be a JSON object"

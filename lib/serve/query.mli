@@ -81,13 +81,21 @@ type result =
   | Race_audit of Race.audit_report
   | Explore_report of Explore.report
 
+val max_cores : int
+(** The most [cores] an SMP request may ask for: 64. *)
+
+val max_wire_entries : int
+(** The most [entries] a wire request may ask for: the full single-core
+    campaign's {!Sim.full_entries}. *)
+
 val validate : request -> (request, string) Stdlib.result
 (** Reject [entries] or [cores] below 1 (a campaign that runs nothing),
-    a negative [inv_every] (which would silently turn sampling off), an
-    SMP comparison given [scenarios] or [inv_every], which it cannot
-    honour, and the soak rules: [shielded] needs [cores >= 2] and no
-    [compare]; [compare] needs [cores >= 2] (one core would compare
-    core 0 with itself).  {!of_json} and {!exec} both apply it. *)
+    [cores] above {!max_cores}, a negative [inv_every] (which would
+    silently turn sampling off), an SMP comparison given [scenarios] or
+    [inv_every], which it cannot honour, and the soak rules: [shielded]
+    needs [cores >= 2] and no [compare]; [compare] needs [cores >= 2]
+    (one core would compare core 0 with itself).  {!of_json} and {!exec}
+    both apply it. *)
 
 val exec : request -> (result, string) Stdlib.result
 (** Never raises: a request {!validate} rejects, or whose command raises
@@ -118,8 +126,8 @@ val respond : ?id:string -> request -> string * Envelope.status
 
 val of_json : Json.t -> (string option * request, string) Stdlib.result
 (** Parse a wire request: [Ok (id, request)] or [Error message] for an
-    unknown query kind, a bad parameter (see {!validate}), or a
-    non-object. *)
+    unknown query kind, a bad parameter (see {!validate}), soak
+    [entries] above {!max_wire_entries}, or a non-object. *)
 
 val target_name : target -> string
 val target_of_string : string -> (target, string) Stdlib.result

@@ -931,6 +931,8 @@ let peak_rss_kb () =
       close_in ic;
       r
 
+let full_entries = 52_000
+
 (* The campaign driver proper.  [worst_n > 0] additionally tracks, per
    run, the worst-N deliveries as (latency, line, delivered cycle, entry
    index, shard index) — the forensics pass-1 output that tells the
@@ -939,7 +941,9 @@ let campaign_internal ?pool ?(seed = 42) ?entries ?(smoke = false) ?only
     ?inv_every ~worst_n () =
   let pool = match pool with Some p -> p | None -> Parallel.default () in
   let entries =
-    match entries with Some e -> e | None -> if smoke then 1_500 else 52_000
+    match entries with
+    | Some e -> e
+    | None -> if smoke then 1_500 else full_entries
   in
   let inv_every =
     match inv_every with Some n -> max 0 n | None -> if smoke then 0 else 512

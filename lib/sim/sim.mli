@@ -186,6 +186,9 @@ type throughput = {
   th_peak_rss_kb : int;  (** VmHWM from /proc/self/status; 0 if absent *)
 }
 
+val full_entries : int
+(** Kernel entries per run of the full (non-smoke) campaign: 52,000. *)
+
 val run_campaign_timed :
   ?pool:Sel4_rt.Parallel.t ->
   ?seed:int ->
@@ -197,7 +200,7 @@ val run_campaign_timed :
   report * throughput
 (** Run every scenario against the three scheduler variants (all other
     improvements enabled) plus a cache-pinned variant of the improved
-    build, [entries] kernel entries each (default 52_000, or 1_500 with
+    build, [entries] kernel entries each (default {!full_entries}, or 1_500 with
     [smoke]), and measure the throughput.  [only] restricts to the named
     scenarios ({!select_scenarios}).  The gate holds when every observed
     latency is within its computed bound — plain for single-outstanding

@@ -490,15 +490,18 @@ let test_multi_irq_delivery_deterministic () =
         "schedule replays identically" first second)
     [ improved; original ]
 
-(* A line armed long ago but not yet promoted, then two raised lines: one
-   interrupt entry delivers the raised lines and leaves the armed line
-   pending, so no delivery is measured from the armed line's fire cycle. *)
+(* A line armed long ago but not yet promoted, then two raised lines:
+   delivery goes by assert cycle, so the armed line, which fired first,
+   is delivered first, with its latency measured from its fire cycle. *)
 let raised_over_armed_deliveries () =
   let cpu = Hw.Cpu.create Hw.Config.default in
   let env = B.boot ~cpu improved in
   let deliveries = ref [] in
   K.set_irq_delivery_hook env.B.k
-    (Some (fun line latency -> deliveries := (line, latency) :: !deliveries));
+    (Some
+       (fun line latency ->
+         deliveries := (line, latency, K.cycles env.B.k) :: !deliveries));
+  let fire = K.cycles env.B.k + 10 in
   K.schedule_irq env.B.k 3 ~delay:10;
   Hw.Cpu.tick cpu 1_000;
   K.raise_irq env.B.k 4;
@@ -508,8 +511,15 @@ let raised_over_armed_deliveries () =
   K.set_irq_delivery_hook env.B.k None;
   let deliveries = List.rev !deliveries in
   Alcotest.(check (list int))
-    "raised lines delivered first" [ 4; 5 ] (List.map fst deliveries);
-  (deliveries, K.worst_irq_latency env.B.k)
+    "lines delivered by assert cycle" [ 3; 4 ]
+    (List.map (fun (line, _, _) -> line) deliveries);
+  (match deliveries with
+  | (3, latency, at) :: _ ->
+      check_int "armed line's latency runs from its fire cycle" fire
+        (at - latency)
+  | _ -> Alcotest.fail "line 3 not delivered first");
+  ( List.map (fun (line, latency, _) -> (line, latency)) deliveries,
+    K.worst_irq_latency env.B.k )
 
 let test_multi_irq_worst_latency_accounting () =
   List.iter
@@ -1969,6 +1979,113 @@ let test_layout_r_covers_declared () =
         (Obj.field r i == Obj.repr (Sel4.Layout.code name)))
     declared
 
+(* --- the interrupt controller against a naive model (Ref_irq) --- *)
+
+type irq_op = Raise of int | Arm of int * int | Tick of int | Promote | Pop
+
+let pp_irq_op ppf = function
+  | Raise l -> Fmt.pf ppf "raise %d" l
+  | Arm (l, d) -> Fmt.pf ppf "arm %d +%d" l d
+  | Tick n -> Fmt.pf ppf "tick %d" n
+  | Promote -> Fmt.pf ppf "promote"
+  | Pop -> Fmt.pf ppf "pop"
+
+(* Few lines, short delays and zero-cycle ticks, so equal assert and fire
+   cycles, raises while a fired timer waits unpromoted, and re-arms of
+   armed and pending lines all come up often.  Line 31 checks the top of
+   the masks. *)
+let random_irq_op rng =
+  let line () =
+    match Random.State.int rng 6 with 5 -> Sel4.Ctx.num_irqs - 1 | l -> l
+  in
+  match Random.State.int rng 10 with
+  | 0 | 1 -> Raise (line ())
+  | 2 | 3 | 4 -> Arm (line (), Random.State.int rng 12)
+  | 5 | 6 -> Tick (Random.State.int rng 3 * Random.State.int rng 6)
+  | 7 -> Promote
+  | _ -> Pop
+
+(* Drive [Sel4.Ctx] and [Ref_irq] with the same operations and compare,
+   after each one, the delivered line and its assert cycle, [irq_pending],
+   [has_pending] and [next_armed_irq]. *)
+let run_irq_ops ops =
+  let cpu = Hw.Cpu.create Hw.Config.default in
+  let ctx = Sel4.Ctx.create ~cpu improved and r = Ref_irq.create () in
+  List.iteri
+    (fun i op ->
+      let now = Sel4.Ctx.cycles ctx in
+      let what = Fmt.str "op %d (%a)" i pp_irq_op op in
+      (match op with
+      | Raise l ->
+          Sel4.Ctx.assert_irq ctx l;
+          Ref_irq.raise_irq r ~now l
+      | Arm (l, d) ->
+          Sel4.Ctx.arm_irq ctx l ~fire:(now + d);
+          Ref_irq.arm r l ~fire:(now + d)
+      | Tick n -> Hw.Cpu.tick cpu n
+      | Promote ->
+          Sel4.Ctx.promote_armed ctx;
+          Ref_irq.promote r ~now
+      | Pop ->
+          let got =
+            if Sel4.Ctx.has_pending ctx then
+              let line = Sel4.Ctx.pop_irq ctx in
+              Some (line, Sel4.Ctx.assert_cycle ctx line)
+            else None
+          in
+          Alcotest.(check (option (pair int int)))
+            (what ^ ": delivered line and assert cycle")
+            (Ref_irq.pop r) got);
+      let now = Sel4.Ctx.cycles ctx in
+      check_bool (what ^ ": irq_pending")
+        (Ref_irq.irq_pending r ~now)
+        (Sel4.Ctx.irq_pending ctx);
+      check_bool (what ^ ": has_pending") (r.Ref_irq.pending <> [])
+        (Sel4.Ctx.has_pending ctx);
+      Alcotest.(check (option (pair int int)))
+        (what ^ ": next_armed_irq") (Ref_irq.next_armed r)
+        (Sel4.Ctx.next_armed_irq ctx))
+    ops
+
+let test_irq_matches_reference () =
+  let rng = Random.State.make [| 33 |] in
+  for _ = 1 to 300 do
+    run_irq_ops (List.init 120 (fun _ -> random_irq_op rng))
+  done
+
+(* The cases the random streams must reach, spelled out: equal fire
+   cycles delivered in arming order, not line order; a raise while a
+   fired timer waits unpromoted; a pending line re-armed and promoted;
+   an armed line re-armed later and earlier. *)
+let test_irq_reference_cases () =
+  List.iter run_irq_ops
+    [
+      [ Arm (5, 4); Arm (2, 4); Tick 4; Promote; Pop; Pop ];
+      [ Raise 4; Raise 1; Pop; Pop ];
+      [ Arm (3, 2); Tick 5; Raise 1; Promote; Pop; Pop ];
+      [ Raise 2; Tick 1; Arm (2, 0); Promote; Pop; Pop; Tick 3; Promote; Pop ];
+      [ Arm (1, 6); Arm (1, 9); Tick 6; Promote; Pop; Arm (1, 9); Arm (1, 2) ];
+    ]
+
+let test_irq_allocation () =
+  let cpu = Hw.Cpu.create Hw.Config.default in
+  let ctx = Sel4.Ctx.create ~cpu improved in
+  let rounds = 1000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to rounds do
+    Sel4.Ctx.arm_irq ctx 3 ~fire:(Sel4.Ctx.cycles ctx + 2);
+    Sel4.Ctx.assert_irq ctx (i land 7);
+    ignore (Sel4.Ctx.irq_pending ctx);
+    Hw.Cpu.tick cpu 2;
+    Sel4.Ctx.promote_armed ctx;
+    while Sel4.Ctx.has_pending ctx do
+      ignore (Sel4.Ctx.pop_irq ctx)
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Fmt.str "%.0f minor words over %d rounds" words rounds) true
+    (words < 16.)
+
 (* --- hook composition safety --- *)
 
 (* The injection hook and the Cpu tracer are both single-slot hooks
@@ -2151,6 +2268,15 @@ let () =
             test_case "empty scan allocation" `Quick test_scan_allocation;
             test_case "next non-empty priority matches the walk" `Quick
               test_next_nonempty_matches_walk;
+          ] );
+      ( "irq-controller",
+        Alcotest.
+          [
+            test_case "random streams match the naive model" `Quick
+              test_irq_matches_reference;
+            test_case "named cases match the naive model" `Quick
+              test_irq_reference_cases;
+            test_case "controller allocation" `Quick test_irq_allocation;
           ] );
       ( "layout",
         Alcotest.

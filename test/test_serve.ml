@@ -191,7 +191,32 @@ let test_query_of_json () =
       {|{"query": "sim", "entries": 0}|};
       {|{"query": "smp", "entries": -5}|};
       {|{"query": "smp", "cores": 0}|};
+      (* over the caps: refused, never run *)
+      Fmt.str {|{"query": "smp", "cores": %d}|} (Q.max_cores + 1);
+      Fmt.str {|{"query": "sim", "smoke": false, "entries": %d}|}
+        (Q.max_wire_entries + 1);
+      {|{"query": "smp", "entries": 1000000000}|};
     ];
+  (* The caps themselves are accepted, and typed (CLI) requests keep
+     larger entry counts; none of these runs. *)
+  (match
+     req
+       (Fmt.str {|{"query": "smp", "cores": %d, "entries": %d}|} Q.max_cores
+          Q.max_wire_entries)
+   with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "requests at the caps must parse: %s" msg);
+  check_bool "typed requests keep large entry counts" true
+    (Result.is_ok
+       (Q.validate
+          (Q.Sim
+             {
+               smoke = false;
+               seed = 42;
+               entries = Some 1_000_000;
+               scenarios = [];
+               inv_every = None;
+             })));
   (* Well-formed requests the command itself rejects, for the same
      reason: they would run nothing and report ok. *)
   List.iter
