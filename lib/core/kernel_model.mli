@@ -38,11 +38,17 @@ val spec : ?params:params -> Sel4.Build.t -> entry_point -> Wcet.Ipet.spec
     Section 5.2, and the constraints {!Wcet.Derive_constraints} derives
     from the decision models. *)
 
+val decision_models :
+  params -> Sel4.Build.t -> main:string -> Wcet.Derive_constraints.model list
+(** The Section 5.2 decision models {!spec} derives constraints from,
+    for the entry whose main program is [main]. *)
+
 val constraint_report :
   ?params:params -> main:string -> unit -> Wcet.Derive_constraints.report
 (** Derive constraints from the decision models and audit every manual
-    constraint of [constraints] against them (Proved / Refuted /
-    Unknown, with evidence). *)
+    constraint against them (Proved / Refuted / Unknown, with evidence).
+    Covers what any build states, the lazy scheduler's stale-dequeue cap
+    included. *)
 
 val realisable_path : ?params:params -> entry_point -> (string * string * int) list
 (** Block execution counts of the path the adversarial workload actually

@@ -212,6 +212,225 @@ let test_kernel_loop_bounds () =
             r.Sel4_rt.Kernel_loops.spec.Sel4_rt.Kernel_loops.name)
     (Sel4_rt.Experiments.loop_bounds ())
 
+(* --- the kernel model's structure --- *)
+
+(* Every spec the analysis can be asked for, over the builds the CLI
+   names, the four entries and three parameter sets. *)
+let model_builds =
+  [
+    ("original", original);
+    ("improved", improved);
+    ("lazy", { improved with Sel4.Build.sched = Sel4.Build.Lazy });
+    ("benno", { improved with Sel4.Build.sched = Sel4.Build.Benno });
+  ]
+
+let model_params =
+  [
+    ("default", KM.default_params);
+    ("preemptible_call", { KM.default_params with KM.preemptible_call = true });
+    ("decode_depth=1", { KM.default_params with KM.decode_depth = 1 });
+  ]
+
+let model_specs () =
+  List.concat_map
+    (fun (bname, build) ->
+      List.concat_map
+        (fun (pname, params) ->
+          List.map
+            (fun entry ->
+              ( Fmt.str "%s/%s/%s" bname (KM.entry_main entry) pname,
+                params,
+                build,
+                entry,
+                KM.spec ~params build entry ))
+            KM.entry_points)
+        model_params)
+    model_builds
+
+(* The spec as text: blocks in id order with their payloads and
+   successors, the bounds as a set, the constraints in order. *)
+let render_spec (s : Wcet.Ipet.spec) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  let pp_access ppf = function
+    | Wcet.Timing.Static { addr; write } -> Fmt.pf ppf "s%#x%b" addr write
+    | Wcet.Timing.Dynamic { write; count } -> Fmt.pf ppf "d%d%b" count write
+  in
+  add "main %s\n" s.Wcet.Ipet.program.Cfg.Flowgraph.main;
+  List.iter
+    (fun (fn : Wcet.Timing.t Cfg.Flowgraph.fn) ->
+      add "fn %s entry %d\n" fn.name fn.entry;
+      Array.iter
+        (fun (blk : Wcet.Timing.t Cfg.Flowgraph.block) ->
+          add "%d %s call=%s %s [%s] branch=%s -> %s\n" blk.id blk.label
+            (Option.value ~default:"-" blk.call)
+            (Fmt.str "%a" Wcet.Timing.pp blk.payload)
+            (Fmt.str "%a" Fmt.(list ~sep:sp pp_access) blk.payload.accesses)
+            (match blk.payload.branch with
+            | None -> "-"
+            | Some t -> string_of_bool t)
+            (String.concat "," (List.map string_of_int blk.succs)))
+        fn.blocks)
+    s.program.funcs;
+  List.iter
+    (fun (func, header, bound) -> add "bound %s/%s %d\n" func header bound)
+    (List.sort_uniq Stdlib.compare
+       (List.map
+          (fun (l : Wcet.Ipet.loop_bound) -> (l.func, l.header, l.bound))
+          s.bounds));
+  List.iter
+    (fun c -> add "manual %s\n" (Fmt.str "%a" Wcet.User_constraint.pp c))
+    s.constraints;
+  List.iter
+    (fun (c, (d : Wcet.Derive_constraints.derivation)) ->
+      add "derived %s %s %s %s\n"
+        (Fmt.str "%a" Wcet.User_constraint.pp c)
+        d.dv_model
+        (Wcet.Derive_constraints.rule_name d.dv_rule)
+        d.dv_note)
+    s.derived;
+  Buffer.contents b
+
+(* Pinned fingerprints of every spec: a change to a block, an edge, a
+   bound or a constraint fails here, naming the spec it moved. *)
+let model_digests =
+  [
+    ("original/syscall/default", "4e78044c89b227f8bacc9b9fe9b134fc");
+    ("original/interrupt/default", "529f0076be64b5fe783919659b9402d2");
+    ("original/page_fault/default", "2021c9b8f5fe46d66d5fce4b019d5dd0");
+    ("original/undef/default", "7f8029df59cb53ee6670e06327267f73");
+    ("original/syscall/preemptible_call", "1b9b0c81316a78aeb3e598dda5664bfc");
+    ("original/interrupt/preemptible_call", "529f0076be64b5fe783919659b9402d2");
+    ("original/page_fault/preemptible_call", "2021c9b8f5fe46d66d5fce4b019d5dd0");
+    ("original/undef/preemptible_call", "7f8029df59cb53ee6670e06327267f73");
+    ("original/syscall/decode_depth=1", "4e78044c89b227f8bacc9b9fe9b134fc");
+    ("original/interrupt/decode_depth=1", "529f0076be64b5fe783919659b9402d2");
+    ("original/page_fault/decode_depth=1", "2021c9b8f5fe46d66d5fce4b019d5dd0");
+    ("original/undef/decode_depth=1", "7f8029df59cb53ee6670e06327267f73");
+    ("improved/syscall/default", "e1b1ce7a83bf6ed15d59affa92b41176");
+    ("improved/interrupt/default", "8ee4a70453a3eef8644c945e0fe701fc");
+    ("improved/page_fault/default", "3de1f662cc58e61d9fa69a9dca7e432d");
+    ("improved/undef/default", "031162546356a24d4d8ca73732dbfdbc");
+    ("improved/syscall/preemptible_call", "bd41975c11873e46b851b67619e301e4");
+    ("improved/interrupt/preemptible_call", "8ee4a70453a3eef8644c945e0fe701fc");
+    ("improved/page_fault/preemptible_call", "3de1f662cc58e61d9fa69a9dca7e432d");
+    ("improved/undef/preemptible_call", "031162546356a24d4d8ca73732dbfdbc");
+    ("improved/syscall/decode_depth=1", "e1b1ce7a83bf6ed15d59affa92b41176");
+    ("improved/interrupt/decode_depth=1", "8ee4a70453a3eef8644c945e0fe701fc");
+    ("improved/page_fault/decode_depth=1", "3de1f662cc58e61d9fa69a9dca7e432d");
+    ("improved/undef/decode_depth=1", "031162546356a24d4d8ca73732dbfdbc");
+    ("lazy/syscall/default", "a274ce5c44637f87b39d5238e6b79458");
+    ("lazy/interrupt/default", "529f0076be64b5fe783919659b9402d2");
+    ("lazy/page_fault/default", "2021c9b8f5fe46d66d5fce4b019d5dd0");
+    ("lazy/undef/default", "7f8029df59cb53ee6670e06327267f73");
+    ("lazy/syscall/preemptible_call", "80d667fde5cf863f0bfdcb5111c34f5f");
+    ("lazy/interrupt/preemptible_call", "529f0076be64b5fe783919659b9402d2");
+    ("lazy/page_fault/preemptible_call", "2021c9b8f5fe46d66d5fce4b019d5dd0");
+    ("lazy/undef/preemptible_call", "7f8029df59cb53ee6670e06327267f73");
+    ("lazy/syscall/decode_depth=1", "a274ce5c44637f87b39d5238e6b79458");
+    ("lazy/interrupt/decode_depth=1", "529f0076be64b5fe783919659b9402d2");
+    ("lazy/page_fault/decode_depth=1", "2021c9b8f5fe46d66d5fce4b019d5dd0");
+    ("lazy/undef/decode_depth=1", "7f8029df59cb53ee6670e06327267f73");
+    ("benno/syscall/default", "7b1a79d9433183ee81140254757e1611");
+    ("benno/interrupt/default", "24d8058dad7e9cf5c23e63179e4db91e");
+    ("benno/page_fault/default", "ffd0810c0facb6ec6c166ea07172a43b");
+    ("benno/undef/default", "106c35a12e90c89e10f9c51e0d489f8e");
+    ("benno/syscall/preemptible_call", "a7d25f7276bdd684f961c52e87c55b94");
+    ("benno/interrupt/preemptible_call", "24d8058dad7e9cf5c23e63179e4db91e");
+    ("benno/page_fault/preemptible_call", "ffd0810c0facb6ec6c166ea07172a43b");
+    ("benno/undef/preemptible_call", "106c35a12e90c89e10f9c51e0d489f8e");
+    ("benno/syscall/decode_depth=1", "7b1a79d9433183ee81140254757e1611");
+    ("benno/interrupt/decode_depth=1", "24d8058dad7e9cf5c23e63179e4db91e");
+    ("benno/page_fault/decode_depth=1", "ffd0810c0facb6ec6c166ea07172a43b");
+    ("benno/undef/decode_depth=1", "106c35a12e90c89e10f9c51e0d489f8e");
+  ]
+
+let test_model_fingerprints () =
+  let actual =
+    List.map
+      (fun (name, _, _, _, s) -> (name, Digest.to_hex (Digest.string (render_spec s))))
+      (model_specs ())
+  in
+  if actual <> model_digests then begin
+    List.iter (fun (n, d) -> Fmt.epr "    (%S, %S);@." n d) actual;
+    Alcotest.fail "kernel-model fingerprints moved (actual values above)"
+  end
+
+(* Every name the model states resolves to the structure it builds: a
+   bound per natural-loop header and nothing else, and every block label
+   a constraint, decision model or realisable path names exists in its
+   function. *)
+let test_model_names_resolve () =
+  List.iter
+    (fun (name, params, build, entry, (s : Wcet.Ipet.spec)) ->
+      let fn func =
+        match
+          List.find_opt
+            (fun (f : _ Cfg.Flowgraph.fn) -> f.name = func)
+            s.program.funcs
+        with
+        | Some f -> f
+        | None -> Alcotest.failf "%s: no function %s" name func
+      in
+      let has_block func label =
+        Array.exists
+          (fun (b : _ Cfg.Flowgraph.block) -> b.label = label)
+          (fn func).blocks
+      in
+      let resolves what func label =
+        check_bool (Fmt.str "%s: %s %s/%s names a block" name what func label)
+          true (has_block func label)
+      in
+      List.iter
+        (fun (f : Wcet.Timing.t Cfg.Flowgraph.fn) ->
+          let headers =
+            List.map
+              (fun h -> f.blocks.(h).label)
+              (Cfg.Loops.headers (Cfg.Loops.compute f))
+          in
+          List.iter
+            (fun h ->
+              check_int
+                (Fmt.str "%s: loop header %s/%s has one bound" name f.name h)
+                1
+                (List.length
+                   (List.filter
+                      (fun (l : Wcet.Ipet.loop_bound) ->
+                        l.func = f.name && l.header = h)
+                      s.bounds)))
+            headers;
+          List.iter
+            (fun (l : Wcet.Ipet.loop_bound) ->
+              if l.func = f.name then
+                check_bool
+                  (Fmt.str "%s: bound %s/%s is a loop header" name l.func
+                     l.header)
+                  true (List.mem l.header headers))
+            s.bounds)
+        s.program.funcs;
+      List.iter
+        (fun (l : Wcet.Ipet.loop_bound) -> ignore (fn l.func))
+        s.bounds;
+      List.iter
+        (function
+          | Wcet.User_constraint.Conflicts_with { func; a; b }
+          | Wcet.User_constraint.Consistent_with { func; a; b } ->
+              resolves "constraint" func a;
+              resolves "constraint" func b
+          | Wcet.User_constraint.Executes_at_most { func; block; _ } ->
+              resolves "constraint" func block)
+        (s.constraints @ List.map fst s.derived);
+      List.iter
+        (fun (m : Wcet.Derive_constraints.model) ->
+          List.iter
+            (fun (_, label) -> resolves "decision model" m.dm_func label)
+            m.dm_labels)
+        (KM.decision_models params build ~main:(KM.entry_main entry));
+      List.iter
+        (fun (func, label, _) -> resolves "realisable path" func label)
+        (KM.realisable_path ~params entry))
+    (model_specs ())
+
 (* --- pinning mechanics --- *)
 
 let test_pin_selection_fits_way () =
@@ -329,6 +548,12 @@ let () =
             test_case "constraints tighten" `Quick
               test_constraints_tighten_syscall_bound;
             test_case "kernel loop bounds" `Quick test_kernel_loop_bounds;
+          ] );
+      ( "kernel-model",
+        Alcotest.
+          [
+            test_case "fingerprints" `Quick test_model_fingerprints;
+            test_case "names resolve" `Quick test_model_names_resolve;
           ] );
       ( "pinning",
         Alcotest.
