@@ -40,104 +40,52 @@ let phys_base = 0x0000_0000
 let phys_bytes = 128 * 1024 * 1024
 
 (* Code regions: one per kernel function, with a fixed instruction-space
-   budget, laid out contiguously in declaration order.  Both the executor
-   and the WCET timing skeletons fetch from these addresses, so the two
-   sides agree on instruction-cache behaviour by construction.  The total
-   is in the region of the real kernel's 36 KiB text. *)
+   budget, laid out contiguously in declaration order, each rounded to a
+   32-byte line.  Both the executor and the WCET timing skeletons name
+   these values, so the two sides agree on instruction-cache behaviour by
+   construction.  The total is in the region of the real kernel's 36 KiB
+   text. *)
 
 type code_region = { name : string; base : int; instrs : int }
 
-let declared =
-  [
-    ("vector_entry", 64);
-    ("vector_exit", 64);
-    ("decode", 48);
-    ("cspace_lookup", 64);
-    ("fastpath", 128);
-    ("slowpath_ipc", 256);
-    ("transfer_caps", 96);
-    ("sched_enqueue", 32);
-    ("sched_dequeue", 32);
-    ("sched_choose", 64);
-    ("sched_bitmap", 32);
-    ("context_switch", 64);
-    ("set_thread_state", 24);
-    ("endpoint_queue", 48);
-    ("endpoint_delete", 96);
-    ("badge_abort", 96);
-    ("untyped_retype", 160);
-    ("clear_memory", 48);
-    ("vspace_map", 160);
-    ("vspace_unmap", 128);
-    ("vspace_delete", 128);
-    ("asid_ops", 96);
-    ("pd_create", 96);
-    ("cdt_ops", 96);
-    ("cnode_ops", 128);
-    ("tcb_ops", 96);
-    ("irq_path", 96);
-    ("irq_control", 64);
-    ("preempt_check", 16);
-    ("fault_path", 96);
-  ]
+let text_end = ref text_base
 
-let regions : (string * code_region) list =
-  let next = ref text_base in
-  List.map
-    (fun (name, instrs) ->
-      let base = !next in
-      (* Round each function to a 32-byte line boundary. *)
-      next := base + (((instrs * 4) + 31) / 32 * 32);
-      (name, { name; base; instrs }))
-    declared
+let region name instrs =
+  let base = !text_end in
+  text_end := base + (((instrs * 4) + 31) / 32 * 32);
+  { name; base; instrs }
 
-(* Lookup by name, for the analysis side (timing skeletons name their
-   regions); the simulator's charge sites use {!R} instead. *)
-let by_name : (string, code_region) Hashtbl.t =
-  let tbl = Hashtbl.create 64 in
-  List.iter (fun (name, r) -> Hashtbl.replace tbl name r) regions;
-  tbl
-
-let code name =
-  try Hashtbl.find by_name name
-  with Not_found -> invalid_arg ("Layout.code: unknown region " ^ name)
-
-(* One resolved region per entry of [declared], bound once at module
-   initialisation: the kernel's charge sites pass these values, so no
-   charge looks a region up by name. *)
 module R = struct
-  let vector_entry = code "vector_entry"
-  let vector_exit = code "vector_exit"
-  let decode = code "decode"
-  let cspace_lookup = code "cspace_lookup"
-  let fastpath = code "fastpath"
-  let slowpath_ipc = code "slowpath_ipc"
-  let transfer_caps = code "transfer_caps"
-  let sched_enqueue = code "sched_enqueue"
-  let sched_dequeue = code "sched_dequeue"
-  let sched_choose = code "sched_choose"
-  let sched_bitmap = code "sched_bitmap"
-  let context_switch = code "context_switch"
-  let set_thread_state = code "set_thread_state"
-  let endpoint_queue = code "endpoint_queue"
-  let endpoint_delete = code "endpoint_delete"
-  let badge_abort = code "badge_abort"
-  let untyped_retype = code "untyped_retype"
-  let clear_memory = code "clear_memory"
-  let vspace_map = code "vspace_map"
-  let vspace_unmap = code "vspace_unmap"
-  let vspace_delete = code "vspace_delete"
-  let asid_ops = code "asid_ops"
-  let pd_create = code "pd_create"
-  let cdt_ops = code "cdt_ops"
-  let cnode_ops = code "cnode_ops"
-  let tcb_ops = code "tcb_ops"
-  let irq_path = code "irq_path"
-  let irq_control = code "irq_control"
-  let preempt_check = code "preempt_check"
-  let fault_path = code "fault_path"
+  let vector_entry = region "vector_entry" 64
+  let vector_exit = region "vector_exit" 64
+  let decode = region "decode" 48
+  let cspace_lookup = region "cspace_lookup" 64
+  let fastpath = region "fastpath" 128
+  let slowpath_ipc = region "slowpath_ipc" 256
+  let transfer_caps = region "transfer_caps" 96
+  let sched_enqueue = region "sched_enqueue" 32
+  let sched_dequeue = region "sched_dequeue" 32
+  let sched_choose = region "sched_choose" 64
+  let sched_bitmap = region "sched_bitmap" 32
+  let context_switch = region "context_switch" 64
+  let set_thread_state = region "set_thread_state" 24
+  let endpoint_queue = region "endpoint_queue" 48
+  let endpoint_delete = region "endpoint_delete" 96
+  let badge_abort = region "badge_abort" 96
+  let untyped_retype = region "untyped_retype" 160
+  let clear_memory = region "clear_memory" 48
+  let vspace_map = region "vspace_map" 160
+  let vspace_unmap = region "vspace_unmap" 128
+  let vspace_delete = region "vspace_delete" 128
+  let asid_ops = region "asid_ops" 96
+  let pd_create = region "pd_create" 96
+  let cdt_ops = region "cdt_ops" 96
+  let cnode_ops = region "cnode_ops" 128
+  let tcb_ops = region "tcb_ops" 96
+  let irq_path = region "irq_path" 96
+  let irq_control = region "irq_control" 64
+  let preempt_check = region "preempt_check" 16
+  let fault_path = region "fault_path" 96
 end
 
-let text_bytes =
-  List.fold_left (fun acc (_, r) -> acc + (((r.instrs * 4) + 31) / 32 * 32)) 0
-    regions
+let text_bytes = !text_end - text_base
