@@ -1055,12 +1055,11 @@ let dispatch t event =
   | Ev_reply_recv { ep; msg_len } -> (
       let* slot = lookup t ep in
       match slot.cap with
-      | Endpoint_cap { ep; _ } ->
-          (* No liveness check: the reply goes out and the receive phase
-             runs on an inactive endpoint too. *)
+      | Endpoint_cap { ep; _ } when ep.ep_active ->
           do_reply t ~replier:t.current ~msg_len;
           ignore (recv_ipc t ~ep ~receiver:t.current);
           ipc_done t
+      | Endpoint_cap _ -> Failed "endpoint inactive"
       | _ -> Failed "not an endpoint")
 
 (* One kernel entry: exception vector in, event handling, and either a

@@ -18,6 +18,7 @@ type error =
   | Not_enough_memory
   | Dest_slot_occupied
   | Invalid_count
+  | Not_untyped
   | Untyped_has_children
 
 type outcome = Done of cap list | Preempted | Error of error
@@ -163,7 +164,7 @@ let retype ctx ~fresh_id ~register ~(ut_slot : slot) obj_type ~count ~dest_slots
               in
               ut.ut_creating <- None;
               Done caps))
-  | _ -> Error Invalid_count
+  | _ -> Error Not_untyped
 
 let pp_error ppf e =
   Fmt.string ppf
@@ -171,4 +172,5 @@ let pp_error ppf e =
     | Not_enough_memory -> "not enough memory"
     | Dest_slot_occupied -> "destination slot occupied"
     | Invalid_count -> "invalid count"
+    | Not_untyped -> "not an untyped"
     | Untyped_has_children -> "untyped has children")

@@ -10,6 +10,7 @@ type error =
   | Not_enough_memory
   | Dest_slot_occupied
   | Invalid_count
+  | Not_untyped
   | Untyped_has_children
 
 type outcome = Done of cap list | Preempted | Error of error
