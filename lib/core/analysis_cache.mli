@@ -58,8 +58,3 @@ val set_persist : persist option -> unit
 
 val reset : unit -> unit
 (** Drop settled entries and zero the counters. *)
-
-val set_enabled : bool -> unit
-(** When disabled, every call recomputes from scratch and touches neither
-    the tables nor the counters (a fresh-computation reference for
-    tests). *)

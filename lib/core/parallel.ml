@@ -17,7 +17,7 @@
      never left with orphaned jobs.
    - The pool is sized once (SEL4RT_DOMAINS overrides the default of
      [recommended_domain_count - 1], capped at 8) and shared process-wide
-     via [default]; [set_serial true] forces every batch onto the calling
+     via [default]; a pool of one domain runs every batch on the calling
      domain, which determinism tests use as the serial reference. *)
 
 type batch = {
@@ -42,10 +42,6 @@ let in_worker : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 let m_batches = Obs.Metrics.counter "parallel.batches"
 let m_jobs = Obs.Metrics.counter "parallel.jobs"
 let m_domains = Obs.Metrics.gauge "parallel.domains"
-
-let serial_override = Atomic.make false
-
-let set_serial b = Atomic.set serial_override b
 
 (* Claim and run the next job of [b]; false once every job is claimed.
    Called both by workers and by the submitting domain. *)
@@ -163,11 +159,8 @@ type 'a fold_slot =
 let fold_ordered pool ~init ~merge thunks =
   let arr = Array.of_list thunks in
   let n = Array.length arr in
-  if
-    n <= 1 || pool.size = 0
-    || Atomic.get serial_override
-    || Domain.DLS.get in_worker
-  then Array.fold_left (fun acc th -> merge acc (th ())) init arr
+  if n <= 1 || pool.size = 0 || Domain.DLS.get in_worker then
+    Array.fold_left (fun acc th -> merge acc (th ())) init arr
   else begin
     let slots = Array.init n (fun _ -> Atomic.make Fold_pending) in
     let error = Atomic.make None in

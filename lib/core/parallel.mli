@@ -40,10 +40,6 @@ val run_all : t -> (unit -> 'a) list -> 'a list
 (** Run a batch of thunks, returning results in submission order:
     {!fold_ordered} with a list merge. *)
 
-val set_serial : bool -> unit
-(** Force every subsequent batch onto the calling domain (the serial
-    reference of determinism tests). *)
-
 val shutdown : t -> unit
 (** Stop and join the pool's workers.  Do not call on {!default}'s pool
     while other domains may still submit. *)

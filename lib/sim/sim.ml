@@ -1164,11 +1164,14 @@ let capture_delivery ~root ~spec ~rank (latency, line, cyc, entry_idx, shard_i) 
     d_window = window;
   }
 
+(* The deliveries per run that forensics captures, worst first. *)
+let forensics_worst_n = 2
+
 let run_campaign_forensics ?pool ?(seed = 42) ?entries ?smoke ?only ?inv_every
-    ?(worst_n = 2) () =
+    () =
   let report, throughput, specs, run_worsts =
     campaign_internal ?pool ~seed ?entries ?smoke ?only ?inv_every
-      ~worst_n:(max 1 worst_n) ()
+      ~worst_n:forensics_worst_n ()
   in
   let root = Prng.create seed in
   let deliveries =
@@ -1179,7 +1182,9 @@ let run_campaign_forensics ?pool ?(seed = 42) ?entries ?smoke ?only ?inv_every
           run_worsts.(spec.rs_index))
       specs
   in
-  let tail = { Obs.Tail_report.t_worst_n = max 1 worst_n; t_deliveries = deliveries } in
+  let tail =
+    { Obs.Tail_report.t_worst_n = forensics_worst_n; t_deliveries = deliveries }
+  in
   let profiles =
     List.fold_left
       (fun acc spec ->

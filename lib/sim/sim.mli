@@ -240,11 +240,10 @@ val run_campaign_forensics :
   ?smoke:bool ->
   ?only:string list ->
   ?inv_every:int ->
-  ?worst_n:int ->
   unit ->
   report * throughput * forensics
-(** [run_campaign_timed] plus the two-pass forensics capture.  [worst_n]
-    (default 2) bounds the flight-recorder ring per run.  The returned
+(** [run_campaign_timed] plus the two-pass forensics capture of the two
+    worst deliveries of each run.  The returned
     [report] is byte-identical ([report_json]) to the same campaign run
     without forensics. *)
 

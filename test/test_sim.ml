@@ -54,11 +54,8 @@ let test_same_seed_identical () =
   check_bool "different seed, different traffic" true (a <> c)
 
 let test_serial_equals_parallel () =
-  Sel4_rt.Parallel.set_serial true;
   let serial =
-    Fun.protect
-      ~finally:(fun () -> Sel4_rt.Parallel.set_serial false)
-      (fun () -> Sim.report_json (small ()))
+    Sim.report_json (small ~pool:(Sel4_rt.Parallel.create ~domains:1 ()) ())
   in
   let parallel = Sim.report_json (small ()) in
   check_bool "byte-identical across domain counts" true (serial = parallel)
