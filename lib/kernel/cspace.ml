@@ -61,13 +61,6 @@ let resolve ctx ~root_cap ~cptr =
   in
   level root_cap word_bits 0
 
-(* Look up the capability itself (most syscalls want the cap, not the
-   slot). *)
-let lookup_cap ctx ~root_cap ~cptr =
-  match resolve ctx ~root_cap ~cptr with
-  | Ok_slot (slot, depth) -> Result.Ok (slot.cap, depth)
-  | Error e -> Result.Error e
-
 let pp_error ppf = function
   | Invalid_root -> Fmt.string ppf "invalid root"
   | Guard_mismatch d -> Fmt.pf ppf "guard mismatch at level %d" d

@@ -20,6 +20,4 @@ val resolve : Ctx.t -> root_cap:cap -> cptr:int -> result
     two loads per CNode traversed.  Resolution stops early at a non-CNode
     capability. *)
 
-val lookup_cap : Ctx.t -> root_cap:cap -> cptr:int -> (cap * int, error) Result.t
-
 val pp_error : error Fmt.t

@@ -14,6 +14,7 @@ type stats = { iterations : int; widenings : int; narrowings : int }
 type t = {
   ssa : Ssa.t;
   skel : To_cfg.t;
+  ssa_of : Ssa.ssa_block array;  (* by skeleton id *)
   doms : Cfg.Dominators.t;
   loops : Cfg.Loops.t;
   reducible : bool;
@@ -201,7 +202,10 @@ let analyse_ssa (ssa : Ssa.t) =
   let is_header = Array.make n false in
   List.iter (fun h -> is_header.(h) <- true) (Cfg.Loops.headers loops);
   let d = default_of ssa in
-  let ssa_of = Array.map (fun l -> Ssa.block_exn ssa l) skel.label_of_id in
+  let ssa_of = Array.make n (List.hd ssa.blocks) in
+  List.iter
+    (fun (b : Ssa.ssa_block) -> ssa_of.(To_cfg.id skel b.label) <- b)
+    ssa.blocks;
   let entry_id = To_cfg.id skel ssa.entry in
   (* Entry phis (the entry can be a loop header) start at the implicit
      zero, matching Ssa.run's missing-source behaviour. *)
@@ -323,6 +327,7 @@ let analyse_ssa (ssa : Ssa.t) =
   {
     ssa;
     skel;
+    ssa_of;
     doms;
     loops;
     reducible;
@@ -340,10 +345,12 @@ let analyse p =
   Lang.validate p;
   analyse_ssa (Ssa.convert p)
 
-let id_opt t label =
-  match Hashtbl.find_opt t.skel.id_of_label label with
-  | Some i -> Some i
-  | None -> None
+let id_opt t label = Hashtbl.find_opt t.skel.id_of_label label
+
+let block t label =
+  match id_opt t label with
+  | Some i -> t.ssa_of.(i)
+  | None -> invalid_arg ("Absint.block: no block " ^ label)
 
 let reachable t label =
   match id_opt t label with Some i -> t.in_env.(i) <> None | None -> false
@@ -421,7 +428,7 @@ let ceil_div a b = (a + b - 1) / b
 let trip_of_candidate t loop ~header_id iv limit_op ccmp =
   let d = default_of t.ssa in
   let header = t.skel.label_of_id.(header_id) in
-  let hblock = Ssa.block_exn t.ssa header in
+  let hblock = t.ssa_of.(header_id) in
   match List.find_opt (fun (ph : Ssa.phi) -> ph.dest = iv) hblock.phis with
   | None -> None
   | Some phi -> (
@@ -521,7 +528,7 @@ let trip_bound t ~header =
       match Cfg.Loops.loop_of_header t.loops hid with
       | None -> None
       | Some loop -> (
-          let hblock = Ssa.block_exn t.ssa header in
+          let hblock = t.ssa_of.(hid) in
           match hblock.term with
           | Lang.Branch (c, a, b, l1, l2) when l1 <> l2 -> (
               let in_body l =

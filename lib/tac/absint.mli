@@ -30,6 +30,10 @@ val stats : t -> stats
     registers by their SSA names (["i.2"], with ["p.0"] the initial value
     of parameter [p]). *)
 
+val block : t -> string -> Ssa.ssa_block
+(** The analysed SSA block with this label.
+    @raise Invalid_argument when there is none. *)
+
 val reachable : t -> string -> bool
 (** Abstractly reachable from the entry. *)
 

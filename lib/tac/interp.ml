@@ -46,13 +46,18 @@ let visits trace label =
 (* Run to Halt (or raise [Step_limit]); returns final state and trace. *)
 let run ?(max_steps = 1_000_000) program ~inputs =
   Lang.validate program;
+  (* Labels are unique once validated; every step looks one up. *)
+  let blocks = Hashtbl.create (List.length program.Lang.blocks) in
+  List.iter
+    (fun b -> Hashtbl.replace blocks b.Lang.label b)
+    program.Lang.blocks;
   let state = initial_state inputs in
   let trace = { visits = Hashtbl.create 16; steps = 0; halted = false } in
   let rec go label =
     trace.steps <- trace.steps + 1;
     if trace.steps > max_steps then raise Step_limit;
     Hashtbl.replace trace.visits label (1 + visits trace label);
-    let block = Lang.block_exn program label in
+    let block = Hashtbl.find blocks label in
     List.iter (exec_instr state) block.Lang.instrs;
     match block.Lang.term with
     | Lang.Halt -> trace.halted <- true

@@ -34,40 +34,6 @@ type param = { name : reg; lo : int; hi : int }
 
 type program = { entry : string; params : param list; blocks : block list }
 
-(* Memoized label->block index.  Programs are immutable once built and
-   looked up on every interpreter step; the index is keyed on the
-   program's identity through a weak table (dead programs drop their
-   index with them) and guarded by a mutex because analyses run on a
-   domain pool.  Duplicate labels keep the first block, like the linear
-   scan this replaces. *)
-module Index_tbl = Ephemeron.K1.Make (struct
-  type t = program
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let index_lock = Mutex.create ()
-let indexes : (string, block) Hashtbl.t Index_tbl.t = Index_tbl.create 16
-
-let index_of program =
-  Mutex.protect index_lock (fun () ->
-      match Index_tbl.find_opt indexes program with
-      | Some idx -> idx
-      | None ->
-          let idx = Hashtbl.create (List.length program.blocks) in
-          List.iter
-            (fun b ->
-              if not (Hashtbl.mem idx b.label) then Hashtbl.add idx b.label b)
-            program.blocks;
-          Index_tbl.add indexes program idx;
-          idx)
-
-let block_exn program label =
-  match Hashtbl.find_opt (index_of program) label with
-  | Some b -> b
-  | None -> invalid_arg ("Tac.Lang.block_exn: no block " ^ label)
-
 let defs_of_instr = function
   | Assign (r, _) | Binop (r, _, _, _) | Load (r, _) -> [ r ]
   | Store _ -> []

@@ -35,8 +35,6 @@ exception Malformed of string
 val validate : program -> unit
 (** @raise Malformed on duplicate labels, dangling jumps, bad domains. *)
 
-val block_exn : program -> string -> block
-
 val defs_of_instr : instr -> reg list
 val uses_of_instr : instr -> reg list
 val uses_of_operand : operand -> reg list

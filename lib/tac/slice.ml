@@ -15,8 +15,8 @@
 type stats = { total_instrs : int; kept_instrs : int; total_phis : int; kept_phis : int }
 
 type def_site =
-  | Def_phi of string (* block label *)
-  | Def_instr of string * int (* block label, instruction index *)
+  | Def_phi of string * Ssa.phi (* block label *)
+  | Def_instr of string * int * Lang.instr (* block label, index *)
 
 let build_def_map (t : Ssa.t) =
   let defs = Hashtbl.create 32 in
@@ -24,12 +24,13 @@ let build_def_map (t : Ssa.t) =
     (fun (b : Ssa.ssa_block) ->
       List.iter
         (fun (phi : Ssa.phi) ->
-          Hashtbl.replace defs phi.Ssa.dest (Def_phi b.Ssa.label))
+          Hashtbl.replace defs phi.Ssa.dest (Def_phi (b.Ssa.label, phi)))
         b.Ssa.phis;
       List.iteri
         (fun i instr ->
           List.iter
-            (fun r -> Hashtbl.replace defs r (Def_instr (b.Ssa.label, i)))
+            (fun r ->
+              Hashtbl.replace defs r (Def_instr (b.Ssa.label, i, instr)))
             (Lang.defs_of_instr instr))
         b.Ssa.instrs)
     t.Ssa.blocks;
@@ -53,14 +54,6 @@ let compute (t : Ssa.t) =
     (fun (b : Ssa.ssa_block) ->
       List.iter need (Lang.uses_of_terminator b.Ssa.term))
     t.Ssa.blocks;
-  let instr_at label i =
-    List.nth (Ssa.block_exn t label).Ssa.instrs i
-  in
-  let phi_of label r =
-    List.find
-      (fun (p : Ssa.phi) -> p.Ssa.dest = r)
-      (Ssa.block_exn t label).Ssa.phis
-  in
   let mark_stores () =
     if not !keep_all_stores then begin
       keep_all_stores := true;
@@ -81,17 +74,16 @@ let compute (t : Ssa.t) =
     let r = Queue.pop work in
     match Hashtbl.find_opt defs r with
     | None -> () (* version .0: an input or implicit zero *)
-    | Some (Def_phi label) ->
+    | Some (Def_phi (label, phi)) ->
         if not (Hashtbl.mem needed_phis (label, r)) then begin
           Hashtbl.replace needed_phis (label, r) ();
           List.iter
             (fun (_, op) -> List.iter need (Lang.uses_of_operand op))
-            (phi_of label r).Ssa.sources
+            phi.Ssa.sources
         end
-    | Some (Def_instr (label, i)) ->
+    | Some (Def_instr (label, i, instr)) ->
         if not (Hashtbl.mem needed_instrs (label, i)) then begin
           Hashtbl.replace needed_instrs (label, i) ();
-          let instr = instr_at label i in
           List.iter need (Lang.uses_of_instr instr);
           match instr with Lang.Load _ -> mark_stores () | _ -> ()
         end

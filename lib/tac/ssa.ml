@@ -22,35 +22,6 @@ let base_of versioned =
   | Some i -> String.sub versioned 0 i
   | None -> versioned
 
-(* Memoized label->block index, same scheme as Lang.block_exn. *)
-module Index_tbl = Ephemeron.K1.Make (struct
-  type nonrec t = t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let index_lock = Mutex.create ()
-let indexes : (string, ssa_block) Hashtbl.t Index_tbl.t = Index_tbl.create 16
-
-let index_of t =
-  Mutex.protect index_lock (fun () ->
-      match Index_tbl.find_opt indexes t with
-      | Some idx -> idx
-      | None ->
-          let idx = Hashtbl.create (List.length t.blocks) in
-          List.iter
-            (fun b ->
-              if not (Hashtbl.mem idx b.label) then Hashtbl.add idx b.label b)
-            t.blocks;
-          Index_tbl.add indexes t idx;
-          idx)
-
-let block_exn t label =
-  match Hashtbl.find_opt (index_of t) label with
-  | Some b -> b
-  | None -> invalid_arg ("Ssa.block_exn: no block " ^ label)
-
 let all_variables (program : Lang.program) =
   let tbl = Hashtbl.create 16 in
   let note r = Hashtbl.replace tbl r () in
@@ -72,7 +43,6 @@ let convert (program : Lang.program) =
   let n = Cfg.Flowgraph.num_blocks fn in
   let dom = Cfg.Dominators.compute fn in
   let frontiers = Cfg.Dominators.frontiers fn dom in
-  let preds = Cfg.Flowgraph.preds fn in
   let vars = all_variables program in
   (* Phase 1: phi placement.  For each variable, iterate the dominance
      frontiers of its definition sites. *)
@@ -146,8 +116,8 @@ let convert (program : Lang.program) =
   let out_terms = Array.make n Lang.Halt in
   let children = Cfg.Dominators.dominator_tree dom in
   let rec walk b =
-    let label = To_cfg.label lowered b in
-    let block = Lang.block_exn program label in
+    let block = (Cfg.Flowgraph.block fn b).Cfg.Flowgraph.payload in
+    let label = block.Lang.label in
     let pushed = ref [] in
     (* Phi destinations define new versions. *)
     let _, phis = out_phis.(b) in
@@ -203,12 +173,12 @@ let convert (program : Lang.program) =
     List.iter pop !pushed
   in
   walk fn.Cfg.Flowgraph.entry;
-  ignore preds;
+  (* Lowered ids run entry first, then the rest in program order. *)
+  let reachable = Cfg.Flowgraph.reachable fn in
   let blocks =
     List.filter_map
-      (fun (b : Lang.block) ->
-        let id = To_cfg.id lowered b.Lang.label in
-        if not (Cfg.Flowgraph.reachable fn).(id) then None
+      (fun id ->
+        if not reachable.(id) then None
         else
           let label, phis = out_phis.(id) in
           Some
@@ -218,16 +188,15 @@ let convert (program : Lang.program) =
               instrs = out_instrs.(id);
               term = out_terms.(id);
             })
-      (Lang.block_exn program program.Lang.entry
-      :: List.filter
-           (fun b -> b.Lang.label <> program.Lang.entry)
-           program.Lang.blocks)
+      (List.init n Fun.id)
   in
   { entry = program.Lang.entry; params = program.Lang.params; blocks }
 
 (* --- SSA interpreter, for validating semantics preservation --- *)
 
 let run ?(max_steps = 1_000_000) (t : t) ~inputs =
+  let blocks = Hashtbl.create (List.length t.blocks) in
+  List.iter (fun b -> Hashtbl.replace blocks b.label b) t.blocks;
   let regs : (string, int) Hashtbl.t = Hashtbl.create 16 in
   (* Version 0 of each parameter carries its input value. *)
   List.iter (fun (r, v) -> Hashtbl.replace regs (r ^ ".0") v) inputs;
@@ -241,7 +210,7 @@ let run ?(max_steps = 1_000_000) (t : t) ~inputs =
     if !steps > max_steps then raise Interp.Step_limit;
     Hashtbl.replace visits label
       (1 + try Hashtbl.find visits label with Not_found -> 0);
-    let block = block_exn t label in
+    let block = Hashtbl.find blocks label in
     (* Parallel phi evaluation: read all sources before writing. *)
     let phi_values =
       List.map

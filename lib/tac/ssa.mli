@@ -23,8 +23,6 @@ val convert : Lang.program -> t
 val base_of : Lang.reg -> Lang.reg
 (** Strip the version suffix: [base_of "i.3" = "i"]. *)
 
-val block_exn : t -> string -> ssa_block
-
 val run :
   ?max_steps:int -> t -> inputs:(Lang.reg * int) list -> (string, int) Hashtbl.t
 (** Execute the SSA program directly (parallel phi semantics) and return

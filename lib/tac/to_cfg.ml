@@ -13,9 +13,10 @@ let lower (program : Lang.program) =
   let id_of_label = Hashtbl.create 16 in
   (* The entry block must come first so that builder ids match a natural
      traversal; add entry, then the rest in program order. *)
+  let is_entry (b : Lang.block) = b.Lang.label = program.Lang.entry in
   let ordered =
-    Lang.block_exn program program.Lang.entry
-    :: List.filter (fun b -> b.Lang.label <> program.Lang.entry) program.Lang.blocks
+    List.find is_entry program.Lang.blocks
+    :: List.filter (fun b -> not (is_entry b)) program.Lang.blocks
   in
   List.iter
     (fun (b : Lang.block) ->

@@ -119,7 +119,7 @@ let derive_conflicts m ai =
 let guard_of ai la =
   match AI.pred_labels ai la with
   | [ p ] when AI.exactly_once ai p -> (
-      match (Tac.Ssa.block_exn (AI.ssa ai) p).term with
+      match (AI.block ai p).term with
       | L.Branch (c, x, y, l1, l2) when l1 <> l2 ->
           if la = l1 then Some (p, c, x, y)
           else if la = l2 then Some (p, negate_cmp c, x, y)
@@ -345,7 +345,6 @@ let audit ~models ~manual =
   { base with rep_audit = audit }
 
 let pp_rule ppf r = Fmt.string ppf (rule_name r)
-let pp_verdict ppf v = Fmt.string ppf (verdict_name v)
 
 let pp_derived ppf (c, d) =
   Fmt.pf ppf "%a  [%s/%a: %s]" User_constraint.pp c d.dv_model pp_rule

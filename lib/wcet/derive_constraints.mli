@@ -62,5 +62,4 @@ val audit : models:model list -> manual:User_constraint.t list -> report
     [constraints.*] and [absint.*] metrics counters. *)
 
 val rule_name : rule -> string
-val pp_verdict : verdict Fmt.t
 val pp_report : report Fmt.t

@@ -255,39 +255,57 @@ let ilp ?(sources : sources = `All)
   let entry_of_ctx blocks =
     List.filter_map (fun (id, _, is_entry) -> if is_entry then Some id else None) blocks
   in
+  (* A function not inlined into this entry has no instances, and its
+     constraints are dropped; a label naming no block of a function that
+     is inlined is a mistake in the constraint. *)
+  let resolved func label found =
+    if (not found) && instances_of func <> [] then
+      invalid_arg (Fmt.str "Ipet: function %s has no block %s" func label)
+  in
   let constraints = selected_constraints spec sources in
   List.iter
     (fun (c, src) ->
       let clabel = Fmt.str "[%s] %a" src User_constraint.pp c in
       match c with
       | User_constraint.Conflicts_with { func; a; b } ->
+          let found_a = ref false and found_b = ref false in
           List.iter
             (fun (_ctx, blocks) ->
               let xa = find_in_ctx blocks a
               and xb = find_in_ctx blocks b
               and entry = entry_of_ctx blocks in
+              if xa <> [] then found_a := true;
+              if xb <> [] then found_b := true;
               if xa <> [] && xb <> [] then
                 Ilp.Problem.add_le ~label:clabel problem
                   (List.map (fun id -> (1, x.(id))) (xa @ xb)
                   @ List.map (fun id -> (-1, x.(id))) entry)
                   0)
-            (instances_of func)
+            (instances_of func);
+          resolved func a !found_a;
+          resolved func b !found_b
       | User_constraint.Consistent_with { func; a; b } ->
+          let found_a = ref false and found_b = ref false in
           List.iter
             (fun (_ctx, blocks) ->
               let xa = find_in_ctx blocks a and xb = find_in_ctx blocks b in
+              if xa <> [] then found_a := true;
+              if xb <> [] then found_b := true;
               if xa <> [] && xb <> [] then
                 Ilp.Problem.add_eq ~label:clabel problem
                   (List.map (fun id -> (1, x.(id))) xa
                   @ List.map (fun id -> (-1, x.(id))) xb)
                   0)
-            (instances_of func)
+            (instances_of func);
+          resolved func a !found_a;
+          resolved func b !found_b
       | User_constraint.Executes_at_most { func; block; times } ->
           let all =
             List.concat_map
               (fun (_ctx, blocks) -> find_in_ctx blocks block)
               (instances_of func)
           in
+          resolved func block (all <> []);
           if all <> [] then
             Ilp.Problem.add_le ~label:clabel problem
               (List.map (fun id -> (1, x.(id))) all)
@@ -302,6 +320,7 @@ let ilp ?(sources : sources = `All)
           (fun (_ctx, blocks) -> find_in_ctx blocks label)
           (instances_of func)
       in
+      resolved func label (all <> []);
       if all <> [] then
         Ilp.Problem.add_eq
           ~label:(Fmt.str "forced %s/%s = %d" func label count)

@@ -72,7 +72,11 @@ val analyse_prepared :
     selects the user constraints (default [`All]); constraint rows carry
     their provenance in the ILP row label.  [forced] pins total execution
     counts of (function, block label) pairs, which is how Section 6.2
-    computes the predicted time of a specific realisable path. *)
+    computes the predicted time of a specific realisable path.  A
+    constraint or forced count on a function the program does not inline
+    is dropped.
+    @raise Invalid_argument when one names a block label that no
+    inlined instance of its function has. *)
 
 val ilp :
   ?sources:sources ->

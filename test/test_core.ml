@@ -431,6 +431,33 @@ let test_model_names_resolve () =
         (KM.realisable_path ~params entry))
     (model_specs ())
 
+(* Building a spec allocates as much the hundredth time as the first:
+   nothing the loop-bound and derivation chain keeps between builds
+   grows with the programs it has seen.  Allocation is deterministic, so
+   the batches must match exactly; no major collection runs between
+   them, so state kept for dead programs would show. *)
+let test_spec_allocation_flat () =
+  let build_all () =
+    List.iter
+      (fun (_, build) ->
+        List.iter (fun entry -> ignore (KM.spec build entry)) KM.entry_points)
+      model_builds
+  in
+  let batch () =
+    let before = Gc.minor_words () in
+    for _ = 1 to 25 do
+      build_all ()
+    done;
+    Gc.minor_words () -. before
+  in
+  build_all ();
+  let first = batch () in
+  let last = ref first in
+  for _ = 2 to 4 do
+    last := batch ()
+  done;
+  Alcotest.(check (float 0.)) "minor words, last batch vs first" first !last
+
 (* --- pinning mechanics --- *)
 
 let test_pin_selection_fits_way () =
@@ -554,6 +581,8 @@ let () =
           [
             test_case "fingerprints" `Quick test_model_fingerprints;
             test_case "names resolve" `Quick test_model_names_resolve;
+            test_case "spec allocation is flat" `Quick
+              test_spec_allocation_flat;
           ] );
       ( "pinning",
         Alcotest.

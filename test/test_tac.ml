@@ -99,7 +99,9 @@ let test_ssa_single_assignment () =
 
 let test_ssa_phi_at_header () =
   let ssa = Tac.Ssa.convert (countup ~lo:0 ~hi:10) in
-  let header = Tac.Ssa.block_exn ssa "header" in
+  let header =
+    List.find (fun (b : Tac.Ssa.ssa_block) -> b.label = "header") ssa.blocks
+  in
   (* i and acc both flow around the loop: two phis at the header. *)
   check_int "phis at loop header" 2 (List.length header.Tac.Ssa.phis);
   List.iter

@@ -289,6 +289,39 @@ let test_ipet_forced_path () =
     (forced.Wcet.Ipet.wcet < free.Wcet.Ipet.wcet);
   check_int "costly excluded" 0 forced.Wcet.Ipet.block_counts.(1)
 
+(* A label that names no block of an inlined function is a mistake, not
+   a constraint to drop; one on a function the program does not inline
+   is dropped. *)
+let test_ipet_unknown_label () =
+  let analyse ?forced constraints =
+    Wcet.Ipet.analyse ~config:Hw.Config.default ?forced
+      {
+        Wcet.Ipet.program = diamond_program ();
+        bounds = [];
+        constraints;
+        derived = [];
+      }
+  in
+  let raises what ?forced constraints =
+    Alcotest.check_raises what
+      (Invalid_argument "Ipet: function main has no block costy") (fun () ->
+        ignore (analyse ?forced constraints))
+  in
+  raises "conflicts"
+    [ Wcet.User_constraint.conflicts ~func:"main" "costy" "tail" ];
+  raises "consistent"
+    [ Wcet.User_constraint.consistent ~func:"main" "tail" "costy" ];
+  raises "executes at most"
+    [ Wcet.User_constraint.executes_at_most ~func:"main" "costy" 1 ];
+  raises "forced" ~forced:[ ("main", "costy", 0) ] [];
+  let free = analyse [] in
+  let elsewhere =
+    analyse ~forced:[ ("h", "costy", 0) ]
+      [ Wcet.User_constraint.conflicts ~func:"h" "costly" "costy" ]
+  in
+  check_int "a function outside the program is dropped" free.Wcet.Ipet.wcet
+    elsewhere.Wcet.Ipet.wcet
+
 (* Per-context constraints: a callee invoked from two sites gets separate
    constraint instances, as the paper's virtual inlining requires. *)
 let test_ipet_context_sensitivity () =
@@ -561,6 +594,7 @@ let () =
             test_case "negative cap rejected" `Quick
               test_executes_at_most_rejects_negative;
             test_case "forced path" `Quick test_ipet_forced_path;
+            test_case "unknown label" `Quick test_ipet_unknown_label;
             test_case "context sensitivity" `Quick test_ipet_context_sensitivity;
           ] );
       ( "soundness",
