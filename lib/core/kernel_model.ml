@@ -18,6 +18,15 @@
 module F = Cfg.Flowgraph
 module T = Wcet.Timing
 
+(* Wall-time spans of {!spec}'s two analysis stages, beside Ipet's
+   [ipet.*] spans: the Section 5.3 loop-bound chain and the Section 5.2
+   constraint derivation.  The rest of a spec is building its CFGs. *)
+let span_loop_bounds = Obs.Metrics.histogram "kernel_model.loop_bounds"
+let span_derive = Obs.Metrics.histogram "kernel_model.derive_constraints"
+
+let loop_bound l =
+  Obs.Metrics.span span_loop_bounds (fun () -> Kernel_loops.bound l)
+
 type params = {
   decode_depth : int;  (* capability-space levels (Figure 7) *)
   msg_words : int;  (* message registers copied per IPC phase *)
@@ -127,7 +136,7 @@ let lookup_fn () =
   in
   let exit_ = block f ~region:r ~label:"l_exit" ~instrs:1 () in
   loop f ~from:entry ~head ~body:[ body ] ~exit:exit_
-    (Kernel_loops.bound Kernel_loops.decode_loop);
+    (loop_bound Kernel_loops.decode_loop);
   finish f
 
 (* Message copy, one cache line (8 words) per iteration: the memory cost
@@ -196,7 +205,7 @@ let choose_fn (build : Sel4.Build.t) (p : params) =
       in
       let exit_ = block f ~region:r ~label:"ch_exit" ~instrs:1 () in
       loop f ~from:entry ~head ~body:[ body ] ~exit:exit_
-        (Kernel_loops.bound Kernel_loops.priority_scan_loop)
+        (loop_bound Kernel_loops.priority_scan_loop)
   | Sel4.Build.Lazy ->
       (* Figure 2: scan priorities, dequeueing stale blocked threads.  The
          stale loop (ch_scan) nests in the priority loop (ch_head) and
@@ -213,7 +222,7 @@ let choose_fn (build : Sel4.Build.t) (p : params) =
           ~accesses:[ dyn ~write:true 3 ] ()
       in
       let exit_ = block f ~region:r ~label:"ch_exit" ~instrs:1 () in
-      let scan_bound = Kernel_loops.bound Kernel_loops.priority_scan_loop in
+      let scan_bound = loop_bound Kernel_loops.priority_scan_loop in
       bound f head scan_bound;
       edge f entry head;
       loop f ~from:head ~head:scan ~body:[ stale ] ~exit:head
@@ -423,7 +432,7 @@ let syscall_program (build : Sel4.Build.t) (p : params) =
   in
   let rt_no_pd = block f ~region:rt ~label:"rt_no_pd" ~instrs:1 () in
   let full_chunks =
-    Kernel_loops.bound
+    loop_bound
       (Kernel_loops.clear_loop ~max_bytes:(1 lsl p.max_frame_bits)
          ~chunk:build.Sel4.Build.preempt_chunk)
     - 1
@@ -723,8 +732,9 @@ let spec ?(params = default_params) (build : Sel4.Build.t) entry =
   let shared = shared_functions build params in
   let parks = parks build in
   let derived =
-    (Wcet.Derive_constraints.derive (models ~parks params ~main))
-      .Wcet.Derive_constraints.rep_derived
+    Obs.Metrics.span span_derive (fun () ->
+        (Wcet.Derive_constraints.derive (models ~parks params ~main))
+          .Wcet.Derive_constraints.rep_derived)
   in
   {
     Wcet.Ipet.program = { F.funcs = program :: List.map fst shared; main };

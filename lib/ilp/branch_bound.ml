@@ -68,14 +68,14 @@ let solve ?stats problem =
           | Some (v, value) ->
               let floor_c =
                 {
-                  Problem.label = "branch-le";
+                  Problem.label = lazy "branch-le";
                   terms = [ (1, vars.(v)) ];
                   relation = Problem.Le;
                   bound = Rat.floor value;
                 }
               and ceil_c =
                 {
-                  Problem.label = "branch-ge";
+                  Problem.label = lazy "branch-ge";
                   terms = [ (1, vars.(v)) ];
                   relation = Problem.Ge;
                   bound = Rat.ceil value;

@@ -3,14 +3,18 @@
    A thin convenience layer over {!Simplex}: variables are created by name,
    constraints are integer-coefficient linear combinations, and the whole
    problem can be rendered for debugging (the paper's Section 5.2 works by
-   inspecting and manually extending exactly such constraint systems). *)
+   inspecting and manually extending exactly such constraint systems).
+
+   Names and labels are rendered only when read: a variable keeps its
+   name as a prefix plus integer indices, and a row label is lazy, so
+   building a problem formats nothing. *)
 
 type var = int
 
 type relation = Le | Ge | Eq
 
 type cstr = {
-  label : string;
+  label : string Lazy.t;
   terms : (int * var) list;
   relation : relation;
   bound : int;
@@ -18,28 +22,39 @@ type cstr = {
 
 type t = {
   mutable names : string array;  (* the first [count] are in use *)
+  mutable indices : int list array;  (* rendered after the name, "_"-joined *)
   mutable count : int;
   mutable constraints : cstr list;  (* reversed *)
   mutable objective : (int * var) list;
 }
 
-let create () = { names = [||]; count = 0; constraints = []; objective = [] }
+let create () =
+  { names = [||]; indices = [||]; count = 0; constraints = []; objective = [] }
 
-let var t name =
+let grow a v fill =
+  let grown = Array.make (max 16 (2 * v)) fill in
+  Array.blit a 0 grown 0 v;
+  grown
+
+let var ?(index = []) t name =
   let v = t.count in
   if v = Array.length t.names then begin
-    let grown = Array.make (max 16 (2 * v)) "" in
-    Array.blit t.names 0 grown 0 v;
-    t.names <- grown
+    t.names <- grow t.names v "";
+    t.indices <- grow t.indices v []
   end;
   t.names.(v) <- name;
+  t.indices.(v) <- index;
   t.count <- v + 1;
   v
 
 let num_vars t = t.count
-let name t v = t.names.(v)
 
-let add_constraint ?(label = "") t terms relation bound =
+let name t v =
+  match t.indices.(v) with
+  | [] -> t.names.(v)
+  | index -> t.names.(v) ^ String.concat "_" (List.map string_of_int index)
+
+let add_constraint ?(label = lazy "") t terms relation bound =
   List.iter (fun (_, v) -> assert (v >= 0 && v < t.count)) terms;
   t.constraints <- { label; terms; relation; bound } :: t.constraints
 
@@ -52,23 +67,32 @@ let constraints t = List.rev t.constraints
 let num_constraints t = List.length t.constraints
 let objective t = t.objective
 
+let rec mentions v = function
+  | [] -> false
+  | (_, u) :: rest -> u = v || mentions v rest
+
+let rec sum_of v acc = function
+  | [] -> acc
+  | (c, u) :: rest -> sum_of v (if u = v then acc + c else acc) rest
+
 (* Merge duplicate variables of a term list into a sparse row, keeping
-   first-occurrence order (deterministic) and dropping zero sums. *)
+   first-occurrence order (deterministic) and dropping zero sums.  Rows
+   are short, so a later duplicate is found by scanning: each term sums
+   the rest of the row for its variable unless it appeared earlier. *)
 let sparse_row terms =
-  let merged = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (c, v) ->
-      match Hashtbl.find_opt merged v with
-      | None ->
-          order := v :: !order;
-          Hashtbl.add merged v c
-      | Some c0 -> Hashtbl.replace merged v (c0 + c))
-    terms;
-  List.rev !order
-  |> List.filter_map (fun v ->
-         let c = Hashtbl.find merged v in
-         if c = 0 then None else Some (v, Rat.of_int c))
+  let rec merge earlier = function
+    | [] -> []
+    | (c, v) :: rest ->
+        if mentions v earlier then merge earlier rest
+        else
+          let earlier =
+            if mentions v rest then (c, v) :: earlier else earlier
+          in
+          let c = sum_of v c rest in
+          if c = 0 then merge earlier rest
+          else (v, Rat.of_int c) :: merge earlier rest
+  in
+  merge [] terms
 
 let to_lp ?(extra = []) t : Simplex.lp =
   let dense terms =
@@ -121,7 +145,8 @@ let pp ppf t =
   Fmt.pf ppf "@[<v>maximize %a@,subject to:@," pp_terms t.objective;
   List.iter
     (fun c ->
+      let label = Lazy.force c.label in
       Fmt.pf ppf "  %a %a %d%s@," pp_terms c.terms pp_rel c.relation c.bound
-        (if c.label = "" then "" else "    ; " ^ c.label))
+        (if label = "" then "" else "    ; " ^ label))
     (constraints t);
   Fmt.pf ppf "@]"

@@ -11,7 +11,7 @@ type var = private int
 type relation = Le | Ge | Eq
 
 type cstr = {
-  label : string;
+  label : string Lazy.t;  (** rendered only when read; [""] for none *)
   terms : (int * var) list;
   relation : relation;
   bound : int;
@@ -21,15 +21,17 @@ type t
 
 val create : unit -> t
 
-val var : t -> string -> var
-(** Fresh non-negative variable. *)
+val var : ?index:int list -> t -> string -> var
+(** Fresh non-negative variable.  Its name is the string followed by
+    [index] (default none) joined with ["_"]: [var ~index:[3; 4] t "d"]
+    is [d3_4].  The name is only rendered by {!name} and {!pp}. *)
 
 val num_vars : t -> int
 val name : t -> var -> string
 
-val add_le : ?label:string -> t -> (int * var) list -> int -> unit
-val add_ge : ?label:string -> t -> (int * var) list -> int -> unit
-val add_eq : ?label:string -> t -> (int * var) list -> int -> unit
+val add_le : ?label:string Lazy.t -> t -> (int * var) list -> int -> unit
+val add_ge : ?label:string Lazy.t -> t -> (int * var) list -> int -> unit
+val add_eq : ?label:string Lazy.t -> t -> (int * var) list -> int -> unit
 
 val set_objective : t -> (int * var) list -> unit
 (** Objective to maximise. *)

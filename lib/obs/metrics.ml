@@ -23,10 +23,14 @@ type histogram = {
   mutable sum : float;
   mutable min_value : float;
   mutable max_value : float;
-  buckets : (int, int) Hashtbl.t;  (* exponent -> observations *)
-  mutable exact : (float, int) Hashtbl.t option;
-      (* value -> observations, kept while the histogram has at most
-         [exact_limit] distinct values; [None] once it overflowed *)
+  mutable bucket_keys : int array;  (* exponents, the first [buckets_used] *)
+  mutable bucket_counts : int array;  (* observations per exponent *)
+  mutable buckets_used : int;
+  exact_values : float array;  (* distinct values, the first [exact_used] *)
+  exact_counts : int array;  (* observations per value *)
+  mutable exact_used : int;
+      (* the exact multiset is kept while the histogram has at most
+         [exact_limit] distinct values; -1 once it overflowed *)
 }
 
 (* Small-count exactness: up to this many distinct observed values, the
@@ -70,8 +74,12 @@ let histogram name =
         sum = 0.0;
         min_value = infinity;
         max_value = neg_infinity;
-        buckets = Hashtbl.create 8;
-        exact = Some (Hashtbl.create 8);
+        bucket_keys = Array.make 16 0;
+        bucket_counts = Array.make 16 0;
+        buckets_used = 0;
+        exact_values = Array.make exact_limit 0.0;
+        exact_counts = Array.make exact_limit 0;
+        exact_used = 0;
       })
 
 let bucket_of v =
@@ -81,41 +89,57 @@ let bucket_of v =
     (* Guard the rounding edge: ensure v <= 2^k. *)
     if 2.0 ** float_of_int k < v then k + 1 else k
 
-let record_exact h ~n v =
-  match h.exact with
-  | None -> ()
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl v with
-      | Some c -> Hashtbl.replace tbl v (c + n)
-      | None ->
-          if Hashtbl.length tbl < exact_limit then Hashtbl.add tbl v n
-          else h.exact <- None)
+(* The tables are flat arrays searched linearly (at most [exact_limit]
+   values; a few dozen exponents), so an observation allocates the same
+   whatever its value: the bucket arrays only double when a histogram's
+   range first outgrows them. *)
+let rec find_value a used v i =
+  if i = used then -1
+  else if Float.equal a.(i) v then i
+  else find_value a used v (i + 1)
 
-let observe h v =
-  with_lock (fun () ->
-      h.count <- h.count + 1;
-      h.sum <- h.sum +. v;
-      if v < h.min_value then h.min_value <- v;
-      if v > h.max_value then h.max_value <- v;
-      record_exact h ~n:1 v;
-      let k = bucket_of v in
-      Hashtbl.replace h.buckets k
-        (1 + Option.value ~default:0 (Hashtbl.find_opt h.buckets k)))
+let rec find_bucket a used k i =
+  if i = used then -1 else if a.(i) = k then i else find_bucket a used k (i + 1)
+
+let grow a =
+  let bigger = Array.make (2 * Array.length a) 0 in
+  Array.blit a 0 bigger 0 (Array.length a);
+  bigger
+
+let record h ~n v =
+  h.count <- h.count + n;
+  h.sum <- h.sum +. (v *. float_of_int n);
+  if v < h.min_value then h.min_value <- v;
+  if v > h.max_value then h.max_value <- v;
+  if h.exact_used >= 0 then begin
+    let i = find_value h.exact_values h.exact_used v 0 in
+    if i >= 0 then h.exact_counts.(i) <- h.exact_counts.(i) + n
+    else if h.exact_used < exact_limit then begin
+      h.exact_values.(h.exact_used) <- v;
+      h.exact_counts.(h.exact_used) <- n;
+      h.exact_used <- h.exact_used + 1
+    end
+    else h.exact_used <- -1
+  end;
+  let k = bucket_of v in
+  let i = find_bucket h.bucket_keys h.buckets_used k 0 in
+  if i >= 0 then h.bucket_counts.(i) <- h.bucket_counts.(i) + n
+  else begin
+    if h.buckets_used = Array.length h.bucket_keys then begin
+      h.bucket_keys <- grow h.bucket_keys;
+      h.bucket_counts <- grow h.bucket_counts
+    end;
+    h.bucket_keys.(h.buckets_used) <- k;
+    h.bucket_counts.(h.buckets_used) <- n;
+    h.buckets_used <- h.buckets_used + 1
+  end
+
+let observe h v = with_lock (fun () -> record h ~n:1 v)
 
 (* Record [n] observations of the same value in one locked update — the
    bulk path for callers that already hold a value -> count histogram
    (e.g. the soak simulator merging per-shard latency counts). *)
-let observe_n h ~n v =
-  if n > 0 then
-    with_lock (fun () ->
-        h.count <- h.count + n;
-        h.sum <- h.sum +. (v *. float_of_int n);
-        if v < h.min_value then h.min_value <- v;
-        if v > h.max_value then h.max_value <- v;
-        record_exact h ~n v;
-        let k = bucket_of v in
-        Hashtbl.replace h.buckets k
-          (n + Option.value ~default:0 (Hashtbl.find_opt h.buckets k)))
+let observe_n h ~n v = if n > 0 then with_lock (fun () -> record h ~n v)
 
 let now_s () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
@@ -198,13 +222,15 @@ let snapshot () =
                   hs_max = (if h.count = 0 then 0.0 else h.max_value);
                   hs_buckets =
                     List.sort compare
-                      (Hashtbl.fold (fun k n acc -> (k, n) :: acc) h.buckets []);
+                      (List.init h.buckets_used (fun i ->
+                           (h.bucket_keys.(i), h.bucket_counts.(i))));
                   hs_exact =
-                    Option.map
-                      (fun tbl ->
-                        List.sort compare
-                          (Hashtbl.fold (fun v n acc -> (v, n) :: acc) tbl []))
-                      h.exact;
+                    (if h.exact_used < 0 then None
+                     else
+                       Some
+                         (List.sort compare
+                            (List.init h.exact_used (fun i ->
+                                 (h.exact_values.(i), h.exact_counts.(i))))));
                 } )
               :: acc)
             histograms;
@@ -220,8 +246,8 @@ let reset () =
           h.sum <- 0.0;
           h.min_value <- infinity;
           h.max_value <- neg_infinity;
-          Hashtbl.reset h.buckets;
-          h.exact <- Some (Hashtbl.create 8))
+          h.buckets_used <- 0;
+          h.exact_used <- 0)
         histograms)
 
 let to_json s =

@@ -91,7 +91,7 @@ let convert (program : Lang.program) =
   let fresh v =
     let k = 1 + try Hashtbl.find counters v with Not_found -> 0 in
     Hashtbl.replace counters v k;
-    let name = Fmt.str "%s.%d" v k in
+    let name = v ^ "." ^ string_of_int k in
     Hashtbl.replace stacks v (name :: try Hashtbl.find stacks v with Not_found -> []);
     name
   in

@@ -26,7 +26,12 @@ let create ~line_size ~sets ~pinned_lines =
     pinned_lines;
   { line_size; sets; tags = Array.make sets (-1); pinned }
 
+(* A copy shares the (read-only) pin table: only the tags are state. *)
 let copy t = { t with tags = Array.copy t.tags }
+
+let blit ~src ~dst =
+  assert (src.sets = dst.sets);
+  Array.blit src.tags 0 dst.tags 0 src.sets
 
 let set_of t addr = addr / t.line_size mod t.sets
 let tag_of t addr = addr / t.line_size / t.sets
@@ -43,12 +48,14 @@ let access t addr =
 
 let clobber t = Array.fill t.tags 0 t.sets (-1)
 
-(* Must-join: keep only lines guaranteed in both states. *)
-let join a b =
-  assert (a.line_size = b.line_size && a.sets = b.sets);
-  let tags =
-    Array.init a.sets (fun i -> if a.tags.(i) = b.tags.(i) then a.tags.(i) else -1)
-  in
-  { a with tags }
+(* Must-join, in place: [into] keeps only lines guaranteed in both. *)
+let join ~into b =
+  assert (into.line_size = b.line_size && into.sets = b.sets);
+  for i = 0 to into.sets - 1 do
+    if into.tags.(i) <> b.tags.(i) then into.tags.(i) <- -1
+  done
 
-let equal a b = a.tags = b.tags
+let rec same_from a b i =
+  i = a.sets || (a.tags.(i) = b.tags.(i) && same_from a b (i + 1))
+
+let equal a b = a.sets = b.sets && same_from a b 0

@@ -29,11 +29,7 @@ type block_cost = {
   data_hits : int;
 }
 
-type t = {
-  costs : block_cost array;
-  icache_in : Abstract_cache.t array;
-  dcache_in : Abstract_cache.t array;
-}
+type t = { costs : block_cost array }
 
 let cost t id = t.costs.(id)
 
@@ -89,26 +85,63 @@ let transfer ~config ~(payload : Timing.t) ~num_succs istate dstate =
     data_hits = !data_hits;
   }
 
-let analyse ~config ?(pinned_code = []) ?(pinned_data = [])
+let no_cost =
+  {
+    cycles = 0;
+    fetch_misses = 0;
+    fetch_hits = 0;
+    data_misses = 0;
+    data_hits = 0;
+  }
+
+(* The fixpoint allocates each block's in- and out-states once, on its
+   first visit, and overwrites them in place on later visits; meets join
+   into one scratch pair.  All states are copies of one cold state per
+   cache, so they share its pin table. *)
+let analyse ~config ?(pinned_code = []) ?(pinned_data = []) ~preds
     (fn : Timing.t Cfg.Flowgraph.fn) =
   let n = Cfg.Flowgraph.num_blocks fn in
   let line_size = config.Hw.Config.l1_line in
   (* One-way model: sets spanning a single way's worth of cache. *)
   let sets = config.Hw.Config.l1_sets in
-  let fresh pinned_lines =
+  let cold pinned_lines =
     Abstract_cache.create ~line_size ~sets ~pinned_lines
   in
-  let icache_in : Abstract_cache.t option array = Array.make n None in
-  let dcache_in : Abstract_cache.t option array = Array.make n None in
-  let preds = Cfg.Flowgraph.preds fn in
-  let out_states : (Abstract_cache.t * Abstract_cache.t) option array =
-    Array.make n None
-  in
-  let meet mk states =
-    match states with
-    | [] -> mk ()
-    | first :: rest ->
-        List.fold_left Abstract_cache.join (Abstract_cache.copy first) rest
+  let cold_i = cold pinned_code and cold_d = cold pinned_data in
+  let meet_i = Abstract_cache.copy cold_i
+  and meet_d = Abstract_cache.copy cold_d in
+  (* [changes.(b)] counts the visits that set [b]'s states.  Until the
+     first, [in_*.(b)] and [out_*.(b)] hold the cold state as a
+     placeholder.  After it, an in-state only loses guarantees, a set at
+     a time at least, so it changes at most [2 * sets] more times; more
+     means a state was updated where it is shared, and the iteration
+     would never end. *)
+  let changes = Array.make n 0 in
+  let in_i = Array.make n cold_i and in_d = Array.make n cold_d in
+  let out_i = Array.make n cold_i and out_d = Array.make n cold_d in
+  (* Join the out-states of the visited predecessors of [b] into the meet
+     pair; with none (or at the entry: cold caches on kernel entry),
+     nothing is guaranteed but pins. *)
+  let meet b =
+    let first = ref true in
+    if b <> fn.Cfg.Flowgraph.entry then
+      List.iter
+        (fun p ->
+          if changes.(p) > 0 then
+            if !first then begin
+              first := false;
+              Abstract_cache.blit ~src:out_i.(p) ~dst:meet_i;
+              Abstract_cache.blit ~src:out_d.(p) ~dst:meet_d
+            end
+            else begin
+              Abstract_cache.join ~into:meet_i out_i.(p);
+              Abstract_cache.join ~into:meet_d out_d.(p)
+            end)
+        preds.(b);
+    if !first then begin
+      Abstract_cache.clobber meet_i;
+      Abstract_cache.clobber meet_d
+    end
   in
   let queue = Queue.create () in
   let enqueued = Array.make n false in
@@ -122,59 +155,52 @@ let analyse ~config ?(pinned_code = []) ?(pinned_data = [])
   while not (Queue.is_empty queue) do
     let b = Queue.pop queue in
     enqueued.(b) <- false;
-    let in_i, in_d =
-      if b = fn.Cfg.Flowgraph.entry then
-        (* Cold caches on kernel entry: nothing guaranteed but pins. *)
-        (fresh pinned_code, fresh pinned_data)
+    meet b;
+    let changed =
+      if changes.(b) = 0 then begin
+        in_i.(b) <- Abstract_cache.copy meet_i;
+        in_d.(b) <- Abstract_cache.copy meet_d;
+        out_i.(b) <- Abstract_cache.copy meet_i;
+        out_d.(b) <- Abstract_cache.copy meet_d;
+        true
+      end
+      else if
+        Abstract_cache.equal in_i.(b) meet_i
+        && Abstract_cache.equal in_d.(b) meet_d
+      then false
       else begin
-        let avail =
-          List.filter_map (fun p -> out_states.(p)) preds.(b)
-        in
-        ( meet (fun () -> fresh pinned_code) (List.map fst avail),
-          meet (fun () -> fresh pinned_data) (List.map snd avail) )
+        Abstract_cache.blit ~src:meet_i ~dst:in_i.(b);
+        Abstract_cache.blit ~src:meet_d ~dst:in_d.(b);
+        Abstract_cache.blit ~src:meet_i ~dst:out_i.(b);
+        Abstract_cache.blit ~src:meet_d ~dst:out_d.(b);
+        true
       end
     in
-    let changed =
-      match (icache_in.(b), dcache_in.(b)) with
-      | Some old_i, Some old_d ->
-          not (Abstract_cache.equal old_i in_i && Abstract_cache.equal old_d in_d)
-      | _ -> true
-    in
     if changed then begin
-      icache_in.(b) <- Some (Abstract_cache.copy in_i);
-      dcache_in.(b) <- Some (Abstract_cache.copy in_d);
+      changes.(b) <- changes.(b) + 1;
+      assert (changes.(b) <= (2 * sets) + 1);
       let block = Cfg.Flowgraph.block fn b in
-      let istate = Abstract_cache.copy in_i and dstate = Abstract_cache.copy in_d in
       ignore
         (transfer ~config ~payload:block.Cfg.Flowgraph.payload
            ~num_succs:(List.length block.Cfg.Flowgraph.succs)
-           istate dstate);
-      out_states.(b) <- Some (istate, dstate);
+           out_i.(b) out_d.(b));
       List.iter push block.Cfg.Flowgraph.succs
     end
   done;
-  (* Final pass: per-block costs from the converged entry states. *)
+  (* Final pass: per-block costs from the converged entry states, run in
+     the meet pair as scratch. *)
   let costs =
     Array.init n (fun b ->
-        match (icache_in.(b), dcache_in.(b)) with
-        | Some in_i, Some in_d ->
-            let block = Cfg.Flowgraph.block fn b in
-            transfer ~config ~payload:block.Cfg.Flowgraph.payload
-              ~num_succs:(List.length block.Cfg.Flowgraph.succs)
-              (Abstract_cache.copy in_i) (Abstract_cache.copy in_d)
-        | _ ->
-            (* Unreachable block: cost irrelevant; make it harmless. *)
-            {
-              cycles = 0;
-              fetch_misses = 0;
-              fetch_hits = 0;
-              data_misses = 0;
-              data_hits = 0;
-            })
+        if changes.(b) = 0 then
+          (* Unreachable block: cost irrelevant; make it harmless. *)
+          no_cost
+        else begin
+          let block = Cfg.Flowgraph.block fn b in
+          Abstract_cache.blit ~src:in_i.(b) ~dst:meet_i;
+          Abstract_cache.blit ~src:in_d.(b) ~dst:meet_d;
+          transfer ~config ~payload:block.Cfg.Flowgraph.payload
+            ~num_succs:(List.length block.Cfg.Flowgraph.succs)
+            meet_i meet_d
+        end)
   in
-  let unwrap mk = function Some s -> s | None -> mk () in
-  {
-    costs;
-    icache_in = Array.map (unwrap (fun () -> fresh pinned_code)) icache_in;
-    dcache_in = Array.map (unwrap (fun () -> fresh pinned_data)) dcache_in;
-  }
+  { costs }

@@ -10,19 +10,17 @@ type block_cost = {
   data_hits : int;
 }
 
-type t = {
-  costs : block_cost array;
-  icache_in : Abstract_cache.t array;  (** entry must-state per block *)
-  dcache_in : Abstract_cache.t array;
-}
+type t = { costs : block_cost array }
 
 val analyse :
   config:Hw.Config.t ->
   ?pinned_code:int list ->
   ?pinned_data:int list ->
+  preds:int list array ->
   Timing.t Cfg.Flowgraph.fn ->
   t
 (** Fixpoint over the (call-free) CFG starting from cold caches at entry.
-    Pinned lines are always guaranteed present. *)
+    [preds] is the CFG's {!Cfg.Flowgraph.preds}.  Pinned lines are always
+    guaranteed present. *)
 
 val cost : t -> int -> block_cost

@@ -123,12 +123,12 @@ let prepare ~config ?(pinned_code = []) ?(pinned_data = []) (spec : spec) =
   let started = Obs.Metrics.now_s () in
   let inlined = Cfg.Inline.inline spec.program in
   let fn = inlined.Cfg.Inline.fn in
+  let preds = Cfg.Flowgraph.preds fn in
   let costs =
     Obs.Metrics.span span_cache (fun () ->
-        Cache_analysis.analyse ~config ~pinned_code ~pinned_data fn)
+        Cache_analysis.analyse ~config ~pinned_code ~pinned_data ~preds fn)
   in
   let loops = Cfg.Loops.compute fn in
-  let preds = Cfg.Flowgraph.preds fn in
   let contexts = compute_contexts inlined spec.program in
   {
     spec;
@@ -144,18 +144,12 @@ let prepare ~config ?(pinned_code = []) ?(pinned_data = []) (spec : spec) =
   }
 
 (* Constraints selected for one ILP variant, each tagged with its
-   provenance for the constraint-row label.  Derived constraints that
-   structurally duplicate a manual one are dropped under [`All]. *)
+   provenance for the constraint-row label ([None] for a manual one).
+   Derived constraints that structurally duplicate a manual one are
+   dropped under [`All]. *)
 let selected_constraints (spec : spec) (sources : sources) =
-  let manual = List.map (fun c -> (c, "manual")) spec.constraints in
-  let derived =
-    List.map
-      (fun (c, (d : Derive_constraints.derivation)) ->
-        ( c,
-          Fmt.str "derived %s/%s" d.Derive_constraints.dv_model
-            (Derive_constraints.rule_name d.Derive_constraints.dv_rule) ))
-      spec.derived
-  in
+  let manual = List.map (fun c -> (c, None)) spec.constraints in
+  let derived = List.map (fun (c, d) -> (c, Some d)) spec.derived in
   match sources with
   | `None -> []
   | `Manual -> manual
@@ -175,49 +169,45 @@ let ilp ?(sources : sources = `All)
     match Hashtbl.find_opt p.contexts func with Some l -> l | None -> []
   in
   let problem = Ilp.Problem.create () in
-  let x = Array.init n (fun b -> Ilp.Problem.var problem (Fmt.str "x%d" b)) in
+  let x = Array.init n (fun b -> Ilp.Problem.var ~index:[ b ] problem "x") in
   (* Edge variables, plus virtual entry/exit edges. *)
   let edges = Hashtbl.create 64 in
   Array.iter
     (fun (b : Timing.t Cfg.Flowgraph.block) ->
+      let id = b.Cfg.Flowgraph.id in
       List.iter
         (fun s ->
-          if not (Hashtbl.mem edges (b.Cfg.Flowgraph.id, s)) then
-            Hashtbl.replace edges (b.Cfg.Flowgraph.id, s)
-              (Ilp.Problem.var problem
-                 (Fmt.str "d%d_%d" b.Cfg.Flowgraph.id s)))
+          if not (Hashtbl.mem edges (id, s)) then
+            Hashtbl.replace edges (id, s)
+              (Ilp.Problem.var ~index:[ id; s ] problem "d"))
         b.Cfg.Flowgraph.succs)
     fn.Cfg.Flowgraph.blocks;
   let edge_var e = Hashtbl.find edges e in
   let entry_var = Ilp.Problem.var problem "d_entry" in
-  let exit_vars =
-    List.map
-      (fun b -> (b, Ilp.Problem.var problem (Fmt.str "d_exit%d" b)))
-      (Cfg.Flowgraph.exits fn)
-  in
+  let exits = Cfg.Flowgraph.exits fn in
+  let exit_var = Array.make n None in
+  List.iter
+    (fun b ->
+      exit_var.(b) <- Some (Ilp.Problem.var ~index:[ b ] problem "d_exit"))
+    exits;
   Ilp.Problem.add_eq problem [ (1, entry_var) ] 1;
-  Ilp.Problem.add_eq problem (List.map (fun (_, v) -> (1, v)) exit_vars) 1;
+  Ilp.Problem.add_eq problem
+    (List.map (fun b -> (1, Option.get exit_var.(b))) exits)
+    1;
   let preds = p.preds in
   Array.iter
     (fun (b : Timing.t Cfg.Flowgraph.block) ->
       let id = b.Cfg.Flowgraph.id in
       let inflow =
-        List.map (fun pr -> (1, edge_var (pr, id))) preds.(id)
-        @ if id = fn.Cfg.Flowgraph.entry then [ (1, entry_var) ] else []
+        List.map (fun pr -> (-1, edge_var (pr, id))) preds.(id)
+        @ if id = fn.Cfg.Flowgraph.entry then [ (-1, entry_var) ] else []
       in
       let outflow =
-        List.map (fun s -> (1, edge_var (id, s))) b.Cfg.Flowgraph.succs
-        @
-        match List.assoc_opt id exit_vars with
-        | Some v -> [ (1, v) ]
-        | None -> []
+        List.map (fun s -> (-1, edge_var (id, s))) b.Cfg.Flowgraph.succs
+        @ match exit_var.(id) with Some v -> [ (-1, v) ] | None -> []
       in
-      Ilp.Problem.add_eq problem
-        ((1, x.(id)) :: List.map (fun (c, v) -> (-c, v)) inflow)
-        0;
-      Ilp.Problem.add_eq problem
-        ((1, x.(id)) :: List.map (fun (c, v) -> (-c, v)) outflow)
-        0)
+      Ilp.Problem.add_eq problem ((1, x.(id)) :: inflow) 0;
+      Ilp.Problem.add_eq problem ((1, x.(id)) :: outflow) 0)
     fn.Cfg.Flowgraph.blocks;
   (* Loop bounds: header count bounded by (bound * flow entering the
      loop).  The bound counts header visits per loop entry. *)
@@ -241,8 +231,9 @@ let ilp ?(sources : sources = `All)
       let entering = Cfg.Loops.entry_edges fn l in
       Ilp.Problem.add_le
         ~label:
-          (Fmt.str "loop bound %s/%s <= %d per entry" origin.Cfg.Inline.func
-             label bound)
+          (lazy
+            (Fmt.str "loop bound %s/%s <= %d per entry" origin.Cfg.Inline.func
+               label bound))
         problem
         ((1, x.(l.Cfg.Loops.header))
         :: List.map (fun e -> (-bound, edge_var e)) entering)
@@ -264,8 +255,16 @@ let ilp ?(sources : sources = `All)
   in
   let constraints = selected_constraints spec sources in
   List.iter
-    (fun (c, src) ->
-      let clabel = Fmt.str "[%s] %a" src User_constraint.pp c in
+    (fun (c, derivation) ->
+      let clabel =
+        lazy
+          (match derivation with
+          | None -> Fmt.str "[manual] %a" User_constraint.pp c
+          | Some (d : Derive_constraints.derivation) ->
+              Fmt.str "[derived %s/%s] %a" d.Derive_constraints.dv_model
+                (Derive_constraints.rule_name d.Derive_constraints.dv_rule)
+                User_constraint.pp c)
+      in
       match c with
       | User_constraint.Conflicts_with { func; a; b } ->
           let found_a = ref false and found_b = ref false in
@@ -323,7 +322,7 @@ let ilp ?(sources : sources = `All)
       resolved func label (all <> []);
       if all <> [] then
         Ilp.Problem.add_eq
-          ~label:(Fmt.str "forced %s/%s = %d" func label count)
+          ~label:(lazy (Fmt.str "forced %s/%s = %d" func label count))
           problem
           (List.map (fun id -> (1, x.(id))) all)
           count)
@@ -351,7 +350,8 @@ let ilp ?(sources : sources = `All)
         (fun (c : Ilp.Problem.cstr) ->
           (* Vacuously binding rows — every variable in the row is zero
              at the optimum (constraints on inlined contexts the
-             critical path never enters) — are noise, not explanation. *)
+             critical path never enters) — are noise, not explanation.
+             Only the labels of the rows kept here are rendered. *)
           let touched =
             List.exists
               (fun (_, v) -> values.((v : Ilp.Problem.var :> int)) > 0)
@@ -359,12 +359,12 @@ let ilp ?(sources : sources = `All)
           in
           if
             c.Ilp.Problem.relation <> Ilp.Problem.Eq
-            && c.Ilp.Problem.label <> ""
             && touched
             && Ilp.Problem.binding c values
+            && Lazy.force c.Ilp.Problem.label <> ""
           then
             Some
-              ( c.Ilp.Problem.label,
+              ( Lazy.force c.Ilp.Problem.label,
                 Ilp.Problem.eval_terms c.Ilp.Problem.terms values )
           else None)
         (Ilp.Problem.constraints problem)

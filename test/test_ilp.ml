@@ -658,7 +658,7 @@ let contains_substring s sub =
 let test_problem_pp () =
   let p = Ilp.Problem.create () in
   let x = Ilp.Problem.var p "x_f" in
-  Ilp.Problem.add_le ~label:"loop bound" p [ (1, x) ] 7;
+  Ilp.Problem.add_le ~label:(lazy "loop bound") p [ (1, x) ] 7;
   Ilp.Problem.set_objective p [ (42, x) ];
   let rendered = Fmt.to_to_string Ilp.Problem.pp p in
   check_bool "mentions variable" true (contains_substring rendered "x_f");
@@ -667,15 +667,24 @@ let test_problem_pp () =
      allocation of the name table holds. *)
   let q = Ilp.Problem.create () in
   let v = Array.init 40 (fun i -> Ilp.Problem.var q (Fmt.str "v%d" i)) in
-  Ilp.Problem.add_eq ~label:"flow" q [ (1, v.(0)); (-1, v.(17)) ] 0;
+  Ilp.Problem.add_eq ~label:(lazy "flow") q [ (1, v.(0)); (-1, v.(17)) ] 0;
   Ilp.Problem.add_ge q [ (3, v.(39)); (1, v.(16)) ] 2;
-  Ilp.Problem.add_le ~label:"cap" q [ (2, v.(38)) ] 5;
+  Ilp.Problem.add_le ~label:(lazy "cap") q [ (2, v.(38)) ] 5;
   Ilp.Problem.set_objective q [ (5, v.(0)); (1, v.(39)) ];
   Alcotest.(check string)
     "rendering"
     "maximize 5 v0 + v39\nsubject to:\n  v0 + -1 v17 = 0    ; flow\n\
     \  3 v39 + v16 >= 2\n  2 v38 <= 5    ; cap\n"
-    (Fmt.to_to_string Ilp.Problem.pp q)
+    (Fmt.to_to_string Ilp.Problem.pp q);
+  (* A name is its string followed by its indices, "_"-separated. *)
+  Alcotest.(check (list string))
+    "indexed names" [ "x7"; "d3_4"; "d_entry" ]
+    (List.map (Ilp.Problem.name q)
+       [
+         Ilp.Problem.var ~index:[ 7 ] q "x";
+         Ilp.Problem.var ~index:[ 3; 4 ] q "d";
+         Ilp.Problem.var q "d_entry";
+       ])
 
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 

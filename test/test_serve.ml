@@ -626,6 +626,204 @@ let test_presolve_matches_exact () =
     [ "improved"; "original"; "benno"; "lazy" ];
   check_int "ipet.exact_fallbacks" before (Obs.Metrics.value fallbacks)
 
+(* --- the analysis payloads --- *)
+
+(* Pinned md5 of every analyse and explain payload over the 80-key wire
+   grid: a change to the analysis engine that moves any bound, basis,
+   binding-constraint label or ILP statistic fails here, naming the
+   request it moved. *)
+let payload_digests =
+  [
+    ("analyse kernel_entry improved l2=false pin=false", "92f58a3813f6eecc1ed91dfaea71c38e");
+    ("analyse kernel_entry improved l2=false pin=true", "ea7f9b800d9a95cab414db78c670d8c8");
+    ("analyse kernel_entry improved l2=true pin=false", "8206428f8d724e5cd90a20519ecb8f3a");
+    ("analyse kernel_entry improved l2=true pin=true", "b49c2a8b9fae5a1ff3007f6941284a34");
+    ("analyse kernel_entry original l2=false pin=false", "b346ca1edc1f90c031e3a35cddc2ed0e");
+    ("analyse kernel_entry original l2=false pin=true", "3a69343fc41da9093ae797ffd2f307fa");
+    ("analyse kernel_entry original l2=true pin=false", "c4aec517edc0ccad6d5bcab0c6402a01");
+    ("analyse kernel_entry original l2=true pin=true", "28117d09a4ea219f3145ac73b4c98031");
+    ("analyse kernel_entry benno l2=false pin=false", "a2e5a7a16185f702fe3e40a00b7356c9");
+    ("analyse kernel_entry benno l2=false pin=true", "1c922314f96d01cbc0088661d6134810");
+    ("analyse kernel_entry benno l2=true pin=false", "589539923c3fbbadbc622e404b78f0bf");
+    ("analyse kernel_entry benno l2=true pin=true", "50c46436d6db46040c46d1e36e306cbf");
+    ("analyse kernel_entry lazy l2=false pin=false", "c41b14ac92055b87f83bc1fb52340c6f");
+    ("analyse kernel_entry lazy l2=false pin=true", "fdfea82c08a045a1769eb06215e3978a");
+    ("analyse kernel_entry lazy l2=true pin=false", "82c7178c75337e1356e408e180cf4162");
+    ("analyse kernel_entry lazy l2=true pin=true", "516b1f5360dd40608c1d906f8da23ff8");
+    ("analyse syscall improved l2=false pin=false", "81072cb9f779d94f58a92967249a87ce");
+    ("analyse syscall improved l2=false pin=true", "6b4ebbf9340ed97b0a23f90731381828");
+    ("analyse syscall improved l2=true pin=false", "a29f20f62432345ef1e444d2d7ed9174");
+    ("analyse syscall improved l2=true pin=true", "11c65874c4723ffe2ef88f02b19232d5");
+    ("analyse syscall original l2=false pin=false", "80d779baf6e82dc06567cbf8640854f1");
+    ("analyse syscall original l2=false pin=true", "91d91ce9a85c279a4f37d85e0736519d");
+    ("analyse syscall original l2=true pin=false", "faace4f09fd86e554aa4b27a0d8c6f98");
+    ("analyse syscall original l2=true pin=true", "596a53b307502e82d487453776abf6b5");
+    ("analyse syscall benno l2=false pin=false", "af823a1430ab5332f514448d2183f5ab");
+    ("analyse syscall benno l2=false pin=true", "da9bd969aae0c4a38c27e468bb60a211");
+    ("analyse syscall benno l2=true pin=false", "6fc10acc4b8882c5fe9af1323f6ce421");
+    ("analyse syscall benno l2=true pin=true", "86828dd79b64945cb852fa7c412aabdf");
+    ("analyse syscall lazy l2=false pin=false", "7f313b91257734c5c666f3a81580649e");
+    ("analyse syscall lazy l2=false pin=true", "c668ef5f437acb21d5f4de8d0f3eb033");
+    ("analyse syscall lazy l2=true pin=false", "89d51ddde63fc5c8d31ddea78b1329c8");
+    ("analyse syscall lazy l2=true pin=true", "83c79b73fe402bbdf7cc56dbf00a917f");
+    ("analyse interrupt improved l2=false pin=false", "9b0f74328481e2d2885102ac8e7fd071");
+    ("analyse interrupt improved l2=false pin=true", "abc3421adf07653bce2b32b06376b203");
+    ("analyse interrupt improved l2=true pin=false", "a67cebd2836efb654bb138fa4ae52666");
+    ("analyse interrupt improved l2=true pin=true", "ce026089953fa96d75a77ca65bc22079");
+    ("analyse interrupt original l2=false pin=false", "21d657eaf65478ab5a5cca301ae40dce");
+    ("analyse interrupt original l2=false pin=true", "0d868b5cc431b500f3f0f07e425729d4");
+    ("analyse interrupt original l2=true pin=false", "3b76e07e9750fef7099b0869e36da33b");
+    ("analyse interrupt original l2=true pin=true", "ee55212171c328b209eb830d01ddb4ce");
+    ("analyse interrupt benno l2=false pin=false", "59297444053777ffd42188870db487e8");
+    ("analyse interrupt benno l2=false pin=true", "556c0c2a9df65dd86cf206aae988f53d");
+    ("analyse interrupt benno l2=true pin=false", "4c1de57a7619ce5b2f7448d3b0aaca1d");
+    ("analyse interrupt benno l2=true pin=true", "ec992625a6bb4036d70d642210d34627");
+    ("analyse interrupt lazy l2=false pin=false", "f0e6dae70ce81aeac5102d4f2e61796e");
+    ("analyse interrupt lazy l2=false pin=true", "b570bb8ae0f50b7031e640f673924baa");
+    ("analyse interrupt lazy l2=true pin=false", "6e7d4a1164a2e3141f5367befd71de0b");
+    ("analyse interrupt lazy l2=true pin=true", "00beb26960be0b150d8034906bd8eb45");
+    ("analyse fault improved l2=false pin=false", "f8405766b92e8cd085ec53eda4a53936");
+    ("analyse fault improved l2=false pin=true", "ae1c161ab250b9481737419ee369ca5b");
+    ("analyse fault improved l2=true pin=false", "dbc7c73bc257625fe9a853483bad6630");
+    ("analyse fault improved l2=true pin=true", "f19e351253774efcf91db0ff0a466f48");
+    ("analyse fault original l2=false pin=false", "2396e72e15a967bc3dad22c0287e0ab9");
+    ("analyse fault original l2=false pin=true", "f76d2350c7cae862ad915d3b7d56b982");
+    ("analyse fault original l2=true pin=false", "7773c8be26a612c1ce582ccedb7f231f");
+    ("analyse fault original l2=true pin=true", "8a7e89e4b7b9e6ad8afcf91513deed07");
+    ("analyse fault benno l2=false pin=false", "e1be8fca0e949ff63d8cb889a8a420df");
+    ("analyse fault benno l2=false pin=true", "d9fcd78f177e4ef4438c039d85f4d03e");
+    ("analyse fault benno l2=true pin=false", "3fccf124757d678738a07563b203bf58");
+    ("analyse fault benno l2=true pin=true", "f77aebe2b660e2ff20681185cea162cb");
+    ("analyse fault lazy l2=false pin=false", "830d5557fe43cfb45be4f3367a885979");
+    ("analyse fault lazy l2=false pin=true", "0be734ff3d5a54cdaab14d9a5abe9315");
+    ("analyse fault lazy l2=true pin=false", "20915890529c41dc89448054514cce69");
+    ("analyse fault lazy l2=true pin=true", "2a4a4c2c72d594172c3ffa75809c01d4");
+    ("analyse undefined improved l2=false pin=false", "6235530e646e424f40192c7c2d6696e0");
+    ("analyse undefined improved l2=false pin=true", "81ae1b21906997e9c0d0fe79e8b1e80a");
+    ("analyse undefined improved l2=true pin=false", "1b007571a10571ac667a2702b73c1e7d");
+    ("analyse undefined improved l2=true pin=true", "261c9d0e74bfdf9d35091e066c726706");
+    ("analyse undefined original l2=false pin=false", "c83f7ef92f8073f764667c7e8d619d42");
+    ("analyse undefined original l2=false pin=true", "107d30f413ed9444ab08a04711b5f688");
+    ("analyse undefined original l2=true pin=false", "cacd0d21e62331e9e47dbff8b2d07d90");
+    ("analyse undefined original l2=true pin=true", "aa2e6d7d7ba956323f64e4e685267da3");
+    ("analyse undefined benno l2=false pin=false", "a644b7f2ad74baaa56d7dc114b04ae06");
+    ("analyse undefined benno l2=false pin=true", "9da060052273c5749ff93eec29520f9e");
+    ("analyse undefined benno l2=true pin=false", "a800584fc37a089d82bc1068fce3cc4e");
+    ("analyse undefined benno l2=true pin=true", "7768f440ffa919ea7ac6489c25e6bbbf");
+    ("analyse undefined lazy l2=false pin=false", "4ee593b6e62c3b46280571980682dcd4");
+    ("analyse undefined lazy l2=false pin=true", "688935ac13cf5cb238a078978326b981");
+    ("analyse undefined lazy l2=true pin=false", "473a432f6a43222836bd98c67a8988b6");
+    ("analyse undefined lazy l2=true pin=true", "0036bcf8787d5606a8c8835c8db6335a");
+    ("explain kernel_entry improved l2=false pin=false", "b7a72f2fc874828bef62f9e0f0bd0847");
+    ("explain kernel_entry improved l2=false pin=true", "623928bc86a13524b220fa804913479f");
+    ("explain kernel_entry improved l2=true pin=false", "9311da14ca61a9e8e4f42cd1561ec7f9");
+    ("explain kernel_entry improved l2=true pin=true", "1003e5238ce3f641d11739b2a1ba77f2");
+    ("explain kernel_entry original l2=false pin=false", "e8c514bddc89b0d0017b6abcaa8777a8");
+    ("explain kernel_entry original l2=false pin=true", "4eef49f10fa4ff7dddc8220844e3c0c5");
+    ("explain kernel_entry original l2=true pin=false", "25b88821923dfb7ff29e754dfd0bb911");
+    ("explain kernel_entry original l2=true pin=true", "4c0c100380884797dbc13ac92c883dfe");
+    ("explain kernel_entry benno l2=false pin=false", "ec1ef7add845a69430cd4923b7d03c89");
+    ("explain kernel_entry benno l2=false pin=true", "44daa54be307e564c289f3f4dab2d27c");
+    ("explain kernel_entry benno l2=true pin=false", "e809bcbc83165b039438bd4df00c3346");
+    ("explain kernel_entry benno l2=true pin=true", "d722d8544d58591fa67b50cb0a83f0b4");
+    ("explain kernel_entry lazy l2=false pin=false", "60eb4511d8efd5ff5d99db8d34930547");
+    ("explain kernel_entry lazy l2=false pin=true", "4e3caefed125da89a60f65fbda30c262");
+    ("explain kernel_entry lazy l2=true pin=false", "531b54d98a16602146496dd382850712");
+    ("explain kernel_entry lazy l2=true pin=true", "9085eb3c5a89f69f55396fedd6181198");
+    ("explain syscall improved l2=false pin=false", "d0e45b5445f0761db7c12508a9dd87ac");
+    ("explain syscall improved l2=false pin=true", "05cde8ee8a8f0edd4467f9fa484e9897");
+    ("explain syscall improved l2=true pin=false", "226899f53c73449850303737216a6a93");
+    ("explain syscall improved l2=true pin=true", "ac5fb1f8a7fcfd7a6bf4bf968f513348");
+    ("explain syscall original l2=false pin=false", "a61c028610884dd1c7d7039216b696f3");
+    ("explain syscall original l2=false pin=true", "521607fc11e82ae66fcaecfb40a018c4");
+    ("explain syscall original l2=true pin=false", "8474da92e879857f7ad96efcdbedbeb4");
+    ("explain syscall original l2=true pin=true", "77769777eea1637d35d177e8d8971b3a");
+    ("explain syscall benno l2=false pin=false", "dc07623383e65984415a013b7067c765");
+    ("explain syscall benno l2=false pin=true", "5e917079c829a9607067448b75779a96");
+    ("explain syscall benno l2=true pin=false", "603e5a3a9ec9630b90fe907feb2bfc84");
+    ("explain syscall benno l2=true pin=true", "0ae5dd93fad555a9751304f4d2e2b91a");
+    ("explain syscall lazy l2=false pin=false", "17709f84552f9aa228a49b3ce04510fb");
+    ("explain syscall lazy l2=false pin=true", "f4bedd6b94fc4f5ecc0a72171bc680b3");
+    ("explain syscall lazy l2=true pin=false", "13b9d740dc7310167ae6fff2bad48519");
+    ("explain syscall lazy l2=true pin=true", "1a7e9572fa68068990df7fc3ec75a4ff");
+    ("explain interrupt improved l2=false pin=false", "47be179112a933253f6ff20936173b3e");
+    ("explain interrupt improved l2=false pin=true", "3333091e74f93393f88fdff8ecdd51f5");
+    ("explain interrupt improved l2=true pin=false", "a38d9cb4993e0bbfb6128fa8a03775aa");
+    ("explain interrupt improved l2=true pin=true", "8db731db33f7a548c7d9da3428855b2b");
+    ("explain interrupt original l2=false pin=false", "ac98796dfc99170dacecbe1ef112bed3");
+    ("explain interrupt original l2=false pin=true", "6d47a8a315f27c3bea367110ddfd0a3f");
+    ("explain interrupt original l2=true pin=false", "ae14a2f9acfe439236cc1a5d3f0b1eb7");
+    ("explain interrupt original l2=true pin=true", "165048058e02d7c8ae758587f36c2655");
+    ("explain interrupt benno l2=false pin=false", "ebebb508ae63107f9f8d61595ea18084");
+    ("explain interrupt benno l2=false pin=true", "ce131c57f6e44b7cd3e47518f68f00ce");
+    ("explain interrupt benno l2=true pin=false", "96a96e7d189665fb402decb335ea1bbb");
+    ("explain interrupt benno l2=true pin=true", "388cc6944fc0cadc3ea00177dbdcd145");
+    ("explain interrupt lazy l2=false pin=false", "ac98796dfc99170dacecbe1ef112bed3");
+    ("explain interrupt lazy l2=false pin=true", "6d47a8a315f27c3bea367110ddfd0a3f");
+    ("explain interrupt lazy l2=true pin=false", "ae14a2f9acfe439236cc1a5d3f0b1eb7");
+    ("explain interrupt lazy l2=true pin=true", "165048058e02d7c8ae758587f36c2655");
+    ("explain fault improved l2=false pin=false", "05e2625ccb7afbf2441a9249c27c98c4");
+    ("explain fault improved l2=false pin=true", "6927462fc5396936e8322bb58e553701");
+    ("explain fault improved l2=true pin=false", "ef35be565307e4733fd9ad06e530f762");
+    ("explain fault improved l2=true pin=true", "4da768c9f26eb3aad20a7f7fb65f94a5");
+    ("explain fault original l2=false pin=false", "1b652b9a15581e9b47a793c529f17681");
+    ("explain fault original l2=false pin=true", "47252eb6bc754d6aada8c4b86344e866");
+    ("explain fault original l2=true pin=false", "d923875ebd2abe91c1459549e1b183ee");
+    ("explain fault original l2=true pin=true", "75c37e165dd788b18e469f60ae8044b5");
+    ("explain fault benno l2=false pin=false", "520851eeccdfbdac6c4f8c0c7ebef26f");
+    ("explain fault benno l2=false pin=true", "08c2fca279831d37671b4783babf9010");
+    ("explain fault benno l2=true pin=false", "1aa3b995ef76a10ba227f5abc2e8b176");
+    ("explain fault benno l2=true pin=true", "62ca6d840950d7adb2b90941b3941f21");
+    ("explain fault lazy l2=false pin=false", "1b652b9a15581e9b47a793c529f17681");
+    ("explain fault lazy l2=false pin=true", "47252eb6bc754d6aada8c4b86344e866");
+    ("explain fault lazy l2=true pin=false", "d923875ebd2abe91c1459549e1b183ee");
+    ("explain fault lazy l2=true pin=true", "75c37e165dd788b18e469f60ae8044b5");
+    ("explain undefined improved l2=false pin=false", "f56ba216e795dd745d5bc4d3832bc766");
+    ("explain undefined improved l2=false pin=true", "99fe4817cb68f944eb049cf8c4312157");
+    ("explain undefined improved l2=true pin=false", "3418bb22e41bd51f6ab124bc326f69f8");
+    ("explain undefined improved l2=true pin=true", "10e0df07d2b91290a312639b69fe92fb");
+    ("explain undefined original l2=false pin=false", "e0a0cdc3554d737e6c5e923ef3adcac4");
+    ("explain undefined original l2=false pin=true", "d9fc9df8ef49c6506d0477207f745e4b");
+    ("explain undefined original l2=true pin=false", "63682325f07cdc73d0a06075f35e86cb");
+    ("explain undefined original l2=true pin=true", "2606d178e8b45f57b657fa3b96bb6fb6");
+    ("explain undefined benno l2=false pin=false", "75de7dc0b1be6e6a0374d55e314e71a7");
+    ("explain undefined benno l2=false pin=true", "6832424e1eda2b2cd15362ee0a6bb978");
+    ("explain undefined benno l2=true pin=false", "92406924c90d2a0184e20cec193c0244");
+    ("explain undefined benno l2=true pin=true", "e07986553e5b50d3570eefd1627d9526");
+    ("explain undefined lazy l2=false pin=false", "e0a0cdc3554d737e6c5e923ef3adcac4");
+    ("explain undefined lazy l2=false pin=true", "d9fc9df8ef49c6506d0477207f745e4b");
+    ("explain undefined lazy l2=true pin=false", "63682325f07cdc73d0a06075f35e86cb");
+    ("explain undefined lazy l2=true pin=true", "2606d178e8b45f57b657fa3b96bb6fb6");
+  ]
+
+let test_payload_digests () =
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let ( let* ) l f = List.concat_map f l in
+  let actual =
+    let* kind = [ "analyse"; "explain" ] in
+    let* target_name =
+      [ "kernel_entry"; "syscall"; "interrupt"; "fault"; "undefined" ]
+    in
+    let* build_name = [ "improved"; "original"; "benno"; "lazy" ] in
+    let* l2 = [ false; true ] in
+    let* pin = [ false; true ] in
+    let target = ok (Q.target_of_string target_name)
+    and build = ok (Q.build_of_string build_name) in
+    let request =
+      if kind = "analyse" then Q.Analyse { target; build; l2; pin }
+      else Q.Explain { target; build; l2; pin }
+    in
+    let outcome = Q.run request in
+    [
+      ( Fmt.str "%s %s %s l2=%b pin=%b" kind target_name build_name l2 pin,
+        Digest.to_hex (Digest.string outcome.Q.payload) );
+    ]
+  in
+  if actual <> payload_digests then begin
+    List.iter (fun (n, d) -> Fmt.epr "    (%S, %S);@." n d) actual;
+    Alcotest.fail "analysis payload digests moved (actual values above)"
+  end
+
 let () =
   (* The cross-process test re-executes this binary as a cache-populate
      child; the guard must run before Alcotest takes over. *)
@@ -679,5 +877,7 @@ let () =
         [
           Alcotest.test_case "presolve matches exact on the wire grid" `Quick
             test_presolve_matches_exact;
+          Alcotest.test_case "analysis payload digests" `Quick
+            test_payload_digests;
         ] );
     ]

@@ -40,10 +40,11 @@ let test_abstract_cache_join () =
   Wcet.Abstract_cache.access a 0x1000;
   Wcet.Abstract_cache.access a 0x1040;
   Wcet.Abstract_cache.access b 0x1000;
-  let j = Wcet.Abstract_cache.join a b in
-  check_bool "common line kept" true (Wcet.Abstract_cache.must_hit j 0x1000);
+  Wcet.Abstract_cache.join ~into:a b;
+  check_bool "common line kept" true (Wcet.Abstract_cache.must_hit a 0x1000);
   check_bool "one-sided line dropped" false
-    (Wcet.Abstract_cache.must_hit j 0x1040)
+    (Wcet.Abstract_cache.must_hit a 0x1040);
+  check_bool "joined into a" true (Wcet.Abstract_cache.equal a b)
 
 let test_abstract_cache_pinned () =
   let c =
@@ -58,6 +59,10 @@ let test_abstract_cache_pinned () =
 
 let block_payload ?(accesses = []) ~base ~instrs () =
   T.make ~accesses ~base ~instrs ()
+
+let analyse_default ?pinned_code fn =
+  Wcet.Cache_analysis.analyse ~config:Hw.Config.default ?pinned_code
+    ~preds:(F.preds fn) fn
 
 let test_block_cost_straightline () =
   (* Two blocks in sequence; the second re-reads the same static address
@@ -77,7 +82,7 @@ let test_block_cost_straightline () =
   let n1 = F.Builder.add b ~label:"second" p1 in
   F.Builder.edge b n0 n1;
   let fn = F.Builder.finish b in
-  let res = Wcet.Cache_analysis.analyse ~config:Hw.Config.default fn in
+  let res = analyse_default fn in
   let c0 = Wcet.Cache_analysis.cost res n0 in
   let c1 = Wcet.Cache_analysis.cost res n1 in
   (* First block: 4 instrs + 1 fetch-line miss + 1 data miss. *)
@@ -101,7 +106,7 @@ let test_dynamic_access_clobbers () =
   let n0 = F.Builder.add b ~label:"only" p0 in
   ignore n0;
   let fn = F.Builder.finish b in
-  let res = Wcet.Cache_analysis.analyse ~config:Hw.Config.default fn in
+  let res = analyse_default fn in
   let c = Wcet.Cache_analysis.cost res 0 in
   (* The second static access must be a miss again: the dynamic write
      clobbered the must-state. *)
@@ -113,15 +118,50 @@ let test_pinned_code_cost () =
   let p0 = block_payload ~base:0x0 ~instrs:8 () in
   ignore (F.Builder.add b ~label:"only" p0);
   let fn = F.Builder.finish b in
-  let cold = Wcet.Cache_analysis.analyse ~config:Hw.Config.default fn in
-  let pinned =
-    Wcet.Cache_analysis.analyse ~config:Hw.Config.default ~pinned_code:[ 0x0 ]
-      fn
-  in
+  let cold = analyse_default fn in
+  let pinned = analyse_default ~pinned_code:[ 0x0 ] fn in
   check_int "cold pays fetch" (8 + mem)
     (Wcet.Cache_analysis.cost cold 0).Wcet.Cache_analysis.cycles;
   check_int "pinned avoids fetch" 8
     (Wcet.Cache_analysis.cost pinned 0).Wcet.Cache_analysis.cycles
+
+(* A block with several successors, one of them a join: the join's
+   meet must not narrow the branch block's out-state, which a later
+   successor reads afterwards.  [e] loads a line, [a] clobbers
+   the data cache on the way to the join [j], and [s], reached from [e]
+   alone, must still hit the line. *)
+let test_join_leaves_predecessors () =
+  let b = F.Builder.create "critical" in
+  let load = T.Static { addr = 0x8000; write = false } in
+  let e =
+    F.Builder.add b ~label:"e"
+      (block_payload ~base:0x0 ~instrs:1 ~accesses:[ load ] ())
+  in
+  let a =
+    F.Builder.add b ~label:"a"
+      (block_payload ~base:0x40 ~instrs:1
+         ~accesses:[ T.Dynamic { write = true; count = 1 } ]
+         ())
+  in
+  let j = F.Builder.add b ~label:"j" (block_payload ~base:0x80 ~instrs:1 ()) in
+  let s =
+    F.Builder.add b ~label:"s"
+      (block_payload ~base:0xc0 ~instrs:1 ~accesses:[ load ] ())
+  in
+  F.Builder.edge b e s;
+  F.Builder.edge b e j;
+  F.Builder.edge b e a;
+  F.Builder.edge b a j;
+  let fn = F.Builder.finish b in
+  (* The worklist visits [a], then [j], then [s]. *)
+  Alcotest.(check (list int))
+    "successor order" [ a; j; s ] (F.block fn e).F.succs;
+  let res = analyse_default fn in
+  check_int "s hits the line e loaded" 1
+    (Wcet.Cache_analysis.cost res s).Wcet.Cache_analysis.data_hits;
+  check_bool "every block as the reference" true
+    (Ref_cache.analyse ~config:Hw.Config.default fn
+    = res.Wcet.Cache_analysis.costs)
 
 (* --- IPET end-to-end on a hand-analysable program --- *)
 
@@ -563,7 +603,139 @@ let test_soundness_l2 =
       execute ~config:Hw.Config.with_l2 ~decide:(fun _ -> true) constructs
       <= result.Wcet.Ipet.wcet)
 
+(* --- the in-place fixpoint against the naive one --- *)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
+
+(* An arbitrary CFG over the structured generator's payloads: any block
+   may branch to any other, so there are critical edges, irreducible
+   loops, self-loops and unreachable blocks. *)
+let gen_cfg =
+  QCheck.Gen.(
+    let* n = int_range 1 10 in
+    let* payloads = list_repeat n gen_payload in
+    let* succs =
+      list_repeat n (list_size (int_range 0 3) (int_range 0 (n - 1)))
+    in
+    let* pins = list_size (int_range 0 3) (int_range 0 255) in
+    return (payloads, List.map (List.sort_uniq compare) succs, pins))
+
+let print_cfg (payloads, succs, pins) =
+  Fmt.str "%d blocks, succs %a, pinned lines %a" (List.length payloads)
+    Fmt.(Dump.list (Dump.list int))
+    succs
+    Fmt.(Dump.list int)
+    pins
+
+let test_reference_random =
+  QCheck.Test.make ~count:300
+    ~name:"in place matches the reference on random CFGs"
+    (QCheck.make ~print:print_cfg gen_cfg)
+    (fun (payloads, succs, pins) ->
+      let b = F.Builder.create "random" in
+      let ids =
+        List.mapi
+          (fun i p -> F.Builder.add b ~label:(Fmt.str "b%d" i) p)
+          payloads
+      in
+      List.iter2
+        (fun a ss -> List.iter (fun s -> F.Builder.edge b a s) ss)
+        ids succs;
+      let fn = F.Builder.finish b in
+      let pinned_code = List.map (fun l -> l * 32) pins
+      and pinned_data = List.map (fun l -> 0x10000 + (l * 32)) pins in
+      List.for_all
+        (fun config ->
+          let got =
+            Wcet.Cache_analysis.analyse ~config ~pinned_code ~pinned_data
+              ~preds:(F.preds fn) fn
+          in
+          Ref_cache.analyse ~config ~pinned_code ~pinned_data fn
+          = got.Wcet.Cache_analysis.costs)
+        [ Hw.Config.default; Hw.Config.with_l2 ])
+
+(* --- the kernel model's specs: reference fixpoint and allocation --- *)
+
+module KM = Sel4_rt.Kernel_model
+
+let model_builds =
+  [
+    ("original", Sel4.Build.original);
+    ("improved", Sel4.Build.improved);
+    ("lazy", { Sel4.Build.improved with Sel4.Build.sched = Sel4.Build.Lazy });
+    ("benno", { Sel4.Build.improved with Sel4.Build.sched = Sel4.Build.Benno });
+  ]
+
+let pp_cost ppf (c : Wcet.Cache_analysis.block_cost) =
+  Fmt.pf ppf "cycles=%d fetch=%d/%d data=%d/%d" c.cycles c.fetch_misses
+    c.fetch_hits c.data_misses c.data_hits
+
+(* Every block's cost from the in-place fixpoint equals the naive
+   copy-per-visit one in [Ref_cache], for every default spec (4 builds x
+   4 entries) with the L2 off and on, unpinned and pinned. *)
+let test_reference_fixpoint () =
+  List.iter
+    (fun (name, build) ->
+      List.iter
+        (fun entry ->
+          let fn =
+            (Cfg.Inline.inline (KM.spec build entry).Wcet.Ipet.program)
+              .Cfg.Inline.fn
+          in
+          let preds = F.preds fn in
+          List.iter
+            (fun (l2, pin) ->
+              let ctx = Sel4_rt.Pinning.context ~l2 ~pin build in
+              let config = ctx.Sel4_rt.Analysis_ctx.config in
+              let pinned_code = ctx.pins.code and pinned_data = ctx.pins.data in
+              let got =
+                Wcet.Cache_analysis.analyse ~config ~pinned_code ~pinned_data
+                  ~preds fn
+              in
+              let want =
+                Ref_cache.analyse ~config ~pinned_code ~pinned_data fn
+              in
+              Array.iteri
+                (fun b w ->
+                  let g = Wcet.Cache_analysis.cost got b in
+                  if g <> w then
+                    Alcotest.failf
+                      "%s/%s l2=%b pin=%b block %d: %a, reference %a" name
+                      (KM.entry_name entry) l2 pin b pp_cost g pp_cost w)
+                want)
+            [ (false, false); (false, true); (true, false); (true, true) ])
+        KM.entry_points)
+    model_builds
+
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+(* The ILP build formats no variable name and the cache fixpoint reuses
+   its states: on the improved build's syscall prefix, at most 250 minor
+   words per ILP variable (formatting each name cost about 480) and 1,200
+   per block of the cache analysis (a copy per visit cost about 1,750). *)
+let test_allocation () =
+  let spec = KM.spec Sel4.Build.improved KM.Syscall in
+  let config = Hw.Config.default in
+  let prepared = Wcet.Ipet.prepare ~config spec in
+  ignore (Wcet.Ipet.ilp prepared);
+  let (problem, _), words = minor_words (fun () -> Wcet.Ipet.ilp prepared) in
+  let per_var = words /. float (Ilp.Problem.num_vars problem) in
+  check_bool
+    (Fmt.str "Ipet.ilp: %.0f minor words per variable, at most 250" per_var)
+    true (per_var <= 250.);
+  let fn = (Cfg.Inline.inline spec.Wcet.Ipet.program).Cfg.Inline.fn in
+  let preds = F.preds fn in
+  let analyse () = Wcet.Cache_analysis.analyse ~config ~preds fn in
+  ignore (analyse ());
+  let _, words = minor_words analyse in
+  let per_block = words /. float (F.num_blocks fn) in
+  check_bool
+    (Fmt.str "Cache_analysis.analyse: %.0f minor words per block, at most 1200"
+       per_block)
+    true (per_block <= 1200.)
 
 let () =
   Alcotest.run "wcet"
@@ -581,7 +753,10 @@ let () =
             test_case "straight line" `Quick test_block_cost_straightline;
             test_case "dynamic clobbers" `Quick test_dynamic_access_clobbers;
             test_case "pinned code" `Quick test_pinned_code_cost;
-          ] );
+            test_case "a join leaves its predecessors alone" `Quick
+              test_join_leaves_predecessors;
+          ]
+        @ qsuite [ test_reference_random ] );
       ( "ipet",
         Alcotest.
           [
@@ -599,4 +774,11 @@ let () =
           ] );
       ( "soundness",
         qsuite [ test_soundness; test_soundness_l2; test_soundness_l2_locked ] );
+      ( "kernel-model",
+        Alcotest.
+          [
+            test_case "fixpoint matches the reference" `Quick
+              test_reference_fixpoint;
+            test_case "allocation" `Quick test_allocation;
+          ] );
     ]
