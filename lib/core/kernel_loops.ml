@@ -286,21 +286,27 @@ let compute_bound (spec : loop_spec) =
       if bounded then result ~slice_stats:stats Model_checking (Some !most)
       else result Annotation_only None
 
-let bound spec =
-  match (compute_bound spec).computed with
-  | Some b -> b
-  | None -> spec.annotated
+let bound_of r =
+  match r.computed with Some b -> b | None -> r.spec.annotated
+
+let bound spec = bound_of (compute_bound spec)
+
+(* The two loops that take no kernel parameter, analysed once when the
+   module is initialised: before any domain starts, and never written
+   again, so every spec and report shares them without a guard. *)
+let decode = compute_bound decode_loop
+let priority_scan = compute_bound priority_scan_loop
 
 (* Every kernel loop, for the [loopbounds] section, the WCET tour and the
-   tests; the IPET asks {!bound} for the three it reads.  The clear loop
-   is scaled to the analysis scenario's largest object.  The interval
+   tests; the IPET reads the same three it builds.  The clear loop is
+   scaled to the analysis scenario's largest object.  The interval
    analysis bounds the ASID search at any pool size; the pool stays at 16
    so the tests' exhaustive references over the catalogue stay small. *)
 let catalogue ~max_frame_bytes ~chunk =
   [
     compute_bound (clear_loop ~max_bytes:max_frame_bytes ~chunk);
-    compute_bound decode_loop;
-    compute_bound priority_scan_loop;
+    decode;
+    priority_scan;
     compute_bound (asid_search_loop ~pool_size:16);
     compute_bound (badge_scan_loop ~max_waiters:12);
   ]

@@ -49,13 +49,25 @@ val compute_bound : loop_spec -> result
     the count exceeds [4 * annotated], [computed = None] and
     [Annotation_only]. *)
 
-val bound : loop_spec -> int
+val bound_of : result -> int
 (** The [computed] bound, or the annotation when the chain gives none:
     the number the IPET uses. *)
 
+val bound : loop_spec -> int
+(** [bound_of (compute_bound spec)]. *)
+
+val decode : result
+(** [compute_bound decode_loop], computed once when the module is
+    initialised. *)
+
+val priority_scan : result
+(** [compute_bound priority_scan_loop], computed once when the module is
+    initialised. *)
+
 val catalogue : max_frame_bytes:int -> chunk:int -> result list
 (** All five loops, for reports and tests ([asid_search] at a pool of 16,
-    [badge_scan] at 12 waiters). *)
+    [badge_scan] at 12 waiters); the decode and priority-scan entries are
+    {!decode} and {!priority_scan}. *)
 
 val pp_method : method_used Fmt.t
 val pp_result : result Fmt.t

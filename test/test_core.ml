@@ -431,32 +431,57 @@ let test_model_names_resolve () =
         (KM.realisable_path ~params entry))
     (model_specs ())
 
+(* The 16 default specs: 4 builds × 4 entries. *)
+let build_default_specs () =
+  List.iter
+    (fun (_, build) ->
+      List.iter (fun entry -> ignore (KM.spec build entry)) KM.entry_points)
+    model_builds
+
 (* Building a spec allocates as much the hundredth time as the first:
    nothing the loop-bound and derivation chain keeps between builds
    grows with the programs it has seen.  Allocation is deterministic, so
    the batches must match exactly; no major collection runs between
    them, so state kept for dead programs would show. *)
 let test_spec_allocation_flat () =
-  let build_all () =
-    List.iter
-      (fun (_, build) ->
-        List.iter (fun entry -> ignore (KM.spec build entry)) KM.entry_points)
-      model_builds
-  in
   let batch () =
     let before = Gc.minor_words () in
     for _ = 1 to 25 do
-      build_all ()
+      build_default_specs ()
     done;
     Gc.minor_words () -. before
   in
-  build_all ();
+  build_default_specs ();
   let first = batch () in
   let last = ref first in
   for _ = 2 to 4 do
     last := batch ()
   done;
   Alcotest.(check (float 0.)) "minor words, last batch vs first" first !last
+
+(* The analyses that take no parameter run once per process: a spec
+   runs the loop-bound chain only for the clear loop, and the derivation
+   only for the lazy scheduler's stale model, so an improved-build
+   interrupt and syscall spec make one [kernel_model.loop_bounds]
+   observation and no fixpoint iteration between them.  The 16 default
+   specs stay under a ceiling of minor words per set. *)
+let test_parameter_free_once () =
+  Obs.Metrics.reset ();
+  ignore (KM.spec improved KM.Interrupt);
+  ignore (KM.spec improved KM.Syscall);
+  let snap = Obs.Metrics.snapshot () in
+  check_int "kernel_model.loop_bounds observations (the clear loop)" 1
+    (List.assoc "kernel_model.loop_bounds" snap.Obs.Metrics.s_histograms)
+      .Obs.Metrics.hs_count;
+  check_int "absint.iterations" 0
+    (List.assoc "absint.iterations" snap.Obs.Metrics.s_counters);
+  build_default_specs ();
+  let before = Gc.minor_words () in
+  build_default_specs ();
+  let words = Gc.minor_words () -. before in
+  if words > 300_000. then
+    Alcotest.failf
+      "the 16 default specs allocate %.0f minor words (at most 300,000)" words
 
 (* --- pinning mechanics --- *)
 
@@ -583,6 +608,8 @@ let () =
             test_case "names resolve" `Quick test_model_names_resolve;
             test_case "spec allocation is flat" `Quick
               test_spec_allocation_flat;
+            test_case "parameter-free analyses run once" `Quick
+              test_parameter_free_once;
           ] );
       ( "pinning",
         Alcotest.
